@@ -22,15 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PAULI, asoperator, tensor
-from .protocol import BASES, SETTINGS, JointState, reduced_meter_operator
+from .protocol import _SETTING_INDEX, BASES, SETTINGS, JointState, reduced_meter_operator
 
 #: Pauli axes indexing PauliTable rows/columns.
 PAULI_AXES = ("i", "x", "y", "z")
 
 #: Number of cells across all settings: 9 settings x 2 x 2 outcomes.
 N_CELLS = 36
-
-_SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
 
 
 def _cell(setting: tuple[str, str], m: int, n: int) -> int:

@@ -15,11 +15,17 @@ and all information about the entry <a_j| Pi_l |a_k> lives in the joint
 meter statistics.
 
 Tensor ordering is fixed repo-wide as system (x) meterB (x) meterA.
+
+The 36 product meter projectors are constants, built once at import
+(:data:`CELL_PROJECTORS`); the entry joint state depends only on
+(d, j, k, coupling) and is memoized by :func:`prepare_entry_state`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +39,8 @@ BASES = ("z", "x", "y")
 #: The nine meter basis settings (basis_b, basis_a), canonical order.
 SETTINGS = tuple((bb, ba) for bb in BASES for ba in BASES)
 
+_SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
+
 #: Rank-one projectors P[basis][m] with outcome sign (-1)^m.
 BASIS_PROJECTORS = {
     b: (
@@ -41,6 +49,17 @@ BASIS_PROJECTORS = {
     )
     for b in BASES
 }
+
+#: The 36 product projectors |m_B><m_B| (x) |n_A><n_A|, shape (36, 4, 4),
+#: setting-major over SETTINGS, then m, then n (the cell order of the
+#: estimator's 36-vectors).  Read-only.
+CELL_PROJECTORS = np.array([
+    tensor(BASIS_PROJECTORS[bb][m], BASIS_PROJECTORS[ba][n])
+    for bb, ba in SETTINGS
+    for m in range(2)
+    for n in range(2)
+])
+CELL_PROJECTORS.setflags(write=False)
 
 #: Post-selection probabilities below this are rejected as dead.
 P_FLOOR = 1e-14
@@ -85,13 +104,19 @@ class CouplingConfig:
 
 @dataclass(frozen=True)
 class JointState:
-    """Density operator on system (x) meterB (x) meterA (dimension 4d)."""
+    """Density operator on system (x) meterB (x) meterA (dimension 4d).
+
+    ``rho`` is a read-only copy of the input, so the validated state cannot
+    change behind the caller's back (states are shared by the memo in
+    :func:`prepare_entry_state`).
+    """
 
     rho: np.ndarray
     system_dim: int
 
     def __post_init__(self):
-        r = asoperator(self.rho)
+        r = asoperator(self.rho).copy()
+        r.setflags(write=False)
         if r.shape[0] != 4 * self.system_dim:
             raise ValueError(
                 f"joint dimension {r.shape[0]} != 4 * system_dim = {4 * self.system_dim}"
@@ -157,9 +182,14 @@ def evolve_joint(rho_s: np.ndarray, cfg: CouplingConfig, k: int) -> JointState:
     return JointState(u @ rho0 @ dag(u), d)
 
 
+@lru_cache(maxsize=256)
 def prepare_entry_state(d: int, j: int, k: int, cfg: CouplingConfig) -> JointState:
     """Joint state for probing entry (j, k): pre-select |a_j><a_j|, couple
-    with O_A^(k)."""
+    with O_A^(k).
+
+    Memoized on (d, j, k, cfg): equal calls return the same immutable
+    :class:`JointState`.
+    """
     if not 0 <= j < d:
         raise IndexError(f"index j={j} out of range for dimension {d}")
     return evolve_joint(projector(ket(d, j)), cfg, k)
@@ -206,28 +236,47 @@ def meter_distribution(
     W[m, n] = Tr[(Pi_l (x) |m_B><m_B| (x) |n_A><n_A|) rho_J]; the four cells
     sum to the post-selection probability, not to 1.
     """
-    bb, ba = _check_setting(setting)
+    i = _SETTING_INDEX[_check_setting(setting)]
     k = reduced_meter_operator(js, pi_l)
-    w = np.empty((2, 2))
-    for m in range(2):
-        for n in range(2):
-            proj = tensor(BASIS_PROJECTORS[bb][m], BASIS_PROJECTORS[ba][n])
-            w[m, n] = np.trace(proj @ k).real
-    return w
+    return _cell_values(CELL_PROJECTORS[4 * i : 4 * i + 4], k).reshape(2, 2)
 
 
-def meter_tables(js: JointState, pi_l: np.ndarray) -> dict:
+class MeterTables(Mapping):
+    """The nine setting-indexed 2x2 W tables of one outcome.
+
+    A mapping from each setting in :data:`SETTINGS` to its table, stored as
+    one (9, 2, 2) array; a lookup returns a view of it.  One array in place
+    of a dict of nine keeps retained tables at about a fifth of the memory.
+    """
+
+    __slots__ = ("_w",)
+
+    def __init__(self, w: np.ndarray):
+        self._w = w
+
+    def __getitem__(self, setting) -> np.ndarray:
+        return self._w[_SETTING_INDEX[setting]]
+
+    def __contains__(self, setting) -> bool:
+        return setting in _SETTING_INDEX
+
+    def __iter__(self):
+        return iter(SETTINGS)
+
+    def __len__(self) -> int:
+        return len(SETTINGS)
+
+
+def meter_tables(js: JointState, pi_l: np.ndarray) -> MeterTables:
     """All nine setting-indexed W tables for one outcome."""
-    k = reduced_meter_operator(js, pi_l)
-    tables = {}
-    for bb, ba in SETTINGS:
-        w = np.empty((2, 2))
-        for m in range(2):
-            for n in range(2):
-                proj = tensor(BASIS_PROJECTORS[bb][m], BASIS_PROJECTORS[ba][n])
-                w[m, n] = np.trace(proj @ k).real
-        tables[(bb, ba)] = w
-    return tables
+    w = _cell_values(CELL_PROJECTORS, reduced_meter_operator(js, pi_l))
+    return MeterTables(w.copy().reshape(9, 2, 2))
+
+
+def _cell_values(projectors: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # matmul + trace reproduces the per-cell np.trace(proj @ k) bit for bit;
+    # an einsum contraction sums in another order and moves the last ulp.
+    return np.trace(projectors @ k, axis1=1, axis2=2).real
 
 
 def exact_entry_tables(
@@ -236,7 +285,7 @@ def exact_entry_tables(
     k: int,
     cfg: CouplingConfig,
     basis: Basis | None = None,
-) -> dict:
+) -> MeterTables:
     """Exact W tables for probing entry (j, k) of one element.
 
     Non-computational bases are handled by expressing the element in the

@@ -1,6 +1,7 @@
 """Config validation, CLI commands, artifacts and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,18 @@ import yaml
 
 from povmdt.cli import main, run_scan
 from povmdt.config import ConfigError, parse_config
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: The CLI commands listed in the README, as (output name, argv without --out).
+README_COMMANDS = [
+    ("oracle", ["oracle-check", "--config", str(CONFIGS / "oracle_check.yaml")]),
+    ("dephasing", ["scan", "--config", str(CONFIGS / "sic_dephasing_scan.yaml")]),
+    ("rotation", ["scan", "--config", str(CONFIGS / "sic_rotation_scan.yaml"), "--refine"]),
+    ("variance_g", ["variance-sweep", "--config", str(CONFIGS / "variance_vs_g.yaml")]),
+    ("calibration", ["calibrate", "--config", str(CONFIGS / "calibration.yaml"), "--refine"]),
+]
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -210,6 +223,18 @@ class TestScanCommand:
     def test_missing_output_dir_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE_SCAN)
         assert main(["scan", "--config", cfg]) == 2
+
+
+def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
+    """Every README command exits 0 and rewrites the same CSV bytes."""
+    for name, argv in README_COMMANDS:
+        runs = []
+        for run in ("first", "second"):
+            out = tmp_path / run / name
+            assert main(argv + ["--out", str(out)]) == 0, name
+            runs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert runs[0], f"{name} wrote no CSV"
+        assert runs[0] == runs[1], name
 
 
 class TestVarianceSweepCommand:

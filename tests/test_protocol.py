@@ -22,8 +22,30 @@ from povmdt import (
     prepare_entry_state,
     random_povm,
 )
-from povmdt.linalg import dag, random_unitary
-from povmdt.protocol import SETTINGS, JointState, joint_meter_observables, reduced_meter_operator
+from povmdt.estimator import rt_coefficients
+from povmdt.linalg import dag, random_unitary, tensor
+from povmdt.protocol import (
+    BASIS_PROJECTORS,
+    CELL_PROJECTORS,
+    SETTINGS,
+    JointState,
+    joint_meter_observables,
+    reduced_meter_operator,
+)
+
+
+def loop_meter_tables(js, pi_l):
+    """Per-cell reference: one 4x4 product projector and one trace per cell."""
+    k = reduced_meter_operator(js, pi_l)
+    tables = {}
+    for bb, ba in SETTINGS:
+        w = np.empty((2, 2))
+        for m in range(2):
+            for n in range(2):
+                proj = tensor(BASIS_PROJECTORS[bb][m], BASIS_PROJECTORS[ba][n])
+                w[m, n] = np.trace(proj @ k).real
+        tables[(bb, ba)] = w
+    return tables
 
 
 class TestPointerState:
@@ -117,6 +139,29 @@ class TestEvolveJoint:
             evolve_joint(np.diag([0.5, 0.6]), CouplingConfig.symmetric(0.5), 0)
 
 
+class TestJointState:
+    def test_stores_read_only_copy(self):
+        rho = brute_joint_state(2, 1, 0, 0.6)
+        js = JointState(rho, 2)
+        before = js.rho.copy()
+        rho[0, 0] = 5.0
+        np.testing.assert_array_equal(js.rho, before)
+        with pytest.raises(ValueError):
+            js.rho[0, 0] = 5.0
+
+    def test_memoized_entry_state(self):
+        cfg = CouplingConfig.symmetric(0.6)
+        js = prepare_entry_state(3, 2, 0, cfg)
+        assert prepare_entry_state(3, 2, 0, CouplingConfig.symmetric(0.6)) is js
+        assert prepare_entry_state.cache_info().maxsize is not None
+        assert not js.rho.flags.writeable
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                prepare_entry_state(3, 3, 0, cfg)
+            with pytest.raises(IndexError):
+                prepare_entry_state(3, 0, 3, cfg)
+
+
 class TestCouplingConfig:
     @pytest.mark.parametrize("g", [0.0, np.pi / 2, -0.1, 2.0])
     def test_boundary_rejected(self, g):
@@ -176,16 +221,28 @@ class TestMeterDistribution:
         np.testing.assert_allclose(sums, p_f, atol=1e-12)
 
     def test_against_projector_sandwich_oracle(self, sic):
-        """All 36 cells vs the independent full 8x8 trace."""
+        """All 36 cells vs the independent full 4d x 4d trace and the per-cell
+        loop, for the built-in qubit set and seeded random POVMs (d = 2..4);
+        each setting's distribution is the same slice of the tables."""
         g = np.pi / 4
-        js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(g))
-        pi = sic.element(2)
-        rho_oracle = brute_joint_state(2, 1, 0, g)
-        tables = meter_tables(js, pi)
-        for (bb, ba), w in tables.items():
-            for m in range(2):
-                for n in range(2):
-                    assert abs(w[m, n] - brute_w_cell(pi, rho_oracle, bb, ba, m, n)) < 1e-12
+        povms = [sic] + [random_povm(d, d + 2, seed=d) for d in (2, 3, 4)]
+        for povm in povms:
+            js = prepare_entry_state(povm.dim, 1, 0, CouplingConfig.symmetric(g))
+            rho_oracle = brute_joint_state(povm.dim, 1, 0, g)
+            for lab in povm.labels:
+                pi = povm.element(lab)
+                tables = meter_tables(js, pi)
+                reference = loop_meter_tables(js, pi)
+                assert list(tables) == list(SETTINGS) and ("z", "q") not in tables
+                with pytest.raises(KeyError):
+                    tables[("z", "q")]
+                for (bb, ba), w in tables.items():
+                    np.testing.assert_allclose(w, reference[(bb, ba)], rtol=0, atol=1e-15)
+                    np.testing.assert_array_equal(meter_distribution(js, pi, (bb, ba)), w)
+                    for m in range(2):
+                        for n in range(2):
+                            cell = brute_w_cell(pi, rho_oracle, bb, ba, m, n)
+                            assert abs(w[m, n] - cell) < 1e-12
 
     def test_invalid_setting(self, sic):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.5))
@@ -220,6 +277,25 @@ class TestExactReconstruction:
                         est = exact_rt_expectation(js, povm.element(lab), cfg)
                         worst = max(worst, abs(est - matrix_entry_oracle(povm, lab, j, k)))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", [np.pi / 16, np.pi / 4, 3 * np.pi / 8, 1.5])
+    def test_entry_witness(self, d, g):
+        """sum_c w_c A_c == |a_k><a_j| with A_c = Tr_meters[(I (x) M_c) rho_J]:
+        exactness for every element at once, and the cell order shared by
+        CELL_PROJECTORS and the estimator's cell weights."""
+        coeffs = rt_coefficients(d, g)
+        weights = coeffs.cell_re + 1j * coeffs.cell_im
+        cfg = CouplingConfig.symmetric(g)
+        for j in range(d):
+            for k in range(d):
+                if j == k:
+                    continue
+                rho = prepare_entry_state(d, j, k, cfg).rho.reshape(d, 4, d, 4)
+                effects = np.einsum("cab,sbta->cst", CELL_PROJECTORS, rho)
+                target = np.zeros((d, d), dtype=complex)
+                target[k, j] = 1.0
+                assert np.abs(np.tensordot(weights, effects, 1) - target).max() < 1e-12
 
     def test_order_sensitivity(self, sic):
         """Coupling meter A before meter B changes the reconstruction."""
