@@ -5,7 +5,7 @@ per basis setting, the observed cell frequencies fluctuate around the
 exact W tables (Poisson counts by default, exact-n multinomial as an
 alternative).  Everything stochastic is a pure function of (scenario,
 seed); per-use seeds are derived from the scenario seed with numpy's
-SeedSequence, and the trial loops run on the backend selected in
+SeedSequence, and repeated trials run in the chunked trial kernel of
 :mod:`povmdt._kernels`.
 """
 
@@ -152,8 +152,9 @@ def sample_counts(tables: dict, shot: ShotModel) -> dict:
 
     Poisson mode draws each cell count independently with mean n*W;
     multinomial mode distributes exactly n particles per setting over the
-    four cells and a rejected bucket.  Returns counts/n as empirical
-    tables, deterministic for a given (tables, shot).
+    four cells and a rejected bucket, refusing a setting whose cells sum
+    above 1.  Returns counts/n as empirical tables, deterministic for a
+    given (tables, shot).
     """
     flat = tables_to_flat(tables)
     if flat.min() < -1e-9:
@@ -164,6 +165,7 @@ def sample_counts(tables: dict, shot: ShotModel) -> dict:
     if shot.statistics == "poisson":
         counts = rng.poisson(flat * n).astype(float)
     else:
+        _kernels.check_setting_sums(flat.reshape(9, 4))
         counts = np.empty_like(flat)
         for s in range(9):
             cells = flat[s * 4 : s * 4 + 4]

@@ -1,5 +1,7 @@
 """Shot-noise sampling, repeated trials, sweeps and backends."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from povmdt import (
     exact_entry_tables,
     make_parametric_element,
     make_sic_povm,
+    random_povm,
     refinement_trials,
     run_trials,
     sample_counts,
     variance_sweep,
 )
 from povmdt import _kernels
-from povmdt.estimator import tables_to_flat
+from povmdt.estimator import error_transfer_variance, tables_to_flat
 from povmdt.protocol import SETTINGS
 
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -83,6 +86,12 @@ class TestSampleCounts:
             np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
             assert counts.sum() <= 1000
 
+    def test_multinomial_refuses_setting_sum_above_one(self, sic_tables):
+        bad = dict(sic_tables)
+        bad[("x", "x")] = sic_tables[("x", "x")] + 0.5
+        with pytest.raises(ValueError, match="sum"):
+            sample_counts(bad, ShotModel(1000, "multinomial", seed=1))
+
     def test_deterministic(self, sic_tables):
         shot = ShotModel(5000, "poisson", seed=77)
         a = sample_counts(sic_tables, shot)
@@ -116,6 +125,17 @@ class TestRunTrials:
         s = run_trials(scn, ShotModel(N_REF, "multinomial", seed=8), 4000)
         sample_total = s.sample_var_re + s.sample_var_im
         assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.1
+
+    def test_multinomial_statistics_agree_d3(self, small_random_povm):
+        scn = EntryScenario(small_random_povm.element(small_random_povm.labels[0]), 2, 0,
+                            np.pi / 4)
+        trials = 20000
+        s = run_trials(scn, ShotModel(N_REF, "multinomial", seed=8), trials)
+        sample_total = s.sample_var_re + s.sample_var_im
+        assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.1
+        truth = scn.exact_value()
+        assert abs(s.mean.real - truth.real) < 4 * np.sqrt(s.sample_var_re / trials)
+        assert abs(s.mean.imag - truth.imag) < 4 * np.sqrt(s.sample_var_im / trials)
 
     def test_metadata_recorded(self):
         scn = point_x_scenario()
@@ -161,6 +181,95 @@ class TestBackends:
         scn = point_x_scenario()
         s = run_trials(scn, ShotModel(2000, "multinomial", seed=6), 50)
         assert s.backend == "numpy" and s.rng == "numpy-pcg64"
+
+
+class TestTrialKernel:
+    GS = (np.pi / 16, np.pi / 8, np.pi / 4, 3 * np.pi / 8)
+
+    @staticmethod
+    def kernel_inputs(scn):
+        coeffs = scn.coeffs()
+        cells = np.maximum(tables_to_flat(scn.exact_tables()), 0.0).reshape(9, 4)
+        return cells, coeffs.cell_re / scn.scale, coeffs.cell_im / scn.scale
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_grouping_is_exact(self, d):
+        """Merged counts keep the mean and the counting variance of the
+        estimate, cell by cell for Poisson and setting by setting for
+        multinomial counts."""
+        povm = random_povm(d, d + 1, seed=40 + d)
+        for g in self.GS:
+            for lab in povm.labels:
+                scn = EntryScenario(povm.element(lab), d - 1, 0, g)
+                cells, w_re, w_im = self.kernel_inputs(scn)
+                w = np.column_stack([w_re, w_im])
+                flat = cells.reshape(-1)
+                rates = N_REF * flat
+                block, prob, weights = _kernels.group_cells(cells, w_re, w_im, "poisson")
+                assert len(prob) <= 9 and (block == 0).all()
+                grates = N_REF * prob
+                scale = np.abs(w).max()
+                np.testing.assert_allclose(
+                    weights.T @ grates / N_REF, w.T @ rates / N_REF, rtol=1e-12, atol=1e-12 * scale
+                )
+                var = (weights**2).T @ grates / N_REF**2
+                np.testing.assert_allclose(
+                    var, (w**2).T @ rates / N_REF**2, rtol=1e-12, atol=1e-12 * scale**2 / N_REF
+                )
+                np.testing.assert_allclose(
+                    var, error_transfer_variance(scn.exact_tables(), scn.coeffs(), N_REF),
+                    rtol=1e-12,
+                )
+
+                block, prob, weights = _kernels.group_cells(cells, w_re, w_im, "multinomial")
+                for s in range(9):
+                    mine, cell_w = block == s, w[4 * s : 4 * s + 4]
+                    for power in (1, 2):
+                        np.testing.assert_allclose(
+                            (weights[mine] ** power).T @ prob[mine],
+                            (cell_w**power).T @ cells[s],
+                            rtol=1e-12, atol=1e-12 * scale**power,
+                        )
+
+    def test_zero_weight_and_zero_rate_cells_not_drawn(self):
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        block, prob, weights = _kernels.group_cells(cells, w_re, w_im, "poisson")
+        assert (prob > 0).all() and weights.any(axis=1).all()
+        assert len(prob) == 8
+
+    def test_multinomial_refuses_setting_sum_above_one(self):
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        cells[4] += 0.5
+        with pytest.raises(ValueError, match="setting 4"):
+            _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
+        # a total above 1 by rounding only is accepted
+        cells[4] *= (1 + 1e-12) / cells[4].sum()
+        re, im = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
+        assert re.shape == im.shape == (10,)
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_chunks_share_one_stream(self, statistics):
+        """A longer run extends a shorter one across a chunk boundary, and
+        the next chunk continues the stream instead of repeating it."""
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        chunk = _kernels.CHUNK_TRIALS
+        short = _kernels.trial_estimates(cells, w_re, w_im, 2000, chunk, 9, statistics)
+        long = _kernels.trial_estimates(cells, w_re, w_im, 2000, chunk + 3, 9, statistics)
+        for a, b in zip(short, long):
+            assert b.shape == (chunk + 3,)
+            np.testing.assert_array_equal(a, b[:chunk])
+            assert not np.array_equal(b[chunk:], b[:3])
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_memory_bounded(self, statistics):
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        tracemalloc.start()
+        try:
+            _kernels.trial_estimates(cells, w_re, w_im, N_REF, 200_000, 3, statistics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestVarianceSweep:
