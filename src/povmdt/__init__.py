@@ -11,17 +11,14 @@ __version__ = "0.1.0"
 
 from .estimator import (
     EntryEstimate,
-    PauliTable,
     RtCoefficients,
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
     estimate_diagonal,
     estimate_from_tables,
-    estimate_offdiagonal,
     estimate_record,
     observable_variance,
-    pauli_table_from_distributions,
     rt_coefficients,
 )
 from .linalg import tensor
@@ -67,7 +64,6 @@ from .protocol import (
     coupling_unitary,
     evolve_joint,
     exact_entry_tables,
-    exact_rt_expectation,
     meter_distribution,
     meter_tables,
     pointer_state_b0,
@@ -84,10 +80,9 @@ __all__ = [
     "DeadPostSelectionError", "pointer_state_b0", "build_observables",
     "coupling_unitary", "evolve_joint", "prepare_entry_state",
     "postselect_meters", "meter_distribution", "meter_tables",
-    "exact_entry_tables", "exact_rt_expectation",
-    "PauliTable", "RtCoefficients", "EntryEstimate",
-    "rt_coefficients", "pauli_table_from_distributions",
-    "estimate_offdiagonal", "estimate_from_tables", "estimate_diagonal",
+    "exact_entry_tables",
+    "RtCoefficients", "EntryEstimate", "rt_coefficients",
+    "estimate_from_tables", "estimate_diagonal",
     "estimate_record",
     "error_transfer_variance", "analytic_variance", "observable_variance",
     "completeness_refine",

@@ -33,7 +33,7 @@ from .estimator import (
 from .montecarlo import ShotModel, sample_counts
 from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi, wavepacket_overlap
 from .povm import matrix_entry_oracle
-from .protocol import CouplingConfig, exact_entry_tables, prepare_entry_state, exact_rt_expectation
+from .protocol import CouplingConfig, exact_entry_tables
 from ._kernels import effective_backend
 from .reports import (
     run_metadata,
@@ -110,9 +110,7 @@ def run_oracle_check(cfg: ScenarioConfig) -> tuple[list[dict], float, list[dict]
         truth = matrix_entry_oracle(povm, lab, j, k)
         tables = exact_entry_tables(povm.element(lab), j, k, coupling)
         est = estimate_from_tables(tables, coeffs)
-        js = prepare_entry_state(povm.dim, j, k, coupling)
-        rt = exact_rt_expectation(js, povm.element(lab), coupling)
-        err = max(abs(est - truth), abs(rt - truth))
+        err = abs(est - truth)
         max_err = max(max_err, err)
         rows.append(
             {

@@ -1,15 +1,22 @@
 """Entry reconstruction from meter statistics and its precision laws.
 
-The estimator is linear in the 36 meter-distribution cells (9 settings x 4
-cells).  The readout observables factor into projector/Pauli monomials,
+The entry is read through one linear functional of the two meters: the
+joint observables R = P (x) P - Q (x) Q (real part) and T = P (x) Q + Q (x) P
+(imaginary part), meter B first, with the single-meter observables
 
     P = sqrt(d) [ gamma |0><0| - beta sigma_x ],   gamma = 1/(2 cos^2 g)
     Q = -sqrt(d) beta sigma_y,                     beta  = 1/(4 sin g cos g)
 
-so each monomial of the joint observables R = P(x)P - Q(x)Q and
-T = P(x)Q + Q(x)P is read from exactly one basis setting: |0><0| from the
-m=0 outcome of the z setting, sigma_x / sigma_y from the signed sum of the
-x / y setting.  The resulting per-cell weights double as the error-transfer
+Each single-meter observable is a weighted sum of the six basis projectors
+Pi_{basis, m} (basis in BASES, outcome m), one monomial per basis:
+
+    P / sqrt(d) = gamma Pi_z0 - beta (Pi_x0 - Pi_x1)
+    Q / sqrt(d) = -beta (Pi_y0 - Pi_y1)
+
+so its weights form a (3, 2) table over (basis, m).  The product of a B
+weight and an A weight is the weight of the cell (basis_b, basis_a, m, n),
+and the 36 cell weights of R and T follow as outer products of these
+tables (:func:`rt_coefficients`).  They double as the error-transfer
 derivatives dE/dW, so a single weight vector drives both the estimate and
 its predicted shot-noise variance.
 """
@@ -21,35 +28,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI, asoperator, tensor
-from .protocol import _SETTING_INDEX, BASES, SETTINGS, JointState, reduced_meter_operator
-
-#: Pauli axes indexing PauliTable rows/columns.
-PAULI_AXES = ("i", "x", "y", "z")
+from .linalg import asoperator
+from .protocol import _SETTING_INDEX, CELL_PROJECTORS, SETTINGS, JointState, reduced_meter_operator
 
 #: Number of cells across all settings: 9 settings x 2 x 2 outcomes.
 N_CELLS = 36
-
-
-def _cell(setting: tuple[str, str], m: int, n: int) -> int:
-    return _SETTING_INDEX[setting] * 4 + m * 2 + n
 
 
 @dataclass(frozen=True)
 class RtCoefficients:
     """Linear weights reconstructing Re/Im of an entry from meter data.
 
-    ``re_pauli`` / ``im_pauli`` give the expansion of the joint observables
-    over sigma_mu (x) sigma_nu (meter B first); ``cell_re`` / ``cell_im``
-    are the equivalent per-cell weights (the error-transfer derivatives).
+    ``cell_re`` / ``cell_im`` are the weights of R and T on the 36 cells,
+    in the cell order of :data:`povmdt.protocol.CELL_PROJECTORS` (the
+    error-transfer derivatives).
     """
 
     d: int
     g: float
     alpha: float
     beta: float
-    re_pauli: dict = field(repr=False)
-    im_pauli: dict = field(repr=False)
     cell_re: np.ndarray = field(repr=False)
     cell_im: np.ndarray = field(repr=False)
 
@@ -63,54 +61,20 @@ def rt_coefficients(d: int, g: float) -> RtCoefficients:
     alpha = 1.0 / (4 * math.cos(g) ** 2)
     beta = 1.0 / (4 * math.sin(g) * math.cos(g))
     gamma = 2 * alpha
-
-    a2, ab, b2 = d * alpha**2, d * alpha * beta, d * beta**2
-    re_pauli = {
-        ("i", "i"): a2, ("i", "z"): a2, ("z", "i"): a2, ("z", "z"): a2,
-        ("i", "x"): -ab, ("z", "x"): -ab, ("x", "i"): -ab, ("x", "z"): -ab,
-        ("x", "x"): b2, ("y", "y"): -b2,
-    }
-    im_pauli = {
-        ("i", "y"): -ab, ("z", "y"): -ab, ("y", "i"): -ab, ("y", "z"): -ab,
-        ("x", "y"): b2, ("y", "x"): b2,
-    }
-
-    # Monomial factors: ("p0", basis) reads the m=0 outcome of that basis,
-    # ("sig", basis) reads the (-1)^m signed sum.
-    g2, gb, bb = d * gamma**2, d * gamma * beta, d * beta**2
-    re_terms = [
-        (("p0", "z"), ("p0", "z"), g2),
-        (("p0", "z"), ("sig", "x"), -gb),
-        (("sig", "x"), ("p0", "z"), -gb),
-        (("sig", "x"), ("sig", "x"), bb),
-        (("sig", "y"), ("sig", "y"), -bb),
-    ]
-    im_terms = [
-        (("p0", "z"), ("sig", "y"), -gb),
-        (("sig", "x"), ("sig", "y"), bb),
-        (("sig", "y"), ("p0", "z"), -gb),
-        (("sig", "y"), ("sig", "x"), bb),
-    ]
-    cell_re = np.zeros(N_CELLS)
-    cell_im = np.zeros(N_CELLS)
-    for cells, terms in ((cell_re, re_terms), (cell_im, im_terms)):
-        for (kind_b, basis_b), (kind_a, basis_a), w in terms:
-            setting = (basis_b, basis_a)
-            for m in range(2):
-                fb = (1.0 if m == 0 else 0.0) if kind_b == "p0" else (-1.0) ** m
-                for n in range(2):
-                    fa = (1.0 if n == 0 else 0.0) if kind_a == "p0" else (-1.0) ** n
-                    cells[_cell(setting, m, n)] += w * fb * fa
+    # single-meter weights of P/sqrt(d) and Q/sqrt(d), rows z, x, y; columns m
+    p = np.array([[gamma, 0.0], [-beta, beta], [0.0, 0.0]])
+    q = np.array([[0.0, 0.0], [0.0, 0.0], [-beta, beta]])
+    cell_re = d * (_cell_product(p, p) - _cell_product(q, q))
+    cell_im = d * (_cell_product(p, q) + _cell_product(q, p))
     cell_re.setflags(write=False)
     cell_im.setflags(write=False)
-    return RtCoefficients(d, g, alpha, beta, re_pauli, im_pauli, cell_re, cell_im)
+    return RtCoefficients(d, g, alpha, beta, cell_re, cell_im)
 
 
-def reassemble_joint_observables(coeffs: RtCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild the 4x4 joint observables R and T from the Pauli weights."""
-    r = sum(w * tensor(PAULI[mu], PAULI[nu]) for (mu, nu), w in coeffs.re_pauli.items())
-    t = sum(w * tensor(PAULI[mu], PAULI[nu]) for (mu, nu), w in coeffs.im_pauli.items())
-    return r, t
+def _cell_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """36 cell weights of the product of a meter-B and a meter-A weight
+    table, setting-major over SETTINGS, then m, then n."""
+    return np.einsum("im,jn->ijmn", b, a).reshape(N_CELLS)
 
 
 def tables_to_flat(tables: dict) -> np.ndarray:
@@ -135,64 +99,15 @@ def flat_to_tables(flat: np.ndarray) -> dict:
     return {s: flat[i * 4 : i * 4 + 4].reshape(2, 2).copy() for s, i in _SETTING_INDEX.items()}
 
 
-@dataclass(frozen=True)
-class PauliTable:
-    """Joint Pauli expectations Tr[(Pi_l (x) sigma_mu (x) sigma_nu) rho_J].
+def nonnegative_cells(tables: dict) -> np.ndarray:
+    """The 36-vector of the W tables with rounding negatives set to 0.
 
-    ``values`` is 4x4, indexed by :data:`PAULI_AXES` with meter B first.
-    The (i, i) entry is the post-selection probability.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (4, 4):
-            raise ValueError(f"Pauli table must be 4x4, got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    def get(self, mu: str, nu: str) -> float:
-        return float(self.values[PAULI_AXES.index(mu), PAULI_AXES.index(nu)])
-
-    @property
-    def p_f(self) -> float:
-        return float(self.values[0, 0])
-
-
-def pauli_table_from_distributions(tables: dict) -> PauliTable:
-    """Assemble all 16 joint Pauli expectations from the nine W tables.
-
-    Joint (mu, nu) terms come from the matching setting's signed sums;
-    single-meter marginals are averaged over the three settings of the
-    traced-out meter, and the (i, i) term over all nine settings, so every
-    collected count contributes.
+    A cell below -1e-9 is no rounding error and is refused.
     """
     flat = tables_to_flat(tables)
-    values = np.zeros((4, 4))
-    sign = np.array([1.0, -1.0])
-    for imu, mu in enumerate(PAULI_AXES):
-        for inu, nu in enumerate(PAULI_AXES):
-            if mu == "i" and nu == "i":
-                total = 0.0
-                for s in SETTINGS:
-                    total += flat[_SETTING_INDEX[s] * 4 : _SETTING_INDEX[s] * 4 + 4].sum()
-                values[imu, inu] = total / 9
-            elif mu == "i":
-                acc = 0.0
-                for bb in BASES:
-                    w = flat[_cell((bb, nu), 0, 0) : _cell((bb, nu), 0, 0) + 4].reshape(2, 2)
-                    acc += float(w.sum(axis=0) @ sign)
-                values[imu, inu] = acc / 3
-            elif nu == "i":
-                acc = 0.0
-                for ba in BASES:
-                    w = flat[_cell((mu, ba), 0, 0) : _cell((mu, ba), 0, 0) + 4].reshape(2, 2)
-                    acc += float(sign @ w.sum(axis=1))
-                values[imu, inu] = acc / 3
-            else:
-                w = flat[_cell((mu, nu), 0, 0) : _cell((mu, nu), 0, 0) + 4].reshape(2, 2)
-                values[imu, inu] = float(sign @ w @ sign)
-    return PauliTable(values)
+    if flat.min() < -1e-9:
+        raise ValueError(f"negative probability cell: {flat.min():.3e}")
+    return np.maximum(flat, 0.0)
 
 
 @dataclass(frozen=True)
@@ -232,19 +147,6 @@ def estimate_from_tables(tables: dict, coeffs: RtCoefficients, scale: float = 1.
     return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat) / scale
 
 
-def estimate_offdiagonal(
-    pt: PauliTable, coeffs: RtCoefficients, method: str = "exact"
-) -> EntryEstimate:
-    """Entry estimate assembled from a Pauli expectation table.
-
-    Equivalent to :func:`estimate_from_tables` on exact inputs; variances
-    are not derivable from the table alone and are reported as 0.
-    """
-    re = sum(w * pt.get(mu, nu) for (mu, nu), w in coeffs.re_pauli.items())
-    im = sum(w * pt.get(mu, nu) for (mu, nu), w in coeffs.im_pauli.items())
-    return EntryEstimate(complex(re, im), 0.0, 0.0, 0, method)
-
-
 def estimate_diagonal(p_f: float, j: int) -> float:
     """Diagonal entry <a_j| Pi_l |a_j> from the bare outcome probability.
 
@@ -268,10 +170,7 @@ def error_transfer_variance(
     """
     if n <= 0:
         raise ValueError(f"particle number per setting must be positive, got {n}")
-    flat = tables_to_flat(tables)
-    if flat.min() < -1e-9:
-        raise ValueError(f"negative probability cell: {flat.min():.3e}")
-    flat = np.maximum(flat, 0.0)
+    flat = nonnegative_cells(tables)
     var_re = float((coeffs.cell_re**2 @ flat) / n) / scale**2
     var_im = float((coeffs.cell_im**2 @ flat) / n) / scale**2
     return var_re, var_im
@@ -304,7 +203,8 @@ def observable_variance(js: JointState, pi_l: np.ndarray, coeffs: RtCoefficients
     and T directly; it is reported alongside, not interchangeably with, the
     counting-noise estimate of :func:`error_transfer_variance`.
     """
-    r, t = reassemble_joint_observables(coeffs)
+    r = np.tensordot(coeffs.cell_re, CELL_PROJECTORS, 1)
+    t = np.tensordot(coeffs.cell_im, CELL_PROJECTORS, 1)
     km = reduced_meter_operator(js, asoperator(pi_l))
     total = 0.0
     for m in (r, t):

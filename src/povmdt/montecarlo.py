@@ -25,8 +25,8 @@ from .estimator import (
     error_transfer_variance,
     estimate_from_tables,
     flat_to_tables,
+    nonnegative_cells,
     rt_coefficients,
-    tables_to_flat,
 )
 from .linalg import asoperator
 from .noise import apply_dephasing, apply_phase_rotation
@@ -156,10 +156,7 @@ def sample_counts(tables: dict, shot: ShotModel) -> dict:
     above 1.  Returns counts/n as empirical tables, deterministic for a
     given (tables, shot).
     """
-    flat = tables_to_flat(tables)
-    if flat.min() < -1e-9:
-        raise ValueError(f"negative probability cell: {flat.min():.3e}")
-    flat = np.maximum(flat, 0.0)
+    flat = nonnegative_cells(tables)
     rng = np.random.default_rng(shot.seed)
     n = shot.n_per_setting
     if shot.statistics == "poisson":
@@ -179,22 +176,27 @@ def trial_estimate_arrays(
     scenario: EntryScenario, shot: ShotModel, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (re, im) estimate arrays for a scenario (backend kernels)."""
-    tables = scenario.exact_tables()
-    coeffs = scenario.coeffs()
-    flat = tables_to_flat(tables)
-    if flat.min() < -1e-9:
-        raise ValueError(f"negative probability cell: {flat.min():.3e}")
-    cells = np.maximum(flat, 0.0).reshape(9, 4)
-    re, im = _kernels.trial_estimates(
-        cells,
-        coeffs.cell_re / scenario.scale,
-        coeffs.cell_im / scenario.scale,
+    return _trial_arrays(scenario.exact_tables(), scenario.coeffs(), scenario.scale, shot, trials)
+
+
+def _trial_arrays(
+    tables: dict, coeffs: RtCoefficients, scale: float, shot: ShotModel, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (re, im) estimates from already-built exact tables and weights."""
+    return _kernels.trial_estimates(
+        nonnegative_cells(tables).reshape(9, 4),
+        coeffs.cell_re / scale,
+        coeffs.cell_im / scale,
         shot.n_per_setting,
         trials,
         shot.seed,
         shot.statistics,
     )
-    return re, im
+
+
+def _sample_var(x: np.ndarray) -> float:
+    """Unbiased sample variance; NaN below two samples (no degrees of freedom)."""
+    return float(x.var(ddof=1)) if x.size >= 2 else float("nan")
 
 
 def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSummary:
@@ -208,16 +210,12 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     tables = scenario.exact_tables()
     coeffs = scenario.coeffs()
     vr, vi = error_transfer_variance(tables, coeffs, shot.n_per_setting, scenario.scale)
-    re, im = trial_estimate_arrays(scenario, shot, trials)
-    if trials >= 2:
-        svr, svi = float(re.var(ddof=1)), float(im.var(ddof=1))
-    else:
-        svr = svi = float("nan")
+    re, im = _trial_arrays(tables, coeffs, scenario.scale, shot, trials)
     backend = _kernels.effective_backend(shot.statistics)
     return TrialSummary(
         mean=complex(re.mean(), im.mean()),
-        sample_var_re=svr,
-        sample_var_im=svi,
+        sample_var_re=_sample_var(re),
+        sample_var_im=_sample_var(im),
         predicted_var=vr + vi,
         trials=trials,
         backend=backend,
@@ -282,10 +280,10 @@ def variance_sweep(spec: SweepSpec) -> list[dict]:
         }
         if spec.trials > 0:
             shot = replace(spec.shot, seed=int(seeds[i]))
-            summary = run_trials(scenario, shot, spec.trials)
-            row["var_empirical"] = summary.sample_var_re + summary.sample_var_im
-            row["mean_re"] = summary.mean.real
-            row["mean_im"] = summary.mean.imag
+            re, im = _trial_arrays(tables, coeffs, scenario.scale, shot, spec.trials)
+            row["var_empirical"] = _sample_var(re) + _sample_var(im)
+            row["mean_re"] = float(re.mean())
+            row["mean_im"] = float(im.mean())
         rows.append(row)
     return rows
 
@@ -324,7 +322,9 @@ def refinement_trials(
         tables = scenario.exact_tables()
         vr, vi = error_transfer_variance(tables, coeffs, n)
         raw_est[lab] = EntryEstimate(scenario.exact_value(), vr, vi, n, "exact")
-        re, im = trial_estimate_arrays(scenario, replace(shot, seed=int(seeds[i])), trials)
+        re, im = _trial_arrays(
+            tables, coeffs, scenario.scale, replace(shot, seed=int(seeds[i])), trials
+        )
         arrays_re[lab], arrays_im[lab] = re, im
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])
@@ -337,10 +337,10 @@ def refinement_trials(
         own_re, own_im = arrays_re[lab], arrays_im[lab]
         comp_re = -(sum_re - own_re)
         comp_im = -(sum_im - own_im)
-        raw_sv[lab] = (float(own_re.var(ddof=1)), float(own_im.var(ddof=1)))
+        raw_sv[lab] = (_sample_var(own_re), _sample_var(own_im))
         ref_re = _combine(own_re, comp_re, raw_est, labels, lab, "var_re")
         ref_im = _combine(own_im, comp_im, raw_est, labels, lab, "var_im")
-        ref_sv[lab] = (float(ref_re.var(ddof=1)), float(ref_im.var(ddof=1)))
+        ref_sv[lab] = (_sample_var(ref_re), _sample_var(ref_im))
     return RefinementStudy(
         tuple(labels), raw_est, refined_est, raw_sv, ref_sv, trials
     )

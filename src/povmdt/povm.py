@@ -299,14 +299,3 @@ def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int, basis: Basis | N
     if not 0 <= j < d or not 0 <= k < d:
         raise IndexError(f"entry indices ({j}, {k}) out of range for dimension {d}")
     return complex(np.vdot(basis.ket(j), e @ basis.ket(k)))
-
-
-def element_entry(pi_l: np.ndarray, j: int, k: int, basis: Basis | None = None) -> complex:
-    """Exact entry <a_j| pi_l |a_k> of a bare operator (no Povm wrapper)."""
-    m = asoperator(pi_l)
-    d = m.shape[0]
-    if basis is None:
-        if not 0 <= j < d or not 0 <= k < d:
-            raise IndexError(f"entry indices ({j}, {k}) out of range for dimension {d}")
-        return complex(m[j, k])
-    return complex(np.vdot(basis.ket(j), m @ basis.ket(k)))

@@ -298,37 +298,6 @@ def exact_entry_tables(
     return meter_tables(js, pi_l)
 
 
-def joint_meter_observables(d: int, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """The single-meter readout observables (P, Q) for coupling strength g.
-
-    P = sqrt(d) [ (I + sigma_z) / (4 cos^2 g) - sigma_x / (4 sin g cos g) ]
-    Q = -sqrt(d) sigma_y / (4 sin g cos g)
-    """
-    if not 0.0 < g < np.pi / 2:
-        raise ValueError(f"coupling strength g={g!r} must lie strictly inside (0, pi/2)")
-    alpha = 1.0 / (4 * np.cos(g) ** 2)
-    beta = 1.0 / (4 * np.sin(g) * np.cos(g))
-    p = np.sqrt(d) * (alpha * (EYE2 + PAULI["z"]) - beta * PAULI["x"])
-    q = -np.sqrt(d) * beta * PAULI["y"]
-    return p, q
-
-
-def exact_rt_expectation(js: JointState, pi_l: np.ndarray, cfg: CouplingConfig) -> complex:
-    """Entry value from the joint meter observables.
-
-    Builds R = P_B P_A - Q_B Q_A and T = P_B Q_A + Q_B P_A and returns
-    Tr[(Pi_l (x) R) rho_J] + i Tr[(Pi_l (x) T) rho_J], which equals
-    <a_j| Pi_l |a_k> exactly for any coupling strength in (0, pi/2).
-    """
-    p, q = joint_meter_observables(js.system_dim, cfg.g)
-    r = np.kron(p, p) - np.kron(q, q)
-    t = np.kron(p, q) + np.kron(q, p)
-    km = reduced_meter_operator(js, pi_l)
-    re = float(np.trace(r @ km).real)
-    im = float(np.trace(t @ km).real)
-    return complex(re, im)
-
-
 def _check_setting(setting) -> tuple[str, str]:
     try:
         bb, ba = setting

@@ -12,9 +12,7 @@ from scipy.linalg import expm
 from povmdt import make_sic_povm, random_povm
 
 I2 = np.eye(2, dtype=complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Meter readout kets written out explicitly, independent of the library.
 KETS = {
@@ -53,19 +51,6 @@ def brute_w_cell(pi_l, rho_j, basis_b, basis_a, m, n):
     """Full-matrix projector-sandwich trace for one W cell."""
     op = kron3(pi_l, proj(KETS[basis_b][m]), proj(KETS[basis_a][n]))
     return float(np.trace(op @ rho_j).real)
-
-
-def brute_pauli(pi_l, rho_j, mu, nu):
-    """Direct trace Tr[(Pi (x) sigma_mu (x) sigma_nu) rho_J]."""
-    paulis = {"i": I2, "x": SX, "y": SY, "z": SZ}
-    return float(np.trace(kron3(pi_l, paulis[mu], paulis[nu]) @ rho_j).real)
-
-
-def random_psd_element(d, rng, norm=1.5):
-    """Random PSD operator scaled to be a valid measurement element."""
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / (np.linalg.norm(m, 2) * norm)
 
 
 @pytest.fixture(scope="session")

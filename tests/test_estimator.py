@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_joint_state, brute_pauli, random_psd_element
+from conftest import KETS, proj
 
 from povmdt import (
     CouplingConfig,
@@ -13,19 +13,16 @@ from povmdt import (
     error_transfer_variance,
     estimate_diagonal,
     estimate_from_tables,
-    estimate_offdiagonal,
     exact_entry_tables,
     make_parametric_element,
     matrix_entry_oracle,
-    meter_tables,
     observable_variance,
-    pauli_table_from_distributions,
     prepare_entry_state,
     random_povm,
     rt_coefficients,
 )
-from povmdt.estimator import flat_to_tables, reassemble_joint_observables, tables_to_flat
-from povmdt.protocol import SETTINGS, joint_meter_observables
+from povmdt.estimator import flat_to_tables, tables_to_flat
+from povmdt.protocol import SETTINGS
 
 N_REF = 12790
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -35,24 +32,54 @@ def entry_tables(pi, j, k, g):
     return exact_entry_tables(pi, j, k, CouplingConfig.symmetric(g))
 
 
+def readout_observables(d, g):
+    """P and Q in closed form: P = sqrt(d) [gamma |0><0| - beta sigma_x],
+    Q = -sqrt(d) beta sigma_y, gamma = 1/(2 cos^2 g), beta = 1/(4 sin g cos g)."""
+    gamma = 1 / (2 * np.cos(g) ** 2)
+    beta = 1 / (4 * np.sin(g) * np.cos(g))
+    p = np.sqrt(d) * np.array([[gamma, -beta], [-beta, 0]], dtype=complex)
+    q = -np.sqrt(d) * beta * np.array([[0, -1j], [1j, 0]])
+    return p, q
+
+
 class TestRtCoefficients:
     def test_symmetric_point_weights(self):
         c = rt_coefficients(2, np.pi / 4)
         assert abs(c.alpha - 0.5) < 1e-15
         assert abs(c.beta - 0.5) < 1e-15
-        assert abs(c.re_pauli[("i", "i")] - 0.5) < 1e-14
-        assert abs(c.re_pauli[("x", "x")] - 0.5) < 1e-14
-        assert abs(c.re_pauli[("y", "y")] + 0.5) < 1e-14
+        zero = [[0, 0], [0, 0]]
+        a = [[0.5, -0.5], [-0.5, 0.5]]
+        want_re = {s: zero for s in SETTINGS}
+        want_re.update({
+            ("z", "z"): [[2, 0], [0, 0]], ("z", "x"): [[-1, 1], [0, 0]],
+            ("x", "z"): [[-1, 0], [1, 0]], ("x", "x"): a, ("y", "y"): -np.array(a),
+        })
+        want_im = {s: zero for s in SETTINGS}
+        want_im.update({
+            ("z", "y"): [[-1, 1], [0, 0]], ("y", "z"): [[-1, 0], [1, 0]],
+            ("x", "y"): a, ("y", "x"): a,
+        })
+        np.testing.assert_allclose(c.cell_re, tables_to_flat(want_re), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(c.cell_im, tables_to_flat(want_im), rtol=0, atol=1e-14)
+        assert not c.cell_re.flags.writeable and not c.cell_im.flags.writeable
 
-    @pytest.mark.parametrize("d,g", [(2, np.pi / 4), (3, np.pi / 8), (4, 1.1)])
-    def test_pauli_weights_reassemble_joint_observables(self, d, g):
+    @pytest.mark.parametrize("g", [np.pi / 16, np.pi / 8, np.pi / 4, 1.1])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_cell_weights_build_rt(self, d, g):
+        """sum_c w_c M_c over the 36 product projectors, written out from the
+        meter kets, equals R = P(x)P - Q(x)Q and T = P(x)Q + Q(x)P."""
         c = rt_coefficients(d, g)
-        p, q = joint_meter_observables(d, g)
+        cells = np.array([
+            np.kron(proj(KETS[bb][m]), proj(KETS[ba][n]))
+            for bb, ba in SETTINGS
+            for m in range(2)
+            for n in range(2)
+        ])
+        p, q = readout_observables(d, g)
         r_want = np.kron(p, p) - np.kron(q, q)
         t_want = np.kron(p, q) + np.kron(q, p)
-        r_got, t_got = reassemble_joint_observables(c)
-        np.testing.assert_allclose(r_got, r_want, atol=1e-12)
-        np.testing.assert_allclose(t_got, t_want, atol=1e-12)
+        np.testing.assert_allclose(np.tensordot(c.cell_re, cells, 1), r_want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.tensordot(c.cell_im, cells, 1), t_want, rtol=0, atol=1e-12)
 
     def test_weights_diverge_at_weak_coupling(self):
         betas = [rt_coefficients(2, g).beta for g in (np.pi / 4, np.pi / 8, np.pi / 16, np.pi / 32)]
@@ -63,39 +90,15 @@ class TestRtCoefficients:
             rt_coefficients(2, np.pi / 2)
 
 
-class TestPauliTable:
-    def test_matches_direct_traces(self, sic):
-        """Assembled table vs independent full-matrix Pauli traces."""
-        g = np.pi / 4
-        js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(g))
-        pi = sic.element(2)
-        pt = pauli_table_from_distributions(meter_tables(js, pi))
-        rho_oracle = brute_joint_state(2, 1, 0, g)
-        for mu in ("i", "x", "y", "z"):
-            for nu in ("i", "x", "y", "z"):
-                assert abs(pt.get(mu, nu) - brute_pauli(pi, rho_oracle, mu, nu)) < 1e-12
-
-    def test_weak_coupling_product_pattern(self):
-        js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(1e-8))
-        pt = pauli_table_from_distributions(meter_tables(js, np.eye(2)))
-        assert abs(pt.get("z", "z") - 1.0) < 1e-7
-        assert abs(pt.get("x", "x")) < 1e-7
-        assert abs(pt.get("y", "y")) < 1e-7
-        assert abs(pt.p_f - 1.0) < 1e-12
-
-    def test_zero_tables(self):
-        zeros = {s: np.zeros((2, 2)) for s in SETTINGS}
-        pt = pauli_table_from_distributions(zeros)
-        np.testing.assert_array_equal(pt.values, np.zeros((4, 4)))
+class TestFlatTables:
+    def test_flat_round_trip(self, rng):
+        flat = rng.uniform(size=36)
+        np.testing.assert_array_equal(tables_to_flat(flat_to_tables(flat)), flat)
 
     def test_missing_setting_rejected(self):
         tables = {s: np.zeros((2, 2)) for s in SETTINGS[:-1]}
         with pytest.raises(ValueError, match="missing"):
-            pauli_table_from_distributions(tables)
-
-    def test_flat_round_trip(self, rng):
-        flat = rng.uniform(size=36)
-        np.testing.assert_array_equal(tables_to_flat(flat_to_tables(flat)), flat)
+            tables_to_flat(tables)
 
 
 class TestEstimates:
@@ -105,9 +108,6 @@ class TestEstimates:
         tables = entry_tables(sic.element(2), 1, 0, g)
         est = estimate_from_tables(tables, coeffs)
         assert abs(est - (-np.sqrt(2) / 6)) < 1e-10
-        pt_est = estimate_offdiagonal(pauli_table_from_distributions(tables), coeffs)
-        assert abs(pt_est.value - est) < 1e-12
-        assert pt_est.method == "exact"
 
     def test_random_povm_equivalence(self):
         worst = 0.0
