@@ -16,16 +16,15 @@ Both merges are exact in distribution.  Cells with a zero weight pair or a
 zero probability add nothing to the estimate and are not drawn.  For the
 paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
 
-Counts are drawn, contracted and discarded ``CHUNK_TRIALS`` trials at a time,
-all from one ``numpy.random.Generator`` (PCG64) seeded once per call, so peak
-memory does not grow with the trial count.
+Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
+trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk
+``c`` draws from its own PCG64 stream, seeded by the ``c``-th spawned child
+of ``SeedSequence(seed)``, and writes only its own slice of the output.  The
+chunks run on up to ``WORKERS`` threads (numpy's samplers release the GIL);
+because every chunk owns its stream, the output does not depend on the
+number of threads, and a longer run extends a shorter one.
 
-Poisson trials can also run in a numba ``@njit`` loop, on the same grouped
-input, using numba's MT19937 generator seeded inside the kernel.  The
-``POVMDT_BACKEND`` environment variable selects "numba" or "numpy"; unset,
-numba is used when importable.  Each backend is deterministic for a given
-seed, but the two draw from different generators.  Multinomial trials always
-run on numpy: numba's multinomial draw costs O(n) per setting.
+There is one backend, numpy with PCG64; ``POVMDT_BACKEND`` may name only it.
 """
 
 from __future__ import annotations
@@ -36,46 +35,35 @@ import numpy as np
 
 ENV_VAR = "POVMDT_BACKEND"
 
-#: Trials drawn per chunk; peak memory is O(CHUNK_TRIALS), not O(trials).
-CHUNK_TRIALS = 2**15
+#: Trials drawn per chunk; peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).
+CHUNK_TRIALS = 2**13
+
+#: Threads that draw chunks: the CPUs this process may run on.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 #: Largest excess of a setting's cell sum over 1 that is taken as rounding.
 SETTING_SUM_TOL = 1e-9
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via POVMDT_BACKEND=numpy
-    HAS_NUMBA = False
-
 
 def active_backend() -> str:
-    """Resolve the backend name from the environment, validating the choice."""
+    """The trial-kernel backend, validating ``POVMDT_BACKEND`` (unset or "numpy")."""
     choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if choice == "":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"{ENV_VAR} must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{ENV_VAR}=numba but numba is not importable")
-    return choice
+    if choice not in ("", "numpy"):
+        raise ValueError(
+            f"{ENV_VAR} must be unset or 'numpy' (the numba backend was removed), got {choice!r}"
+        )
+    return "numpy"
 
 
 def rng_name(backend: str | None = None) -> str:
-    """Documented generator algorithm for the given (or active) backend."""
-    b = backend or active_backend()
-    return "numba-mt19937" if b == "numba" else "numpy-pcg64"
+    """Generator algorithm of ``backend``: numpy, the only backend, uses PCG64."""
+    return "numpy-pcg64"
 
 
 def effective_backend(statistics: str = "poisson") -> str:
-    """Backend that will actually run for the given statistics.
-
-    Multinomial sampling always uses the numpy path: numba's multinomial
-    draw costs O(n) per setting.
-    """
-    if statistics == "multinomial":
-        return "numpy"
+    """Backend that runs trials of the given statistics: always numpy."""
     return active_backend()
 
 
@@ -133,30 +121,6 @@ def _multinomial_sums(rng, size, block, prob, weights, n):
     return sums
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _poisson_trials_numba(rates, w_re, w_im, n, trials, seed):
-        np.random.seed(seed)
-        out_re = np.empty(trials)
-        out_im = np.empty(trials)
-        n_cells = rates.shape[0]
-        for t in range(trials):
-            acc_re = 0.0
-            acc_im = 0.0
-            for c in range(n_cells):
-                w = np.random.poisson(rates[c]) / n
-                acc_re += w_re[c] * w
-                acc_im += w_im[c] * w
-            out_re[t] = acc_re
-            out_im[t] = acc_im
-        return out_re, out_im
-
-    def poisson_trials_numba(rates, w_re, w_im, n, trials, seed):
-        # numba's seed is a 32-bit quantity
-        return _poisson_trials_numba(rates, w_re, w_im, float(n), trials, int(seed) % 2**32)
-
-
 def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     """Per-trial (re, im) arrays of raw (unscaled) entry estimates.
 
@@ -173,15 +137,20 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     block, prob, weights = group_cells(
         cells, np.asarray(w_re, np.float64), np.asarray(w_im, np.float64), statistics
     )
-    if effective_backend(statistics) == "numba":
-        return poisson_trials_numba(
-            n * prob, weights[:, 0].copy(), weights[:, 1].copy(), n, trials, seed
-        )
     sums = _poisson_sums if statistics == "poisson" else _multinomial_sums
-    rng = np.random.default_rng(seed)
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // CHUNK_TRIALS))
     out = np.empty((2, trials))
-    for start in range(0, trials, CHUNK_TRIALS):
+
+    def draw_chunk(c):
+        start = c * CHUNK_TRIALS
         stop = min(start + CHUNK_TRIALS, trials)
+        rng = np.random.default_rng(streams[c])
         out[:, start:stop] = sums(rng, stop - start, block, prob, weights, n).T
+
+    # imported here: ``import povmdt`` should not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, min(WORKERS, len(streams)))) as pool:
+        list(pool.map(draw_chunk, range(len(streams))))
     out /= n
     return out[0], out[1]

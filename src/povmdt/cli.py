@@ -28,7 +28,6 @@ from .estimator import (
     error_transfer_variance,
     estimate_from_tables,
     rt_coefficients,
-    tables_to_flat,
 )
 from .montecarlo import ShotModel, sample_counts
 from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi, wavepacket_overlap

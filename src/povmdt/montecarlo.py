@@ -12,7 +12,7 @@ SeedSequence, and repeated trials run in the chunked trial kernel of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .estimator import (
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
-    estimate_from_tables,
     flat_to_tables,
     nonnegative_cells,
     rt_coefficients,
@@ -170,13 +169,6 @@ def sample_counts(tables: dict, shot: ShotModel) -> dict:
             p /= p.sum()
             counts[s * 4 : s * 4 + 4] = rng.multinomial(n, p)[:4]
     return flat_to_tables(counts / n)
-
-
-def trial_estimate_arrays(
-    scenario: EntryScenario, shot: ShotModel, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (re, im) estimate arrays for a scenario (backend kernels)."""
-    return _trial_arrays(scenario.exact_tables(), scenario.coeffs(), scenario.scale, shot, trials)
 
 
 def _trial_arrays(

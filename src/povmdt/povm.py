@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .linalg import (
     is_hermitian,
     is_positive_semidefinite,
     is_unitary,
-    ket,
-    partial_trace,
     projector,
     random_unitary,
 )
@@ -284,6 +283,12 @@ def random_povm(d: int, n_outcomes: int, seed: int) -> Povm:
     return Povm(p.elements, labels=list(range(1, n_outcomes + 1)), check_complete=True)
 
 
+@lru_cache(maxsize=64)
+def _computational_basis(d: int) -> Basis:
+    """The computational basis of dimension d, built once; its kets are read-only."""
+    return Basis.computational(d)
+
+
 def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int, basis: Basis | None = None) -> complex:
     """Exact matrix entry <a_j| Pi_l |a_k> of the element labelled ``label``.
 
@@ -293,7 +298,7 @@ def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int, basis: Basis | N
     e = povm.element(label)
     d = povm.dim
     if basis is None:
-        basis = Basis.computational(d)
+        basis = _computational_basis(d)
     if basis.dim != d:
         raise ValueError(f"basis dimension {basis.dim} != POVM dimension {d}")
     if not 0 <= j < d or not 0 <= k < d:

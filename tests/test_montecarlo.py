@@ -140,8 +140,8 @@ class TestRunTrials:
     def test_metadata_recorded(self):
         scn = point_x_scenario()
         s = run_trials(scn, ShotModel(100, "poisson", seed=0), 10)
-        assert s.backend in ("numba", "numpy")
-        assert s.rng in ("numba-mt19937", "numpy-pcg64")
+        assert s.backend == "numpy"
+        assert s.rng == "numpy-pcg64"
 
 
 class TestBackends:
@@ -154,33 +154,10 @@ class TestBackends:
         total = s.sample_var_re + s.sample_var_im
         assert abs(total - s.predicted_var) / s.predicted_var < 0.15
 
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-    def test_backends_statistically_consistent(self, monkeypatch):
-        scn = point_x_scenario()
-        shot = ShotModel(N_REF, "poisson", seed=4)
-        monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-        a = run_trials(scn, shot, 3000)
-        monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-        b = run_trials(scn, shot, 3000)
-        assert a.predicted_var == b.predicted_var
-        se = np.sqrt(a.predicted_var / 3000)
-        assert abs(a.mean - b.mean) < 6 * se
-
     def test_invalid_backend_rejected(self, monkeypatch):
         monkeypatch.setenv(_kernels.ENV_VAR, "fortran")
         with pytest.raises(ValueError, match="numba"):
             _kernels.active_backend()
-
-    def test_multinomial_always_routes_to_numpy(self, monkeypatch):
-        """numba's multinomial draw is O(n); the dispatcher pins it to numpy."""
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba not installed")
-        monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-        assert _kernels.effective_backend("multinomial") == "numpy"
-        assert _kernels.effective_backend("poisson") == "numba"
-        scn = point_x_scenario()
-        s = run_trials(scn, ShotModel(2000, "multinomial", seed=6), 50)
-        assert s.backend == "numpy" and s.rng == "numpy-pcg64"
 
 
 class TestTrialKernel:
@@ -259,6 +236,37 @@ class TestTrialKernel:
             assert b.shape == (chunk + 3,)
             np.testing.assert_array_equal(a, b[:chunk])
             assert not np.array_equal(b[chunk:], b[:3])
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_output_independent_of_thread_count(self, statistics, monkeypatch):
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        trials = 3 * _kernels.CHUNK_TRIALS + 5
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "WORKERS", workers)
+            runs.append(_kernels.trial_estimates(cells, w_re, w_im, 2000, trials, 11, statistics))
+        for re, im in runs[1:]:
+            np.testing.assert_array_equal(re, runs[0][0])
+            np.testing.assert_array_equal(im, runs[0][1])
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_chunk_stream_layout(self, statistics):
+        """Chunk c draws from the c-th spawned child of SeedSequence(seed)."""
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        chunk, n, seed = _kernels.CHUNK_TRIALS, 2000, 17
+        re, im = _kernels.trial_estimates(cells, w_re, w_im, n, 2 * chunk + 7, seed, statistics)
+        block, prob, weights = _kernels.group_cells(cells, w_re, w_im, statistics)
+        sums = {"poisson": _kernels._poisson_sums, "multinomial": _kernels._multinomial_sums}
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        direct = sums[statistics](rng, chunk, block, prob, weights, n) / n
+        np.testing.assert_array_equal(re[chunk : 2 * chunk], direct[:, 0])
+        np.testing.assert_array_equal(im[chunk : 2 * chunk], direct[:, 1])
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_zero_trials(self, statistics):
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        re, im = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 0, 5, statistics)
+        assert re.shape == im.shape == (0,)
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_memory_bounded(self, statistics):
