@@ -15,7 +15,6 @@ from .estimator import (
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
-    estimate_diagonal,
     estimate_from_tables,
     estimate_record,
     observable_variance,
@@ -64,7 +63,6 @@ from .protocol import (
     coupling_unitary,
     evolve_joint,
     exact_entry_tables,
-    meter_distribution,
     meter_tables,
     pointer_state_b0,
     postselect_meters,
@@ -79,11 +77,10 @@ __all__ = [
     "BASES", "SETTINGS", "CouplingConfig", "JointState",
     "DeadPostSelectionError", "pointer_state_b0", "build_observables",
     "coupling_unitary", "evolve_joint", "prepare_entry_state",
-    "postselect_meters", "meter_distribution", "meter_tables",
+    "postselect_meters", "meter_tables",
     "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
-    "estimate_from_tables", "estimate_diagonal",
-    "estimate_record",
+    "estimate_from_tables", "estimate_record",
     "error_transfer_variance", "analytic_variance", "observable_variance",
     "completeness_refine",
     "Environment", "apply_dephasing", "apply_phase_rotation",

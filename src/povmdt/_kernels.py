@@ -16,6 +16,12 @@ Both merges are exact in distribution.  Cells with a zero weight pair or a
 zero probability add nothing to the estimate and are not drawn.  For the
 paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
 
+:func:`draw_counts` is the one counting-noise sampler: the trial kernel
+contracts its counts with the group weights, and
+:func:`povmdt.montecarlo.sample_counts` draws one trial of the 36 ungrouped
+cells of a W table with it.  Both pass their cells through the same check
+first (:func:`checked_cells`).
+
 Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
 trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk
 ``c`` draws from its own PCG64 stream, seeded by the ``c``-th spawned child
@@ -57,22 +63,24 @@ def active_backend() -> str:
     return "numpy"
 
 
-def rng_name(backend: str | None = None) -> str:
-    """Generator algorithm of ``backend``: numpy, the only backend, uses PCG64."""
+def rng_name() -> str:
+    """Generator algorithm of the only backend, numpy: PCG64."""
     return "numpy-pcg64"
 
 
-def effective_backend(statistics: str = "poisson") -> str:
-    """Backend that runs trials of the given statistics: always numpy."""
-    return active_backend()
+def checked_cells(cells, statistics: str) -> np.ndarray:
+    """The (settings, 4) cell probabilities, ready to draw from.
 
-
-def check_setting_sums(cells: np.ndarray) -> np.ndarray:
-    """Per-setting totals of a (settings, 4) table, refusing any above 1.
-
-    Under multinomial statistics the remainder ``1 - total`` is the rejected
-    bucket, so a total above 1 is not a probability distribution.
+    Negative cells are clipped to 0.  Under multinomial statistics the
+    remainder ``1 - total`` of a setting is its rejected bucket, so a setting
+    whose cells sum above 1 is refused, and one above 1 by rounding only
+    (``SETTING_SUM_TOL``) is scaled down to sum to 1.
     """
+    if statistics not in ("poisson", "multinomial"):
+        raise ValueError(f"statistics must be 'poisson' or 'multinomial', got {statistics!r}")
+    cells = np.maximum(np.asarray(cells, dtype=np.float64), 0.0)
+    if statistics == "poisson":
+        return cells
     totals = cells.sum(axis=1)
     worst = int(np.argmax(totals))
     if totals[worst] > 1.0 + SETTING_SUM_TOL:
@@ -80,7 +88,7 @@ def check_setting_sums(cells: np.ndarray) -> np.ndarray:
             f"setting {worst} cells sum to {totals[worst]!r} > 1, "
             "so its rejected bucket would have a negative probability"
         )
-    return totals
+    return cells / np.maximum(totals, 1.0)[:, None]
 
 
 def group_cells(cells, w_re, w_im, statistics):
@@ -106,19 +114,23 @@ def group_cells(cells, w_re, w_im, statistics):
     return block[keep], prob[keep], weights[keep]
 
 
-def _poisson_sums(rng, size, block, prob, weights, n):
-    """``sum_g w_g N_g`` for ``size`` trials of independent Poisson counts."""
-    return rng.poisson(n * prob, size=(size, prob.size)) @ weights
+def draw_counts(rng, size, block, prob, n, statistics):
+    """Counts of the groups, one row per trial, as a (size, groups) float array.
 
-
-def _multinomial_sums(rng, size, block, prob, weights, n):
-    """``sum_g w_g N_g`` for ``size`` trials of n particles per setting."""
-    sums = np.zeros((size, 2))
+    Poisson counts are independent with means ``n * prob``.  Multinomial
+    counts spread n particles over the groups of each ``block`` and that
+    block's rejected bucket, whose count is dropped.  Float, because every
+    caller scales or contracts the counts, which would convert them anyway.
+    """
+    if statistics == "poisson":
+        return rng.poisson(n * prob, size=(size, prob.size)).astype(np.float64)
+    counts = np.empty((size, prob.size))
     for b in np.unique(block):
-        p, w = prob[block == b], weights[block == b]
-        counts = rng.multinomial(n, np.append(p, max(1.0 - p.sum(), 0.0)), size=size)
-        sums += counts[:, :-1] @ w
-    return sums
+        mine = block == b
+        p = prob[mine]
+        drawn = rng.multinomial(n, np.append(p, max(1.0 - p.sum(), 0.0)), size=size)
+        counts[:, mine] = drawn[:, :-1]
+    return counts
 
 
 def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
@@ -128,16 +140,10 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     ``w_re``/``w_im`` the flat cell weights.  Multinomial statistics refuse
     a setting whose cells sum above 1.
     """
-    if statistics not in ("poisson", "multinomial"):
-        raise ValueError(f"statistics must be 'poisson' or 'multinomial', got {statistics!r}")
-    cells = np.maximum(np.asarray(cells, dtype=np.float64), 0.0)
-    if statistics == "multinomial":
-        # a total within the rounding tolerance above 1 is scaled down to 1
-        cells = cells / np.maximum(check_setting_sums(cells), 1.0)[:, None]
+    cells = checked_cells(cells, statistics)
     block, prob, weights = group_cells(
         cells, np.asarray(w_re, np.float64), np.asarray(w_im, np.float64), statistics
     )
-    sums = _poisson_sums if statistics == "poisson" else _multinomial_sums
     streams = np.random.SeedSequence(seed).spawn(-(-trials // CHUNK_TRIALS))
     out = np.empty((2, trials))
 
@@ -145,7 +151,8 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
         start = c * CHUNK_TRIALS
         stop = min(start + CHUNK_TRIALS, trials)
         rng = np.random.default_rng(streams[c])
-        out[:, start:stop] = sums(rng, stop - start, block, prob, weights, n).T
+        counts = draw_counts(rng, stop - start, block, prob, n, statistics)
+        out[:, start:stop] = (counts @ weights).T
 
     # imported here: ``import povmdt`` should not pay for it
     from concurrent.futures import ThreadPoolExecutor

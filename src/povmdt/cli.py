@@ -33,12 +33,11 @@ from .montecarlo import ShotModel, sample_counts
 from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi, wavepacket_overlap
 from .povm import matrix_entry_oracle
 from .protocol import CouplingConfig, exact_entry_tables
-from ._kernels import effective_backend
 from .reports import (
     run_metadata,
     write_csv,
     write_json_report,
-    write_meter_distribution_csv,
+    write_tables_csv,
 )
 
 
@@ -130,7 +129,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> int:
     elapsed = round(time.perf_counter() - t0, 6)
     out = _out_dir(cfg, args, required=False)
     if out is not None:
-        meta = run_metadata("oracle-check", cfg.resolved_echo(), cfg.seed, backend="numpy")
+        meta = run_metadata("oracle-check", cfg.resolved_echo(), cfg.seed)
         meta["max_abs_err"] = max_err
         meta["tolerance"] = cfg.tolerance
         if _fmt(cfg, args) == "json":
@@ -147,7 +146,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> int:
                 ["l", "j", "k", "est_re", "est_im", "true_re", "true_im", "abs_err"],
                 rows, meta,
             )
-        write_meter_distribution_csv(f"{out}/distributions.csv", dists, meta)
+        write_tables_csv(f"{out}/distributions.csv", dists, meta)
     print(f"oracle-check: {len(rows)} entries, max |error| = {max_err:.3e} "
           f"(tolerance {cfg.tolerance:.1e}) in {elapsed:.2f} s -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -249,7 +248,7 @@ def cmd_scan(cfg: ScenarioConfig, args) -> int:
     rows = run_scan(cfg, refine=args.refine)
     elapsed = round(time.perf_counter() - t0, 6)
     out = _out_dir(cfg, args)
-    meta = run_metadata("scan", cfg.resolved_echo(), cfg.seed, backend="numpy")
+    meta = run_metadata("scan", cfg.resolved_echo(), cfg.seed)
     if _fmt(cfg, args) == "json":
         records = [
             estimate_record(
@@ -307,10 +306,7 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> int:
     rows = run_variance_sweep(cfg)
     elapsed = round(time.perf_counter() - t0, 6)
     out = _out_dir(cfg, args)
-    meta = run_metadata(
-        "variance-sweep", cfg.resolved_echo(), cfg.seed,
-        backend=effective_backend(cfg.shot_model().statistics),
-    )
+    meta = run_metadata("variance-sweep", cfg.resolved_echo(), cfg.seed)
     if _fmt(cfg, args) == "json":
         write_json_report(
             f"{out}/variance_sweep.json", dict(meta, wall_clock_s=elapsed), {"rows": rows}
@@ -399,7 +395,7 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> int:
     t0 = time.perf_counter()
     results = run_calibrate(cfg)
     out = _out_dir(cfg, args)
-    meta = run_metadata("calibrate", cfg.resolved_echo(), cfg.seed, backend="numpy")
+    meta = run_metadata("calibrate", cfg.resolved_echo(), cfg.seed)
     refine_rows = run_refinement_demo(cfg) if args.refine else None
     elapsed = round(time.perf_counter() - t0, 6)
     if _fmt(cfg, args) == "json":

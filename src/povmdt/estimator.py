@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import asoperator
-from .protocol import _SETTING_INDEX, CELL_PROJECTORS, SETTINGS, JointState, reduced_meter_operator
+from .protocol import CELL_PROJECTORS, JointState, _cells, reduced_meter_operator
 
 #: Number of cells across all settings: 9 settings x 2 x 2 outcomes.
 N_CELLS = 36
@@ -77,34 +77,12 @@ def _cell_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("im,jn->ijmn", b, a).reshape(N_CELLS)
 
 
-def tables_to_flat(tables: dict) -> np.ndarray:
-    """Flatten the nine setting-indexed 2x2 W tables to the canonical 36-vector."""
-    missing = [s for s in SETTINGS if s not in tables]
-    if missing:
-        raise ValueError(f"missing meter settings: {missing}")
-    flat = np.empty(N_CELLS)
-    for s in SETTINGS:
-        w = np.asarray(tables[s], dtype=float)
-        if w.shape != (2, 2):
-            raise ValueError(f"setting {s} table has shape {w.shape}, expected (2, 2)")
-        flat[_SETTING_INDEX[s] * 4 : _SETTING_INDEX[s] * 4 + 4] = w.reshape(-1)
-    return flat
-
-
-def flat_to_tables(flat: np.ndarray) -> dict:
-    """Inverse of :func:`tables_to_flat`."""
-    flat = np.asarray(flat, dtype=float)
-    if flat.shape != (N_CELLS,):
-        raise ValueError(f"expected a {N_CELLS}-vector, got shape {flat.shape}")
-    return {s: flat[i * 4 : i * 4 + 4].reshape(2, 2).copy() for s, i in _SETTING_INDEX.items()}
-
-
-def nonnegative_cells(tables: dict) -> np.ndarray:
-    """The 36-vector of the W tables with rounding negatives set to 0.
+def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
+    """The 36 cells of the (9, 2, 2) W tables with rounding negatives set to 0.
 
     A cell below -1e-9 is no rounding error and is refused.
     """
-    flat = tables_to_flat(tables)
+    flat = _cells(tables)
     if flat.min() < -1e-9:
         raise ValueError(f"negative probability cell: {flat.min():.3e}")
     return np.maximum(flat, 0.0)
@@ -137,30 +115,20 @@ def estimate_record(
     }
 
 
-def estimate_from_tables(tables: dict, coeffs: RtCoefficients, scale: float = 1.0) -> complex:
-    """Entry estimate from (exact or sampled) W tables.
+def estimate_from_tables(
+    tables: np.ndarray, coeffs: RtCoefficients, scale: float = 1.0
+) -> complex:
+    """Entry estimate from (exact or sampled) (9, 2, 2) W tables.
 
     ``scale`` divides the raw entry; pass the element efficiency eta to
     estimate the entry of the efficiency-normalized operator.
     """
-    flat = tables_to_flat(tables)
+    flat = _cells(tables)
     return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat) / scale
 
 
-def estimate_diagonal(p_f: float, j: int) -> float:
-    """Diagonal entry <a_j| Pi_l |a_j> from the bare outcome probability.
-
-    With the system pre-selected to |a_j><a_j| and no meter couplings, the
-    outcome-l probability *is* the diagonal entry; this is a pass-through
-    that documents the convention.
-    """
-    if not 0.0 <= p_f <= 1.0 + 1e-12:
-        raise ValueError(f"outcome probability {p_f!r} outside [0, 1]")
-    return float(p_f)
-
-
 def error_transfer_variance(
-    tables: dict, coeffs: RtCoefficients, n: int, scale: float = 1.0
+    tables: np.ndarray, coeffs: RtCoefficients, n: int, scale: float = 1.0
 ) -> tuple[float, float]:
     """Shot-noise variances (var_re, var_im) of the entry estimate.
 
@@ -234,25 +202,35 @@ def completeness_refine(estimates: list[EntryEstimate]) -> list[EntryEstimate]:
     if (var_re <= 0).any() or (var_im <= 0).any():
         raise ValueError("refinement requires strictly positive variances")
 
-    refined = []
-    for i, est in enumerate(estimates):
-        parts = []
-        variances = []
-        for comp, var in ((vals.real, var_re), (vals.imag, var_im)):
-            own_var = float(var[i])
-            comp_var = float(var.sum()) - own_var
-            comp_val = -(comp.sum() - comp[i])
-            w = (1 / own_var) / (1 / own_var + 1 / comp_var)
-            wc = 1.0 - w
-            parts.append(float(w * comp[i] + wc * comp_val))
-            variances.append(float(w * wc * (own_var + comp_var)))
-        refined.append(
-            EntryEstimate(
-                complex(parts[0], parts[1]),
-                variances[0],
-                variances[1],
-                est.n_per_setting,
-                "refined",
-            )
+    re, var_re = _refine_arrays(vals.real, var_re)
+    im, var_im = _refine_arrays(vals.imag, var_im)
+    return [
+        EntryEstimate(
+            complex(float(re[i]), float(im[i])),
+            float(var_re[i]),
+            float(var_im[i]),
+            est.n_per_setting,
+            "refined",
         )
-    return refined
+        for i, est in enumerate(estimates)
+    ]
+
+
+def _refine_arrays(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mix each outcome's values with their sum-rule complement.
+
+    ``values`` is (outcomes, ...) and ``variances`` (outcomes,) the variance
+    of each outcome's values.  Outcome l's complement is minus the sum of
+    the other outcomes' values, with the sum of their variances; the two are
+    mixed with inverse-variance weights.  Returns the refined values and
+    their variances.
+    """
+    comp_var = variances.sum() - variances
+    w = (1 / variances) / (1 / variances + 1 / comp_var)
+    wc = 1.0 - w
+    across = (-1,) + (1,) * (values.ndim - 1)
+    # in place, to hold two (outcomes, ...) temporaries rather than five
+    refined = values - values.sum(axis=0)  # the complement, -(sum - own)
+    refined *= wc.reshape(across)
+    refined += w.reshape(across) * values
+    return refined, w * wc * (variances + comp_var)

@@ -20,10 +20,10 @@ from . import _kernels
 from .estimator import (
     EntryEstimate,
     RtCoefficients,
+    _refine_arrays,
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
-    flat_to_tables,
     nonnegative_cells,
     rt_coefficients,
 )
@@ -77,7 +77,7 @@ class EntryScenario:
     def coeffs(self) -> RtCoefficients:
         return rt_coefficients(self.pi_l.shape[0], self.g)
 
-    def exact_tables(self) -> dict:
+    def exact_tables(self) -> np.ndarray:
         return exact_entry_tables(self.pi_l, self.j, self.k, CouplingConfig.symmetric(self.g))
 
     def exact_value(self) -> complex:
@@ -90,8 +90,7 @@ class TrialSummary:
 
     ``predicted_var`` is the error-transfer total variance evaluated at the
     exact tables.  Sample variances are NaN for fewer than two trials (no
-    degrees of freedom).  ``backend``/``rng`` record how the stream was
-    generated so the summary is reproducible across machines.
+    degrees of freedom).
     """
 
     mean: complex
@@ -99,8 +98,6 @@ class TrialSummary:
     sample_var_im: float
     predicted_var: float
     trials: int
-    backend: str = ""
-    rng: str = ""
 
 
 @dataclass(frozen=True)
@@ -141,38 +138,36 @@ class SweepSpec:
             raise ValueError("trials must be >= 0")
 
 
+#: The setting of each of the 36 cells: the draw blocks of one W table.
+_SETTING_OF_CELL = np.repeat(np.arange(9), 4)
+
+
 def _child_seeds(seed: int, count: int) -> np.ndarray:
     """Deterministic per-use 32-bit seeds derived from one scenario seed."""
     return np.random.SeedSequence(seed).generate_state(count)
 
 
-def sample_counts(tables: dict, shot: ShotModel) -> dict:
-    """One noisy realization of the nine W tables.
+def sample_counts(tables: np.ndarray, shot: ShotModel) -> np.ndarray:
+    """One noisy realization of the (9, 2, 2) W tables, as counts / n.
 
     Poisson mode draws each cell count independently with mean n*W;
     multinomial mode distributes exactly n particles per setting over the
     four cells and a rejected bucket, refusing a setting whose cells sum
-    above 1.  Returns counts/n as empirical tables, deterministic for a
+    above 1.  The draw is the trial kernel's, one trial of the ungrouped
+    cells from ``default_rng(shot.seed)``, so it is deterministic for a
     given (tables, shot).
     """
-    flat = nonnegative_cells(tables)
-    rng = np.random.default_rng(shot.seed)
+    cells = _kernels.checked_cells(nonnegative_cells(tables).reshape(9, 4), shot.statistics)
     n = shot.n_per_setting
-    if shot.statistics == "poisson":
-        counts = rng.poisson(flat * n).astype(float)
-    else:
-        _kernels.check_setting_sums(flat.reshape(9, 4))
-        counts = np.empty_like(flat)
-        for s in range(9):
-            cells = flat[s * 4 : s * 4 + 4]
-            p = np.append(cells, max(1.0 - cells.sum(), 0.0))
-            p /= p.sum()
-            counts[s * 4 : s * 4 + 4] = rng.multinomial(n, p)[:4]
-    return flat_to_tables(counts / n)
+    counts = _kernels.draw_counts(
+        np.random.default_rng(shot.seed), 1, _SETTING_OF_CELL, cells.reshape(36), n,
+        shot.statistics,
+    )
+    return (counts / n).reshape(9, 2, 2)
 
 
 def _trial_arrays(
-    tables: dict, coeffs: RtCoefficients, scale: float, shot: ShotModel, trials: int
+    tables: np.ndarray, coeffs: RtCoefficients, scale: float, shot: ShotModel, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (re, im) estimates from already-built exact tables and weights."""
     return _kernels.trial_estimates(
@@ -203,15 +198,12 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     coeffs = scenario.coeffs()
     vr, vi = error_transfer_variance(tables, coeffs, shot.n_per_setting, scenario.scale)
     re, im = _trial_arrays(tables, coeffs, scenario.scale, shot, trials)
-    backend = _kernels.effective_backend(shot.statistics)
     return TrialSummary(
         mean=complex(re.mean(), im.mean()),
         sample_var_re=_sample_var(re),
         sample_var_im=_sample_var(im),
         predicted_var=vr + vi,
         trials=trials,
-        backend=backend,
-        rng=_kernels.rng_name(backend),
     )
 
 
@@ -308,39 +300,26 @@ def refinement_trials(
     n = shot.n_per_setting
 
     raw_est = {}
-    arrays_re, arrays_im = {}, {}
+    re, im = np.empty((2, len(labels), trials))
     for i, lab in enumerate(labels):
         scenario = EntryScenario(povm.element(lab), j, k, g)
         tables = scenario.exact_tables()
         vr, vi = error_transfer_variance(tables, coeffs, n)
         raw_est[lab] = EntryEstimate(scenario.exact_value(), vr, vi, n, "exact")
-        re, im = _trial_arrays(
+        re[i], im[i] = _trial_arrays(
             tables, coeffs, scenario.scale, replace(shot, seed=int(seeds[i])), trials
         )
-        arrays_re[lab], arrays_im[lab] = re, im
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])
     refined_est = dict(zip(labels, refined_pred))
 
-    raw_sv, ref_sv = {}, {}
-    sum_re = sum(arrays_re.values())
-    sum_im = sum(arrays_im.values())
-    for lab in labels:
-        own_re, own_im = arrays_re[lab], arrays_im[lab]
-        comp_re = -(sum_re - own_re)
-        comp_im = -(sum_im - own_im)
-        raw_sv[lab] = (_sample_var(own_re), _sample_var(own_im))
-        ref_re = _combine(own_re, comp_re, raw_est, labels, lab, "var_re")
-        ref_im = _combine(own_im, comp_im, raw_est, labels, lab, "var_im")
-        ref_sv[lab] = (_sample_var(ref_re), _sample_var(ref_im))
+    raw_sv = {lab: (_sample_var(re[i]), _sample_var(im[i])) for i, lab in enumerate(labels)}
+    # refine every trial with the weights fixed at the predicted variances
+    ref_re, _ = _refine_arrays(re, np.array([raw_est[lab].var_re for lab in labels]))
+    ref_sv_re = [_sample_var(x) for x in ref_re]
+    del ref_re
+    ref_im, _ = _refine_arrays(im, np.array([raw_est[lab].var_im for lab in labels]))
+    ref_sv = {lab: (ref_sv_re[i], _sample_var(ref_im[i])) for i, lab in enumerate(labels)}
     return RefinementStudy(
         tuple(labels), raw_est, refined_est, raw_sv, ref_sv, trials
     )
-
-
-def _combine(own, comp, raw_est, labels, lab, attr):
-    own_var = getattr(raw_est[lab], attr)
-    total = sum(getattr(raw_est[u], attr) for u in labels)
-    comp_var = total - own_var
-    w = (1 / own_var) / (1 / own_var + 1 / comp_var)
-    return w * own + (1 - w) * comp

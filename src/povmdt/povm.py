@@ -61,14 +61,6 @@ class Basis:
             raise IndexError(f"basis index {j} out of range for dimension {self.dim}")
         return self._kets[:, j]
 
-    def is_computational(self) -> bool:
-        return bool(np.abs(self._kets - np.eye(self.dim)).max() == 0.0)
-
-    def rotate_operator(self, op: np.ndarray) -> np.ndarray:
-        """Express an operator in this basis: entry (j,k) of the result is
-        <a_j| op |a_k>."""
-        return dag(self._kets) @ asoperator(op) @ self._kets
-
 
 class Povm:
     """Ordered collection of measurement operators with outcome labels.

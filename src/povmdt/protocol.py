@@ -19,18 +19,24 @@ Tensor ordering is fixed repo-wide as system (x) meterB (x) meterA.
 The 36 product meter projectors are constants, built once at import
 (:data:`CELL_PROJECTORS`); the entry joint state depends only on
 (d, j, k, coupling) and is memoized by :func:`prepare_entry_state`.
+
+The W tables of one outcome are a float (9, 2, 2) array ``W[s, m, n]``:
+setting ``s`` indexes :data:`SETTINGS`, ``m`` and ``n`` are the meter-B and
+meter-A outcomes.  Flattened, the 36 cells are in the order of
+:data:`CELL_PROJECTORS` and of the estimator's cell weights.  One setting's
+table is ``W[SETTINGS.index(setting)]``.  :func:`meter_tables`,
+:func:`exact_entry_tables` and :func:`povmdt.montecarlo.sample_counts` return
+this array, and every reader takes it through :func:`_cells`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .linalg import EYE2, PAULI, SIGMA_Y, asoperator, dag, is_density, ket, projector, tensor
-from .povm import Basis
 
 #: Meter readout bases in canonical order; z = {|0>,|1>}, x = {|+>,|->},
 #: y = {(|0>+i|1>)/sqrt2, (|0>-i|1>)/sqrt2}.
@@ -38,8 +44,6 @@ BASES = ("z", "x", "y")
 
 #: The nine meter basis settings (basis_b, basis_a), canonical order.
 SETTINGS = tuple((bb, ba) for bb in BASES for ba in BASES)
-
-_SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
 
 #: Rank-one projectors P[basis][m] with outcome sign (-1)^m.
 BASIS_PROJECTORS = {
@@ -228,82 +232,36 @@ def postselect_meters(
     return k / p_f, p_f
 
 
-def meter_distribution(
-    js: JointState, pi_l: np.ndarray, setting: tuple[str, str]
-) -> np.ndarray:
-    """Unnormalized joint meter probabilities W_mn for one basis setting.
+def meter_tables(js: JointState, pi_l: np.ndarray) -> np.ndarray:
+    """The (9, 2, 2) W tables of one outcome:
 
-    W[m, n] = Tr[(Pi_l (x) |m_B><m_B| (x) |n_A><n_A|) rho_J]; the four cells
-    sum to the post-selection probability, not to 1.
+    W[s, m, n] = Tr[(Pi_l (x) |m_B><m_B| (x) |n_A><n_A|) rho_J] for setting
+    SETTINGS[s].  Each setting's four cells sum to the post-selection
+    probability, not to 1.
     """
-    i = _SETTING_INDEX[_check_setting(setting)]
     k = reduced_meter_operator(js, pi_l)
-    return _cell_values(CELL_PROJECTORS[4 * i : 4 * i + 4], k).reshape(2, 2)
-
-
-class MeterTables(Mapping):
-    """The nine setting-indexed 2x2 W tables of one outcome.
-
-    A mapping from each setting in :data:`SETTINGS` to its table, stored as
-    one (9, 2, 2) array; a lookup returns a view of it.  One array in place
-    of a dict of nine keeps retained tables at about a fifth of the memory.
-    """
-
-    __slots__ = ("_w",)
-
-    def __init__(self, w: np.ndarray):
-        self._w = w
-
-    def __getitem__(self, setting) -> np.ndarray:
-        return self._w[_SETTING_INDEX[setting]]
-
-    def __contains__(self, setting) -> bool:
-        return setting in _SETTING_INDEX
-
-    def __iter__(self):
-        return iter(SETTINGS)
-
-    def __len__(self) -> int:
-        return len(SETTINGS)
-
-
-def meter_tables(js: JointState, pi_l: np.ndarray) -> MeterTables:
-    """All nine setting-indexed W tables for one outcome."""
-    w = _cell_values(CELL_PROJECTORS, reduced_meter_operator(js, pi_l))
-    return MeterTables(w.copy().reshape(9, 2, 2))
-
-
-def _cell_values(projectors: np.ndarray, k: np.ndarray) -> np.ndarray:
     # matmul + trace reproduces the per-cell np.trace(proj @ k) bit for bit;
     # an einsum contraction sums in another order and moves the last ulp.
-    return np.trace(projectors @ k, axis1=1, axis2=2).real
+    w = np.trace(CELL_PROJECTORS @ k, axis1=1, axis2=2).real
+    # a copy: ``.real`` is a view that would keep the complex traces alive
+    return w.copy().reshape(9, 2, 2)
 
 
-def exact_entry_tables(
-    pi_l: np.ndarray,
-    j: int,
-    k: int,
-    cfg: CouplingConfig,
-    basis: Basis | None = None,
-) -> MeterTables:
-    """Exact W tables for probing entry (j, k) of one element.
+def _cells(tables) -> np.ndarray:
+    """The 36 cells of one outcome's (9, 2, 2) W tables, in the order of
+    :data:`CELL_PROJECTORS`; a view where the input allows one.
 
-    Non-computational bases are handled by expressing the element in the
-    requested basis and running the computational-frame pipeline.
+    Tables may come from outside the package, so any other shape is refused.
     """
+    w = np.asarray(tables, dtype=np.float64)
+    if w.shape != (9, 2, 2):
+        raise ValueError(f"W tables must have shape (9, 2, 2), got {w.shape}")
+    return w.reshape(36)
+
+
+def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) -> np.ndarray:
+    """Exact (9, 2, 2) W tables for probing entry (j, k) of one element,
+    given in the computational basis."""
     pi_l = asoperator(pi_l)
-    if basis is not None and not basis.is_computational():
-        pi_l = basis.rotate_operator(pi_l)
     js = prepare_entry_state(pi_l.shape[0], j, k, cfg)
     return meter_tables(js, pi_l)
-
-
-def _check_setting(setting) -> tuple[str, str]:
-    try:
-        bb, ba = setting
-    except (TypeError, ValueError):
-        raise ValueError(f"setting must be a (basis_b, basis_a) pair, got {setting!r}") from None
-    bb, ba = str(bb).lower(), str(ba).lower()
-    if bb not in BASES or ba not in BASES:
-        raise ValueError(f"meter bases must be among {BASES}, got ({bb!r}, {ba!r})")
-    return bb, ba

@@ -13,26 +13,23 @@ import tempfile
 
 from . import __version__
 from ._kernels import active_backend, rng_name
+from .protocol import SETTINGS, _cells
 
 REPORT_SCHEMA_VERSION = 1
 
 
-def run_metadata(
-    command: str, config_echo: str, seed: int, backend: str | None = None
-) -> dict:
+def run_metadata(command: str, config_echo: str, seed: int) -> dict:
     """Metadata block embedded in every artifact.
 
-    ``backend`` names the sampler that actually generated the run's random
-    stream; commands that never touch the trial kernels pass "numpy".
+    Refuses a ``POVMDT_BACKEND`` other than numpy, the only sampler.
     """
-    b = backend or active_backend()
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
         "seed": seed,
-        "backend": b,
-        "rng": rng_name(b),
+        "backend": active_backend(),
+        "rng": rng_name(),
         "config": config_echo,
     }
 
@@ -84,17 +81,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def write_meter_distribution_csv(path: str, entries: list[dict], metadata: dict) -> None:
-    """Meter distributions as rows (l, basis_b, basis_a, m, n, W)."""
+def write_tables_csv(path: str, entries: list[dict], metadata: dict) -> None:
+    """Meter distributions as rows (l, basis_b, basis_a, m, n, W).
+
+    Each entry holds an outcome label ``l`` and its (9, 2, 2) ``tables``.
+    """
     rows = []
     for e in entries:
-        for (bb, ba), table in e["tables"].items():
-            for m in range(2):
-                for n in range(2):
-                    rows.append(
-                        {
-                            "l": e["l"], "basis_b": bb, "basis_a": ba,
-                            "m": m, "n": n, "W": float(table[m, n]),
-                        }
-                    )
+        for c, w in enumerate(_cells(e["tables"])):
+            (bb, ba), (m, n) = SETTINGS[c // 4], divmod(c % 4, 2)
+            rows.append(
+                {"l": e["l"], "basis_b": bb, "basis_a": ba, "m": m, "n": n, "W": float(w)}
+            )
     write_csv(path, ["l", "basis_b", "basis_a", "m", "n", "W"], rows, metadata)

@@ -237,6 +237,23 @@ def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
         assert runs[0] == runs[1], name
 
 
+def test_metadata_recorded(tmp_path, monkeypatch, capsys):
+    """Every README command's CSV headers name the sampler and its generator,
+    and every command refuses a backend other than numpy before writing."""
+    for name, argv in README_COMMANDS:
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0, name
+        for csv in out.glob("*.csv"):
+            header = csv.read_text().splitlines()
+            assert "# backend: numpy" in header and "# rng: numpy-pcg64" in header, csv
+    monkeypatch.setenv("POVMDT_BACKEND", "numba")
+    for name, argv in README_COMMANDS:
+        out = tmp_path / "numba" / name
+        assert main(argv + ["--out", str(out)]) == 1, name
+        assert "numba backend was removed" in capsys.readouterr().err
+        assert not out.exists(), name
+
+
 class TestVarianceSweepCommand:
     def test_theta_sweep_matches_strong_coupling_law(self, tmp_path):
         out = tmp_path / "vs"

@@ -8,20 +8,22 @@ from conftest import KETS, proj
 from povmdt import (
     CouplingConfig,
     EntryEstimate,
+    ShotModel,
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
-    estimate_diagonal,
     estimate_from_tables,
     exact_entry_tables,
     make_parametric_element,
     matrix_entry_oracle,
     observable_variance,
+    postselect_meters,
     prepare_entry_state,
     random_povm,
     rt_coefficients,
+    sample_counts,
 )
-from povmdt.estimator import flat_to_tables, tables_to_flat
+from povmdt.estimator import nonnegative_cells
 from povmdt.protocol import SETTINGS
 
 N_REF = 12790
@@ -47,20 +49,20 @@ class TestRtCoefficients:
         c = rt_coefficients(2, np.pi / 4)
         assert abs(c.alpha - 0.5) < 1e-15
         assert abs(c.beta - 0.5) < 1e-15
-        zero = [[0, 0], [0, 0]]
         a = [[0.5, -0.5], [-0.5, 0.5]]
-        want_re = {s: zero for s in SETTINGS}
-        want_re.update({
+        want_re, want_im = np.zeros((2, 9, 2, 2))
+        for setting, w in {
             ("z", "z"): [[2, 0], [0, 0]], ("z", "x"): [[-1, 1], [0, 0]],
             ("x", "z"): [[-1, 0], [1, 0]], ("x", "x"): a, ("y", "y"): -np.array(a),
-        })
-        want_im = {s: zero for s in SETTINGS}
-        want_im.update({
+        }.items():
+            want_re[SETTINGS.index(setting)] = w
+        for setting, w in {
             ("z", "y"): [[-1, 1], [0, 0]], ("y", "z"): [[-1, 0], [1, 0]],
             ("x", "y"): a, ("y", "x"): a,
-        })
-        np.testing.assert_allclose(c.cell_re, tables_to_flat(want_re), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(c.cell_im, tables_to_flat(want_im), rtol=0, atol=1e-14)
+        }.items():
+            want_im[SETTINGS.index(setting)] = w
+        np.testing.assert_allclose(c.cell_re, want_re.reshape(36), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(c.cell_im, want_im.reshape(36), rtol=0, atol=1e-14)
         assert not c.cell_re.flags.writeable and not c.cell_im.flags.writeable
 
     @pytest.mark.parametrize("g", [np.pi / 16, np.pi / 8, np.pi / 4, 1.1])
@@ -92,13 +94,27 @@ class TestRtCoefficients:
 
 class TestFlatTables:
     def test_flat_round_trip(self, rng):
-        flat = rng.uniform(size=36)
-        np.testing.assert_array_equal(tables_to_flat(flat_to_tables(flat)), flat)
+        """Cell s*4 + 2m + n of the flat cells is W[s, m, n], the order of
+        the cell weights."""
+        tables = rng.uniform(size=(9, 2, 2))
+        flat = nonnegative_cells(tables)
+        for s in range(9):
+            for m in range(2):
+                for n in range(2):
+                    assert flat[4 * s + 2 * m + n] == tables[s, m, n]
 
     def test_missing_setting_rejected(self):
-        tables = {s: np.zeros((2, 2)) for s in SETTINGS[:-1]}
-        with pytest.raises(ValueError, match="missing"):
-            tables_to_flat(tables)
+        """Tables of any shape but (9, 2, 2), such as one that lacks a
+        setting, are refused by every reader."""
+        coeffs = rt_coefficients(2, np.pi / 4)
+        for shape in [(8, 2, 2), (9, 4), (36,), (9, 2, 2, 1)]:
+            tables = np.zeros(shape)
+            with pytest.raises(ValueError, match=r"shape \(9, 2, 2\)"):
+                estimate_from_tables(tables, coeffs)
+            with pytest.raises(ValueError, match=r"shape \(9, 2, 2\)"):
+                error_transfer_variance(tables, coeffs, 100)
+            with pytest.raises(ValueError, match=r"shape \(9, 2, 2\)"):
+                sample_counts(tables, ShotModel(100))
 
 
 class TestEstimates:
@@ -127,7 +143,7 @@ class TestEstimates:
 
     def test_zero_tables_give_zero(self):
         coeffs = rt_coefficients(2, 0.7)
-        zeros = {s: np.zeros((2, 2)) for s in SETTINGS}
+        zeros = np.zeros((9, 2, 2))
         assert estimate_from_tables(zeros, coeffs) == 0
 
     def test_sum_rules_for_complete_povm(self):
@@ -144,22 +160,29 @@ class TestEstimates:
 
 
 class TestDiagonal:
+    """A diagonal entry is read without the meters: with the system
+    pre-selected in |a_j> and vanishing coupling, the outcome-l probability
+    is <a_j| Pi_l |a_j>."""
+
+    @staticmethod
+    def bare_probability(pi, j):
+        js = prepare_entry_state(pi.shape[0], j, j, CouplingConfig.symmetric(1e-8))
+        return postselect_meters(js, pi)[1]
+
     def test_sic_first_element(self, sic):
-        p_f = matrix_entry_oracle(sic, 1, 0, 0).real
-        assert abs(estimate_diagonal(p_f, 0) - 0.5) < 1e-12
+        assert abs(self.bare_probability(sic.element(1), 0) - 0.5) < 1e-12
 
     def test_identity(self):
-        assert estimate_diagonal(1.0, 0) == 1.0
+        for d in (2, 3):
+            for j in range(d):
+                assert abs(self.bare_probability(np.eye(d), j) - 1.0) < 1e-12
 
     def test_random_matches_oracle(self, small_random_povm):
         for lab in small_random_povm.labels:
             for j in range(3):
                 truth = matrix_entry_oracle(small_random_povm, lab, j, j).real
-                assert abs(estimate_diagonal(truth, j) - truth) < 1e-12
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            estimate_diagonal(1.4, 0)
+                got = self.bare_probability(small_random_povm.element(lab), j)
+                assert abs(got - truth) < 1e-12
 
 
 class TestErrorTransfer:

@@ -15,12 +15,13 @@ from povmdt import (
     make_sic_povm,
     random_povm,
     refinement_trials,
+    rt_coefficients,
     run_trials,
     sample_counts,
     variance_sweep,
 )
 from povmdt import _kernels
-from povmdt.estimator import error_transfer_variance, tables_to_flat
+from povmdt.estimator import error_transfer_variance
 from povmdt.protocol import SETTINGS
 
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -51,17 +52,17 @@ class TestSampleCounts:
     def test_large_n_recovers_exact_tables(self, sic_tables):
         shot = ShotModel(10**9, "poisson", seed=5)
         sampled = sample_counts(sic_tables, shot)
-        for s in SETTINGS:
-            assert np.abs(sampled[s] - sic_tables[s]).max() < 1e-4
+        assert sampled.shape == (9, 2, 2)
+        assert np.abs(sampled - sic_tables).max() < 1e-4
 
     def test_poisson_mean(self, sic_tables):
         n, trials = N_REF, 2000
         seeds = np.random.SeedSequence(9).generate_state(trials)
         acc = np.zeros(36)
         for s in seeds:
-            acc += tables_to_flat(sample_counts(sic_tables, ShotModel(n, "poisson", int(s))))
+            acc += sample_counts(sic_tables, ShotModel(n, "poisson", int(s))).reshape(36)
         mean = acc / trials
-        w = tables_to_flat(sic_tables)
+        w = sic_tables.reshape(36)
         tol = 3 * np.sqrt(np.maximum(w, 1e-12) / (n * trials))
         assert (np.abs(mean - w) < np.maximum(tol, 1e-9)).all()
 
@@ -70,34 +71,55 @@ class TestSampleCounts:
         n, trials = 500, 4000
         seeds = np.random.SeedSequence(21).generate_state(trials)
         cells = np.array(
-            [tables_to_flat(sample_counts(sic_tables, ShotModel(n, "poisson", int(s))))
+            [sample_counts(sic_tables, ShotModel(n, "poisson", int(s))).reshape(36)
              for s in seeds]
         )
-        w = tables_to_flat(sic_tables)
+        w = sic_tables.reshape(36)
         big = w > 0.05
         ratio = cells.var(axis=0, ddof=1)[big] / (w[big] / n)
         assert (np.abs(ratio - 1) < 0.1).all()
 
     def test_multinomial_mode(self, sic_tables):
         shot = ShotModel(1000, "multinomial", seed=1)
-        sampled = sample_counts(sic_tables, shot)
-        for s in SETTINGS:
-            counts = sampled[s] * 1000
-            np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
-            assert counts.sum() <= 1000
+        counts = sample_counts(sic_tables, shot) * 1000
+        np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
+        assert (counts.sum(axis=(1, 2)) <= 1000).all()
 
     def test_multinomial_refuses_setting_sum_above_one(self, sic_tables):
-        bad = dict(sic_tables)
-        bad[("x", "x")] = sic_tables[("x", "x")] + 0.5
+        bad = sic_tables.copy()
+        bad[SETTINGS.index(("x", "x"))] += 0.5
         with pytest.raises(ValueError, match="sum"):
             sample_counts(bad, ShotModel(1000, "multinomial", seed=1))
+
+    def test_multinomial_accepts_rounding_excess(self, sic_tables):
+        """A setting summing to 1 + 5e-10, within the rounding tolerance, is
+        drawn by both samplers."""
+        tables = sic_tables.copy()
+        tables[4] *= (1 + 5e-10) / tables[4].sum()
+        counts = sample_counts(tables, ShotModel(1000, "multinomial", seed=1)) * 1000
+        assert counts[4].sum() <= 1000
+        coeffs = rt_coefficients(2, np.pi / 4)
+        re, im = _kernels.trial_estimates(
+            tables.reshape(9, 4), coeffs.cell_re, coeffs.cell_im, 1000, 10, 1, "multinomial"
+        )
+        assert re.shape == im.shape == (10,)
 
     def test_deterministic(self, sic_tables):
         shot = ShotModel(5000, "poisson", seed=77)
         a = sample_counts(sic_tables, shot)
-        b = sample_counts(sic_tables, shot)
-        for s in SETTINGS:
-            np.testing.assert_array_equal(a[s], b[s])
+        np.testing.assert_array_equal(a, sample_counts(sic_tables, shot))
+
+    @pytest.mark.parametrize("statistics, counts", [
+        ("poisson", [68, 92, 31, 41, 176, 0, 0, 84, 86, 105, 44, 37, 115, 3, 2, 111, 78, 46,
+                     93, 45, 61, 73, 72, 62, 67, 73, 64, 65, 74, 47, 99, 49, 131, 1, 1, 111]),
+        ("multinomial", [82, 92, 39, 35, 162, 0, 0, 91, 105, 89, 39, 47, 118, 1, 4, 110, 77, 29,
+                         75, 47, 57, 59, 63, 66, 65, 57, 54, 77, 91, 49, 84, 42, 118, 4, 4, 110]),
+    ])
+    def test_stream_pinned(self, sic_tables, statistics, counts):
+        """The draw of one seed is fixed: these counts were drawn by the
+        per-setting sampler that the shared trial-kernel draw replaced."""
+        sampled = sample_counts(sic_tables, ShotModel(1000, statistics, seed=3))
+        np.testing.assert_array_equal(sampled * 1000, np.reshape(counts, (9, 2, 2)))
 
 
 class TestRunTrials:
@@ -137,12 +159,6 @@ class TestRunTrials:
         assert abs(s.mean.real - truth.real) < 4 * np.sqrt(s.sample_var_re / trials)
         assert abs(s.mean.imag - truth.imag) < 4 * np.sqrt(s.sample_var_im / trials)
 
-    def test_metadata_recorded(self):
-        scn = point_x_scenario()
-        s = run_trials(scn, ShotModel(100, "poisson", seed=0), 10)
-        assert s.backend == "numpy"
-        assert s.rng == "numpy-pcg64"
-
 
 class TestBackends:
     def test_numpy_backend_selected_by_env(self, monkeypatch):
@@ -150,7 +166,6 @@ class TestBackends:
         assert _kernels.active_backend() == "numpy"
         scn = point_x_scenario()
         s = run_trials(scn, ShotModel(N_REF, "poisson", seed=40), 2000)
-        assert s.backend == "numpy" and s.rng == "numpy-pcg64"
         total = s.sample_var_re + s.sample_var_im
         assert abs(total - s.predicted_var) / s.predicted_var < 0.15
 
@@ -166,7 +181,7 @@ class TestTrialKernel:
     @staticmethod
     def kernel_inputs(scn):
         coeffs = scn.coeffs()
-        cells = np.maximum(tables_to_flat(scn.exact_tables()), 0.0).reshape(9, 4)
+        cells = np.maximum(scn.exact_tables().reshape(9, 4), 0.0)
         return cells, coeffs.cell_re / scn.scale, coeffs.cell_im / scn.scale
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -256,9 +271,8 @@ class TestTrialKernel:
         chunk, n, seed = _kernels.CHUNK_TRIALS, 2000, 17
         re, im = _kernels.trial_estimates(cells, w_re, w_im, n, 2 * chunk + 7, seed, statistics)
         block, prob, weights = _kernels.group_cells(cells, w_re, w_im, statistics)
-        sums = {"poisson": _kernels._poisson_sums, "multinomial": _kernels._multinomial_sums}
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        direct = sums[statistics](rng, chunk, block, prob, weights, n) / n
+        direct = _kernels.draw_counts(rng, chunk, block, prob, n, statistics) @ weights / n
         np.testing.assert_array_equal(re[chunk : 2 * chunk], direct[:, 0])
         np.testing.assert_array_equal(im[chunk : 2 * chunk], direct[:, 1])
 

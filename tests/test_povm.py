@@ -184,5 +184,5 @@ class TestBasis:
 
     def test_computational(self):
         b = Basis.computational(3)
-        assert b.is_computational()
+        np.testing.assert_array_equal(b.kets, np.eye(3))
         np.testing.assert_array_equal(b.ket(1), [0, 1, 0])

@@ -15,7 +15,6 @@ from povmdt import (
     evolve_joint,
     matrix_entry_oracle,
     make_sic_povm,
-    meter_distribution,
     meter_tables,
     pointer_state_b0,
     postselect_meters,
@@ -36,14 +35,12 @@ from povmdt.protocol import (
 def loop_meter_tables(js, pi_l):
     """Per-cell reference: one 4x4 product projector and one trace per cell."""
     k = reduced_meter_operator(js, pi_l)
-    tables = {}
-    for bb, ba in SETTINGS:
-        w = np.empty((2, 2))
+    tables = np.empty((9, 2, 2))
+    for s, (bb, ba) in enumerate(SETTINGS):
         for m in range(2):
             for n in range(2):
                 proj = tensor(BASIS_PROJECTORS[bb][m], BASIS_PROJECTORS[ba][n])
-                w[m, n] = np.trace(proj @ k).real
-        tables[(bb, ba)] = w
+                tables[s, m, n] = np.trace(proj @ k).real
     return tables
 
 
@@ -213,7 +210,7 @@ class TestPostSelection:
 class TestMeterDistribution:
     def test_identity_element_weak_coupling_stays_in_00(self):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(1e-8))
-        w = meter_distribution(js, np.eye(2), ("z", "z"))
+        w = meter_tables(js, np.eye(2))[SETTINGS.index(("z", "z"))]
         assert abs(w[0, 0] - 1.0) < 1e-12
         assert w[0, 1] + w[1, 0] + w[1, 1] < 1e-12
 
@@ -223,23 +220,24 @@ class TestMeterDistribution:
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(1e-8))
         tables = meter_tables(js, np.eye(2))
         sign = np.array([1.0, -1.0])
-        assert abs(sign @ tables[("z", "z")] @ sign - 1.0) < 1e-7
-        assert abs(sign @ tables[("x", "x")] @ sign) < 1e-7
-        assert abs(sign @ tables[("y", "y")] @ sign) < 1e-7
-        for w in tables.values():
+        assert abs(sign @ tables[SETTINGS.index(("z", "z"))] @ sign - 1.0) < 1e-7
+        assert abs(sign @ tables[SETTINGS.index(("x", "x"))] @ sign) < 1e-7
+        assert abs(sign @ tables[SETTINGS.index(("y", "y"))] @ sign) < 1e-7
+        for w in tables:
             assert abs(w.sum() - 1.0) < 1e-12
 
     def test_cells_sum_to_pf_across_all_settings(self, sic):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(np.pi / 8))
         pi = sic.element(3)
         _, p_f = postselect_meters(js, pi)
-        sums = [meter_distribution(js, pi, s).sum() for s in SETTINGS]
+        sums = meter_tables(js, pi).sum(axis=(1, 2))
+        assert sums.shape == (9,)
         np.testing.assert_allclose(sums, p_f, atol=1e-12)
 
     def test_against_projector_sandwich_oracle(self, sic):
         """All 36 cells vs the independent full 4d x 4d trace and the per-cell
         loop, for the built-in qubit set and seeded random POVMs (d = 2..4);
-        each setting's distribution is the same slice of the tables."""
+        each setting's table is the slice at its index in SETTINGS."""
         g = np.pi / 4
         povms = [sic] + [random_povm(d, d + 2, seed=d) for d in (2, 3, 4)]
         for povm in povms:
@@ -248,22 +246,21 @@ class TestMeterDistribution:
             for lab in povm.labels:
                 pi = povm.element(lab)
                 tables = meter_tables(js, pi)
-                reference = loop_meter_tables(js, pi)
-                assert list(tables) == list(SETTINGS) and ("z", "q") not in tables
-                with pytest.raises(KeyError):
-                    tables[("z", "q")]
-                for (bb, ba), w in tables.items():
-                    np.testing.assert_allclose(w, reference[(bb, ba)], rtol=0, atol=1e-15)
-                    np.testing.assert_array_equal(meter_distribution(js, pi, (bb, ba)), w)
+                assert tables.shape == (9, 2, 2) and tables.dtype == np.float64
+                np.testing.assert_allclose(
+                    tables, loop_meter_tables(js, pi), rtol=0, atol=1e-15
+                )
+                for bb, ba in SETTINGS:
+                    w = tables[SETTINGS.index((bb, ba))]
                     for m in range(2):
                         for n in range(2):
                             cell = brute_w_cell(pi, rho_oracle, bb, ba, m, n)
                             assert abs(w[m, n] - cell) < 1e-12
 
-    def test_invalid_setting(self, sic):
-        js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.5))
-        with pytest.raises(ValueError, match="meter bases"):
-            meter_distribution(js, sic.element(1), ("z", "q"))
+    def test_invalid_setting(self):
+        """A setting outside the nine has no table: its lookup fails."""
+        with pytest.raises(ValueError):
+            SETTINGS.index(("z", "q"))
 
 
 class TestExactReconstruction:
