@@ -43,7 +43,6 @@ from .noise import (
     xi_from_environment,
 )
 from .povm import (
-    Basis,
     Povm,
     load_povm,
     make_parametric_element,
@@ -71,7 +70,7 @@ from .protocol import (
 
 __all__ = [
     "__version__",
-    "Basis", "Povm", "make_sic_povm", "make_parametric_element",
+    "Povm", "make_sic_povm", "make_parametric_element",
     "povm_from_walk", "random_povm", "matrix_entry_oracle",
     "save_povm", "load_povm", "tensor",
     "BASES", "SETTINGS", "CouplingConfig", "JointState",

@@ -10,6 +10,12 @@ Subcommands::
 Common flags: ``--seed`` overrides the config seed, ``--format csv|json``
 selects the artifact format.  Exit codes: 0 success, 1 tolerance or
 assertion failure, 2 configuration error.
+
+The config blocks, noise and calibration grids included, are resolved by
+:func:`povmdt.config.parse_config`; the commands here only iterate them.
+Every command writes its artifacts through :func:`write_artifacts`: the
+CSV tables, or one ``<command>.json`` run report that also holds the wall
+clock.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .estimator import (
     estimate_from_tables,
     rt_coefficients,
 )
-from .montecarlo import ShotModel, sample_counts
-from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi, wavepacket_overlap
+from .montecarlo import ShotModel, SweepSpec, refinement_trials, sample_counts, variance_sweep
+from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi
 from .povm import matrix_entry_oracle
 from .protocol import CouplingConfig, exact_entry_tables
 from .reports import (
@@ -90,8 +96,32 @@ def _out_dir(cfg: ScenarioConfig, args, required: bool = True) -> str | None:
     return out
 
 
-def _fmt(cfg: ScenarioConfig, args) -> str:
-    return args.format or cfg.out_format
+def write_artifacts(
+    cfg: ScenarioConfig, args, out: str, elapsed: float,
+    tables: list[tuple[str, list[str], list[dict]]], results, **extra_meta,
+) -> dict:
+    """Write one command's artifacts to ``out`` and return their metadata.
+
+    ``tables`` holds (file stem, columns, rows) of the CSV artifacts;
+    ``results`` is called for the JSON report's results only in json
+    mode.  The metadata is built before anything is written, so a refused
+    ``POVMDT_BACKEND`` writes nothing.  The wall clock goes only into the
+    JSON report: CSV artifacts stay byte-identical across reruns.
+    """
+    meta = dict(run_metadata(args.command, cfg.resolved_echo(), cfg.seed), **extra_meta)
+    if (args.format or cfg.out_format) == "json":
+        write_json_report(
+            f"{out}/{args.command.replace('-', '_')}.json",
+            dict(meta, wall_clock_s=elapsed), results(),
+        )
+    else:
+        for stem, columns, rows in tables:
+            write_csv(f"{out}/{stem}.csv", columns, rows, meta)
+    return meta
+
+
+def _elapsed(t0: float) -> float:
+    return round(time.perf_counter() - t0, 6)
 
 
 # --- oracle-check ---------------------------------------------------------------
@@ -122,30 +152,21 @@ def run_oracle_check(cfg: ScenarioConfig) -> tuple[list[dict], float, list[dict]
     return rows, max_err, dists
 
 
+ORACLE_COLUMNS = ["l", "j", "k", "est_re", "est_im", "true_re", "true_im", "abs_err"]
+
+
 def cmd_oracle_check(cfg: ScenarioConfig, args) -> int:
     t0 = time.perf_counter()
     rows, max_err, dists = run_oracle_check(cfg)
     ok = max_err < cfg.tolerance
-    elapsed = round(time.perf_counter() - t0, 6)
+    elapsed = _elapsed(t0)
     out = _out_dir(cfg, args, required=False)
     if out is not None:
-        meta = run_metadata("oracle-check", cfg.resolved_echo(), cfg.seed)
-        meta["max_abs_err"] = max_err
-        meta["tolerance"] = cfg.tolerance
-        if _fmt(cfg, args) == "json":
-            # wall clock lives only in the JSON run report; CSV artifacts stay
-            # byte-identical across reruns
-            write_json_report(
-                f"{out}/oracle_check.json",
-                dict(meta, wall_clock_s=elapsed),
-                {"entries": rows, "passed": ok},
-            )
-        else:
-            write_csv(
-                f"{out}/oracle_check.csv",
-                ["l", "j", "k", "est_re", "est_im", "true_re", "true_im", "abs_err"],
-                rows, meta,
-            )
+        meta = write_artifacts(
+            cfg, args, out, elapsed, [("oracle_check", ORACLE_COLUMNS, rows)],
+            lambda: {"entries": rows, "passed": ok},
+            max_abs_err=max_err, tolerance=cfg.tolerance,
+        )
         write_tables_csv(f"{out}/distributions.csv", dists, meta)
     print(f"oracle-check: {len(rows)} entries, max |error| = {max_err:.3e} "
           f"(tolerance {cfg.tolerance:.1e}) in {elapsed:.2f} s -> {'PASS' if ok else 'FAIL'}")
@@ -153,6 +174,16 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> int:
 
 
 # --- scan -----------------------------------------------------------------------
+
+
+def _scan_row(lab, j, k, axis, axis_value, est: EntryEstimate, truth: complex, seed: int) -> dict:
+    return {
+        "l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
+        "est_re": est.value.real, "est_im": est.value.imag,
+        "var_re": est.var_re, "var_im": est.var_im,
+        "true_re": truth.real, "true_im": truth.imag,
+        "n": est.n_per_setting, "seed": seed, "method": est.method,
+    }
 
 
 def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
@@ -177,63 +208,30 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     if refine:
         labels = list(povm.labels)  # the sum rule needs every outcome
 
-    kind = cfg.noise["type"]
-    if kind == "dephasing":
-        if "xi" in cfg.noise:
-            grid = [("xi", x, x) for x in cfg.noise["xi"]]
-        else:
-            grid = [
-                ("epsilon", e, wavepacket_overlap(e, cfg.noise["coherence_length"]))
-                for e in cfg.noise["epsilon"]
-            ]
-    else:
-        grid = [("phi", p, p) for p in cfg.noise["phi"]]
-
+    transform = apply_dephasing if cfg.noise["type"] == "dephasing" else apply_phase_rotation
+    grid = cfg.noise["grid"]
+    n = shot.n_per_setting
     coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
     seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid) * len(labels))
     rows = []
     for gi, (axis, axis_value, param) in enumerate(grid):
-        noisy = (
-            apply_dephasing(povm, param, j, k)
-            if kind == "dephasing"
-            else apply_phase_rotation(povm, param, j, k)
-        )
-        point_estimates = {}
+        noisy = transform(povm, param, j, k)
+        truths, sampled = [], []
         for li, lab in enumerate(labels):
             elem = noisy.element(lab)
-            truth = complex(elem[j, k])
+            seed = int(seeds[gi * len(labels) + li])
             tables = exact_entry_tables(elem, j, k, coupling)
-            var_re, var_im = error_transfer_variance(tables, coeffs, shot.n_per_setting)
-            sampled = sample_counts(tables, ShotModel(
-                shot.n_per_setting, shot.statistics, int(seeds[gi * len(labels) + li])
-            ))
-            est = estimate_from_tables(sampled, coeffs)
-            point_estimates[lab] = EntryEstimate(est, var_re, var_im, shot.n_per_setting, "sampled")
-            rows.append(
-                {
-                    "l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
-                    "est_re": est.real, "est_im": est.imag,
-                    "var_re": var_re, "var_im": var_im,
-                    "true_re": truth.real, "true_im": truth.imag,
-                    "n": shot.n_per_setting, "seed": int(seeds[gi * len(labels) + li]),
-                    "method": "sampled",
-                }
-            )
+            var_re, var_im = error_transfer_variance(tables, coeffs, n)
+            counts = sample_counts(tables, ShotModel(n, shot.statistics, seed))
+            est = EntryEstimate(estimate_from_tables(counts, coeffs), var_re, var_im, n, "sampled")
+            truth = complex(elem[j, k])
+            truths.append(truth)
+            sampled.append(est)
+            rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, seed))
         if refine:
-            refined = completeness_refine([point_estimates[lab] for lab in labels])
-            for lab, est in zip(labels, refined):
-                truth = complex(noisy.element(lab)[j, k])
-                rows.append(
-                    {
-                        "l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
-                        "est_re": est.value.real, "est_im": est.value.imag,
-                        "var_re": est.var_re, "var_im": est.var_im,
-                        "true_re": truth.real, "true_im": truth.imag,
-                        "n": shot.n_per_setting, "seed": -1,
-                        "method": "refined",
-                    }
-                )
+            for lab, est, truth in zip(labels, completeness_refine(sampled), truths):
+                rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, -1))
     return rows
 
 
@@ -246,10 +244,10 @@ SCAN_COLUMNS = [
 def cmd_scan(cfg: ScenarioConfig, args) -> int:
     t0 = time.perf_counter()
     rows = run_scan(cfg, refine=args.refine)
-    elapsed = round(time.perf_counter() - t0, 6)
+    elapsed = _elapsed(t0)
     out = _out_dir(cfg, args)
-    meta = run_metadata("scan", cfg.resolved_echo(), cfg.seed)
-    if _fmt(cfg, args) == "json":
+
+    def results():
         records = [
             estimate_record(
                 EntryEstimate(complex(r["est_re"], r["est_im"]), r["var_re"], r["var_im"],
@@ -258,12 +256,9 @@ def cmd_scan(cfg: ScenarioConfig, args) -> int:
             )
             for r in rows
         ]
-        write_json_report(
-            f"{out}/scan.json", dict(meta, wall_clock_s=elapsed),
-            {"rows": rows, "estimates": records},
-        )
-    else:
-        write_csv(f"{out}/scan.csv", SCAN_COLUMNS, rows, meta)
+        return {"rows": rows, "estimates": records}
+
+    write_artifacts(cfg, args, out, elapsed, [("scan", SCAN_COLUMNS, rows)], results)
     print(f"scan: wrote {len(rows)} rows to {out} in {elapsed:.2f} s")
     return 0
 
@@ -278,17 +273,10 @@ SWEEP_COLUMNS = [
 
 
 def run_variance_sweep(cfg: ScenarioConfig) -> list[dict]:
-    from .montecarlo import SweepSpec, variance_sweep
-
     if cfg.sweep is None:
         raise ConfigError("variance-sweep requires a sweep block")
-    sw = cfg.sweep
-    kwargs = dict(
-        axis=sw["axis"], grid=tuple(sw["grid"]), trials=sw["trials"],
-        shot=cfg.shot_model(), theta=sw["theta"], eta=sw["eta"],
-        e01=sw["e01"], g=sw["g"],
-    )
-    if sw["axis"] in ("xi", "phi"):
+    kwargs = dict(cfg.sweep, shot=cfg.shot_model())
+    if cfg.sweep["axis"] in ("xi", "phi"):
         if cfg.entry is None or cfg.entry["l"] == "all":
             raise ConfigError("sweep over xi/phi needs an entry block with a single l")
         kwargs.update(
@@ -304,15 +292,12 @@ def run_variance_sweep(cfg: ScenarioConfig) -> list[dict]:
 def cmd_variance_sweep(cfg: ScenarioConfig, args) -> int:
     t0 = time.perf_counter()
     rows = run_variance_sweep(cfg)
-    elapsed = round(time.perf_counter() - t0, 6)
+    elapsed = _elapsed(t0)
     out = _out_dir(cfg, args)
-    meta = run_metadata("variance-sweep", cfg.resolved_echo(), cfg.seed)
-    if _fmt(cfg, args) == "json":
-        write_json_report(
-            f"{out}/variance_sweep.json", dict(meta, wall_clock_s=elapsed), {"rows": rows}
-        )
-    else:
-        write_csv(f"{out}/variance_sweep.csv", SWEEP_COLUMNS, rows, meta)
+    write_artifacts(
+        cfg, args, out, elapsed, [("variance_sweep", SWEEP_COLUMNS, rows)],
+        lambda: {"rows": rows},
+    )
     print(f"variance-sweep: wrote {len(rows)} rows to {out} in {elapsed:.2f} s")
     return 0
 
@@ -321,46 +306,31 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> int:
 
 
 def run_calibrate(cfg: ScenarioConfig) -> dict:
-    """Simulated calibrations: overlap grid and phase anchor inputs."""
+    """Simulated calibrations: overlap grid and phase anchor inputs.
+
+    Without a calibration grid, a dephasing noise grid is calibrated.
+    """
     if cfg.calibration is None and cfg.noise is None:
         raise ConfigError("calibrate requires a calibration (or noise) block")
-    calib = cfg.calibration or {}
-    samples = calib.get("samples", 100000)
+    calib = cfg.calibration or {"samples": 100000, "grid": None, "phase_inputs": []}
+    samples = calib["samples"]
+    grid = calib["grid"]
+    if grid is None:
+        grid = cfg.noise["grid"] if cfg.noise and cfg.noise["type"] == "dephasing" else []
 
-    xi_points = []
-    if "xi_grid" in calib:
-        xi_points = [(x, x) for x in calib["xi_grid"]]
-    elif "epsilon" in calib:
-        xi_points = [
-            (e, wavepacket_overlap(e, calib["coherence_length"])) for e in calib["epsilon"]
-        ]
-    elif cfg.noise is not None and cfg.noise["type"] == "dephasing":
-        if "xi" in cfg.noise:
-            xi_points = [(x, x) for x in cfg.noise["xi"]]
-        else:
-            xi_points = [
-                (e, wavepacket_overlap(e, cfg.noise["coherence_length"]))
-                for e in cfg.noise["epsilon"]
-            ]
-
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(max(len(xi_points), 1))
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(max(len(grid), 1))
     xi_rows = [
         {
             "axis_value": ax, "xi_true": xi,
             "xi_hat": calibrate_xi(xi, samples, int(seeds[i])),
             "samples": samples, "seed": int(seeds[i]),
         }
-        for i, (ax, xi) in enumerate(xi_points)
+        for i, (_, ax, xi) in enumerate(grid)
     ]
-
-    phase_rows = []
-    for delta in calib.get("phase_inputs", []):
-        phase_rows.append(
-            {
-                "p_h_minus_p_v": delta,
-                "phi_hat": calibrate_phase((1 + delta) / 2, (1 - delta) / 2),
-            }
-        )
+    phase_rows = [
+        {"p_h_minus_p_v": delta, "phi_hat": calibrate_phase((1 + delta) / 2, (1 - delta) / 2)}
+        for delta in calib["phase_inputs"]
+    ]
     return {"xi": xi_rows, "phase": phase_rows, "samples": samples}
 
 
@@ -368,53 +338,41 @@ def run_refinement_demo(cfg: ScenarioConfig) -> list[dict]:
     """Per-outcome raw vs refined predicted variances for the scenario POVM."""
     povm = cfg.povm()
     shot = cfg.shot_model()
-    entries = _entry_list(cfg, povm)
-    j, k = entries[0][1], entries[0][2]
-    coupling = CouplingConfig.symmetric(cfg.g)
-    coeffs = rt_coefficients(povm.dim, cfg.g)
-    raw = []
-    for lab in povm.labels:
-        tables = exact_entry_tables(povm.element(lab), j, k, coupling)
-        vr, vi = error_transfer_variance(tables, coeffs, shot.n_per_setting)
-        raw.append(EntryEstimate(matrix_entry_oracle(povm, lab, j, k), vr, vi,
-                                 shot.n_per_setting, "exact"))
-    refined = completeness_refine(raw)
-    rows = []
-    for lab, r, f in zip(povm.labels, raw, refined):
-        rows.append(
-            {
-                "l": lab, "j": j, "k": k,
-                "var_raw": r.total_variance, "var_refined": f.total_variance,
-                "n": shot.n_per_setting,
-            }
-        )
-    return rows
+    _, j, k = _entry_list(cfg, povm)[0]
+    study = refinement_trials(povm, j, k, cfg.g, shot, 0)
+    return [
+        {
+            "l": lab, "j": j, "k": k,
+            "var_raw": study.raw[lab].total_variance,
+            "var_refined": study.refined[lab].total_variance,
+            "n": shot.n_per_setting,
+        }
+        for lab in study.labels
+    ]
+
+
+#: (file stem, results key, columns) of each calibrate CSV; a table is
+#: written only when it has rows.
+CALIBRATE_TABLES = (
+    ("calibration_xi", "xi", ["axis_value", "xi_true", "xi_hat", "samples", "seed"]),
+    ("calibration_phase", "phase", ["p_h_minus_p_v", "phi_hat"]),
+    ("refinement", "refinement", ["l", "j", "k", "var_raw", "var_refined", "n"]),
+)
 
 
 def cmd_calibrate(cfg: ScenarioConfig, args) -> int:
     t0 = time.perf_counter()
     results = run_calibrate(cfg)
     out = _out_dir(cfg, args)
-    meta = run_metadata("calibrate", cfg.resolved_echo(), cfg.seed)
-    refine_rows = run_refinement_demo(cfg) if args.refine else None
-    elapsed = round(time.perf_counter() - t0, 6)
-    if _fmt(cfg, args) == "json":
-        payload = dict(results)
-        if refine_rows is not None:
-            payload["refinement"] = refine_rows
-        write_json_report(f"{out}/calibrate.json", dict(meta, wall_clock_s=elapsed), payload)
-    else:
-        if results["xi"]:
-            write_csv(f"{out}/calibration_xi.csv",
-                      ["axis_value", "xi_true", "xi_hat", "samples", "seed"],
-                      results["xi"], meta)
-        if results["phase"]:
-            write_csv(f"{out}/calibration_phase.csv",
-                      ["p_h_minus_p_v", "phi_hat"], results["phase"], meta)
-        if refine_rows is not None:
-            write_csv(f"{out}/refinement.csv",
-                      ["l", "j", "k", "var_raw", "var_refined", "n"],
-                      refine_rows, meta)
+    if args.refine:
+        results["refinement"] = run_refinement_demo(cfg)
+    elapsed = _elapsed(t0)
+    tables = [
+        (stem, columns, results[key])
+        for stem, key, columns in CALIBRATE_TABLES
+        if results.get(key)
+    ]
+    write_artifacts(cfg, args, out, elapsed, tables, lambda: results)
     print(f"calibrate: {len(results['xi'])} overlap points, "
           f"{len(results['phase'])} phase points -> {out}")
     return 0

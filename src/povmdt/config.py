@@ -4,6 +4,12 @@ Configs are plain YAML with nested blocks.  Every angle is written in
 units of pi (``g: 0.25`` means pi/4) to avoid decimal-pi transcription
 slips.  Unknown keys are rejected everywhere; validation errors carry the
 dotted path of the offending key.
+
+This is the only module that reads the block formats.  Noise and
+calibration grids are resolved here into ``(axis, axis_value, param)``
+points: an ``xi`` list as is, an ``epsilon`` list through
+:func:`~povmdt.noise.wavepacket_overlap`, a ``phi`` list from units of pi
+to radians.  The commands in :mod:`povmdt.cli` iterate the points.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .montecarlo import ShotModel
+from .montecarlo import AXES as SWEEP_AXES, ShotModel
+from .noise import wavepacket_overlap
 from .povm import Povm, load_povm, make_sic_povm, povm_from_walk, random_povm
 
 POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
-SWEEP_AXES = ("g", "theta", "xi", "phi")
 FORMATS = ("csv", "json")
 
 
@@ -62,6 +68,14 @@ def _angle(block: dict, path: str, key: str, default=None):
     return v * math.pi
 
 
+def _seed(value, path: str) -> int:
+    """A seed from outside the program: a non-negative integer."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _number_list(value, path: str, scale: float = 1.0) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
@@ -71,6 +85,32 @@ def _number_list(value, path: str, scale: float = 1.0) -> list[float]:
             raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
         out.append(float(v) * scale)
     return out
+
+
+def _xi_grid(block: dict, path: str, xi_key: str) -> list[tuple] | None:
+    """The overlap grid of a block as (axis, axis_value, xi) points.
+
+    Reads an explicit ``xi_key`` list, or an ``epsilon`` delay list mapped
+    through the coherence envelope of ``coherence_length``; None if the
+    block has neither.
+    """
+    if xi_key in block:
+        xs = _number_list(block[xi_key], f"{path}.{xi_key}")
+        bad = [x for x in xs if not 0 <= x <= 1]
+        if bad:
+            raise ConfigError(f"{path}.{xi_key}: values outside [0, 1]: {bad}")
+        return [("xi", x, x) for x in xs]
+    if "epsilon" in block:
+        length = _number(block, path, "coherence_length")
+        if length is None or length <= 0:
+            raise ConfigError(
+                f"{path}.coherence_length: required positive number with epsilon grid"
+            )
+        return [
+            ("epsilon", e, wavepacket_overlap(e, length))
+            for e in _number_list(block["epsilon"], f"{path}.epsilon")
+        ]
+    return None
 
 
 @dataclass
@@ -104,12 +144,10 @@ class ScenarioConfig:
             self._povm_cache = _build_povm(self.povm_block, self.seed)
         return self._povm_cache
 
-    def shot_model(self, seed: int | None = None) -> ShotModel:
+    def shot_model(self) -> ShotModel:
         if self.shots is None:
             raise ConfigError("shots: block is required for this command")
-        if seed is None:
-            return self.shots
-        return ShotModel(self.shots.n_per_setting, self.shots.statistics, seed)
+        return self.shots
 
 
 def _build_povm(block: dict, global_seed: int) -> Povm:
@@ -158,11 +196,12 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         },
     )
 
-    seed = seed_override
-    if seed is None:
-        seed = _number(raw, "config", "seed", default=0, integer=True)
+    if seed_override is not None:
+        seed = _seed(seed_override, "--seed")
+    else:
+        seed = _seed(raw.get("seed", 0), "seed")
 
-    cfg = ScenarioConfig(raw=raw, seed=int(seed))
+    cfg = ScenarioConfig(raw=raw, seed=seed)
 
     if "povm" in raw:
         block = _require(
@@ -181,6 +220,8 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             raise ConfigError("povm.path: required (string) for source 'file'")
         if source == "walk" and not isinstance(block.get("unitary"), str):
             raise ConfigError("povm.unitary: required (string) for source 'walk'")
+        if "seed" in block:
+            block = dict(block, seed=_seed(block["seed"], "povm.seed"))
         cfg.povm_block = block
 
     if "entry" in raw:
@@ -217,7 +258,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             cfg.shots = ShotModel(
                 _number(block, "shots", "n_per_setting", integer=True),
                 stats,
-                block.get("seed", cfg.seed),
+                _seed(block["seed"], "shots.seed") if "seed" in block else cfg.seed,
             )
         except ValueError as exc:
             raise ConfigError(f"shots: {exc}") from None
@@ -231,28 +272,15 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         kind = block.get("type")
         if kind not in NOISE_TYPES:
             raise ConfigError(f"noise.type: expected one of {NOISE_TYPES}, got {kind!r}")
-        noise = {"type": kind}
         if kind == "dephasing":
-            if "xi" in block:
-                noise["xi"] = _number_list(block["xi"], "noise.xi")
-                bad = [x for x in noise["xi"] if not 0 <= x <= 1]
-                if bad:
-                    raise ConfigError(f"noise.xi: values outside [0, 1]: {bad}")
-            elif "epsilon" in block:
-                length = _number(block, "noise", "coherence_length")
-                if length is None or length <= 0:
-                    raise ConfigError(
-                        "noise.coherence_length: required positive number with epsilon grid"
-                    )
-                noise["epsilon"] = _number_list(block["epsilon"], "noise.epsilon")
-                noise["coherence_length"] = length
-            else:
+            grid = _xi_grid(block, "noise", "xi")
+            if grid is None:
                 raise ConfigError("noise: dephasing needs either an xi grid or an epsilon grid")
         else:
             if "phi" not in block:
                 raise ConfigError("noise: rotation needs a phi grid (units of pi)")
-            noise["phi"] = _number_list(block["phi"], "noise.phi", scale=math.pi)
-        cfg.noise = noise
+            grid = [("phi", p, p) for p in _number_list(block["phi"], "noise.phi", scale=math.pi)]
+        cfg.noise = {"type": kind, "grid": grid}
 
     if "sweep" in raw:
         block = _require(
@@ -266,7 +294,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         angle_scale = math.pi if axis in ("g", "theta", "phi") else 1.0
         sweep = {
             "axis": axis,
-            "grid": _number_list(block["grid"], "sweep.grid", scale=angle_scale),
+            "grid": tuple(_number_list(block["grid"], "sweep.grid", scale=angle_scale)),
             "trials": _number(block, "sweep", "trials", default=10000, integer=True),
             "theta": _angle(block, "sweep", "theta", default=0.0),
             "eta": _number(block, "sweep", "eta", default=0.5),
@@ -284,22 +312,14 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"xi_grid": False, "samples": False, "phase_inputs": False,
              "epsilon": False, "coherence_length": False},
         )
-        calib = {
-            "samples": _number(block, "calibration", "samples", default=100000, integer=True)
+        cfg.calibration = {
+            "samples": _number(block, "calibration", "samples", default=100000, integer=True),
+            "grid": _xi_grid(block, "calibration", "xi_grid"),
+            "phase_inputs": (
+                _number_list(block["phase_inputs"], "calibration.phase_inputs")
+                if "phase_inputs" in block else []
+            ),
         }
-        if "xi_grid" in block:
-            calib["xi_grid"] = _number_list(block["xi_grid"], "calibration.xi_grid")
-        if "epsilon" in block:
-            length = _number(block, "calibration", "coherence_length")
-            if length is None or length <= 0:
-                raise ConfigError(
-                    "calibration.coherence_length: required positive number with epsilon grid"
-                )
-            calib["epsilon"] = _number_list(block["epsilon"], "calibration.epsilon")
-            calib["coherence_length"] = length
-        if "phase_inputs" in block:
-            calib["phase_inputs"] = _number_list(block["phase_inputs"], "calibration.phase_inputs")
-        cfg.calibration = calib
 
     if "output" in raw:
         block = _require(raw["output"], "output", {"dir": False, "format": False})

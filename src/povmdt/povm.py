@@ -1,10 +1,9 @@
 """Measurement-operator containers, constructors and the entry oracle.
 
 A :class:`Povm` is an ordered list of positive operators with integer
-outcome labels.  The matrix entry of element ``l`` in an orthonormal basis
-``{|a_j>}`` is ``<a_j| Pi_l |a_k>``; :func:`matrix_entry_oracle` evaluates
-it exactly and serves as the ground truth for every estimator in this
-package.
+outcome labels.  The matrix entry of element ``l`` in the computational
+basis is ``<j| Pi_l |k>``; :func:`matrix_entry_oracle` evaluates it exactly
+and serves as the ground truth for every estimator in this package.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,38 +26,6 @@ from .linalg import (
 )
 
 POVM_SCHEMA_VERSION = 1
-
-
-class Basis:
-    """Orthonormal basis of a d-dimensional system, stored as ket columns."""
-
-    def __init__(self, kets: np.ndarray, tol: float = 1e-12):
-        k = np.asarray(kets, dtype=complex)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError(f"basis kets must form a square matrix, got {k.shape}")
-        gram = dag(k) @ k
-        resid = np.abs(gram - np.eye(k.shape[0])).max()
-        if resid > tol:
-            raise ValueError(f"basis is not orthonormal: Gram residual {resid:.3e}")
-        self._kets = k
-        self._kets.setflags(write=False)
-
-    @classmethod
-    def computational(cls, d: int) -> "Basis":
-        return cls(np.eye(d, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return self._kets.shape[0]
-
-    @property
-    def kets(self) -> np.ndarray:
-        return self._kets
-
-    def ket(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.dim:
-            raise IndexError(f"basis index {j} out of range for dimension {self.dim}")
-        return self._kets[:, j]
 
 
 class Povm:
@@ -275,24 +241,14 @@ def random_povm(d: int, n_outcomes: int, seed: int) -> Povm:
     return Povm(p.elements, labels=list(range(1, n_outcomes + 1)), check_complete=True)
 
 
-@lru_cache(maxsize=64)
-def _computational_basis(d: int) -> Basis:
-    """The computational basis of dimension d, built once; its kets are read-only."""
-    return Basis.computational(d)
+def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int) -> complex:
+    """Exact matrix entry <j| Pi_l |k> of the element labelled ``label``.
 
-
-def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int, basis: Basis | None = None) -> complex:
-    """Exact matrix entry <a_j| Pi_l |a_k> of the element labelled ``label``.
-
-    This is the ground truth every estimator is checked against.  ``basis``
-    defaults to the computational basis.
+    This is the ground truth every estimator is checked against.
     """
     e = povm.element(label)
     d = povm.dim
-    if basis is None:
-        basis = _computational_basis(d)
-    if basis.dim != d:
-        raise ValueError(f"basis dimension {basis.dim} != POVM dimension {d}")
     if not 0 <= j < d or not 0 <= k < d:
         raise IndexError(f"entry indices ({j}, {k}) out of range for dimension {d}")
-    return complex(np.vdot(basis.ket(j), e @ basis.ket(k)))
+    # adding 0j turns a signed zero into +0.0, so no artifact shows "-0.0"
+    return complex(e[j, k]) + 0j

@@ -9,6 +9,8 @@ import yaml
 
 from povmdt.cli import main, run_scan
 from povmdt.config import ConfigError, parse_config
+from povmdt.noise import wavepacket_overlap
+from povmdt.reports import _format_value
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -81,6 +83,44 @@ class TestConfigParsing:
     def test_seed_override(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE_SCAN), seed_override=7)
         assert cfg.seed == 7
+
+    @pytest.mark.parametrize("value", ["abc", 1.5, True, -1])
+    @pytest.mark.parametrize("source", ["seed", "--seed", "shots.seed", "povm.seed"])
+    def test_bad_seed_is_a_config_error(self, tmp_path, capsys, source, value):
+        """Seeds come from outside: anything but a non-negative integer exits 2
+        and writes nothing."""
+        data = dict(BASE_SCAN, povm={"source": "random", "d": 2, "outcomes": 3})
+        override = None
+        if source == "--seed":
+            override = value
+        elif "." in source:
+            block = source.split(".")[0]
+            data[block] = dict(data[block], seed=value)
+        else:
+            data["seed"] = value
+        path = write_config(tmp_path, data)
+        with pytest.raises(ConfigError, match="non-negative integer"):
+            parse_config(path, seed_override=override)
+        if source == "--seed" and value != -1:
+            return  # argparse itself refuses a non-integer --seed
+        out = tmp_path / "out"
+        argv = ["scan", "--config", path, "--out", str(out)]
+        if source == "--seed":
+            argv += ["--seed", str(value)]
+        assert main(argv) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise, grid", [
+        ({"type": "dephasing", "xi": [1.0, 0.25]}, [("xi", 1.0, 1.0), ("xi", 0.25, 0.25)]),
+        ({"type": "dephasing", "epsilon": [0, 60], "coherence_length": 120.0},
+         [("epsilon", 0.0, 1.0), ("epsilon", 60.0, wavepacket_overlap(60.0, 120.0))]),
+        ({"type": "rotation", "phi": [-0.5, 0.25]},
+         [("phi", -np.pi / 2, -np.pi / 2), ("phi", np.pi / 4, np.pi / 4)]),
+    ])
+    def test_noise_grid_resolved(self, tmp_path, noise, grid):
+        cfg = parse_config(write_config(tmp_path, dict(BASE_SCAN, noise=noise)))
+        assert cfg.noise == {"type": noise["type"], "grid": grid}
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -237,6 +277,35 @@ def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
         assert runs[0] == runs[1], name
 
 
+#: The results key of the JSON report that holds each CSV artifact's rows.
+JSON_KEY = {
+    "oracle_check.csv": "entries", "scan.csv": "rows", "variance_sweep.csv": "rows",
+    "calibration_xi.csv": "xi", "calibration_phase.csv": "phase",
+    "refinement.csv": "refinement",
+}
+
+
+def test_json_reports_hold_the_csv_rows(tmp_path):
+    """With --format json every README command writes one <command>.json whose
+    results rows equal the CSV run's rows, column for column; oracle-check
+    still writes distributions.csv."""
+    for name, argv in README_COMMANDS:
+        csv_out, json_out = tmp_path / "csv" / name, tmp_path / "json" / name
+        assert main(argv + ["--out", str(csv_out)]) == 0, name
+        assert main(argv + ["--out", str(json_out), "--format", "json"]) == 0, name
+        report = f"{argv[0].replace('-', '_')}.json"
+        assert sorted(p.name for p in json_out.glob("*.json")) == [report], name
+        results = json.loads((json_out / report).read_text())["results"]
+        for path in csv_out.glob("*.csv"):
+            if path.name == "distributions.csv":
+                assert (json_out / path.name).read_bytes() == path.read_bytes()
+                continue
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                             if not line.startswith("#")]
+            got = [[_format_value(r[c]) for c in header] for r in results[JSON_KEY[path.name]]]
+            assert got == rows, path.name
+
+
 def test_metadata_recorded(tmp_path, monkeypatch, capsys):
     """Every README command's CSV headers name the sampler and its generator,
     and every command refuses a backend other than numpy before writing."""
@@ -281,6 +350,31 @@ class TestVarianceSweepCommand:
 
 
 class TestCalibrateCommand:
+    @pytest.mark.parametrize("calibration, message", [
+        ({"xi_grid": [1.0, 1.5]}, "outside"),
+        ({"epsilon": [0, 20]}, "coherence_length"),
+    ])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, calibration, message):
+        out = tmp_path / "cal"
+        cfg = write_config(tmp_path, {"calibration": calibration})
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dephasing_noise_grid_without_calibration_block(self, tmp_path):
+        out = tmp_path / "cal"
+        cfg = write_config(tmp_path, dict(BASE_SCAN, noise={
+            "type": "dephasing", "epsilon": [0, 120], "coherence_length": 120.0,
+        }))
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["calibration_xi.csv"]
+        lines = [l.split(",") for l in (out / "calibration_xi.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0][:2] == ["axis_value", "xi_true"]
+        assert [(float(r[0]), float(r[1])) for r in lines[1:]] == [
+            (0.0, 1.0), (120.0, wavepacket_overlap(120.0, 120.0)),
+        ]
+
     def test_anchors_and_overlap_grid(self, tmp_path):
         out = tmp_path / "cal"
         cfg = write_config(tmp_path, {

@@ -7,7 +7,7 @@ import povmdt
 #: exported beside it.
 PUBLIC = {
     "__version__",
-    "Basis", "Povm", "make_sic_povm", "make_parametric_element",
+    "Povm", "make_sic_povm", "make_parametric_element",
     "povm_from_walk", "random_povm", "matrix_entry_oracle",
     "save_povm", "load_povm", "tensor",
     "BASES", "SETTINGS", "CouplingConfig", "JointState",

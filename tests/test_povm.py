@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from povmdt import (
-    Basis,
     Povm,
     load_povm,
     make_parametric_element,
@@ -128,13 +127,6 @@ class TestOracle:
                 assert abs(v.imag) < 1e-14
                 assert -1e-12 <= v.real <= 1 + 1e-12
 
-    def test_non_computational_basis(self, small_random_povm, rng):
-        basis = Basis(random_unitary(3, rng))
-        e = small_random_povm.element(2)
-        got = matrix_entry_oracle(small_random_povm, 2, 0, 2, basis)
-        expected = np.vdot(basis.ket(0), e @ basis.ket(2))
-        assert abs(got - expected) < 1e-14
-
     def test_out_of_range(self, sic):
         with pytest.raises(IndexError):
             matrix_entry_oracle(sic, 1, 0, 5)
@@ -176,13 +168,3 @@ class TestSerialization:
         for (_, a), (_, b) in zip(back, sic):
             np.testing.assert_array_equal(a, b)
 
-
-class TestBasis:
-    def test_gram_validation(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            Basis(np.array([[1, 1], [0, 1]], dtype=complex))
-
-    def test_computational(self):
-        b = Basis.computational(3)
-        np.testing.assert_array_equal(b.kets, np.eye(3))
-        np.testing.assert_array_equal(b.ket(1), [0, 1, 0])
