@@ -179,7 +179,9 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
     """Load, validate and resolve a YAML config file."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's loader where installed: the same documents, parsed
+            # about six times faster than the pure-Python one
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -213,9 +215,11 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         if source not in POVM_SOURCES:
             raise ConfigError(f"povm.source: expected one of {POVM_SOURCES}, got {source!r}")
         if source == "random":
-            for key in ("d", "outcomes"):
-                if _number(block, "povm", key, integer=True) is None:
+            sizes = {key: _number(block, "povm", key, integer=True) for key in ("d", "outcomes")}
+            for key, value in sizes.items():
+                if value is None:
                     raise ConfigError(f"povm.{key}: required for source 'random'")
+            block = dict(block, **sizes)
         if source == "file" and not isinstance(block.get("path"), str):
             raise ConfigError("povm.path: required (string) for source 'file'")
         if source == "walk" and not isinstance(block.get("unitary"), str):
@@ -312,8 +316,11 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"xi_grid": False, "samples": False, "phase_inputs": False,
              "epsilon": False, "coherence_length": False},
         )
+        samples = _number(block, "calibration", "samples", default=100000, integer=True)
+        if samples <= 0:
+            raise ConfigError(f"calibration.samples: expected a positive integer, got {samples}")
         cfg.calibration = {
-            "samples": _number(block, "calibration", "samples", default=100000, integer=True),
+            "samples": samples,
             "grid": _xi_grid(block, "calibration", "xi_grid"),
             "phase_inputs": (
                 _number_list(block["phase_inputs"], "calibration.phase_inputs")

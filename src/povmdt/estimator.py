@@ -19,6 +19,12 @@ and the 36 cell weights of R and T follow as outer products of these
 tables (:func:`rt_coefficients`).  They double as the error-transfer
 derivatives dE/dW, so a single weight vector drives both the estimate and
 its predicted shot-noise variance.
+
+:func:`estimate_from_tables`, :func:`error_transfer_variance` and
+:func:`nonnegative_cells` take one outcome's (9, 2, 2) W tables or an
+(L, 9, 2, 2) stack, and return one value per outcome for a stack.  Each
+outcome's 36-cell contraction stays one 1-D dot product: a matrix-vector
+product over the stack sums in another order and moves the last ulp.
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ def _cell_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
-    """The 36 cells of the (9, 2, 2) W tables with rounding negatives set to 0.
+    """The 36 cells of the (9, 2, 2) W tables, or (L, 36) for an
+    (L, 9, 2, 2) stack, with rounding negatives set to 0.
 
     A cell below -1e-9 is no rounding error and is refused.
     """
@@ -117,20 +124,27 @@ def estimate_record(
 
 def estimate_from_tables(
     tables: np.ndarray, coeffs: RtCoefficients, scale: float = 1.0
-) -> complex:
-    """Entry estimate from (exact or sampled) (9, 2, 2) W tables.
+):
+    """Entry estimate from (exact or sampled) (9, 2, 2) W tables: a complex,
+    or a complex array with one entry per outcome of an (L, 9, 2, 2) stack.
 
     ``scale`` divides the raw entry; pass the element efficiency eta to
     estimate the entry of the efficiency-normalized operator.
     """
     flat = _cells(tables)
-    return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat) / scale
+    values = [
+        complex(coeffs.cell_re @ f, coeffs.cell_im @ f) / scale
+        for f in flat.reshape(-1, N_CELLS)
+    ]
+    return values[0] if flat.ndim == 1 else np.array(values, dtype=complex)
 
 
 def error_transfer_variance(
     tables: np.ndarray, coeffs: RtCoefficients, n: int, scale: float = 1.0
-) -> tuple[float, float]:
-    """Shot-noise variances (var_re, var_im) of the entry estimate.
+):
+    """Shot-noise variances (var_re, var_im) of the entry estimate: two
+    floats, or two arrays with one entry per outcome of an (L, 9, 2, 2)
+    stack.
 
     First-order propagation of per-cell counting noise, var(W_mn) = W_mn/n
     for n particles per setting, through the linear cell weights.  ``scale``
@@ -139,8 +153,12 @@ def error_transfer_variance(
     if n <= 0:
         raise ValueError(f"particle number per setting must be positive, got {n}")
     flat = nonnegative_cells(tables)
-    var_re = float((coeffs.cell_re**2 @ flat) / n) / scale**2
-    var_im = float((coeffs.cell_im**2 @ flat) / n) / scale**2
+    rows = flat.reshape(-1, N_CELLS)
+    sq_re, sq_im = coeffs.cell_re**2, coeffs.cell_im**2
+    var_re = np.array([sq_re @ f for f in rows]) / n / scale**2
+    var_im = np.array([sq_im @ f for f in rows]) / n / scale**2
+    if flat.ndim == 1:
+        return float(var_re[0]), float(var_im[0])
     return var_re, var_im
 
 

@@ -30,7 +30,7 @@ from .estimator import (
 from .linalg import asoperator
 from .noise import apply_dephasing, apply_phase_rotation
 from .povm import Povm, make_parametric_element
-from .protocol import CouplingConfig, exact_entry_tables
+from .protocol import CouplingConfig, check_postselection, exact_entry_tables
 
 AXES = ("g", "theta", "xi", "phi")
 
@@ -157,7 +157,11 @@ def sample_counts(tables: np.ndarray, shot: ShotModel) -> np.ndarray:
     cells from ``default_rng(shot.seed)``, so it is deterministic for a
     given (tables, shot).
     """
-    cells = _kernels.checked_cells(nonnegative_cells(tables).reshape(9, 4), shot.statistics)
+    flat = nonnegative_cells(tables)
+    if flat.ndim != 1:
+        raise ValueError(f"sample_counts draws one outcome's W tables, shape (9, 2, 2); "
+                         f"got {np.shape(tables)}")
+    cells = _kernels.checked_cells(flat.reshape(9, 4), shot.statistics)
     n = shot.n_per_setting
     counts = _kernels.draw_counts(
         np.random.default_rng(shot.seed), 1, _SETTING_OF_CELL, cells.reshape(36), n,
@@ -298,16 +302,19 @@ def refinement_trials(
     coeffs = rt_coefficients(povm.dim, g)
     seeds = _child_seeds(shot.seed, len(labels))
     n = shot.n_per_setting
+    tables = exact_entry_tables(povm.elements, j, k, CouplingConfig.symmetric(g))
+    check_postselection(tables, labels)
+    var_re, var_im = error_transfer_variance(tables, coeffs, n)
 
     raw_est = {}
     re, im = np.empty((2, len(labels), trials))
-    for i, lab in enumerate(labels):
-        scenario = EntryScenario(povm.element(lab), j, k, g)
-        tables = scenario.exact_tables()
-        vr, vi = error_transfer_variance(tables, coeffs, n)
-        raw_est[lab] = EntryEstimate(scenario.exact_value(), vr, vi, n, "exact")
+    for i, (lab, element) in enumerate(zip(labels, povm.elements)):
+        scenario = EntryScenario(element, j, k, g)
+        raw_est[lab] = EntryEstimate(
+            scenario.exact_value(), float(var_re[i]), float(var_im[i]), n, "exact"
+        )
         re[i], im[i] = _trial_arrays(
-            tables, coeffs, scenario.scale, replace(shot, seed=int(seeds[i])), trials
+            tables[i], coeffs, scenario.scale, replace(shot, seed=int(seeds[i])), trials
         )
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])
@@ -315,10 +322,10 @@ def refinement_trials(
 
     raw_sv = {lab: (_sample_var(re[i]), _sample_var(im[i])) for i, lab in enumerate(labels)}
     # refine every trial with the weights fixed at the predicted variances
-    ref_re, _ = _refine_arrays(re, np.array([raw_est[lab].var_re for lab in labels]))
+    ref_re, _ = _refine_arrays(re, var_re)
     ref_sv_re = [_sample_var(x) for x in ref_re]
     del ref_re
-    ref_im, _ = _refine_arrays(im, np.array([raw_est[lab].var_im for lab in labels]))
+    ref_im, _ = _refine_arrays(im, var_im)
     ref_sv = {lab: (ref_sv_re[i], _sample_var(ref_im[i])) for i, lab in enumerate(labels)}
     return RefinementStudy(
         tuple(labels), raw_est, refined_est, raw_sv, ref_sv, trials

@@ -18,8 +18,6 @@ from .linalg import (
     DEFAULT_TOL,
     asoperator,
     dag,
-    is_hermitian,
-    is_positive_semidefinite,
     is_unitary,
     projector,
     random_unitary,
@@ -35,6 +33,9 @@ class Povm:
     By default the elements must also sum to the identity; constructors of
     deliberately sub-complete collections pass ``check_complete=False`` and
     the residual stays queryable through :meth:`completeness_residual`.
+
+    The elements are stored as one read-only (L, d, d) complex array, in
+    label order; :attr:`elements` and :meth:`element` return views of it.
     """
 
     def __init__(
@@ -52,10 +53,20 @@ class Povm:
         for i, e in enumerate(elems):
             if e.shape[0] != d:
                 raise ValueError(f"element {i} has dimension {e.shape[0]} != {d}")
-            if not is_hermitian(e, tol):
-                raise ValueError(f"element {i} is not Hermitian within {tol}")
-            if not is_positive_semidefinite(e, tol):
-                raise ValueError(f"element {i} is not positive semidefinite within {tol}")
+        stack = np.array(elems)
+        adjoint = stack.conj().swapaxes(1, 2)
+        # ``x <= tol`` is False for NaN, so a NaN element is refused too, and
+        # so is an infinite one: inf - inf is NaN (its warning is silenced)
+        with np.errstate(invalid="ignore"):
+            hermitian = np.abs(stack - adjoint).max(axis=(1, 2)) <= tol
+        valid = np.zeros(len(stack), dtype=bool)
+        lowest = np.linalg.eigvalsh((stack[hermitian] + adjoint[hermitian]) / 2)[:, 0]
+        valid[hermitian] = lowest >= -tol
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            i = bad[0]
+            kind = "Hermitian" if not hermitian[i] else "positive semidefinite"
+            raise ValueError(f"element {i} is not {kind} within {tol}")
         if labels is None:
             labels = list(range(1, len(elems) + 1))
         labels = [int(l) for l in labels]
@@ -63,9 +74,8 @@ class Povm:
             raise ValueError("labels and elements must have equal length")
         if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be unique")
-        self._elements = tuple(e.copy() for e in elems)
-        for e in self._elements:
-            e.setflags(write=False)
+        stack.setflags(write=False)
+        self._elements = stack
         self._labels = tuple(labels)
         self._dim = d
         if check_complete:
@@ -82,8 +92,9 @@ class Povm:
         return self._labels
 
     @property
-    def elements(self) -> tuple:
-        return self._elements
+    def elements(self) -> np.ndarray:
+        """The (L, d, d) read-only stack of elements, in label order."""
+        return self._elements.view()
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -101,7 +112,7 @@ class Povm:
 
     def completeness_residual(self) -> float:
         """Max-norm of (sum of elements - identity)."""
-        total = sum(self._elements)
+        total = self._elements.sum(axis=0)
         return float(np.abs(total - np.eye(self._dim)).max())
 
     def to_dict(self) -> dict:

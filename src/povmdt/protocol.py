@@ -27,6 +27,12 @@ meter-A outcomes.  Flattened, the 36 cells are in the order of
 table is ``W[SETTINGS.index(setting)]``.  :func:`meter_tables`,
 :func:`exact_entry_tables` and :func:`povmdt.montecarlo.sample_counts` return
 this array, and every reader takes it through :func:`_cells`.
+
+The exact pipeline also takes a stack of elements: :func:`reduced_meter_operator`,
+:func:`meter_tables` and :func:`exact_entry_tables` map one (d, d) element to
+one result and an (L, d, d) stack to L results along a leading outcome axis,
+(L, 9, 2, 2) for the tables.  Each outcome's arithmetic is the same either
+way, so a stacked call equals the per-element calls bit for bit.
 """
 
 from __future__ import annotations
@@ -199,18 +205,27 @@ def prepare_entry_state(d: int, j: int, k: int, cfg: CouplingConfig) -> JointSta
     return evolve_joint(projector(ket(d, j)), cfg, k)
 
 
+def _elements(pi_l) -> np.ndarray:
+    """One (d, d) element or an (L, d, d) stack of them, as complex."""
+    pi = np.asarray(pi_l, dtype=complex)
+    if pi.ndim not in (2, 3) or pi.shape[-1] != pi.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {pi.shape}")
+    return pi
+
+
 def reduced_meter_operator(js: JointState, pi_l: np.ndarray) -> np.ndarray:
     """Unnormalized post-selected meter operator Tr_s[(Pi_l (x) I4) rho_J].
 
     Its trace is the post-selection probability, and for any meter operator
-    M, Tr[(Pi_l (x) M) rho_J] = Tr[M K] with K the returned 4x4 matrix.
+    M, Tr[(Pi_l (x) M) rho_J] = Tr[M K] with K the returned 4x4 matrix.  An
+    (L, d, d) stack of elements gives an (L, 4, 4) stack of operators.
     """
-    pi_l = asoperator(pi_l)
     d = js.system_dim
-    if pi_l.shape[0] != d:
-        raise ValueError(f"element dimension {pi_l.shape[0]} != system dimension {d}")
+    pi = _elements(pi_l)
+    if pi.shape[-1] != d:
+        raise ValueError(f"element dimension {pi.shape[-1]} != system dimension {d}")
     r4 = js.rho.reshape(d, 4, d, 4)
-    return np.einsum("st,tasb->ab", pi_l, r4)
+    return np.einsum("...st,tasb->...ab", pi, r4)
 
 
 def postselect_meters(
@@ -232,36 +247,63 @@ def postselect_meters(
     return k / p_f, p_f
 
 
+#: :data:`CELL_PROJECTORS` as one (144, 4) matrix: the 36 projectors stacked
+#: row-block by row-block, so one product with K gives all 36 products.
+_CELL_ROWS = CELL_PROJECTORS.reshape(144, 4)
+
+
 def meter_tables(js: JointState, pi_l: np.ndarray) -> np.ndarray:
-    """The (9, 2, 2) W tables of one outcome:
+    """The (9, 2, 2) W tables of one outcome, or (L, 9, 2, 2) for an
+    (L, d, d) stack of elements:
 
     W[s, m, n] = Tr[(Pi_l (x) |m_B><m_B| (x) |n_A><n_A|) rho_J] for setting
     SETTINGS[s].  Each setting's four cells sum to the post-selection
     probability, not to 1.
     """
     k = reduced_meter_operator(js, pi_l)
-    # matmul + trace reproduces the per-cell np.trace(proj @ k) bit for bit;
-    # an einsum contraction sums in another order and moves the last ulp.
-    w = np.trace(CELL_PROJECTORS @ k, axis1=1, axis2=2).real
+    # one (144, 4) @ (4, 4) product per outcome, then the trace of each 4x4
+    # block: the same sums as the 36 products CELL_PROJECTORS[c] @ k and
+    # the per-cell np.trace(proj @ k), bit for bit; an einsum contraction
+    # sums in another order and moves the last ulp.  The trace runs over one
+    # 3-D stack of blocks, which numpy reduces far faster than a 4-D one.
+    blocks = (_CELL_ROWS @ k).reshape(-1, 4, 4)
+    w = np.trace(blocks, axis1=1, axis2=2).real
     # a copy: ``.real`` is a view that would keep the complex traces alive
-    return w.copy().reshape(9, 2, 2)
+    return w.copy().reshape(k.shape[:-2] + (9, 2, 2))
 
 
 def _cells(tables) -> np.ndarray:
     """The 36 cells of one outcome's (9, 2, 2) W tables, in the order of
-    :data:`CELL_PROJECTORS`; a view where the input allows one.
+    :data:`CELL_PROJECTORS`, or (L, 36) for an (L, 9, 2, 2) stack; a view
+    where the input allows one.
 
     Tables may come from outside the package, so any other shape is refused.
     """
     w = np.asarray(tables, dtype=np.float64)
-    if w.shape != (9, 2, 2):
-        raise ValueError(f"W tables must have shape (9, 2, 2), got {w.shape}")
-    return w.reshape(36)
+    if w.ndim not in (3, 4) or w.shape[-3:] != (9, 2, 2):
+        raise ValueError(f"W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got {w.shape}")
+    return w.reshape(w.shape[:-3] + (36,))
+
+
+def check_postselection(tables, labels) -> None:
+    """Refuse a stack of exact (L, 9, 2, 2) W tables in which an outcome's
+    post-selection probability, the sum of one setting's four cells, is at
+    or below :data:`P_FLOOR`.  ``labels`` names the L outcomes in the error.
+    """
+    p_f = _cells(tables)[..., :4].sum(axis=-1).reshape(-1)
+    dead = np.flatnonzero(~(p_f > P_FLOOR))
+    if dead.size:
+        i = dead[0]
+        raise DeadPostSelectionError(
+            f"outcome {labels[i]}: post-selection probability {p_f[i]:.3e} "
+            f"<= floor {P_FLOOR:.1e}"
+        )
 
 
 def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) -> np.ndarray:
-    """Exact (9, 2, 2) W tables for probing entry (j, k) of one element,
-    given in the computational basis."""
-    pi_l = asoperator(pi_l)
-    js = prepare_entry_state(pi_l.shape[0], j, k, cfg)
-    return meter_tables(js, pi_l)
+    """Exact W tables for probing entry (j, k) of one (d, d) element, given
+    in the computational basis: (9, 2, 2), or (L, 9, 2, 2) for an (L, d, d)
+    stack."""
+    pi = _elements(pi_l)
+    js = prepare_entry_state(pi.shape[-1], j, k, cfg)
+    return meter_tables(js, pi)

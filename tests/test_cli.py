@@ -7,9 +7,19 @@ import numpy as np
 import pytest
 import yaml
 
-from povmdt.cli import main, run_scan
+from povmdt import Povm, save_povm
+from povmdt.cli import _scan_row, main, run_scan
 from povmdt.config import ConfigError, parse_config
-from povmdt.noise import wavepacket_overlap
+from povmdt.estimator import (
+    EntryEstimate,
+    completeness_refine,
+    error_transfer_variance,
+    estimate_from_tables,
+    rt_coefficients,
+)
+from povmdt.montecarlo import ShotModel, sample_counts
+from povmdt.noise import apply_dephasing, apply_phase_rotation, wavepacket_overlap
+from povmdt.protocol import CouplingConfig, exact_entry_tables
 from povmdt.reports import _format_value
 
 
@@ -39,6 +49,41 @@ BASE_SCAN = {
     "shots": {"n_per_setting": 12790},
     "noise": {"type": "dephasing", "xi": [1.0, 0.5, 0.0]},
 }
+
+
+def reference_scan(cfg, refine=False):
+    """Per-outcome reference for ``run_scan``: one tables, variance and
+    estimate call per (grid point, outcome)."""
+    povm, shot = cfg.povm(), cfg.shot_model()
+    j, k = cfg.entry["j"], cfg.entry["k"]
+    labels = list(povm.labels)
+    if cfg.entry["l"] != "all" and not refine:
+        labels = [cfg.entry["l"]]
+    transform = apply_dephasing if cfg.noise["type"] == "dephasing" else apply_phase_rotation
+    grid = cfg.noise["grid"]
+    n = shot.n_per_setting
+    coupling = CouplingConfig.symmetric(cfg.g)
+    coeffs = rt_coefficients(povm.dim, cfg.g)
+    seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid) * len(labels))
+    rows = []
+    for gi, (axis, axis_value, param) in enumerate(grid):
+        noisy = transform(povm, param, j, k)
+        truths, sampled = [], []
+        for li, lab in enumerate(labels):
+            elem = noisy.element(lab)
+            seed = int(seeds[gi * len(labels) + li])
+            tables = exact_entry_tables(elem, j, k, coupling)
+            var_re, var_im = error_transfer_variance(tables, coeffs, n)
+            counts = sample_counts(tables, ShotModel(n, shot.statistics, seed))
+            est = EntryEstimate(estimate_from_tables(counts, coeffs), var_re, var_im, n, "sampled")
+            truth = complex(elem[j, k])
+            truths.append(truth)
+            sampled.append(est)
+            rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, seed))
+        if refine:
+            for lab, est, truth in zip(labels, completeness_refine(sampled), truths):
+                rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, -1))
+    return rows
 
 
 class TestConfigParsing:
@@ -125,6 +170,27 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/cfg.yaml")
+
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: [1, 2\npovm: {source: random\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            parse_config(str(path))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+        assert "not valid YAML" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, rc", [
+        ({"d": 2.0, "outcomes": 3}, 0), ({"d": 2, "outcomes": 3.0}, 0),
+        ({"d": 2.5, "outcomes": 3}, 2), ({"d": 2, "outcomes": 3.5}, 2),
+    ])
+    def test_random_povm_sizes(self, tmp_path, sizes, rc):
+        """Integral floats are the integers they equal; other floats exit 2."""
+        cfg = write_config(tmp_path, {"povm": dict(sizes, source="random", seed=4)})
+        assert main(["oracle-check", "--config", cfg]) == rc
+        if rc == 0:
+            assert parse_config(cfg).povm().elements.shape == (3, 2, 2)
 
     def test_random_povm_source(self, tmp_path):
         data = {"povm": {"source": "random", "d": 3, "outcomes": 4, "seed": 5}}
@@ -264,6 +330,37 @@ class TestScanCommand:
         cfg = write_config(tmp_path, BASE_SCAN)
         assert main(["scan", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    @pytest.mark.parametrize("noise", [
+        {"type": "dephasing", "xi": [1.0, 0.6, 0.0]},
+        {"type": "rotation", "phi": [-0.7, 0.0, 0.45]},
+    ])
+    @pytest.mark.parametrize("povm, entry", [
+        ({"source": "random", "d": 2, "outcomes": 5, "seed": 8}, {"l": "all", "j": 1, "k": 0}),
+        ({"source": "random", "d": 3, "outcomes": 4, "seed": 7}, {"l": "all", "j": 0, "k": 2}),
+        ({"source": "random", "d": 3, "outcomes": 4, "seed": 7}, {"l": 3, "j": 2, "k": 1}),
+    ])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_rows_equal_the_per_outcome_loop(self, tmp_path, statistics, noise, povm, entry,
+                                             refine):
+        data = dict(BASE_SCAN, povm=povm, entry=entry, noise=noise,
+                    shots={"n_per_setting": 4000, "statistics": statistics})
+        cfg = parse_config(write_config(tmp_path, data))
+        assert run_scan(cfg, refine=refine) == reference_scan(cfg, refine=refine)
+
+    @pytest.mark.parametrize("command", [["scan"], ["scan", "--refine"],
+                                         ["calibrate", "--refine"]])
+    def test_dead_outcome_refused(self, tmp_path, capsys, command):
+        """An outcome whose post-selection probability is zero, the first of
+        the complete set {0, I}, is refused by name; nothing is written."""
+        path = str(tmp_path / "zero.json")
+        save_povm(Povm([np.zeros((2, 2)), np.eye(2)]), path)
+        cfg = write_config(tmp_path, dict(BASE_SCAN, povm={"source": "file", "path": path}))
+        out = tmp_path / "out"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+        assert "outcome 1: post-selection probability" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
     """Every README command exits 0 and rewrites the same CSV bytes."""
@@ -353,6 +450,8 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("calibration, message", [
         ({"xi_grid": [1.0, 1.5]}, "outside"),
         ({"epsilon": [0, 20]}, "coherence_length"),
+        ({"xi_grid": [0.5], "samples": 0}, "samples"),
+        ({"xi_grid": [0.5], "samples": -3}, "samples"),
     ])
     def test_bad_grid_exits_2(self, tmp_path, capsys, calibration, message):
         out = tmp_path / "cal"

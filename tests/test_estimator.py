@@ -104,10 +104,11 @@ class TestFlatTables:
                     assert flat[4 * s + 2 * m + n] == tables[s, m, n]
 
     def test_missing_setting_rejected(self):
-        """Tables of any shape but (9, 2, 2), such as one that lacks a
-        setting, are refused by every reader."""
+        """Tables of any shape but (9, 2, 2) or an (L, 9, 2, 2) stack, such
+        as one that lacks a setting, are refused by every reader; the
+        sampler draws one outcome and refuses a stack."""
         coeffs = rt_coefficients(2, np.pi / 4)
-        for shape in [(8, 2, 2), (9, 4), (36,), (9, 2, 2, 1)]:
+        for shape in [(8, 2, 2), (9, 4), (36,), (9, 2, 2, 1), (2, 8, 2, 2), (1, 1, 9, 2, 2)]:
             tables = np.zeros(shape)
             with pytest.raises(ValueError, match=r"shape \(9, 2, 2\)"):
                 estimate_from_tables(tables, coeffs)
@@ -115,6 +116,37 @@ class TestFlatTables:
                 error_transfer_variance(tables, coeffs, 100)
             with pytest.raises(ValueError, match=r"shape \(9, 2, 2\)"):
                 sample_counts(tables, ShotModel(100))
+        with pytest.raises(ValueError, match="one outcome"):
+            sample_counts(np.zeros((2, 9, 2, 2)), ShotModel(100))
+
+
+class TestStackedEstimates:
+    """An (L, 9, 2, 2) stack gives the per-outcome values, bit for bit."""
+
+    def test_stack_equals_per_outcome_calls(self, sic, rng):
+        cases = [(sic, 1, 0, np.pi / 4)] + [
+            (random_povm(d, outcomes, seed=10 * d + outcomes), d - 1, 0, 0.3 + 0.2 * d)
+            for d in (2, 3, 4, 5) for outcomes in (1, 3, 8)
+        ]
+        for povm, j, k, g in cases:
+            coeffs = rt_coefficients(povm.dim, g)
+            exact = entry_tables(povm.elements, j, k, g)
+            sampled = rng.poisson(np.maximum(exact, 0) * 5000) / 5000
+            for tables in (exact, sampled):
+                for scale in (1.0, 0.37):
+                    values = estimate_from_tables(tables, coeffs, scale)
+                    var_re, var_im = error_transfer_variance(tables, coeffs, 5000, scale)
+                    assert values.shape == var_re.shape == var_im.shape == (len(povm),)
+                    for i, one in enumerate(tables):
+                        assert values[i] == estimate_from_tables(one, coeffs, scale)
+                        assert (var_re[i], var_im[i]) == error_transfer_variance(
+                            one, coeffs, 5000, scale)
+
+    def test_stack_refuses_a_negative_cell_of_any_outcome(self):
+        tables = np.zeros((3, 9, 2, 2))
+        tables[2, 4, 1, 0] = -1e-6
+        with pytest.raises(ValueError, match="negative probability cell"):
+            error_transfer_variance(tables, rt_coefficients(2, 0.5), 100)
 
 
 class TestEstimates:

@@ -7,7 +7,9 @@ import pytest
 
 from povmdt import (
     CouplingConfig,
+    DeadPostSelectionError,
     EntryScenario,
+    Povm,
     ShotModel,
     SweepSpec,
     exact_entry_tables,
@@ -380,6 +382,11 @@ class TestRefinementTrials:
             assert ref_tot < raw_tot
             pred_ratio = study.refined[lab].total_variance / study.raw[lab].total_variance
             assert abs(ref_tot / raw_tot - pred_ratio) < 0.1
+
+    def test_dead_outcome_refused(self):
+        zero_and_identity = Povm([np.zeros((2, 2)), np.eye(2)])
+        with pytest.raises(DeadPostSelectionError, match="outcome 1"):
+            refinement_trials(zero_and_identity, 1, 0, np.pi / 4, ShotModel(1000), trials=10)
 
     def test_deterministic(self, sic):
         shot = ShotModel(1000, "poisson", seed=2)

@@ -151,6 +151,38 @@ class TestPovmContainer:
         with pytest.raises(ValueError):
             sic.element(1)[0, 0] = 9.0
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "element 2 is not Hermitian"),
+        (np.diag([0.5, -0.1]), "element 2 is not positive semidefinite"),
+        (np.diag([0.5, np.nan]), "element 2 is not Hermitian"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), "element 2 is not Hermitian"),
+    ])
+    def test_refuses_the_first_bad_element(self, bad, message):
+        """The first offending element is named, whatever follows it."""
+        good = np.diag([0.25, 0.25])
+        worse = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            Povm([good, good, bad, worse], check_complete=False)
+
+    def test_elements_are_one_read_only_stack(self, small_random_povm):
+        p = small_random_povm
+        stack = p.elements
+        assert stack.shape == (len(p), p.dim, p.dim) and stack.dtype == complex
+        for i, (lab, e) in enumerate(p):
+            np.testing.assert_array_equal(p.element(lab), stack[i])
+            assert np.shares_memory(p.element(lab), stack)
+        for view in (stack, p.element(p.labels[0])):
+            with pytest.raises(ValueError):
+                view[0, 0] = 9.0
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+
+    def test_input_is_copied(self):
+        elems = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        p = Povm(elems)
+        elems[0, 0, 0] = 9.0
+        assert p.element(1)[0, 0] == 1.0
+
 
 class TestSerialization:
     def test_round_trip_lossless(self, small_random_povm, tmp_path):

@@ -13,6 +13,7 @@ from povmdt import (
     coupling_unitary,
     estimate_from_tables,
     evolve_joint,
+    exact_entry_tables,
     matrix_entry_oracle,
     make_sic_povm,
     meter_tables,
@@ -261,6 +262,57 @@ class TestMeterDistribution:
         """A setting outside the nine has no table: its lookup fails."""
         with pytest.raises(ValueError):
             SETTINGS.index(("z", "q"))
+
+
+class TestStackedTables:
+    """A stack of elements gives the per-element results along a leading
+    outcome axis, bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(808)
+        yield make_sic_povm(), 1, 0, np.pi / 4
+        for d in range(2, 6):
+            for outcomes in (1, 2, 5, 8):
+                j, k = (int(x) for x in rng.choice(d, 2, replace=False))
+                povm = random_povm(d, outcomes, seed=int(rng.integers(2**31)))
+                yield povm, j, k, float(rng.uniform(0.1, 1.4))
+
+    def test_stack_equals_per_element_calls(self):
+        for povm, j, k, g in self.cases():
+            cfg = CouplingConfig.symmetric(g)
+            js = prepare_entry_state(povm.dim, j, k, cfg)
+            stack = povm.elements
+            per_k = np.array([reduced_meter_operator(js, e) for e in stack])
+            per_w = np.array([meter_tables(js, e) for e in stack])
+            np.testing.assert_array_equal(reduced_meter_operator(js, stack), per_k)
+            np.testing.assert_array_equal(meter_tables(js, stack), per_w)
+            # the one-GEMM product sums as the 36 separate products did
+            for kk, w in zip(per_k, per_w):
+                ref = np.trace(CELL_PROJECTORS @ kk, axis1=1, axis2=2).real.reshape(9, 2, 2)
+                np.testing.assert_array_equal(w, ref)
+            tables = exact_entry_tables(stack, j, k, cfg)
+            assert tables.shape == (len(povm), 9, 2, 2)
+            np.testing.assert_array_equal(tables, per_w)
+            for e, w in zip(stack, per_w):
+                one = exact_entry_tables(e, j, k, cfg)
+                assert one.shape == (9, 2, 2)
+                np.testing.assert_array_equal(one, w)
+
+    def test_one_element_stack_keeps_its_axis(self, sic):
+        cfg = CouplingConfig.symmetric(np.pi / 4)
+        tables = exact_entry_tables(sic.elements[:1], 1, 0, cfg)
+        assert tables.shape == (1, 9, 2, 2)
+        np.testing.assert_array_equal(tables[0], exact_entry_tables(sic.element(1), 1, 0, cfg))
+
+    def test_bad_shapes_rejected(self, sic):
+        cfg = CouplingConfig.symmetric(np.pi / 4)
+        js = prepare_entry_state(2, 1, 0, cfg)
+        for bad in (np.eye(2)[0], np.zeros((2, 3)), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(ValueError, match="square matrix"):
+                exact_entry_tables(bad, 1, 0, cfg)
+        with pytest.raises(ValueError, match="system dimension"):
+            meter_tables(js, np.zeros((3, 3, 3)))
 
 
 class TestExactReconstruction:
