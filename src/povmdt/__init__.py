@@ -64,7 +64,6 @@ from .protocol import (
     exact_entry_tables,
     meter_tables,
     pointer_state_b0,
-    postselect_meters,
     prepare_entry_state,
 )
 
@@ -76,8 +75,7 @@ __all__ = [
     "BASES", "SETTINGS", "CouplingConfig", "JointState",
     "DeadPostSelectionError", "pointer_state_b0", "build_observables",
     "coupling_unitary", "evolve_joint", "prepare_entry_state",
-    "postselect_meters", "meter_tables",
-    "exact_entry_tables",
+    "meter_tables", "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
     "estimate_from_tables", "estimate_record",
     "error_transfer_variance", "analytic_variance", "observable_variance",

@@ -20,7 +20,8 @@ paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
 contracts its counts with the group weights, and
 :func:`povmdt.montecarlo.sample_counts` draws one trial of the 36 ungrouped
 cells of a W table with it.  Both pass their cells through the same check
-first (:func:`checked_cells`).
+first (:func:`checked_cells`); their callers have already refused and
+clipped negative cells (:func:`povmdt.estimator.nonnegative_cells`).
 
 Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
 trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk
@@ -29,8 +30,6 @@ of ``SeedSequence(seed)``, and writes only its own slice of the output.  The
 chunks run on up to ``WORKERS`` threads (numpy's samplers release the GIL);
 because every chunk owns its stream, the output does not depend on the
 number of threads, and a longer run extends a shorter one.
-
-There is one backend, numpy with PCG64; ``POVMDT_BACKEND`` may name only it.
 """
 
 from __future__ import annotations
@@ -53,6 +52,11 @@ WORKERS = (
 SETTING_SUM_TOL = 1e-9
 
 
+# numpy with PCG64 is the only sampler, and the package does not read
+# ``POVMDT_BACKEND``.  ``ENV_VAR``, ``active_backend`` and ``rng_name`` serve
+# only the benchmark's provenance record, which calls them.
+
+
 def active_backend() -> str:
     """The trial-kernel backend, validating ``POVMDT_BACKEND`` (unset or "numpy")."""
     choice = os.environ.get(ENV_VAR, "").strip().lower()
@@ -71,14 +75,14 @@ def rng_name() -> str:
 def checked_cells(cells, statistics: str) -> np.ndarray:
     """The (settings, 4) cell probabilities, ready to draw from.
 
-    Negative cells are clipped to 0.  Under multinomial statistics the
+    Callers pass non-negative cells.  Under multinomial statistics the
     remainder ``1 - total`` of a setting is its rejected bucket, so a setting
     whose cells sum above 1 is refused, and one above 1 by rounding only
     (``SETTING_SUM_TOL``) is scaled down to sum to 1.
     """
     if statistics not in ("poisson", "multinomial"):
         raise ValueError(f"statistics must be 'poisson' or 'multinomial', got {statistics!r}")
-    cells = np.maximum(np.asarray(cells, dtype=np.float64), 0.0)
+    cells = np.asarray(cells, dtype=np.float64)
     if statistics == "poisson":
         return cells
     totals = cells.sum(axis=1)
@@ -136,11 +140,13 @@ def draw_counts(rng, size, block, prob, n, statistics):
 def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     """Per-trial (re, im) arrays of raw (unscaled) entry estimates.
 
-    ``cells`` is the (settings, 4) array of exact joint probabilities and
-    ``w_re``/``w_im`` the flat cell weights.  Multinomial statistics refuse
-    a setting whose cells sum above 1.
+    ``cells`` is the (settings, 4) array of exact, non-negative joint
+    probabilities and ``w_re``/``w_im`` the flat cell weights.  Multinomial
+    statistics refuse a setting whose cells sum above 1.
     """
     cells = checked_cells(cells, statistics)
+    if trials == 0:  # nothing to draw: skip the grouping, the costly step here
+        return np.empty(0), np.empty(0)
     block, prob, weights = group_cells(
         cells, np.asarray(w_re, np.float64), np.asarray(w_im, np.float64), statistics
     )

@@ -100,9 +100,8 @@ def write_artifacts(
 
     ``tables`` holds (file stem, columns, rows) of the CSV artifacts;
     ``results`` is called for the JSON report's results only in json
-    mode.  The metadata is built before anything is written, so a refused
-    ``POVMDT_BACKEND`` writes nothing.  The wall clock goes only into the
-    JSON report: CSV artifacts stay byte-identical across reruns.
+    mode.  The wall clock goes only into the JSON report: CSV artifacts stay
+    byte-identical across reruns.
     """
     meta = dict(run_metadata(args.command, cfg.resolved_echo(), cfg.seed), **extra_meta)
     if (args.format or cfg.out_format) == "json":
@@ -199,13 +198,11 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
         raise ConfigError("scan requires an entry block (one (j, k) slot)")
     povm = cfg.povm()
     shot = cfg.shot_model()
-    entries = _entry_list(cfg, povm)
-    j, k = entries[0][1], entries[0][2]
-    if any((jj, kk) != (j, k) for _, jj, kk in entries):
-        raise ConfigError("scan: all outcomes must target the same (j, k) slot")
-    labels = [lab for lab, _, _ in entries]
+    j, k = cfg.entry["j"], cfg.entry["k"]
+    labels = [lab for lab, _, _ in _entry_list(cfg, povm)]
     if refine:
         labels = list(povm.labels)  # the sum rule needs every outcome
+    names = [f"outcome {lab}" for lab in labels]
 
     transform = apply_dephasing if cfg.noise["type"] == "dephasing" else apply_phase_rotation
     grid = cfg.noise["grid"]
@@ -219,7 +216,7 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
         noisy = transform(povm, param, j, k)
         elems = noisy.elements[rows_of]
         tables = exact_entry_tables(elems, j, k, coupling)
-        check_postselection(tables, labels)
+        check_postselection(tables, names)
         var_re, var_im = error_transfer_variance(tables, coeffs, n)
         point_seeds = [int(s) for s in seeds[gi * len(labels):(gi + 1) * len(labels)]]
         counts = np.array([

@@ -253,15 +253,10 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             raw["shots"], "shots",
             {"n_per_setting": True, "statistics": False, "seed": False},
         )
-        stats = block.get("statistics", "poisson")
-        if stats not in ("poisson", "multinomial"):
-            raise ConfigError(
-                f"shots.statistics: expected 'poisson' or 'multinomial', got {stats!r}"
-            )
         try:
             cfg.shots = ShotModel(
                 _number(block, "shots", "n_per_setting", integer=True),
-                stats,
+                block.get("statistics", "poisson"),
                 _seed(block["seed"], "shots.seed") if "seed" in block else cfg.seed,
             )
         except ValueError as exc:

@@ -89,8 +89,8 @@ class TrialSummary:
     """Repeated-trial statistics for one scenario.
 
     ``predicted_var`` is the error-transfer total variance evaluated at the
-    exact tables.  Sample variances are NaN for fewer than two trials (no
-    degrees of freedom).
+    exact tables.  The mean is NaN for no trials, and the sample variances
+    for fewer than two (no degrees of freedom).
     """
 
     mean: complex
@@ -194,16 +194,19 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     """Sample-and-estimate ``trials`` times and summarize.
 
     The predicted variance is the error-transfer value at the exact tables,
-    so predicted-vs-sample comparison is meaningful per scenario.
+    so predicted-vs-sample comparison is meaningful per scenario.  With no
+    trials the mean and sample variances are NaN.  A scenario whose
+    post-selection probability is at or below the floor is refused.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     tables = scenario.exact_tables()
+    check_postselection(tables, [f"entry ({scenario.j}, {scenario.k})"])
     coeffs = scenario.coeffs()
     vr, vi = error_transfer_variance(tables, coeffs, shot.n_per_setting, scenario.scale)
     re, im = _trial_arrays(tables, coeffs, scenario.scale, shot, trials)
     return TrialSummary(
-        mean=complex(re.mean(), im.mean()),
+        mean=complex(re.mean(), im.mean()) if trials else complex(math.nan, math.nan),
         sample_var_re=_sample_var(re),
         sample_var_im=_sample_var(im),
         predicted_var=vr + vi,
@@ -225,7 +228,7 @@ def _scenario_at(spec: SweepSpec, value: float) -> EntryScenario:
     return EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
 
 
-def _analytic_for(scenario: EntryScenario, spec: SweepSpec, n: int) -> float:
+def _analytic_for(scenario: EntryScenario, n: int) -> float:
     """Closed-form variance in the scenario's estimand scale (NaN if d > 2)."""
     d = scenario.pi_l.shape[0]
     if d != 2:
@@ -245,34 +248,25 @@ def variance_sweep(spec: SweepSpec) -> list[dict]:
 
     Returns one row per grid point with keys: axis_value, var_analytic,
     var_transfer, var_empirical, mean_re, mean_im, trials, seed.  All three
-    variances are expressed in the scenario's estimand scale.  With
-    trials = 0 the empirical columns are NaN.
+    variances are expressed in the scenario's estimand scale.  Each point is
+    one :func:`run_trials` call on its own child seed; with trials = 0 the
+    empirical columns are NaN.
     """
-    seeds = _child_seeds(spec.shot.seed, len(spec.grid))
+    seeds = _child_seeds(spec.shot.seed, len(spec.grid)).tolist()
     rows = []
-    for i, value in enumerate(spec.grid):
+    for value, seed in zip(spec.grid, seeds):
         scenario = _scenario_at(spec, float(value))
-        tables = scenario.exact_tables()
-        coeffs = scenario.coeffs()
-        n = spec.shot.n_per_setting
-        vr, vi = error_transfer_variance(tables, coeffs, n, scenario.scale)
-        row = {
+        summary = run_trials(scenario, replace(spec.shot, seed=seed), spec.trials)
+        rows.append({
             "axis_value": float(value),
-            "var_analytic": _analytic_for(scenario, spec, n),
-            "var_transfer": vr + vi,
-            "var_empirical": float("nan"),
-            "mean_re": float("nan"),
-            "mean_im": float("nan"),
+            "var_analytic": _analytic_for(scenario, spec.shot.n_per_setting),
+            "var_transfer": summary.predicted_var,
+            "var_empirical": summary.sample_var_re + summary.sample_var_im,
+            "mean_re": summary.mean.real,
+            "mean_im": summary.mean.imag,
             "trials": spec.trials,
-            "seed": int(seeds[i]),
-        }
-        if spec.trials > 0:
-            shot = replace(spec.shot, seed=int(seeds[i]))
-            re, im = _trial_arrays(tables, coeffs, scenario.scale, shot, spec.trials)
-            row["var_empirical"] = _sample_var(re) + _sample_var(im)
-            row["mean_re"] = float(re.mean())
-            row["mean_im"] = float(im.mean())
-        rows.append(row)
+            "seed": seed,
+        })
     return rows
 
 
@@ -298,23 +292,24 @@ def refinement_trials(
     from the other outcomes with inverse-variance weights fixed at the
     predicted (exact-table) variances.
     """
+    if j == k:
+        raise ValueError("refinement targets an off-diagonal entry; need j != k")
     labels = list(povm.labels)
     coeffs = rt_coefficients(povm.dim, g)
     seeds = _child_seeds(shot.seed, len(labels))
     n = shot.n_per_setting
     tables = exact_entry_tables(povm.elements, j, k, CouplingConfig.symmetric(g))
-    check_postselection(tables, labels)
+    check_postselection(tables, [f"outcome {lab}" for lab in labels])
     var_re, var_im = error_transfer_variance(tables, coeffs, n)
 
     raw_est = {}
     re, im = np.empty((2, len(labels), trials))
     for i, (lab, element) in enumerate(zip(labels, povm.elements)):
-        scenario = EntryScenario(element, j, k, g)
         raw_est[lab] = EntryEstimate(
-            scenario.exact_value(), float(var_re[i]), float(var_im[i]), n, "exact"
+            complex(element[j, k]), float(var_re[i]), float(var_im[i]), n, "exact"
         )
         re[i], im[i] = _trial_arrays(
-            tables[i], coeffs, scenario.scale, replace(shot, seed=int(seeds[i])), trials
+            tables[i], coeffs, 1.0, replace(shot, seed=int(seeds[i])), trials
         )
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])

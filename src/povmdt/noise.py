@@ -87,12 +87,6 @@ def apply_phase_rotation(povm: Povm, phi: float, j: int, k: int) -> Povm:
     return Povm(elems, povm.labels, check_complete=False)
 
 
-def reduce_phase(phi: float) -> float:
-    """Wrap an angle to (-pi, pi] for reporting."""
-    out = float((phi + np.pi) % (2 * np.pi) - np.pi)
-    return np.pi if out == -np.pi else out
-
-
 def _env_unitary(c_obs: np.ndarray, env: Environment) -> np.ndarray:
     """exp(-i (epsilon/2) C (x) omega) via eigendecomposition (all Hermitian)."""
     h = 0.5 * env.epsilon * tensor(c_obs, env.omega)

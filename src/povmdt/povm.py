@@ -9,8 +9,6 @@ and serves as the ground truth for every estimator in this package.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 import numpy as np
 
@@ -22,6 +20,7 @@ from .linalg import (
     projector,
     random_unitary,
 )
+from .reports import _atomic_write
 
 POVM_SCHEMA_VERSION = 1
 
@@ -144,16 +143,7 @@ def save_povm(povm: Povm, path: str) -> None:
     Python's float repr round-trips doubles exactly, so the file preserves
     full precision.
     """
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(povm.to_dict(), fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, json.dumps(povm.to_dict(), indent=1))
 
 
 def load_povm(path: str, *, check_complete: bool = True) -> Povm:

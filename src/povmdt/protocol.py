@@ -228,25 +228,6 @@ def reduced_meter_operator(js: JointState, pi_l: np.ndarray) -> np.ndarray:
     return np.einsum("...st,tasb->...ab", pi, r4)
 
 
-def postselect_meters(
-    js: JointState, pi_l: np.ndarray, p_floor: float = P_FLOOR
-) -> tuple[np.ndarray, float]:
-    """Post-select on one detector outcome.
-
-    Returns (rho_meters, p_f): the normalized 4-dimensional meter state and
-    the outcome probability.  Raises :class:`DeadPostSelectionError` when
-    p_f <= p_floor, where the conditional state is numerically meaningless
-    and the entry estimate would be dominated by statistical noise.
-    """
-    k = reduced_meter_operator(js, pi_l)
-    p_f = float(np.trace(k).real)
-    if p_f <= p_floor:
-        raise DeadPostSelectionError(
-            f"post-selection probability {p_f:.3e} <= floor {p_floor:.1e}"
-        )
-    return k / p_f, p_f
-
-
 #: :data:`CELL_PROJECTORS` as one (144, 4) matrix: the 36 projectors stacked
 #: row-block by row-block, so one product with K gives all 36 products.
 _CELL_ROWS = CELL_PROJECTORS.reshape(144, 4)
@@ -285,18 +266,18 @@ def _cells(tables) -> np.ndarray:
     return w.reshape(w.shape[:-3] + (36,))
 
 
-def check_postselection(tables, labels) -> None:
-    """Refuse a stack of exact (L, 9, 2, 2) W tables in which an outcome's
-    post-selection probability, the sum of one setting's four cells, is at
-    or below :data:`P_FLOOR`.  ``labels`` names the L outcomes in the error.
+def check_postselection(tables, names) -> None:
+    """Refuse exact W tables, one outcome's (9, 2, 2) or an (L, 9, 2, 2)
+    stack, in which an outcome's post-selection probability, the sum of one
+    setting's four cells, is at or below :data:`P_FLOOR`.  ``names`` names
+    the outcomes in the error, one per outcome.
     """
     p_f = _cells(tables)[..., :4].sum(axis=-1).reshape(-1)
     dead = np.flatnonzero(~(p_f > P_FLOOR))
     if dead.size:
         i = dead[0]
         raise DeadPostSelectionError(
-            f"outcome {labels[i]}: post-selection probability {p_f[i]:.3e} "
-            f"<= floor {P_FLOOR:.1e}"
+            f"{names[i]}: post-selection probability {p_f[i]:.3e} <= floor {P_FLOOR:.1e}"
         )
 
 

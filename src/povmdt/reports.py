@@ -12,24 +12,21 @@ import os
 import tempfile
 
 from . import __version__
-from ._kernels import active_backend, rng_name
 from .protocol import SETTINGS, _cells
 
 REPORT_SCHEMA_VERSION = 1
 
 
 def run_metadata(command: str, config_echo: str, seed: int) -> dict:
-    """Metadata block embedded in every artifact.
-
-    Refuses a ``POVMDT_BACKEND`` other than numpy, the only sampler.
-    """
+    """Metadata block embedded in every artifact; numpy with PCG64 is the
+    only sampler."""
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
         "seed": seed,
-        "backend": active_backend(),
-        "rng": rng_name(),
+        "backend": "numpy",
+        "rng": "numpy-pcg64",
         "config": config_echo,
     }
 

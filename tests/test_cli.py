@@ -125,6 +125,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="outside"):
             parse_config(write_config(tmp_path, bad))
 
+    def test_bad_statistics_exits_2(self, tmp_path, capsys):
+        bad = dict(BASE_SCAN, shots={"n_per_setting": 100, "statistics": "gaussian"})
+        out = tmp_path / "out"
+        assert main(["scan", "--config", write_config(tmp_path, bad), "--out", str(out)]) == 2
+        assert "shots: statistics must be 'poisson' or 'multinomial'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE_SCAN), seed_override=7)
         assert cfg.seed == 7
@@ -403,21 +410,14 @@ def test_json_reports_hold_the_csv_rows(tmp_path):
             assert got == rows, path.name
 
 
-def test_metadata_recorded(tmp_path, monkeypatch, capsys):
-    """Every README command's CSV headers name the sampler and its generator,
-    and every command refuses a backend other than numpy before writing."""
+def test_metadata_recorded(tmp_path):
+    """Every README command's CSV headers name the sampler and its generator."""
     for name, argv in README_COMMANDS:
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 0, name
         for csv in out.glob("*.csv"):
             header = csv.read_text().splitlines()
             assert "# backend: numpy" in header and "# rng: numpy-pcg64" in header, csv
-    monkeypatch.setenv("POVMDT_BACKEND", "numba")
-    for name, argv in README_COMMANDS:
-        out = tmp_path / "numba" / name
-        assert main(argv + ["--out", str(out)]) == 1, name
-        assert "numba backend was removed" in capsys.readouterr().err
-        assert not out.exists(), name
 
 
 class TestVarianceSweepCommand:
@@ -444,6 +444,22 @@ class TestVarianceSweepCommand:
     def test_missing_sweep_block_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"shots": {"n_per_setting": 100}})
         assert main(["variance-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    def test_dead_outcome_refused(self, tmp_path, capsys):
+        """An xi sweep of the zero element of {0, I} is refused, naming the
+        entry; nothing is written."""
+        path = str(tmp_path / "zero.json")
+        save_povm(Povm([np.zeros((2, 2)), np.eye(2)]), path)
+        cfg = write_config(tmp_path, {
+            "povm": {"source": "file", "path": path},
+            "entry": {"l": 1, "j": 1, "k": 0},
+            "shots": {"n_per_setting": 100},
+            "sweep": {"axis": "xi", "grid": [1.0, 0.5], "trials": 10},
+        })
+        out = tmp_path / "out"
+        assert main(["variance-sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "entry (1, 0): post-selection probability" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCalibrateCommand:

@@ -17,14 +17,13 @@ from povmdt import (
     make_parametric_element,
     matrix_entry_oracle,
     observable_variance,
-    postselect_meters,
     prepare_entry_state,
     random_povm,
     rt_coefficients,
     sample_counts,
 )
 from povmdt.estimator import nonnegative_cells
-from povmdt.protocol import SETTINGS
+from povmdt.protocol import SETTINGS, reduced_meter_operator
 
 N_REF = 12790
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -199,7 +198,7 @@ class TestDiagonal:
     @staticmethod
     def bare_probability(pi, j):
         js = prepare_entry_state(pi.shape[0], j, j, CouplingConfig.symmetric(1e-8))
-        return postselect_meters(js, pi)[1]
+        return np.trace(reduced_meter_operator(js, pi)).real
 
     def test_sic_first_element(self, sic):
         assert abs(self.bare_probability(sic.element(1), 0) - 0.5) < 1e-12

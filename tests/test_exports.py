@@ -13,8 +13,7 @@ PUBLIC = {
     "BASES", "SETTINGS", "CouplingConfig", "JointState",
     "DeadPostSelectionError", "pointer_state_b0", "build_observables",
     "coupling_unitary", "evolve_joint", "prepare_entry_state",
-    "postselect_meters", "meter_tables",
-    "exact_entry_tables",
+    "meter_tables", "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
     "estimate_from_tables", "estimate_record",
     "error_transfer_variance", "analytic_variance", "observable_variance",

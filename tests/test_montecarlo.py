@@ -1,6 +1,7 @@
 """Shot-noise sampling, repeated trials, sweeps and backends."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from povmdt import (
     Povm,
     ShotModel,
     SweepSpec,
+    apply_dephasing,
     exact_entry_tables,
     make_parametric_element,
     make_sic_povm,
@@ -23,7 +25,8 @@ from povmdt import (
     variance_sweep,
 )
 from povmdt import _kernels
-from povmdt.estimator import error_transfer_variance
+from povmdt.estimator import error_transfer_variance, nonnegative_cells
+from povmdt.montecarlo import _analytic_for
 from povmdt.protocol import SETTINGS
 
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -161,6 +164,26 @@ class TestRunTrials:
         assert abs(s.mean.real - truth.real) < 4 * np.sqrt(s.sample_var_re / trials)
         assert abs(s.mean.imag - truth.imag) < 4 * np.sqrt(s.sample_var_im / trials)
 
+    def test_zero_trials_give_nan_statistics(self):
+        scn = point_x_scenario()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = run_trials(scn, ShotModel(N_REF, "poisson", seed=1), 0)
+        assert np.isnan(s.mean.real) and np.isnan(s.mean.imag)
+        assert np.isnan(s.sample_var_re) and np.isnan(s.sample_var_im)
+        assert s.trials == 0
+        vr, vi = error_transfer_variance(scn.exact_tables(), scn.coeffs(), N_REF, scn.scale)
+        assert s.predicted_var == vr + vi
+
+    def test_negative_trials_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(point_x_scenario(), ShotModel(N_REF), -1)
+
+    def test_dead_outcome_refused(self):
+        scn = EntryScenario(np.zeros((2, 2)), 1, 0, np.pi / 4)
+        with pytest.raises(DeadPostSelectionError, match=r"entry \(1, 0\): post-selection"):
+            run_trials(scn, ShotModel(1000), 10)
+
 
 class TestBackends:
     def test_numpy_backend_selected_by_env(self, monkeypatch):
@@ -296,7 +319,59 @@ class TestTrialKernel:
         assert peak < 32 * 2**20
 
 
+def reference_sweep(spec):
+    """``variance_sweep`` as one inline pipeline per grid point: exact tables,
+    error-transfer variance and the trial kernel, without ``run_trials``."""
+    seeds = np.random.SeedSequence(spec.shot.seed).generate_state(len(spec.grid))
+    n, stats = spec.shot.n_per_setting, spec.shot.statistics
+    rows = []
+    for value, seed in zip(spec.grid, seeds):
+        if spec.axis == "g":
+            elem = make_parametric_element(spec.theta, spec.eta, spec.e01)
+            scn = EntryScenario(elem, 1, 0, value, scale=spec.eta)
+        else:
+            noisy = apply_dephasing(spec.povm, value, spec.j, spec.k)
+            scn = EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
+        tables, coeffs = scn.exact_tables(), scn.coeffs()
+        vr, vi = error_transfer_variance(tables, coeffs, n, scn.scale)
+        row = {
+            "axis_value": float(value), "var_analytic": _analytic_for(scn, n),
+            "var_transfer": vr + vi, "var_empirical": float("nan"),
+            "mean_re": float("nan"), "mean_im": float("nan"),
+            "trials": spec.trials, "seed": int(seed),
+        }
+        if spec.trials > 0:
+            re, im = _kernels.trial_estimates(
+                nonnegative_cells(tables).reshape(9, 4), coeffs.cell_re / scn.scale,
+                coeffs.cell_im / scn.scale, n, spec.trials, int(seed), stats,
+            )
+            row["var_empirical"] = float(re.var(ddof=1)) + float(im.var(ddof=1))
+            row["mean_re"], row["mean_im"] = float(re.mean()), float(im.mean())
+        rows.append(row)
+    return rows
+
+
 class TestVarianceSweep:
+    @pytest.mark.parametrize("trials", [0, 300])
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    @pytest.mark.parametrize("axis", ["g", "xi"])
+    def test_rows_equal_the_reference_loop(self, sic, axis, statistics, trials):
+        shot = ShotModel(N_REF, statistics, seed=29)
+        if axis == "g":
+            spec = SweepSpec("g", (np.pi / 16, np.pi / 4, 3 * np.pi / 8), trials, shot,
+                             theta=THETA_SIC, eta=0.5, e01=0.1 + 0.05j)
+        else:
+            spec = SweepSpec("xi", (1.0, 0.4, 0.0), trials, shot, povm=sic, label=3,
+                             g=np.pi / 8)
+        # repr tells every float bit apart and makes NaN equal to NaN
+        assert repr(variance_sweep(spec)) == repr(reference_sweep(spec))
+
+    def test_dead_outcome_refused(self):
+        spec = SweepSpec("xi", (1.0, 0.5), 10, ShotModel(1000),
+                         povm=Povm([np.zeros((2, 2)), np.eye(2)]), label=1)
+        with pytest.raises(DeadPostSelectionError, match=r"entry \(1, 0\)"):
+            variance_sweep(spec)
+
     def test_g_grid_minimum_at_strong_coupling(self):
         """On the four-point grid the theta_sic curve bottoms out at pi/4."""
         spec = SweepSpec(
@@ -387,6 +462,10 @@ class TestRefinementTrials:
         zero_and_identity = Povm([np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(DeadPostSelectionError, match="outcome 1"):
             refinement_trials(zero_and_identity, 1, 0, np.pi / 4, ShotModel(1000), trials=10)
+
+    def test_diagonal_entry_refused(self, sic):
+        with pytest.raises(ValueError, match="j != k"):
+            refinement_trials(sic, 1, 1, np.pi / 4, ShotModel(1000), trials=10)
 
     def test_deterministic(self, sic):
         shot = ShotModel(1000, "poisson", seed=2)

@@ -23,7 +23,6 @@ from povmdt import (
     xi_from_environment,
 )
 from povmdt.linalg import dag, partial_trace
-from povmdt.noise import reduce_phase
 
 S26 = np.sqrt(2) / 6
 
@@ -245,13 +244,6 @@ class TestCalibratePhase:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="calibration"):
             calibrate_phase(1.0, -0.2)
-
-
-class TestReducePhase:
-    def test_wrapping(self):
-        assert abs(reduce_phase(3 * np.pi / 2) - (-np.pi / 2)) < 1e-12
-        assert reduce_phase(np.pi) == np.pi
-        assert abs(reduce_phase(-3 * np.pi) - np.pi) < 1e-12
 
 
 class TestEnvironmentValidation:

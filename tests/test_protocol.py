@@ -18,7 +18,6 @@ from povmdt import (
     make_sic_povm,
     meter_tables,
     pointer_state_b0,
-    postselect_meters,
     prepare_entry_state,
     random_povm,
 )
@@ -29,6 +28,7 @@ from povmdt.protocol import (
     CELL_PROJECTORS,
     SETTINGS,
     JointState,
+    check_postselection,
     reduced_meter_operator,
 )
 
@@ -176,34 +176,38 @@ class TestCouplingConfig:
             cfg.g
 
 
+def post_selection_probability(js, pi):
+    """p_f, the trace of the unnormalized post-selected meter operator."""
+    return np.trace(reduced_meter_operator(js, pi)).real
+
+
 class TestPostSelection:
     def test_identity_element_has_unit_probability(self):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.6))
-        _, p_f = postselect_meters(js, np.eye(2))
-        assert abs(p_f - 1.0) < 1e-12
+        assert abs(post_selection_probability(js, np.eye(2)) - 1.0) < 1e-12
 
     def test_probabilities_sum_to_one_for_complete_povm(self):
         povm = random_povm(3, 5, seed=3)
         js = prepare_entry_state(3, 2, 0, CouplingConfig.symmetric(0.5))
-        total = sum(postselect_meters(js, e)[1] for _, e in povm)
+        total = sum(post_selection_probability(js, e) for _, e in povm)
         assert abs(total - 1.0) < 1e-12
 
     def test_partial_trace_path_equals_full_trace(self, sic):
         """Reduced-operator trace vs full-matrix trace, two code paths."""
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(np.pi / 4))
         pi = sic.element(1)
-        _, p_f = postselect_meters(js, pi)
         full = np.trace(kron3(pi, I2, I2) @ js.rho).real
-        assert abs(p_f - full) < 1e-12
+        assert abs(post_selection_probability(js, pi) - full) < 1e-12
 
     def test_dead_post_selection(self):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.4))
-        with pytest.raises(DeadPostSelectionError):
-            postselect_meters(js, np.zeros((2, 2)))
+        with pytest.raises(DeadPostSelectionError, match="zero element: post-selection"):
+            check_postselection(meter_tables(js, np.zeros((2, 2))), ["zero element"])
 
     def test_post_selected_state_is_density(self, sic):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.3))
-        rho_m, _ = postselect_meters(js, sic.element(2))
+        k = reduced_meter_operator(js, sic.element(2))
+        rho_m = k / np.trace(k).real
         assert abs(np.trace(rho_m) - 1) < 1e-12
         assert np.linalg.eigvalsh(rho_m).min() > -1e-12
 
@@ -230,7 +234,7 @@ class TestMeterDistribution:
     def test_cells_sum_to_pf_across_all_settings(self, sic):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(np.pi / 8))
         pi = sic.element(3)
-        _, p_f = postselect_meters(js, pi)
+        p_f = post_selection_probability(js, pi)
         sums = meter_tables(js, pi).sum(axis=(1, 2))
         assert sums.shape == (9,)
         np.testing.assert_allclose(sums, p_f, atol=1e-12)
