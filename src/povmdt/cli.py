@@ -13,9 +13,11 @@ assertion failure, 2 configuration error.
 
 The config blocks, noise and calibration grids included, are resolved by
 :func:`povmdt.config.parse_config`; the commands here only iterate them.
-Every command writes its artifacts through :func:`write_artifacts`: the
-CSV tables, or one ``<command>.json`` run report that also holds the wall
-clock.
+Each command is one function that computes and describes its result as a
+:class:`CommandResult`.  :func:`main` runs every command the same way: it
+resolves the config and the output directory before any work, times the
+command, writes its artifacts through :func:`write_artifacts` and prints
+one summary line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,38 +39,18 @@ from .estimator import (
     estimate_from_tables,
     rt_coefficients,
 )
-from .montecarlo import ShotModel, SweepSpec, refinement_trials, sample_counts, variance_sweep
+from .montecarlo import (
+    ShotModel,
+    SweepSpec,
+    _child_seeds,
+    refinement_trials,
+    sample_counts,
+    variance_sweep,
+)
 from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi
 from .povm import matrix_entry_oracle
-from .protocol import CouplingConfig, check_postselection, exact_entry_tables
-from .reports import (
-    run_metadata,
-    write_csv,
-    write_json_report,
-    write_tables_csv,
-)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="povmdt",
-        description="Direct characterization of POVM matrix entries: scenario runner",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("oracle-check", "exact pipeline vs ground-truth entries"),
-        ("scan", "noise-evolution scan of an off-diagonal entry"),
-        ("variance-sweep", "analytic / error-transfer / empirical variance curves"),
-        ("calibrate", "simulated overlap and phase calibrations"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="YAML scenario config")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--refine", action="store_true",
-                       help="also apply the completeness sum-rule refinement")
-    return parser
+from .protocol import SETTINGS, CouplingConfig, check_postselection, exact_entry_tables
+from .reports import run_metadata, write_csv, write_json_report
 
 
 def _entry_list(cfg: ScenarioConfig, povm) -> list[tuple[int, int, int]]:
@@ -85,87 +69,84 @@ def _entry_list(cfg: ScenarioConfig, povm) -> list[tuple[int, int, int]]:
     return [(lab, j, k)]
 
 
-def _out_dir(cfg: ScenarioConfig, args, required: bool = True) -> str | None:
-    out = args.out or cfg.out_dir
-    if out is None and required:
-        raise ConfigError("an output directory is required (output.dir or --out)")
-    return out
-
-
-def write_artifacts(
-    cfg: ScenarioConfig, args, out: str, elapsed: float,
-    tables: list[tuple[str, list[str], list[dict]]], results, **extra_meta,
-) -> dict:
-    """Write one command's artifacts to ``out`` and return their metadata.
+@dataclass(frozen=True)
+class CommandResult:
+    """What one command computed, for :func:`main` to write and report.
 
     ``tables`` holds (file stem, columns, rows) of the CSV artifacts;
-    ``results`` is called for the JSON report's results only in json
-    mode.  The wall clock goes only into the JSON report: CSV artifacts stay
-    byte-identical across reruns.
+    ``results`` is called for the JSON report's results only in json mode;
+    ``meta`` extends the artifact metadata; ``summary`` describes the result
+    on the stdout line; ``code`` is the exit code.
     """
-    meta = dict(run_metadata(args.command, cfg.resolved_echo(), cfg.seed), **extra_meta)
-    if (args.format or cfg.out_format) == "json":
+
+    tables: list[tuple[str, list[str], list[dict]]]
+    results: Callable[[], dict]
+    summary: str
+    meta: dict = field(default_factory=dict)
+    code: int = 0
+
+
+#: Stems of the CSV tables that json mode writes too: the JSON report does
+#: not hold their rows.
+CSV_IN_JSON_MODE = ("distributions",)
+
+
+def write_artifacts(cfg: ScenarioConfig, args, out: str, elapsed: float,
+                    result: CommandResult) -> None:
+    """Write one command's artifacts to ``out``.
+
+    csv mode writes every table as ``<stem>.csv``; json mode writes one
+    ``<command>.json`` report of the metadata, the wall clock and the
+    results, plus the tables named in :data:`CSV_IN_JSON_MODE`.  The wall
+    clock goes only into the JSON report: CSV artifacts stay byte-identical
+    across reruns.
+    """
+    meta = dict(run_metadata(args.command, cfg.resolved_echo(), cfg.seed), **result.meta)
+    json_mode = (args.format or cfg.out_format) == "json"
+    if json_mode:
         write_json_report(
             f"{out}/{args.command.replace('-', '_')}.json",
-            dict(meta, wall_clock_s=elapsed), results(),
+            dict(meta, wall_clock_s=elapsed), result.results(),
         )
-    else:
-        for stem, columns, rows in tables:
+    for stem, columns, rows in result.tables:
+        if not json_mode or stem in CSV_IN_JSON_MODE:
             write_csv(f"{out}/{stem}.csv", columns, rows, meta)
-    return meta
-
-
-def _elapsed(t0: float) -> float:
-    return round(time.perf_counter() - t0, 6)
 
 
 # --- oracle-check ---------------------------------------------------------------
 
 
-def run_oracle_check(cfg: ScenarioConfig) -> tuple[list[dict], float, list[dict]]:
-    """Exact-pipeline reconstruction vs the entry oracle for every entry."""
+ORACLE_COLUMNS = ["l", "j", "k", "est_re", "est_im", "true_re", "true_im", "abs_err"]
+DISTRIBUTION_COLUMNS = ["l", "j", "k", "basis_b", "basis_a", "m", "n", "W"]
+
+
+def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
+    """Exact-pipeline reconstruction vs the entry oracle for every entry,
+    with the exact meter tables of each entry; fails above the tolerance."""
     povm = cfg.povm()
     coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
     rows, dists = [], []
-    max_err = 0.0
     for lab, j, k in _entry_list(cfg, povm):
         truth = matrix_entry_oracle(povm, lab, j, k)
         tables = exact_entry_tables(povm.element(lab), j, k, coupling)
         est = estimate_from_tables(tables, coeffs)
-        err = abs(est - truth)
-        max_err = max(max_err, err)
-        rows.append(
-            {
-                "l": lab, "j": j, "k": k,
-                "est_re": est.real, "est_im": est.imag,
-                "true_re": truth.real, "true_im": truth.imag,
-                "abs_err": err,
-            }
-        )
-        dists.append({"l": lab, "tables": tables})
-    return rows, max_err, dists
-
-
-ORACLE_COLUMNS = ["l", "j", "k", "est_re", "est_im", "true_re", "true_im", "abs_err"]
-
-
-def cmd_oracle_check(cfg: ScenarioConfig, args) -> int:
-    t0 = time.perf_counter()
-    rows, max_err, dists = run_oracle_check(cfg)
+        rows.append({"l": lab, "j": j, "k": k, "est_re": est.real, "est_im": est.imag,
+                     "true_re": truth.real, "true_im": truth.imag, "abs_err": abs(est - truth)})
+        for (bb, ba), w in zip(SETTINGS, tables):
+            for (m, n), value in np.ndenumerate(w):
+                dists.append({"l": lab, "j": j, "k": k, "basis_b": bb, "basis_a": ba,
+                              "m": m, "n": n, "W": float(value)})
+    max_err = max([0.0] + [row["abs_err"] for row in rows])
     ok = max_err < cfg.tolerance
-    elapsed = _elapsed(t0)
-    out = _out_dir(cfg, args, required=False)
-    if out is not None:
-        meta = write_artifacts(
-            cfg, args, out, elapsed, [("oracle_check", ORACLE_COLUMNS, rows)],
-            lambda: {"entries": rows, "passed": ok},
-            max_abs_err=max_err, tolerance=cfg.tolerance,
-        )
-        write_tables_csv(f"{out}/distributions.csv", dists, meta)
-    print(f"oracle-check: {len(rows)} entries, max |error| = {max_err:.3e} "
-          f"(tolerance {cfg.tolerance:.1e}) in {elapsed:.2f} s -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return CommandResult(
+        [("oracle_check", ORACLE_COLUMNS, rows), ("distributions", DISTRIBUTION_COLUMNS, dists)],
+        lambda: {"entries": rows, "passed": ok},
+        f"{'PASS' if ok else 'FAIL'}, {len(rows)} entries, max |error| = {max_err:.3e} "
+        f"(tolerance {cfg.tolerance:.1e})",
+        {"max_abs_err": max_err, "tolerance": cfg.tolerance},
+        0 if ok else 1,
+    )
 
 
 # --- scan -----------------------------------------------------------------------
@@ -210,7 +191,7 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
     rows_of = [povm.labels.index(lab) for lab in labels]
-    seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid) * len(labels))
+    seeds = _child_seeds(shot.seed, len(grid) * len(labels))
     rows = []
     for gi, (axis, axis_value, param) in enumerate(grid):
         noisy = transform(povm, param, j, k)
@@ -243,11 +224,9 @@ SCAN_COLUMNS = [
 ]
 
 
-def cmd_scan(cfg: ScenarioConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_scan(cfg: ScenarioConfig, args) -> CommandResult:
+    """The rows of :func:`run_scan`, with estimate records in the JSON report."""
     rows = run_scan(cfg, refine=args.refine)
-    elapsed = _elapsed(t0)
-    out = _out_dir(cfg, args)
 
     def results():
         records = [
@@ -260,9 +239,7 @@ def cmd_scan(cfg: ScenarioConfig, args) -> int:
         ]
         return {"rows": rows, "estimates": records}
 
-    write_artifacts(cfg, args, out, elapsed, [("scan", SCAN_COLUMNS, rows)], results)
-    print(f"scan: wrote {len(rows)} rows to {out} in {elapsed:.2f} s")
-    return 0
+    return CommandResult([("scan", SCAN_COLUMNS, rows)], results, f"{len(rows)} rows")
 
 
 # --- variance-sweep ---------------------------------------------------------------
@@ -274,7 +251,8 @@ SWEEP_COLUMNS = [
 ]
 
 
-def run_variance_sweep(cfg: ScenarioConfig) -> list[dict]:
+def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
+    """Variance curves along the sweep block; a sweep that breaks the model exits 2."""
     if cfg.sweep is None:
         raise ConfigError("variance-sweep requires a sweep block")
     kwargs = dict(cfg.sweep, shot=cfg.shot_model())
@@ -288,29 +266,21 @@ def run_variance_sweep(cfg: ScenarioConfig) -> list[dict]:
         spec = SweepSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from None
-    return variance_sweep(spec)
-
-
-def cmd_variance_sweep(cfg: ScenarioConfig, args) -> int:
-    t0 = time.perf_counter()
-    rows = run_variance_sweep(cfg)
-    elapsed = _elapsed(t0)
-    out = _out_dir(cfg, args)
-    write_artifacts(
-        cfg, args, out, elapsed, [("variance_sweep", SWEEP_COLUMNS, rows)],
-        lambda: {"rows": rows},
+    rows = variance_sweep(spec)
+    return CommandResult(
+        [("variance_sweep", SWEEP_COLUMNS, rows)], lambda: {"rows": rows}, f"{len(rows)} rows"
     )
-    print(f"variance-sweep: wrote {len(rows)} rows to {out} in {elapsed:.2f} s")
-    return 0
 
 
 # --- calibrate --------------------------------------------------------------------
 
 
-def run_calibrate(cfg: ScenarioConfig) -> dict:
-    """Simulated calibrations: overlap grid and phase anchor inputs.
+def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
+    """Simulated calibrations: overlap grid and phase anchor inputs, and with
+    ``--refine`` the refinement demo.
 
-    Without a calibration grid, a dephasing noise grid is calibrated.
+    Without a calibration grid, a dephasing noise grid is calibrated.  A
+    table is written only when it has rows.
     """
     if cfg.calibration is None and cfg.noise is None:
         raise ConfigError("calibrate requires a calibration (or noise) block")
@@ -320,7 +290,7 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
     if grid is None:
         grid = cfg.noise["grid"] if cfg.noise and cfg.noise["type"] == "dephasing" else []
 
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(max(len(grid), 1))
+    seeds = _child_seeds(cfg.seed, max(len(grid), 1))
     xi_rows = [
         {
             "axis_value": ax, "xi_true": xi,
@@ -333,7 +303,14 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
         {"p_h_minus_p_v": delta, "phi_hat": calibrate_phase((1 + delta) / 2, (1 - delta) / 2)}
         for delta in calib["phase_inputs"]
     ]
-    return {"xi": xi_rows, "phase": phase_rows, "samples": samples}
+    results = {"xi": xi_rows, "phase": phase_rows, "samples": samples}
+    if args.refine:
+        results["refinement"] = run_refinement_demo(cfg)
+    tables = [(stem, columns, results[key])
+              for stem, key, columns in CALIBRATE_TABLES if results.get(key)]
+    return CommandResult(
+        tables, lambda: results, f"{len(xi_rows)} overlap points, {len(phase_rows)} phase points"
+    )
 
 
 def run_refinement_demo(cfg: ScenarioConfig) -> list[dict]:
@@ -353,8 +330,7 @@ def run_refinement_demo(cfg: ScenarioConfig) -> list[dict]:
     ]
 
 
-#: (file stem, results key, columns) of each calibrate CSV; a table is
-#: written only when it has rows.
+#: (file stem, results key, columns) of each calibrate CSV.
 CALIBRATE_TABLES = (
     ("calibration_xi", "xi", ["axis_value", "xi_true", "xi_hat", "samples", "seed"]),
     ("calibration_phase", "phase", ["p_h_minus_p_v", "phi_hat"]),
@@ -362,43 +338,59 @@ CALIBRATE_TABLES = (
 )
 
 
-def cmd_calibrate(cfg: ScenarioConfig, args) -> int:
-    t0 = time.perf_counter()
-    results = run_calibrate(cfg)
-    out = _out_dir(cfg, args)
-    if args.refine:
-        results["refinement"] = run_refinement_demo(cfg)
-    elapsed = _elapsed(t0)
-    tables = [
-        (stem, columns, results[key])
-        for stem, key, columns in CALIBRATE_TABLES
-        if results.get(key)
-    ]
-    write_artifacts(cfg, args, out, elapsed, tables, lambda: results)
-    print(f"calibrate: {len(results['xi'])} overlap points, "
-          f"{len(results['phase'])} phase points -> {out}")
-    return 0
-
-
+#: Each command's function, help text, whether it needs an output
+#: directory and whether it takes ``--refine``.
 COMMANDS = {
-    "oracle-check": cmd_oracle_check,
-    "scan": cmd_scan,
-    "variance-sweep": cmd_variance_sweep,
-    "calibrate": cmd_calibrate,
+    "oracle-check": (cmd_oracle_check, "exact pipeline vs ground-truth entries", False, False),
+    "scan": (cmd_scan, "noise-evolution scan of an off-diagonal entry", True, True),
+    "variance-sweep": (cmd_variance_sweep,
+                       "analytic / error-transfer / empirical variance curves", True, False),
+    "calibrate": (cmd_calibrate, "simulated overlap and phase calibrations", True, True),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="povmdt",
+        description="Direct characterization of POVM matrix entries: scenario runner",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _, takes_refine) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="YAML scenario config")
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if takes_refine:
+            p.add_argument("--refine", action="store_true",
+                           help="also apply the completeness sum-rule refinement")
+    return parser
+
+
 def main(argv=None) -> int:
+    """Run one command: resolve its config and output directory before any
+    work, time it, write its artifacts and print its one summary line."""
     args = build_parser().parse_args(argv)
+    command, _, needs_out, _ = COMMANDS[args.command]
     try:
         cfg = parse_config(args.config, seed_override=args.seed)
-        return COMMANDS[args.command](cfg, args)
+        out = args.out or cfg.out_dir
+        if out is None and needs_out:
+            raise ConfigError("an output directory is required (output.dir or --out)")
+        t0 = time.perf_counter()
+        result = command(cfg, args)
+        elapsed = round(time.perf_counter() - t0, 6)
+        if out is not None:
+            write_artifacts(cfg, args, out, elapsed, result)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"{args.command}: {result.summary} in {elapsed:.2f} s"
+          + (f" -> {out}" if out is not None else ""))
+    return result.code
 
 
 if __name__ == "__main__":

@@ -107,7 +107,9 @@ class SweepSpec:
     axis "g" or "theta" sweeps the qubit element eta*[[cos^2 t, e01], ...]
     with the other angle fixed; axis "xi"/"phi" applies dephasing/rotation
     to a fixed element of ``povm`` and sweeps the noise parameter.  Angles
-    are radians.
+    are radians.  Values that break the model (g outside (0, pi/2), eta
+    outside (0, 1], an e01 beyond the positivity bound at a swept theta, xi
+    outside [0, 1]) are refused on construction, before any trial.
     """
 
     axis: str
@@ -128,12 +130,17 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be non-empty")
-        if self.axis == "g":
-            bad = [g for g in self.grid if not 0 < g < math.pi / 2]
-            if bad:
-                raise ValueError(f"g grid must lie strictly inside (0, pi/2); offending {bad}")
-        if self.axis in ("xi", "phi") and self.povm is None:
+        bad = [g for g in (self.grid if self.axis == "g" else [self.g])
+               if not 0 < g < math.pi / 2]
+        if bad:
+            raise ValueError(f"g must lie strictly inside (0, pi/2); offending {bad}")
+        if self.axis in ("g", "theta"):
+            for theta in self.grid if self.axis == "theta" else [self.theta]:
+                make_parametric_element(theta, self.eta, self.e01)  # eta, e01 checks
+        elif self.povm is None:
             raise ValueError(f"axis {self.axis!r} sweeps need a povm")
+        if self.axis == "xi" and not all(0 <= xi <= 1 for xi in self.grid):
+            raise ValueError(f"xi grid must lie in [0, 1]; got {list(self.grid)}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
 

@@ -44,29 +44,36 @@ class Environment:
         object.__setattr__(self, "omega", o)
 
 
-def _checked_slot(povm: Povm, j: int, k: int) -> None:
+def _scaled_slot(povm: Povm, j: int, k: int, factor, model: str) -> Povm:
+    """Multiply the (j, k) entry of every element by ``factor`` and the (k, j)
+    entry by its conjugate, one element at a time; a resulting element that
+    is not positive is refused, naming ``model`` and the slot."""
     d = povm.dim
     if not 0 <= j < d or not 0 <= k < d:
         raise IndexError(f"entry indices ({j}, {k}) out of range for dimension {d}")
     if j == k:
         raise ValueError("dephasing/rotation act on an off-diagonal slot; need j != k")
+    elems = povm.elements.copy()
+    for m in elems:
+        m[j, k] *= factor
+        m[k, j] *= factor.conjugate()
+    try:
+        return Povm(elems, povm.labels, check_complete=False)
+    except ValueError as exc:
+        raise ValueError(f"{model} of slot ({j}, {k}): {exc}") from None
 
 
 def apply_dephasing(povm: Povm, xi: float, j: int, k: int) -> Povm:
     """Scale the (j, k) and (k, j) entries of every element by xi in [0, 1].
 
     xi = 1 is the identity; xi = 0 erases the coherence slot entirely.
+    Scaling one coherence is a completely positive map only for d = 2: in
+    higher dimensions it can leave an element that is not positive, and
+    the dephased set is then refused.
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"overlap coefficient xi={xi!r} must lie in [0, 1]")
-    _checked_slot(povm, j, k)
-    elems = []
-    for _, e in povm:
-        m = e.copy()
-        m[j, k] *= xi
-        m[k, j] *= xi
-        elems.append(m)
-    return Povm(elems, povm.labels, check_complete=False)
+    return _scaled_slot(povm, j, k, xi, f"dephasing by xi={xi:g}")
 
 
 def apply_phase_rotation(povm: Povm, phi: float, j: int, k: int) -> Povm:
@@ -76,15 +83,7 @@ def apply_phase_rotation(povm: Povm, phi: float, j: int, k: int) -> Povm:
     modulus of the coherence are preserved.  Equivalent to conjugating each
     element by exp(-i (phi/2) C) with C = |a_j><a_j| - |a_k><a_k|.
     """
-    _checked_slot(povm, j, k)
-    factor = np.exp(-1j * phi)
-    elems = []
-    for _, e in povm:
-        m = e.copy()
-        m[j, k] *= factor
-        m[k, j] *= factor.conjugate()
-        elems.append(m)
-    return Povm(elems, povm.labels, check_complete=False)
+    return _scaled_slot(povm, j, k, np.exp(-1j * phi), f"phase rotation by phi={phi:g}")
 
 
 def _env_unitary(c_obs: np.ndarray, env: Environment) -> np.ndarray:

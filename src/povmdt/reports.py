@@ -12,7 +12,6 @@ import os
 import tempfile
 
 from . import __version__
-from .protocol import SETTINGS, _cells
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -77,17 +76,3 @@ def _json_default(obj):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
-
-def write_tables_csv(path: str, entries: list[dict], metadata: dict) -> None:
-    """Meter distributions as rows (l, basis_b, basis_a, m, n, W).
-
-    Each entry holds an outcome label ``l`` and its (9, 2, 2) ``tables``.
-    """
-    rows = []
-    for e in entries:
-        for c, w in enumerate(_cells(e["tables"])):
-            (bb, ba), (m, n) = SETTINGS[c // 4], divmod(c % 4, 2)
-            rows.append(
-                {"l": e["l"], "basis_b": bb, "basis_a": ba, "m": m, "n": n, "W": float(w)}
-            )
-    write_csv(path, ["l", "basis_b", "basis_a", "m", "n", "W"], rows, metadata)

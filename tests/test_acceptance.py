@@ -8,7 +8,6 @@ fixed seeds so the suite is deterministic.
 import time
 
 import numpy as np
-import pytest
 import yaml
 
 from povmdt import (
@@ -27,7 +26,6 @@ from povmdt import (
     estimate_from_tables,
     exact_entry_tables,
     make_parametric_element,
-    make_sic_povm,
     matrix_entry_oracle,
     meter_tables,
     povm_from_walk,

@@ -1,13 +1,14 @@
 """Config validation, CLI commands, artifacts and exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from povmdt import Povm, save_povm
+from povmdt import Povm, cli, save_povm
 from povmdt.cli import _scan_row, main, run_scan
 from povmdt.config import ConfigError, parse_config
 from povmdt.estimator import (
@@ -271,7 +272,21 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "oracle_check.csv").exists()
         dist = (out / "distributions.csv").read_text()
-        assert dist.splitlines()[-1].count(",") == 5  # l,basis_b,basis_a,m,n,W
+        assert dist.splitlines()[-1].count(",") == 7  # l,j,k,basis_b,basis_a,m,n,W
+
+    def test_distribution_rows_are_keyed_by_entry(self, tmp_path):
+        """Each builtin:sic label has two off-diagonal entries; every row of
+        distributions.csv says which one it belongs to."""
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"povm": {"source": "builtin:sic"}, "coupling": {"g": 0.25}})
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "distributions.csv").read_text().splitlines()
+                         if not line.startswith("#")]
+        assert header == ["l", "j", "k", "basis_b", "basis_a", "m", "n", "W"]
+        keys = [tuple(row[:7]) for row in rows]
+        assert len(keys) == 8 * 36
+        assert len(set(keys)) == len(keys)
 
 
 class TestScanCommand:
@@ -460,6 +475,70 @@ class TestVarianceSweepCommand:
         assert main(["variance-sweep", "--config", cfg, "--out", str(out)]) == 1
         assert "entry (1, 0): post-selection probability" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("sweep", [
+        {"axis": "theta", "grid": [0.0, 0.25], "g": 0.6},
+        {"axis": "xi", "grid": [1.0, 0.5], "g": 0.7},
+        {"axis": "theta", "grid": [0.0, 0.25], "eta": 1.5},
+        {"axis": "xi", "grid": [1.5]},
+        {"axis": "theta", "grid": [0.0, 0.25], "e01": [0.3, 0]},
+    ], ids=["theta-g", "xi-g", "eta", "xi-grid", "e01"])
+    def test_model_breaking_sweep_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                           monkeypatch, sweep):
+        """g outside (0, pi/2), eta above 1, xi above 1 and an e01 beyond the
+        positivity bound at theta = 0 are refused by SweepSpec."""
+        monkeypatch.setattr(cli, "variance_sweep", refuse_to_run)
+        cfg = write_config(tmp_path, {
+            "povm": {"source": "builtin:sic"},
+            "entry": {"l": 1, "j": 1, "k": 0},
+            "shots": {"n_per_setting": 100},
+            "sweep": dict(sweep, trials=10),
+        })
+        out = tmp_path / "out"
+        assert main(["variance-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: sweep: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("the command ran")
+
+
+class TestRunner:
+    @pytest.mark.parametrize("argv, data", [
+        (["scan", "--refine"], BASE_SCAN),
+        (["variance-sweep"], {"shots": {"n_per_setting": 100},
+                              "sweep": {"axis": "g", "grid": [0.25], "trials": 10}}),
+        (["calibrate"], {"calibration": {"xi_grid": [1.0, 0.5]}}),
+    ])
+    def test_missing_output_dir_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        argv, data):
+        for name in ("run_scan", "variance_sweep", "calibrate_xi"):
+            monkeypatch.setattr(cli, name, refuse_to_run)
+        assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+        assert "output directory is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["oracle-check", "variance-sweep"])
+    def test_refine_only_on_scan_and_calibrate(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"povm": {"source": "builtin:sic"}})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--refine"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --refine" in capsys.readouterr().err
+
+    def test_one_summary_line_per_command(self, tmp_path, capsys):
+        """Each command prints one line naming the command, its wall time and
+        where it wrote; oracle-check without --out writes nothing."""
+        for name, argv in README_COMMANDS:
+            out = str(tmp_path / name)
+            assert main(argv + ["--out", out]) == 0, name
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1, lines
+            assert re.fullmatch(rf"{argv[0]}: .+ in \d+\.\d\d s -> {re.escape(out)}",
+                                lines[0]), lines
+        assert main(README_COMMANDS[0][1]) == 0
+        assert re.fullmatch(r"oracle-check: PASS, .+ in \d+\.\d\d s\n", capsys.readouterr().out)
 
 
 class TestCalibrateCommand:

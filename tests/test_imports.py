@@ -1,4 +1,4 @@
-"""Every name a povmdt module imports is used in that module.
+"""Every name a povmdt module or test module imports is used in that module.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "povmdt"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "povmdt"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -16,7 +16,6 @@ from povmdt import (
     apply_dephasing,
     exact_entry_tables,
     make_parametric_element,
-    make_sic_povm,
     random_povm,
     refinement_trials,
     rt_coefficients,

@@ -15,7 +15,6 @@ from povmdt import (
     error_transfer_variance,
     estimate_from_tables,
     exact_entry_tables,
-    make_sic_povm,
     matrix_entry_oracle,
     random_povm,
     rt_coefficients,
@@ -46,6 +45,12 @@ class TestDephasing:
     def test_out_of_range_xi(self, sic):
         with pytest.raises(ValueError, match="xi"):
             apply_dephasing(sic, 1.2, 1, 0)
+
+    def test_non_positive_result_refused_by_name(self):
+        """Scaling one coherence is not completely positive for d > 2."""
+        with pytest.raises(ValueError, match=r"^dephasing by xi=0.5 of slot \(1, 0\): "
+                                             r"element 1 is not positive semidefinite"):
+            apply_dephasing(random_povm(4, 8, seed=1), 0.5, 1, 0)
 
     def test_untouched_entries(self):
         povm = random_povm(3, 4, seed=2)

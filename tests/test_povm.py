@@ -7,7 +7,6 @@ from povmdt import (
     Povm,
     load_povm,
     make_parametric_element,
-    make_sic_povm,
     matrix_entry_oracle,
     povm_from_walk,
     random_povm,
