@@ -19,9 +19,10 @@ paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
 :func:`draw_counts` is the one counting-noise sampler: the trial kernel
 contracts its counts with the group weights, and
 :func:`povmdt.montecarlo.sample_counts` draws one trial of the 36 ungrouped
-cells of a W table with it.  Both pass their cells through the same check
-first (:func:`checked_cells`); their callers have already refused and
-clipped negative cells (:func:`povmdt.estimator.nonnegative_cells`).
+cells of each outcome's W table with it.  Both pass their cells through the
+same check first (:func:`checked_cells`, once for a whole stack of
+outcomes); their callers have already refused and clipped negative cells
+(:func:`povmdt.estimator.nonnegative_cells`).
 
 Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
 trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk
@@ -73,26 +74,30 @@ def rng_name() -> str:
 
 
 def checked_cells(cells, statistics: str) -> np.ndarray:
-    """The (settings, 4) cell probabilities, ready to draw from.
+    """The (settings, 4) cell probabilities, or an (outcomes, settings, 4)
+    stack of them, ready to draw from.
 
     Callers pass non-negative cells.  Under multinomial statistics the
     remainder ``1 - total`` of a setting is its rejected bucket, so a setting
-    whose cells sum above 1 is refused, and one above 1 by rounding only
-    (``SETTING_SUM_TOL``) is scaled down to sum to 1.
+    whose cells sum above 1 is refused, naming the setting and, in a stack,
+    the outcome's index; one above 1 by rounding only (``SETTING_SUM_TOL``)
+    is scaled down to sum to 1.
     """
     if statistics not in ("poisson", "multinomial"):
         raise ValueError(f"statistics must be 'poisson' or 'multinomial', got {statistics!r}")
     cells = np.asarray(cells, dtype=np.float64)
     if statistics == "poisson":
         return cells
-    totals = cells.sum(axis=1)
-    worst = int(np.argmax(totals))
+    totals = cells.sum(axis=-1)
+    worst = np.unravel_index(np.argmax(totals), totals.shape)
     if totals[worst] > 1.0 + SETTING_SUM_TOL:
+        where = f"setting {worst[-1]}" if len(worst) == 1 else (
+            f"outcome {worst[0]}, setting {worst[1]}")
         raise ValueError(
-            f"setting {worst} cells sum to {totals[worst]!r} > 1, "
+            f"{where} cells sum to {totals[worst]!r} > 1, "
             "so its rejected bucket would have a negative probability"
         )
-    return cells / np.maximum(totals, 1.0)[:, None]
+    return cells / np.maximum(totals, 1.0)[..., None]
 
 
 def group_cells(cells, w_re, w_im, statistics):

@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .estimator import (
+    _clip_once,
     estimate_record,
     EntryEstimate,
     completeness_refine,
@@ -40,7 +41,6 @@ from .estimator import (
     rt_coefficients,
 )
 from .montecarlo import (
-    ShotModel,
     SweepSpec,
     _child_seeds,
     refinement_trials,
@@ -168,10 +168,11 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     One noisy realization per (grid point, outcome) at the configured shot
     model, with predicted error-transfer variances and the transformed
     ground truth.  With ``refine`` the sum-rule refinement is applied
-    across outcomes at each grid point.  The exact tables, variances and
-    estimates of a grid point are computed for all its outcomes in one call
-    each; every outcome still draws its counts from its own seed.  An
-    outcome with a dead post-selection is refused.
+    across outcomes at each grid point.  The exact tables, variances, draw
+    and estimates of a grid point are computed for all its outcomes in one
+    call each, from tables checked and clipped once; every outcome still
+    draws its counts from its own seed.  An outcome with a dead
+    post-selection is refused.
     """
     if cfg.noise is None:
         raise ConfigError("scan requires a noise block")
@@ -198,18 +199,16 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
         elems = noisy.elements[rows_of]
         tables = exact_entry_tables(elems, j, k, coupling)
         check_postselection(tables, names)
-        var_re, var_im = error_transfer_variance(tables, coeffs, n)
-        point_seeds = [int(s) for s in seeds[gi * len(labels):(gi + 1) * len(labels)]]
-        counts = np.array([
-            sample_counts(t, ShotModel(n, shot.statistics, seed))
-            for t, seed in zip(tables, point_seeds)
-        ])
+        cells = _clip_once(tables)
+        var_re, var_im = error_transfer_variance(cells, coeffs, n)
+        point_seeds = seeds[gi * len(labels):(gi + 1) * len(labels)].tolist()
+        counts = sample_counts(cells, shot, point_seeds)
         values = estimate_from_tables(counts, coeffs).tolist()
         sampled = [
             EntryEstimate(value, vr, vi, n, "sampled")
             for value, vr, vi in zip(values, var_re.tolist(), var_im.tolist())
         ]
-        truths = [complex(e[j, k]) for e in elems]
+        truths = elems[:, j, k].tolist()
         for lab, est, truth, seed in zip(labels, sampled, truths, point_seeds):
             rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, seed))
         if refine:

@@ -161,6 +161,8 @@ def _build_povm(block: dict, global_seed: int) -> Povm:
             return load_povm(block["path"], check_complete=False)
         except FileNotFoundError:
             raise ConfigError(f"povm.path: file not found: {block['path']}") from None
+        except ValueError as exc:
+            raise ConfigError(f"povm.path: {block['path']}: {exc}") from None
     if source == "walk":
         try:
             with open(block["unitary"]) as fh:

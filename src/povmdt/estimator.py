@@ -87,12 +87,32 @@ def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
     """The 36 cells of the (9, 2, 2) W tables, or (L, 36) for an
     (L, 9, 2, 2) stack, with rounding negatives set to 0.
 
-    A cell below -1e-9 is no rounding error and is refused.
+    A cell below -1e-9 is no rounding error and is refused.  Cells already
+    checked and clipped by :func:`_clip_once` are returned as they are.
     """
+    if isinstance(tables, _ClippedCells):
+        return tables.flat
     flat = _cells(tables)
     if flat.min() < -1e-9:
         raise ValueError(f"negative probability cell: {flat.min():.3e}")
     return np.maximum(flat, 0.0)
+
+
+@dataclass(frozen=True)
+class _ClippedCells:
+    """The read-only output of :func:`nonnegative_cells`, (36,) or (L, 36),
+    made by :func:`_clip_once` so that several readers of the same exact
+    tables check and clip them once."""
+
+    flat: np.ndarray
+
+
+def _clip_once(tables) -> _ClippedCells:
+    """Check and clip W tables once for every reader that takes them through
+    :func:`nonnegative_cells` (the sampler and the variance)."""
+    flat = nonnegative_cells(tables)
+    flat.setflags(write=False)
+    return _ClippedCells(flat)
 
 
 @dataclass(frozen=True)
@@ -212,25 +232,21 @@ def completeness_refine(estimates: list[EntryEstimate]) -> list[EntryEstimate]:
     """
     if len(estimates) < 2:
         raise ValueError("refinement needs at least two outcomes")
-    vals = np.array([e.value for e in estimates])
-    var_re = np.array([e.var_re for e in estimates], dtype=float)
-    var_im = np.array([e.var_im for e in estimates], dtype=float)
-    if not (np.isfinite(var_re).all() and np.isfinite(var_im).all()):
+    re, im, var_re, var_im = columns = np.array(
+        [(e.value.real, e.value.imag, e.var_re, e.var_im) for e in estimates], dtype=float
+    ).T.copy()
+    if not np.isfinite(columns[2:]).all():
         raise ValueError("refinement requires finite variances for every outcome")
-    if (var_re <= 0).any() or (var_im <= 0).any():
+    if (columns[2:] <= 0).any():
         raise ValueError("refinement requires strictly positive variances")
 
-    re, var_re = _refine_arrays(vals.real, var_re)
-    im, var_im = _refine_arrays(vals.imag, var_im)
+    re, var_re = _refine_arrays(re, var_re)
+    im, var_im = _refine_arrays(im, var_im)
     return [
-        EntryEstimate(
-            complex(float(re[i]), float(im[i])),
-            float(var_re[i]),
-            float(var_im[i]),
-            est.n_per_setting,
-            "refined",
+        EntryEstimate(complex(r, i), vr, vi, est.n_per_setting, "refined")
+        for r, i, vr, vi, est in zip(
+            re.tolist(), im.tolist(), var_re.tolist(), var_im.tolist(), estimates
         )
-        for i, est in enumerate(estimates)
     ]
 
 

@@ -54,9 +54,10 @@ def _scaled_slot(povm: Povm, j: int, k: int, factor, model: str) -> Povm:
     if j == k:
         raise ValueError("dephasing/rotation act on an off-diagonal slot; need j != k")
     elems = povm.elements.copy()
+    conjugate = factor.conjugate()
     for m in elems:
         m[j, k] *= factor
-        m[k, j] *= factor.conjugate()
+        m[k, j] *= conjugate
     try:
         return Povm(elems, povm.labels, check_complete=False)
     except ValueError as exc:

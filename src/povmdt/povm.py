@@ -28,10 +28,13 @@ POVM_SCHEMA_VERSION = 1
 class Povm:
     """Ordered collection of measurement operators with outcome labels.
 
-    Each element must be Hermitian and positive semidefinite within ``tol``.
-    By default the elements must also sum to the identity; constructors of
-    deliberately sub-complete collections pass ``check_complete=False`` and
-    the residual stays queryable through :meth:`completeness_residual`.
+    ``elements`` is a sequence of (d, d) matrices or an (L, d, d) array,
+    copied, and ``labels`` are integers (``bool`` is refused), 1..L by
+    default.  Each element must be Hermitian and positive semidefinite
+    within ``tol``.  By default the elements must also sum to the identity;
+    constructors of deliberately sub-complete collections pass
+    ``check_complete=False`` and the residual stays queryable through
+    :meth:`completeness_residual`.
 
     The elements are stored as one read-only (L, d, d) complex array, in
     label order; :attr:`elements` and :meth:`element` return views of it.
@@ -45,31 +48,37 @@ class Povm:
         tol: float = DEFAULT_TOL,
         check_complete: bool = True,
     ):
-        elems = [asoperator(e) for e in elements]
-        if not elems:
+        try:
+            stack = np.array(elements, dtype=complex)  # a copy the caller cannot change
+        except ValueError:  # numpy refuses a ragged list of matrices
+            raise ValueError("elements must be square matrices of one dimension") from None
+        if not len(stack):
             raise ValueError("a POVM needs at least one element")
-        d = elems[0].shape[0]
-        for i, e in enumerate(elems):
-            if e.shape[0] != d:
-                raise ValueError(f"element {i} has dimension {e.shape[0]} != {d}")
-        stack = np.array(elems)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(
+                f"elements must be square matrices of one dimension, an (L, d, d) stack; "
+                f"got shape {stack.shape}"
+            )
+        d = stack.shape[1]
         adjoint = stack.conj().swapaxes(1, 2)
         # ``x <= tol`` is False for NaN, so a NaN element is refused too, and
         # so is an infinite one: inf - inf is NaN (its warning is silenced)
         with np.errstate(invalid="ignore"):
-            hermitian = np.abs(stack - adjoint).max(axis=(1, 2)) <= tol
-        valid = np.zeros(len(stack), dtype=bool)
-        lowest = np.linalg.eigvalsh((stack[hermitian] + adjoint[hermitian]) / 2)[:, 0]
-        valid[hermitian] = lowest >= -tol
-        bad = np.flatnonzero(~valid)
-        if bad.size:
-            i = bad[0]
+            hermitian = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1) <= tol
+            hermitian_part = (stack + adjoint) / 2
+        valid = hermitian.copy()
+        valid[hermitian] = np.linalg.eigvalsh(hermitian_part[hermitian])[:, 0] >= -tol
+        if not valid.all():
+            i = int(np.argmin(valid))
             kind = "Hermitian" if not hermitian[i] else "positive semidefinite"
             raise ValueError(f"element {i} is not {kind} within {tol}")
         if labels is None:
-            labels = list(range(1, len(elems) + 1))
-        labels = [int(l) for l in labels]
-        if len(labels) != len(elems):
+            labels = range(1, len(stack) + 1)
+        for label in labels:
+            if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
+                raise ValueError(f"outcome label {label!r} is not an integer")
+        labels = [int(label) for label in labels]
+        if len(labels) != len(stack):
             raise ValueError("labels and elements must have equal length")
         if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be unique")
@@ -102,9 +111,10 @@ class Povm:
         return iter(zip(self._labels, self._elements))
 
     def element(self, label: int) -> np.ndarray:
-        """Element for an outcome label."""
+        """Element for an outcome label; a label matches by value, never
+        truncated (1.5 labels no outcome)."""
         try:
-            idx = self._labels.index(int(label))
+            idx = self._labels.index(label)
         except ValueError:
             raise KeyError(f"no outcome labelled {label}; labels are {self._labels}") from None
         return self._elements[idx]

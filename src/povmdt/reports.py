@@ -52,12 +52,20 @@ def _format_value(v) -> str:
     return str(v)
 
 
+#: Types whose ``str`` is their CSV text as :func:`_format_value` writes it
+#: (``str`` of a float is its shortest round-trip ``repr``).
+_PLAIN = (str, int, float)
+
+
 def write_csv(path: str, columns: list[str], rows: list[dict], metadata: dict) -> None:
     """CSV with '#'-prefixed metadata header lines (skippable by readers)."""
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in columns))
+        lines.append(",".join([
+            str(v) if type(v) in _PLAIN else _format_value(v)
+            for v in map(row.__getitem__, columns)
+        ]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -383,6 +383,20 @@ class TestScanCommand:
         assert "outcome 1: post-selection probability" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_label_in_povm_file_exits_2(self, tmp_path, capsys):
+        """A POVM file whose labels are not integers is a config error: the
+        label is named, nothing is written."""
+        path = tmp_path / "labels.json"
+        save_povm(Povm([np.eye(2) / 2, np.eye(2) / 2]), str(path))
+        data = json.loads(path.read_text())
+        data["labels"] = [1.5, 2.9]
+        path.write_text(json.dumps(data))
+        cfg = write_config(tmp_path, dict(BASE_SCAN, povm={"source": "file", "path": str(path)}))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        assert "outcome label 1.5 is not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
     """Every README command exits 0 and rewrites the same CSV bytes."""

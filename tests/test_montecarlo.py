@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from povmdt import (
     variance_sweep,
 )
 from povmdt import _kernels
-from povmdt.estimator import error_transfer_variance, nonnegative_cells
+from povmdt.estimator import _clip_once, error_transfer_variance, nonnegative_cells
 from povmdt.montecarlo import _analytic_for
 from povmdt.protocol import SETTINGS
 
@@ -94,6 +95,38 @@ class TestSampleCounts:
         bad[SETTINGS.index(("x", "x"))] += 0.5
         with pytest.raises(ValueError, match="sum"):
             sample_counts(bad, ShotModel(1000, "multinomial", seed=1))
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_stack_equals_single_outcome_calls(self, statistics):
+        """Given one seed per outcome, the draw of an (L, 9, 2, 2) stack is
+        the L single-outcome draws bit for bit, also from cells clipped once
+        for the sampler and the variance together."""
+        povm = random_povm(3, 5, seed=21)
+        tables = exact_entry_tables(povm.elements, 0, 2, CouplingConfig.symmetric(0.7))
+        seeds = [11, 2**32 - 1, 0, 12345, 99]
+        shot = ShotModel(4000, statistics, seed=5)
+        stacked = sample_counts(tables, shot, seeds)
+        assert stacked.shape == (5, 9, 2, 2)
+        for one, seed, got in zip(tables, seeds, stacked):
+            np.testing.assert_array_equal(got, sample_counts(one, replace(shot, seed=seed)))
+        cells = _clip_once(tables)
+        np.testing.assert_array_equal(sample_counts(cells, shot, seeds), stacked)
+        coeffs = rt_coefficients(3, 0.7)
+        for shared, own in zip(error_transfer_variance(cells, coeffs, 4000),
+                               error_transfer_variance(tables, coeffs, 4000)):
+            np.testing.assert_array_equal(shared, own)
+        with pytest.raises(ValueError, match="2 seeds for 5 outcomes"):
+            sample_counts(tables, shot, seeds[:2])
+
+    def test_multinomial_stack_names_outcome_and_setting(self, sic):
+        """A setting whose cells sum above 1 is named by outcome and setting,
+        not by its row in the flattened stack."""
+        tables = exact_entry_tables(sic.elements, 1, 0, CouplingConfig.symmetric(np.pi / 4))
+        tables[2, 4] += 0.5
+        with pytest.raises(ValueError, match=r"^outcome 2, setting 4 cells sum to"):
+            sample_counts(tables, ShotModel(1000, "multinomial"), [1, 2, 3, 4])
+        with pytest.raises(ValueError, match=r"^setting 4 cells sum to"):
+            sample_counts(tables[2], ShotModel(1000, "multinomial"))
 
     def test_multinomial_accepts_rounding_excess(self, sic_tables):
         """A setting summing to 1 + 5e-10, within the rounding tolerance, is

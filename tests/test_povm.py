@@ -1,5 +1,7 @@
 """POVM containers, constructors, the entry oracle and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,10 @@ class TestOracle:
             matrix_entry_oracle(sic, 1, 0, 5)
         with pytest.raises(KeyError):
             matrix_entry_oracle(sic, 9, 0, 1)
+        for label in (1.5, 2.9):  # once truncated to outcomes 1 and 2
+            with pytest.raises(KeyError, match="no outcome labelled"):
+                sic.element(label)
+        np.testing.assert_array_equal(sic.element(np.int64(2)), sic.elements[1])
 
 
 class TestPovmContainer:
@@ -157,11 +163,37 @@ class TestPovmContainer:
         (np.array([[0.5, np.inf], [np.inf, 0.5]]), "element 2 is not Hermitian"),
     ])
     def test_refuses_the_first_bad_element(self, bad, message):
-        """The first offending element is named, whatever follows it."""
+        """The first offending element is named, whatever follows it, in a
+        list of matrices and in an (L, d, d) array alike."""
         good = np.diag([0.25, 0.25])
         worse = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for elements in ([good, good, bad, worse], np.array([good, good, bad, worse])):
+            with pytest.raises(ValueError, match=message):
+                Povm(elements, check_complete=False)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.eye(2), "square matrices"), (np.zeros((2, 2, 3)), "square matrices"),
+        ([np.eye(2), np.eye(3)], "square matrices"), (np.zeros((0, 2, 2)), "at least one"),
+        ([], "at least one"),
+    ])
+    def test_elements_must_be_square_matrices_of_one_dimension(self, bad, message):
         with pytest.raises(ValueError, match=message):
-            Povm([good, good, bad, worse], check_complete=False)
+            Povm(bad, check_complete=False)
+
+    @pytest.mark.parametrize("labels, bad", [
+        ([1.5, 2.9], 1.5), ([1.2, 1.7], 1.2), ([1, 2.0], 2.0), ([True, 2], True),
+        ([1, "2"], "2"), ([1, None], None),
+    ])
+    def test_labels_must_be_integers(self, labels, bad):
+        """A label that is not an integer is refused by name, not truncated:
+        [1.5, 2.9] once became (1, 2) and [1.2, 1.7] a duplicate-label error."""
+        elems = [np.diag([0.5, 0.5])] * 2
+        with pytest.raises(ValueError, match=re.escape(f"outcome label {bad!r} is not an integer")):
+            Povm(elems, labels=labels)
+
+    def test_numpy_integer_labels_become_ints(self):
+        p = Povm([np.diag([0.5, 0.5])] * 2, labels=np.array([3, 7]))
+        assert p.labels == (3, 7) and all(type(lab) is int for lab in p.labels)
 
     def test_elements_are_one_read_only_stack(self, small_random_povm):
         p = small_random_povm

@@ -303,6 +303,23 @@ class TestStackedTables:
                 assert one.shape == (9, 2, 2)
                 np.testing.assert_array_equal(one, w)
 
+    def test_pairwise_diagonal_sum_equals_trace(self):
+        """The cells, summed from the block diagonals as (d0 + d1) + (d2 + d3),
+        equal numpy's trace of the same blocks bit for bit.  A numpy release
+        that changes either reduction order fails here instead of moving the
+        last ulp of the artifacts."""
+        rng = np.random.default_rng(4096)
+        for d in range(2, 6):
+            for outcomes in range(1, 9):
+                povm = random_povm(d, outcomes, seed=int(rng.integers(2**31)))
+                j, k = (int(x) for x in rng.choice(d, 2, replace=False))
+                for g in (np.pi / 16, np.pi / 8, np.pi / 4, 3 * np.pi / 8):
+                    js = prepare_entry_state(d, j, k, CouplingConfig.symmetric(g))
+                    kk = reduced_meter_operator(js, povm.elements)
+                    blocks = (CELL_PROJECTORS.reshape(144, 4) @ kk).reshape(-1, 4, 4)
+                    ref = np.trace(blocks, axis1=1, axis2=2).real.reshape(outcomes, 9, 2, 2)
+                    assert (meter_tables(js, povm.elements) == ref).all(), (d, outcomes, g)
+
     def test_one_element_stack_keeps_its_axis(self, sic):
         cfg = CouplingConfig.symmetric(np.pi / 4)
         tables = exact_entry_tables(sic.elements[:1], 1, 0, cfg)
