@@ -108,8 +108,8 @@ class _ClippedCells:
 
 
 def _clip_once(tables) -> _ClippedCells:
-    """Check and clip W tables once for every reader that takes them through
-    :func:`nonnegative_cells` (the sampler and the variance)."""
+    """Check and clip W tables once for all their readers: the sampler, the
+    variance and the trial kernel."""
     flat = nonnegative_cells(tables)
     flat.setflags(write=False)
     return _ClippedCells(flat)

@@ -20,6 +20,7 @@ from . import _kernels
 from .estimator import (
     EntryEstimate,
     RtCoefficients,
+    _clip_once,
     _refine_arrays,
     analytic_variance,
     completeness_refine,
@@ -191,11 +192,11 @@ def sample_counts(tables, shot: ShotModel, seeds=None) -> np.ndarray:
 
 
 def _trial_arrays(
-    tables: np.ndarray, coeffs: RtCoefficients, scale: float, shot: ShotModel, trials: int
+    cells: np.ndarray, coeffs: RtCoefficients, scale: float, shot: ShotModel, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (re, im) estimates from already-built exact tables and weights."""
+    """Per-trial (re, im) estimates from one outcome's 36 clipped cells and weights."""
     return _kernels.trial_estimates(
-        nonnegative_cells(tables).reshape(9, 4),
+        cells.reshape(9, 4),
         coeffs.cell_re / scale,
         coeffs.cell_im / scale,
         shot.n_per_setting,
@@ -223,8 +224,9 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     tables = scenario.exact_tables()
     check_postselection(tables, [f"entry ({scenario.j}, {scenario.k})"])
     coeffs = scenario.coeffs()
-    vr, vi = error_transfer_variance(tables, coeffs, shot.n_per_setting, scenario.scale)
-    re, im = _trial_arrays(tables, coeffs, scenario.scale, shot, trials)
+    cells = _clip_once(tables)
+    vr, vi = error_transfer_variance(cells, coeffs, shot.n_per_setting, scenario.scale)
+    re, im = _trial_arrays(cells.flat, coeffs, scenario.scale, shot, trials)
     return TrialSummary(
         mean=complex(re.mean(), im.mean()) if trials else complex(math.nan, math.nan),
         sample_var_re=_sample_var(re),
@@ -320,7 +322,8 @@ def refinement_trials(
     n = shot.n_per_setting
     tables = exact_entry_tables(povm.elements, j, k, CouplingConfig.symmetric(g))
     check_postselection(tables, [f"outcome {lab}" for lab in labels])
-    var_re, var_im = error_transfer_variance(tables, coeffs, n)
+    cells = _clip_once(tables)
+    var_re, var_im = error_transfer_variance(cells, coeffs, n)
 
     raw_est = {}
     re, im = np.empty((2, len(labels), trials))
@@ -329,7 +332,7 @@ def refinement_trials(
             complex(element[j, k]), float(var_re[i]), float(var_im[i]), n, "exact"
         )
         re[i], im[i] = _trial_arrays(
-            tables[i], coeffs, 1.0, replace(shot, seed=int(seeds[i])), trials
+            cells.flat[i], coeffs, 1.0, replace(shot, seed=int(seeds[i])), trials
         )
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])

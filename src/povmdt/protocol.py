@@ -34,16 +34,18 @@ one result and an (L, d, d) stack to L results along a leading outcome axis,
 (L, 9, 2, 2) for the tables.  Each outcome's arithmetic is the same either
 way, so a stacked call equals the per-element calls bit for bit.
 
-A cell is the real part of the trace of one 4x4 block of the meter product.
-:func:`meter_tables` adds the four real diagonal entries pairwise,
-``(d0 + d1) + (d2 + d3)``, which is the order numpy's ``np.trace`` adds them
-in, so the cells are those of ``np.trace(...).real`` bit for bit at a
-fraction of its cost: numpy's complex add-reduce is slow after a BLAS call.
+Each cell is linear in the element, W_c = sum_st Pi_l[s, t] A_c[s, t], with
+the cell effect A_c[s, t] = Tr[(|t><s| (x) M_c) rho_J].  A :class:`JointState`
+holds its 36 effects as one real (2d^2, 36) matrix of rows Re A and -Im A, so
+:func:`meter_tables` is one real product with the element read as interleaved
+(re, im) floats.  That is exact, Re(Pi A) = Re Pi Re A - Im Pi Im A, with no
+imaginary part formed or dropped, and differs from the per-cell traces
+Tr[M_c K] only in rounding order (about one ulp).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -124,22 +126,27 @@ class JointState:
 
     ``rho`` is a read-only copy of the input, so the validated state cannot
     change behind the caller's back (states are shared by the memo in
-    :func:`prepare_entry_state`).
+    :func:`prepare_entry_state`).  ``effects``, built from it, is the read-only
+    (2d^2, 36) matrix of cell effects: Re A[s, t, :] in row 2(s d + t), -Im A next.
     """
 
     rho: np.ndarray
     system_dim: int
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = asoperator(self.rho).copy()
         r.setflags(write=False)
-        if r.shape[0] != 4 * self.system_dim:
-            raise ValueError(
-                f"joint dimension {r.shape[0]} != 4 * system_dim = {4 * self.system_dim}"
-            )
+        d = self.system_dim
+        if r.shape[0] != 4 * d:
+            raise ValueError(f"joint dimension {r.shape[0]} != 4 * system_dim = {4 * d}")
         if not is_density(r, 1e-10):
             raise ValueError("joint state is not a valid density operator within 1e-10")
+        a = np.einsum("cab,tbsa->stc", CELL_PROJECTORS, r.reshape(d, 4, d, 4))
+        effects = np.stack((a.real, -a.imag), axis=2).reshape(2 * d * d, 36)
+        effects.setflags(write=False)
         object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "effects", effects)
 
 
 def pointer_state_b0(d: int) -> np.ndarray:
@@ -211,11 +218,14 @@ def prepare_entry_state(d: int, j: int, k: int, cfg: CouplingConfig) -> JointSta
     return evolve_joint(projector(ket(d, j)), cfg, k)
 
 
-def _elements(pi_l) -> np.ndarray:
-    """One (d, d) element or an (L, d, d) stack of them, as complex."""
+def _elements(pi_l, d: int | None = None) -> np.ndarray:
+    """One (d, d) element or an (L, d, d) stack of them, as complex; of system
+    dimension ``d`` when it is given."""
     pi = np.asarray(pi_l, dtype=complex)
     if pi.ndim not in (2, 3) or pi.shape[-1] != pi.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {pi.shape}")
+    if d is not None and pi.shape[-1] != d:
+        raise ValueError(f"element dimension {pi.shape[-1]} != system dimension {d}")
     return pi
 
 
@@ -227,16 +237,9 @@ def reduced_meter_operator(js: JointState, pi_l: np.ndarray) -> np.ndarray:
     (L, d, d) stack of elements gives an (L, 4, 4) stack of operators.
     """
     d = js.system_dim
-    pi = _elements(pi_l)
-    if pi.shape[-1] != d:
-        raise ValueError(f"element dimension {pi.shape[-1]} != system dimension {d}")
+    pi = _elements(pi_l, d)
     r4 = js.rho.reshape(d, 4, d, 4)
     return np.einsum("...st,tasb->...ab", pi, r4)
-
-
-#: :data:`CELL_PROJECTORS` as one (144, 4) matrix: the 36 projectors stacked
-#: row-block by row-block, so one product with K gives all 36 products.
-_CELL_ROWS = CELL_PROJECTORS.reshape(144, 4)
 
 
 def meter_tables(js: JointState, pi_l: np.ndarray) -> np.ndarray:
@@ -247,18 +250,12 @@ def meter_tables(js: JointState, pi_l: np.ndarray) -> np.ndarray:
     SETTINGS[s].  Each setting's four cells sum to the post-selection
     probability, not to 1.
     """
-    k = reduced_meter_operator(js, pi_l)
-    # one (144, 4) @ (4, 4) product per outcome gives the 36 products
-    # CELL_PROJECTORS[c] @ k as 4x4 blocks; an einsum contraction sums in
-    # another order and moves the last ulp.  Each cell is the real part of
-    # its block's trace, summed pairwise as (d0 + d1) + (d2 + d3): the order
-    # in which np.trace adds four complex numbers, so the cells equal
-    # np.trace(blocks, axis1=1, axis2=2).real bit for bit (a test pins
-    # this).  np.trace is not used because numpy's complex add-reduce runs
-    # about 5x slower after a BLAS call.
-    blocks = (_CELL_ROWS @ k).reshape(-1, 4, 4).real
-    w = (blocks[:, 0, 0] + blocks[:, 1, 1]) + (blocks[:, 2, 2] + blocks[:, 3, 3])
-    return w.reshape(k.shape[:-2] + (9, 2, 2))
+    pi = _elements(pi_l, js.system_dim)
+    v = np.ascontiguousarray(pi).view(np.float64)
+    # one (1, 2d^2) @ (2d^2, 36) product per outcome, so that a stack equals its
+    # per-element calls bit for bit; an (L, 2d^2) GEMM may sum in another order
+    w = np.matmul(v.reshape(-1, 1, v.shape[-2] * v.shape[-1]), js.effects)
+    return w.reshape(pi.shape[:-2] + (9, 2, 2))
 
 
 def _cells(tables) -> np.ndarray:

@@ -24,7 +24,7 @@ from povmdt import (
     sample_counts,
     variance_sweep,
 )
-from povmdt import _kernels
+from povmdt import _kernels, estimator, montecarlo
 from povmdt.estimator import _clip_once, error_transfer_variance, nonnegative_cells
 from povmdt.montecarlo import _analytic_for
 from povmdt.protocol import SETTINGS
@@ -489,6 +489,22 @@ class TestRefinementTrials:
             assert ref_tot < raw_tot
             pred_ratio = study.refined[lab].total_variance / study.raw[lab].total_variance
             assert abs(ref_tot / raw_tot - pred_ratio) < 0.1
+
+    def test_clips_the_stack_once(self, monkeypatch):
+        """The variance and every outcome's trials share one clip of the
+        exact tables: one real nonnegative_cells call for six outcomes."""
+        real = estimator.nonnegative_cells
+        clipped = []
+
+        def counting(tables):
+            if not isinstance(tables, estimator._ClippedCells):
+                clipped.append(np.shape(tables))
+            return real(tables)
+
+        monkeypatch.setattr(estimator, "nonnegative_cells", counting)
+        monkeypatch.setattr(montecarlo, "nonnegative_cells", counting)
+        refinement_trials(random_povm(3, 6, seed=8), 0, 2, 0.7, ShotModel(1000, seed=4), 50)
+        assert clipped == [(6, 9, 2, 2)]
 
     def test_dead_outcome_refused(self):
         zero_and_identity = Povm([np.zeros((2, 2)), np.eye(2)])

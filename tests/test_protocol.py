@@ -21,6 +21,7 @@ from povmdt import (
     prepare_entry_state,
     random_povm,
 )
+from povmdt import protocol
 from povmdt.estimator import rt_coefficients
 from povmdt.linalg import dag, random_unitary, tensor
 from povmdt.protocol import (
@@ -291,10 +292,11 @@ class TestStackedTables:
             per_w = np.array([meter_tables(js, e) for e in stack])
             np.testing.assert_array_equal(reduced_meter_operator(js, stack), per_k)
             np.testing.assert_array_equal(meter_tables(js, stack), per_w)
-            # the one-GEMM product sums as the 36 separate products did
+            # the cell-effect product differs from the per-cell traces only in
+            # rounding order
             for kk, w in zip(per_k, per_w):
                 ref = np.trace(CELL_PROJECTORS @ kk, axis1=1, axis2=2).real.reshape(9, 2, 2)
-                np.testing.assert_array_equal(w, ref)
+                assert abs(w - ref).max() <= 4 * 2**-52
             tables = exact_entry_tables(stack, j, k, cfg)
             assert tables.shape == (len(povm), 9, 2, 2)
             np.testing.assert_array_equal(tables, per_w)
@@ -303,11 +305,10 @@ class TestStackedTables:
                 assert one.shape == (9, 2, 2)
                 np.testing.assert_array_equal(one, w)
 
-    def test_pairwise_diagonal_sum_equals_trace(self):
-        """The cells, summed from the block diagonals as (d0 + d1) + (d2 + d3),
-        equal numpy's trace of the same blocks bit for bit.  A numpy release
-        that changes either reduction order fails here instead of moving the
-        last ulp of the artifacts."""
+    def test_cells_match_trace_within_four_ulp(self):
+        """The cells, one product of the element with the cell effects, lie
+        within 4 * 2**-52 of numpy's trace of the meter-product blocks: the
+        two sum the same terms in different orders."""
         rng = np.random.default_rng(4096)
         for d in range(2, 6):
             for outcomes in range(1, 9):
@@ -318,7 +319,8 @@ class TestStackedTables:
                     kk = reduced_meter_operator(js, povm.elements)
                     blocks = (CELL_PROJECTORS.reshape(144, 4) @ kk).reshape(-1, 4, 4)
                     ref = np.trace(blocks, axis1=1, axis2=2).real.reshape(outcomes, 9, 2, 2)
-                    assert (meter_tables(js, povm.elements) == ref).all(), (d, outcomes, g)
+                    assert abs(meter_tables(js, povm.elements) - ref).max() <= 4 * 2**-52, (
+                        d, outcomes, g)
 
     def test_one_element_stack_keeps_its_axis(self, sic):
         cfg = CouplingConfig.symmetric(np.pi / 4)
@@ -334,6 +336,66 @@ class TestStackedTables:
                 exact_entry_tables(bad, 1, 0, cfg)
         with pytest.raises(ValueError, match="system dimension"):
             meter_tables(js, np.zeros((3, 3, 3)))
+
+
+class TestCellEffects:
+    """The cell effects a JointState carries, and meter_tables as their
+    product with the element."""
+
+    @staticmethod
+    def complex_effects(js):
+        """A[s, t, c] from the interleaved real rows (Re A, -Im A)."""
+        e = js.effects
+        d = js.system_dim
+        return (e[0::2] - 1j * e[1::2]).reshape(d, d, 36)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_read_only_real_shape(self, d):
+        effects = prepare_entry_state(d, 1, 0, CouplingConfig.symmetric(0.7)).effects
+        assert effects.shape == (2 * d * d, 36)
+        assert effects.dtype == np.float64
+        assert not effects.flags.writeable
+        with pytest.raises(ValueError):
+            effects[0, 0] = 1.0
+
+    def test_direct_state_has_the_memoized_effects(self):
+        for d in range(2, 6):
+            cfg = CouplingConfig.symmetric(0.9)
+            memo = prepare_entry_state(d, 0, d - 1, cfg)
+            direct = JointState(memo.rho, d)
+            np.testing.assert_array_equal(direct.effects, memo.effects)
+            evolved = evolve_joint(np.diag(np.eye(d)[0]), cfg, d - 1)
+            np.testing.assert_array_equal(evolved.effects, memo.effects)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_weights_on_effects_read_the_entry(self, d):
+        """sum_c w_c A_c == |a_k><a_j| on the package's own effects, as the
+        operator X with Tr[Pi X] = Pi[j, k] (A[s, t] is X[t, s])."""
+        for g in (np.pi / 16, np.pi / 4, 3 * np.pi / 8, 1.5):
+            coeffs = rt_coefficients(d, g)
+            weights = coeffs.cell_re + 1j * coeffs.cell_im
+            cfg = CouplingConfig.symmetric(g)
+            for j in range(d):
+                for k in range(d):
+                    if j == k:
+                        continue
+                    a = self.complex_effects(prepare_entry_state(d, j, k, cfg))
+                    target = np.zeros((d, d), dtype=complex)
+                    target[k, j] = 1.0
+                    assert np.abs((a @ weights).T - target).max() < 1e-12, (d, g, j, k)
+
+    def test_meter_tables_makes_no_per_call_contraction(self, monkeypatch):
+        povm = random_povm(3, 5, seed=31)
+        js = prepare_entry_state(3, 2, 0, CouplingConfig.symmetric(0.8))
+        stacked = meter_tables(js, povm.elements)
+        one = meter_tables(js, povm.element(2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("meter_tables contracted the joint state")
+
+        monkeypatch.setattr(protocol, "reduced_meter_operator", refuse)
+        np.testing.assert_array_equal(meter_tables(js, povm.elements), stacked)
+        np.testing.assert_array_equal(meter_tables(js, povm.element(2)), one)
 
 
 class TestExactReconstruction:
