@@ -22,7 +22,7 @@ contracts its counts with the group weights, and
 cells of each outcome's W table with it.  Both pass their cells through the
 same check first (:func:`checked_cells`, once for a whole stack of
 outcomes); their callers have already refused and clipped negative cells
-(:func:`povmdt.estimator.nonnegative_cells`).
+(:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
 
 Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
 trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk

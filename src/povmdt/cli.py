@@ -32,24 +32,23 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .estimator import (
-    _clip_once,
     estimate_record,
     EntryEstimate,
     completeness_refine,
-    error_transfer_variance,
     estimate_from_tables,
     rt_coefficients,
 )
 from .montecarlo import (
     SweepSpec,
     _child_seeds,
+    exact_slot,
     refinement_trials,
     sample_counts,
     variance_sweep,
 )
 from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi
 from .povm import matrix_entry_oracle
-from .protocol import SETTINGS, CouplingConfig, check_postselection, exact_entry_tables
+from .protocol import SETTINGS, CouplingConfig, exact_entry_tables
 from .reports import run_metadata, write_csv, write_json_report
 
 
@@ -168,11 +167,11 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     One noisy realization per (grid point, outcome) at the configured shot
     model, with predicted error-transfer variances and the transformed
     ground truth.  With ``refine`` the sum-rule refinement is applied
-    across outcomes at each grid point.  The exact tables, variances, draw
-    and estimates of a grid point are computed for all its outcomes in one
-    call each, from tables checked and clipped once; every outcome still
-    draws its counts from its own seed.  An outcome with a dead
-    post-selection is refused.
+    across outcomes at each grid point.  The exact step
+    (:func:`~povmdt.montecarlo.exact_slot`), draw and estimates of a grid
+    point are one call each for all its outcomes; every outcome still draws
+    its counts from its own seed.  An outcome with a dead post-selection is
+    refused.
     """
     if cfg.noise is None:
         raise ConfigError("scan requires a noise block")
@@ -189,7 +188,6 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     transform = apply_dephasing if cfg.noise["type"] == "dephasing" else apply_phase_rotation
     grid = cfg.noise["grid"]
     n = shot.n_per_setting
-    coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
     rows_of = [povm.labels.index(lab) for lab in labels]
     seeds = _child_seeds(shot.seed, len(grid) * len(labels))
@@ -197,10 +195,7 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     for gi, (axis, axis_value, param) in enumerate(grid):
         noisy = transform(povm, param, j, k)
         elems = noisy.elements[rows_of]
-        tables = exact_entry_tables(elems, j, k, coupling)
-        check_postselection(tables, names)
-        cells = _clip_once(tables)
-        var_re, var_im = error_transfer_variance(cells, coeffs, n)
+        cells, var_re, var_im = exact_slot(elems, j, k, coeffs, n, names)
         point_seeds = seeds[gi * len(labels):(gi + 1) * len(labels)].tolist()
         counts = sample_counts(cells, shot, point_seeds)
         values = estimate_from_tables(counts, coeffs).tolist()

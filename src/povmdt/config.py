@@ -18,12 +18,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .montecarlo import AXES as SWEEP_AXES, ShotModel
 from .noise import wavepacket_overlap
-from .povm import Povm, load_povm, make_sic_povm, povm_from_walk, random_povm
+from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_walk, random_povm
 
 POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
@@ -151,30 +150,28 @@ class ScenarioConfig:
 
 
 def _build_povm(block: dict, global_seed: int) -> Povm:
+    """The POVM of a validated povm block; a missing or malformed source is a ConfigError."""
     source = block["source"]
-    if source == "builtin:sic":
-        return make_sic_povm()
-    if source == "random":
-        return random_povm(block["d"], block["outcomes"], block.get("seed", global_seed))
-    if source == "file":
-        try:
+    key = {"file": "path", "walk": "unitary"}.get(source)
+    try:
+        if source == "builtin:sic":
+            return make_sic_povm()
+        if source == "random":
+            return random_povm(block["d"], block["outcomes"], block.get("seed", global_seed))
+        if source == "file":
             return load_povm(block["path"], check_complete=False)
-        except FileNotFoundError:
-            raise ConfigError(f"povm.path: file not found: {block['path']}") from None
-        except ValueError as exc:
-            raise ConfigError(f"povm.path: {block['path']}: {exc}") from None
-    if source == "walk":
-        try:
-            with open(block["unitary"]) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"povm.unitary: file not found: {block['unitary']}") from None
-        for key in ("n_positions", "coin_dim", "matrix"):
-            if key not in data:
-                raise ConfigError(f"walk unitary file: missing key {key!r}")
-        u = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
+        with open(block["unitary"]) as fh:  # source "walk"
+            data = json.load(fh)
+        for name in ("n_positions", "coin_dim", "matrix"):
+            if name not in data:
+                raise ValueError(f"missing key {name!r}")
+        u = matrix_from_pairs(data["matrix"])
         return povm_from_walk(u, int(data["n_positions"]), int(data["coin_dim"]))
-    raise ConfigError(f"povm.source: unhandled source {source!r}")  # pragma: no cover
+    except FileNotFoundError:
+        raise ConfigError(f"povm.{key}: file not found: {block[key]}") from None
+    except ValueError as exc:
+        where = f"povm.{key}: {block[key]}" if key else "povm"
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
@@ -301,10 +298,10 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             "eta": _number(block, "sweep", "eta", default=0.5),
             "g": _angle(block, "sweep", "g", default=cfg.g),
         }
-        e01 = block.get("e01", [0.0, 0.0])
-        if not (isinstance(e01, (list, tuple)) and len(e01) == 2):
-            raise ConfigError("sweep.e01: expected [re, im]")
-        sweep["e01"] = complex(float(e01[0]), float(e01[1]))
+        e01 = _number_list(block.get("e01", [0.0, 0.0]), "sweep.e01")
+        if len(e01) != 2:
+            raise ConfigError(f"sweep.e01: expected [re, im], got {block['e01']!r}")
+        sweep["e01"] = complex(*e01)
         cfg.sweep = sweep
 
     if "calibration" in raw:

@@ -41,7 +41,7 @@ from .protocol import CELL_PROJECTORS, JointState, _cells, reduced_meter_operato
 N_CELLS = 36
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RtCoefficients:
     """Linear weights reconstructing Re/Im of an entry from meter data.
 
@@ -98,7 +98,7 @@ def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
     return np.maximum(flat, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ClippedCells:
     """The read-only output of :func:`nonnegative_cells`, (36,) or (L, 36),
     made by :func:`_clip_once` so that several readers of the same exact

@@ -31,7 +31,7 @@ from .estimator import (
 from .linalg import asoperator
 from .noise import apply_dephasing, apply_phase_rotation
 from .povm import Povm, make_parametric_element
-from .protocol import CouplingConfig, check_postselection, exact_entry_tables
+from .protocol import P_FLOOR, CouplingConfig, DeadPostSelectionError, exact_entry_tables
 
 AXES = ("g", "theta", "xi", "phi")
 
@@ -53,7 +53,7 @@ class ShotModel:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntryScenario:
     """One entry-measurement scenario: element, entry indices, coupling.
 
@@ -211,6 +211,23 @@ def _sample_var(x: np.ndarray) -> float:
     return float(x.var(ddof=1)) if x.size >= 2 else float("nan")
 
 
+def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, scale=1.0):
+    """The exact step of every Monte Carlo study of slot (j, k) of an
+    (L, d, d) stack: its cells checked and clipped once, and the arrays
+    (var_re, var_im) of error-transfer variances at n particles per setting.
+    An outcome whose post-selection probability (one setting's four cells)
+    is at or below ``P_FLOOR`` is refused by its entry in ``names``.
+    """
+    tables = exact_entry_tables(elements, j, k, CouplingConfig.symmetric(coeffs.g))
+    for name, p_f in zip(names, tables.reshape(-1, 36)[:, :4].sum(axis=1).tolist(), strict=True):
+        if not p_f > P_FLOOR:
+            raise DeadPostSelectionError(
+                f"{name}: post-selection probability {p_f:.3e} <= floor {P_FLOOR:.1e}"
+            )
+    cells = _clip_once(tables)
+    return (cells,) + error_transfer_variance(cells, coeffs, n, scale)
+
+
 def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSummary:
     """Sample-and-estimate ``trials`` times and summarize.
 
@@ -221,17 +238,16 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    tables = scenario.exact_tables()
-    check_postselection(tables, [f"entry ({scenario.j}, {scenario.k})"])
     coeffs = scenario.coeffs()
-    cells = _clip_once(tables)
-    vr, vi = error_transfer_variance(cells, coeffs, shot.n_per_setting, scenario.scale)
-    re, im = _trial_arrays(cells.flat, coeffs, scenario.scale, shot, trials)
+    j, k = scenario.j, scenario.k
+    cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
+                               [f"entry ({j}, {k})"], scenario.scale)
+    re, im = _trial_arrays(cells.flat[0], coeffs, scenario.scale, shot, trials)
     return TrialSummary(
         mean=complex(re.mean(), im.mean()) if trials else complex(math.nan, math.nan),
         sample_var_re=_sample_var(re),
         sample_var_im=_sample_var(im),
-        predicted_var=vr + vi,
+        predicted_var=float(vr[0] + vi[0]),
         trials=trials,
     )
 
@@ -320,10 +336,8 @@ def refinement_trials(
     coeffs = rt_coefficients(povm.dim, g)
     seeds = _child_seeds(shot.seed, len(labels))
     n = shot.n_per_setting
-    tables = exact_entry_tables(povm.elements, j, k, CouplingConfig.symmetric(g))
-    check_postselection(tables, [f"outcome {lab}" for lab in labels])
-    cells = _clip_once(tables)
-    var_re, var_im = error_transfer_variance(cells, coeffs, n)
+    names = [f"outcome {lab}" for lab in labels]
+    cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n, names)
 
     raw_est = {}
     re, im = np.empty((2, len(labels), trials))

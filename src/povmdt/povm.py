@@ -138,13 +138,21 @@ class Povm:
     @classmethod
     def from_dict(cls, data: dict, *, check_complete: bool = True) -> "Povm":
         dim = int(data["dim"])
-        elems = []
-        for e in data["elements"]:
-            m = np.array([[complex(re, im) for re, im in row] for row in e])
+        elems = [matrix_from_pairs(e) for e in data["elements"]]
+        for m in elems:
             if m.shape != (dim, dim):
                 raise ValueError(f"element shape {m.shape} does not match dim {dim}")
-            elems.append(m)
         return cls(elems, data.get("labels"), check_complete=check_complete)
+
+
+def matrix_from_pairs(rows) -> np.ndarray:
+    """A complex matrix from its JSON form, rows of [re, im] pairs (the form
+    of :meth:`Povm.to_dict` and of walk unitary files); a malformed entry
+    raises ValueError."""
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
 
 
 def save_povm(povm: Povm, path: str) -> None:

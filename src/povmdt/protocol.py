@@ -79,7 +79,7 @@ CELL_PROJECTORS = np.array([
 ])
 CELL_PROJECTORS.setflags(write=False)
 
-#: Post-selection probabilities below this are rejected as dead.
+#: Post-selection probabilities at or below this are refused as dead.
 P_FLOOR = 1e-14
 
 
@@ -120,7 +120,7 @@ class CouplingConfig:
         return self.g_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """Density operator on system (x) meterB (x) meterA (dimension 4d).
 
@@ -132,7 +132,7 @@ class JointState:
 
     rho: np.ndarray
     system_dim: int
-    effects: np.ndarray = field(init=False, repr=False, compare=False)
+    effects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = asoperator(self.rho).copy()
@@ -269,21 +269,6 @@ def _cells(tables) -> np.ndarray:
     if w.ndim not in (3, 4) or w.shape[-3:] != (9, 2, 2):
         raise ValueError(f"W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got {w.shape}")
     return w.reshape(w.shape[:-3] + (36,))
-
-
-def check_postselection(tables, names) -> None:
-    """Refuse exact W tables, one outcome's (9, 2, 2) or an (L, 9, 2, 2)
-    stack, in which an outcome's post-selection probability, the sum of one
-    setting's four cells, is at or below :data:`P_FLOOR`.  ``names`` names
-    the outcomes in the error, one per outcome.
-    """
-    p_f = _cells(tables)[..., :4].sum(axis=-1).reshape(-1)
-    dead = np.flatnonzero(~(p_f > P_FLOOR))
-    if dead.size:
-        i = dead[0]
-        raise DeadPostSelectionError(
-            f"{names[i]}: post-selection probability {p_f[i]:.3e} <= floor {P_FLOOR:.1e}"
-        )
 
 
 def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) -> np.ndarray:

@@ -18,7 +18,9 @@ from povmdt.estimator import (
     estimate_from_tables,
     rt_coefficients,
 )
-from povmdt.montecarlo import ShotModel, sample_counts
+from povmdt.montecarlo import (
+    EntryScenario, ShotModel, refinement_trials, run_trials, sample_counts,
+)
 from povmdt.noise import apply_dephasing, apply_phase_rotation, wavepacket_overlap
 from povmdt.protocol import CouplingConfig, exact_entry_tables
 from povmdt.reports import _format_value
@@ -227,6 +229,36 @@ class TestConfigParsing:
         assert cfg.povm().dim == 2
         assert cfg.povm().completeness_residual() < 1e-12
 
+    @pytest.mark.parametrize("povm, content, message", [
+        ({"source": "random", "d": 1, "outcomes": 3}, None,
+         "povm: system dimension must be >= 2, got 1"),
+        ({"source": "random", "d": 2, "outcomes": 0}, None,
+         "povm: need at least one outcome, got 0"),
+        ({"source": "walk"}, "{not json", "Expecting property name"),
+        ({"source": "walk"},
+         {"n_positions": 2, "coin_dim": 1, "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+         "walk operator is not unitary"),
+        ({"source": "walk"}, {"n_positions": 2, "coin_dim": 1, "matrix": [[1, 0], [0, 1]]},
+         "matrix entries must be [re, im] pairs"),
+        ({"source": "file"}, {"dim": 2, "elements": [[[0.5, 0], [0, 0.5]]]},
+         "matrix entries must be [re, im] pairs"),
+    ], ids=["random-d", "random-outcomes", "walk-not-json", "walk-not-unitary",
+            "walk-number-entries", "file-number-entries"])
+    def test_malformed_povm_source_exits_2(self, tmp_path, capsys, povm, content, message):
+        """Every malformed povm source is a config error, named by the key
+        that points at it where there is one: exit 2, nothing written."""
+        if content is not None:
+            path = tmp_path / "source.json"
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+            key = "path" if povm["source"] == "file" else "unitary"
+            povm = dict(povm, **{key: str(path)})
+            message = f"povm.{key}: {path}: {message}"
+        cfg = write_config(tmp_path, dict(BASE_SCAN, povm=povm))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCheckCommand:
     def test_sic_all_entries_passes(self, tmp_path, capsys):
@@ -398,6 +430,24 @@ class TestScanCommand:
         assert not out.exists()
 
 
+def test_three_studies_share_one_exact_step(tmp_path):
+    """refinement_trials, run_scan at xi = 1 and run_trials predict the same
+    variances for one slot of a random complete POVM, bit for bit."""
+    data = dict(BASE_SCAN, povm={"source": "random", "d": 3, "outcomes": 5, "seed": 13},
+                entry={"l": "all", "j": 2, "k": 0}, noise={"type": "dephasing", "xi": [1.0]},
+                shots={"n_per_setting": 4000, "seed": 3})
+    cfg = parse_config(write_config(tmp_path, data))
+    povm, shot = cfg.povm(), cfg.shot_model()
+    study = refinement_trials(povm, 2, 0, cfg.g, shot, trials=0)
+    rows = run_scan(cfg)
+    assert [row["l"] for row in rows] == list(study.labels) == [1, 2, 3, 4, 5]
+    for row in rows:
+        raw = study.raw[row["l"]]
+        assert (row["var_re"], row["var_im"]) == (raw.var_re, raw.var_im)
+        scenario = EntryScenario(povm.element(row["l"]), 2, 0, cfg.g)
+        assert run_trials(scenario, shot, 0).predicted_var == raw.var_re + raw.var_im
+
+
 def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
     """Every README command exits 0 and rewrites the same CSV bytes."""
     for name, argv in README_COMMANDS:
@@ -469,6 +519,24 @@ class TestVarianceSweepCommand:
             theta = float(vals["axis_value"])
             want = (1 + 2 * np.sin(theta) ** 2) / (0.5 * 12790)
             assert abs(float(vals["var_transfer"]) - want) / want < 1e-9
+
+    @pytest.mark.parametrize("e01, message", [
+        (["a", 0], "sweep.e01[0]: expected a number, got 'a'"),
+        ([True, 0], "sweep.e01[0]: expected a number, got True"),
+        ([0.1], "sweep.e01: expected [re, im], got [0.1]"),
+        (0.1, "sweep.e01: expected a non-empty list of numbers"),
+    ], ids=["string", "bool", "one-number", "scalar"])
+    def test_malformed_e01_exits_2(self, tmp_path, capsys, e01, message):
+        """sweep.e01 is read like every other number list, as two numbers."""
+        sweep = {"axis": "theta", "grid": [0.25], "trials": 10}
+        cfg = write_config(tmp_path, {"shots": {"n_per_setting": 100},
+                                      "sweep": dict(sweep, e01=e01)})
+        out = tmp_path / "out"
+        assert main(["variance-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        good = write_config(tmp_path, {"sweep": dict(sweep, e01=[0.125, -0.25])})
+        assert parse_config(good).sweep["e01"] == complex(0.125, -0.25)
 
     def test_missing_sweep_block_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"shots": {"n_per_setting": 100}})

@@ -9,6 +9,7 @@ from conftest import SY, I2, brute_joint_state, brute_w_cell, kron3, proj
 from povmdt import (
     CouplingConfig,
     DeadPostSelectionError,
+    EntryScenario,
     build_observables,
     coupling_unitary,
     estimate_from_tables,
@@ -22,16 +23,16 @@ from povmdt import (
     random_povm,
 )
 from povmdt import protocol
-from povmdt.estimator import rt_coefficients
+from povmdt.estimator import _clip_once, rt_coefficients
 from povmdt.linalg import dag, random_unitary, tensor
 from povmdt.protocol import (
     BASIS_PROJECTORS,
     CELL_PROJECTORS,
     SETTINGS,
     JointState,
-    check_postselection,
     reduced_meter_operator,
 )
+from povmdt.montecarlo import exact_slot
 
 
 def loop_meter_tables(js, pi_l):
@@ -165,6 +166,26 @@ class TestJointState:
                 prepare_entry_state(3, 0, 3, cfg)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: JointState(brute_joint_state(2, 1, 0, 0.6), 2),
+    lambda: EntryScenario(np.eye(2) / 2, 1, 0, 0.6),
+    lambda: rt_coefficients(3, 0.6),
+    lambda: _clip_once(np.full((9, 2, 2), 0.25)),
+], ids=["JointState", "EntryScenario", "RtCoefficients", "_ClippedCells"])
+def test_array_dataclasses_compare_by_identity(make):
+    """Frozen dataclasses with array fields compare and hash by identity: two
+    instances of equal content are unequal, and neither comparison raises."""
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_memoized_state_is_hashable():
+    js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.6))
+    assert prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.6)) is js
+    assert {js: 1}[js] == 1
+
+
 class TestCouplingConfig:
     @pytest.mark.parametrize("g", [0.0, np.pi / 2, -0.1, 2.0])
     def test_boundary_rejected(self, g):
@@ -201,9 +222,8 @@ class TestPostSelection:
         assert abs(post_selection_probability(js, pi) - full) < 1e-12
 
     def test_dead_post_selection(self):
-        js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.4))
         with pytest.raises(DeadPostSelectionError, match="zero element: post-selection"):
-            check_postselection(meter_tables(js, np.zeros((2, 2))), ["zero element"])
+            exact_slot(np.zeros((1, 2, 2)), 1, 0, rt_coefficients(2, 0.4), 1000, ["zero element"])
 
     def test_post_selected_state_is_density(self, sic):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.3))
