@@ -24,13 +24,24 @@ same check first (:func:`checked_cells`, once for a whole stack of
 outcomes); their callers have already refused and clipped negative cells
 (:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
 
+A chunk of many trials is drawn group by group (:func:`draw_counts`): each
+Poisson group's column is one ``poisson`` call with a scalar rate, and each
+multinomial setting is a chain of conditional binomials, one scalar-probability
+column per group and nothing for the rejected bucket (Devroye, *Non-Uniform
+Random Variate Generation*, 1986, ch. XI).  Both are exact in distribution,
+and neither pays numpy's per-element broadcast iterator.  One trial is drawn
+in one call per row, which consumes the stream in the same order.
+
 Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
 trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk
-``c`` draws from its own PCG64 stream, seeded by the ``c``-th spawned child
-of ``SeedSequence(seed)``, and writes only its own slice of the output.  The
-chunks run on up to ``WORKERS`` threads (numpy's samplers release the GIL);
-because every chunk owns its stream, the output does not depend on the
-number of threads, and a longer run extends a shorter one.
+``c`` of an outcome draws from its own PCG64 stream, seeded by the ``c``-th
+spawned child of ``SeedSequence`` of the outcome's seed, and writes only its
+own slice of the output.  The chunks of every outcome of a study (a stack
+of cells, :func:`trial_estimates`) run on one pool of up to ``WORKERS``
+threads (numpy's samplers release the GIL), so no worker idles at the end of
+each outcome; because every chunk owns its stream, the output does not
+depend on the number of threads or on the stacking, and a longer run
+extends a shorter one.
 """
 
 from __future__ import annotations
@@ -130,45 +141,90 @@ def draw_counts(rng, size, block, prob, n, statistics):
     counts spread n particles over the groups of each ``block`` and that
     block's rejected bucket, whose count is dropped.  Float, because every
     caller scales or contracts the counts, which would convert them anyway.
+
+    More than one trial is drawn group by group: ``poisson(n p_g, size)``,
+    or per block the chain that numpy's multinomial runs row by row,
+    ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
+    placed and ``rest`` the probability not yet spent.  One trial is one
+    call per row, a broadcast ``poisson`` or one ``multinomial`` per block:
+    the same counts as the column rule, drawn three to four times faster
+    for the scan's 36 ungrouped cells, where the cost of each numpy call
+    dominates.
     """
+    if size == 1:
+        return _draw_row(rng, block, prob, n, statistics)
+    counts = np.empty((prob.size, size))
     if statistics == "poisson":
-        return rng.poisson(n * prob, size=(size, prob.size)).astype(np.float64)
-    counts = np.empty((size, prob.size))
+        for g, rate in enumerate((n * prob).tolist()):
+            counts[g] = rng.poisson(rate, size)
+        return counts.T
+    for b in np.unique(block):
+        left, rest = n, 1.0
+        for g in np.flatnonzero(block == b).tolist():
+            p = prob[g]
+            # p <= rest but for rounding; once p >= rest, ratio 1 places every
+            # particle left, so a later group (rest <= 0 by then) draws from 0
+            counts[g] = drawn = rng.binomial(left, 1.0 if p >= rest else p / rest, size)
+            left = left - drawn
+            rest -= p
+    return counts.T
+
+
+def _draw_row(rng, block, prob, n, statistics):
+    """:func:`draw_counts` for one trial, as a (1, groups) float array."""
+    if statistics == "poisson":
+        return rng.poisson(n * prob, size=(1, prob.size)).astype(np.float64)
+    counts = np.empty((1, prob.size))
     for b in np.unique(block):
         mine = block == b
         p = prob[mine]
-        drawn = rng.multinomial(n, np.append(p, max(1.0 - p.sum(), 0.0)), size=size)
-        counts[:, mine] = drawn[:, :-1]
+        counts[:, mine] = rng.multinomial(n, np.append(p, max(1.0 - p.sum(), 0.0)))[:-1]
     return counts
 
 
 def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     """Per-trial (re, im) arrays of raw (unscaled) entry estimates.
 
-    ``cells`` is the (settings, 4) array of exact, non-negative joint
-    probabilities and ``w_re``/``w_im`` the flat cell weights.  Multinomial
-    statistics refuse a setting whose cells sum above 1.
+    ``cells`` is the (settings, 4) array of one outcome's exact, non-negative
+    joint probabilities with an int ``seed``, giving two (trials,) arrays, or
+    an (outcomes, settings, 4) stack of them with one seed per outcome,
+    giving two (outcomes, trials) arrays.  ``w_re``/``w_im`` are the flat
+    cell weights, shared by every outcome.  Outcome l of a stack gives the
+    same arrays as a call with its cells and seed alone; every chunk of every
+    outcome runs on one pool of threads.  Multinomial statistics refuse a
+    setting whose cells sum above 1.
     """
     cells = checked_cells(cells, statistics)
+    stacked = cells.ndim == 3
+    stack, seeds = (cells, list(seed)) if stacked else (cells[None], [seed])
+    if len(seeds) != len(stack):
+        raise ValueError(f"{len(seeds)} seeds for {len(stack)} outcomes")
+    out = np.empty((2, len(stack), trials))
+    re, im = out if stacked else out[:, 0]
     if trials == 0:  # nothing to draw: skip the grouping, the costly step here
-        return np.empty(0), np.empty(0)
-    block, prob, weights = group_cells(
-        cells, np.asarray(w_re, np.float64), np.asarray(w_im, np.float64), statistics
-    )
-    streams = np.random.SeedSequence(seed).spawn(-(-trials // CHUNK_TRIALS))
-    out = np.empty((2, trials))
+        return re, im
+    w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
+    groups = [group_cells(c, w_re, w_im, statistics) for c in stack]
+    chunks = -(-trials // CHUNK_TRIALS)
+    tasks = [
+        (l, c, stream)
+        for l, s in enumerate(seeds)
+        for c, stream in enumerate(np.random.SeedSequence(s).spawn(chunks))
+    ]
 
-    def draw_chunk(c):
+    def draw_chunk(task):
+        l, c, stream = task
         start = c * CHUNK_TRIALS
         stop = min(start + CHUNK_TRIALS, trials)
-        rng = np.random.default_rng(streams[c])
-        counts = draw_counts(rng, stop - start, block, prob, n, statistics)
-        out[:, start:stop] = (counts @ weights).T
+        block, prob, weights = groups[l]
+        counts = draw_counts(np.random.default_rng(stream), stop - start, block, prob, n,
+                             statistics)
+        out[:, l, start:stop] = (counts @ weights).T
 
     # imported here: ``import povmdt`` should not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max(1, min(WORKERS, len(streams)))) as pool:
-        list(pool.map(draw_chunk, range(len(streams))))
+    with ThreadPoolExecutor(max(1, min(WORKERS, len(tasks)))) as pool:
+        list(pool.map(draw_chunk, tasks))
     out /= n
-    return out[0], out[1]
+    return re, im

@@ -162,16 +162,16 @@ def _build_povm(block: dict, global_seed: int) -> Povm:
             return load_povm(block["path"], check_complete=False)
         with open(block["unitary"]) as fh:  # source "walk"
             data = json.load(fh)
-        for name in ("n_positions", "coin_dim", "matrix"):
-            if name not in data:
-                raise ValueError(f"missing key {name!r}")
         u = matrix_from_pairs(data["matrix"])
         return povm_from_walk(u, int(data["n_positions"]), int(data["coin_dim"]))
     except FileNotFoundError:
         raise ConfigError(f"povm.{key}: file not found: {block[key]}") from None
-    except ValueError as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # besides ValueError: a source document that lacks a key the reader
+        # needs, or holds a value of the wrong JSON type or an infinite one
         where = f"povm.{key}: {block[key]}" if key else "povm"
-        raise ConfigError(f"{where}: {exc}") from None
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{where}: {why}") from None
 
 
 def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:

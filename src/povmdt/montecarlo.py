@@ -78,9 +78,6 @@ class EntryScenario:
     def coeffs(self) -> RtCoefficients:
         return rt_coefficients(self.pi_l.shape[0], self.g)
 
-    def exact_tables(self) -> np.ndarray:
-        return exact_entry_tables(self.pi_l, self.j, self.k, CouplingConfig.symmetric(self.g))
-
     def exact_value(self) -> complex:
         return complex(self.pi_l[self.j, self.k]) / self.scale
 
@@ -191,21 +188,6 @@ def sample_counts(tables, shot: ShotModel, seeds=None) -> np.ndarray:
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
 
-def _trial_arrays(
-    cells: np.ndarray, coeffs: RtCoefficients, scale: float, shot: ShotModel, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (re, im) estimates from one outcome's 36 clipped cells and weights."""
-    return _kernels.trial_estimates(
-        cells.reshape(9, 4),
-        coeffs.cell_re / scale,
-        coeffs.cell_im / scale,
-        shot.n_per_setting,
-        trials,
-        shot.seed,
-        shot.statistics,
-    )
-
-
 def _sample_var(x: np.ndarray) -> float:
     """Unbiased sample variance; NaN below two samples (no degrees of freedom)."""
     return float(x.var(ddof=1)) if x.size >= 2 else float("nan")
@@ -242,7 +224,11 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     j, k = scenario.j, scenario.k
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
                                [f"entry ({j}, {k})"], scenario.scale)
-    re, im = _trial_arrays(cells.flat[0], coeffs, scenario.scale, shot, trials)
+    scale = scenario.scale
+    re, im = _kernels.trial_estimates(
+        cells.flat[0].reshape(9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
+        shot.n_per_setting, trials, shot.seed, shot.statistics,
+    )
     return TrialSummary(
         mean=complex(re.mean(), im.mean()) if trials else complex(math.nan, math.nan),
         sample_var_re=_sample_var(re),
@@ -339,15 +325,14 @@ def refinement_trials(
     names = [f"outcome {lab}" for lab in labels]
     cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n, names)
 
-    raw_est = {}
-    re, im = np.empty((2, len(labels), trials))
-    for i, (lab, element) in enumerate(zip(labels, povm.elements)):
-        raw_est[lab] = EntryEstimate(
-            complex(element[j, k]), float(var_re[i]), float(var_im[i]), n, "exact"
-        )
-        re[i], im[i] = _trial_arrays(
-            cells.flat[i], coeffs, 1.0, replace(shot, seed=int(seeds[i])), trials
-        )
+    raw_est = {
+        lab: EntryEstimate(complex(element[j, k]), float(var_re[i]), float(var_im[i]), n, "exact")
+        for i, (lab, element) in enumerate(zip(labels, povm.elements))
+    }
+    re, im = _kernels.trial_estimates(
+        cells.flat.reshape(-1, 9, 4), coeffs.cell_re, coeffs.cell_im, n, trials, seeds.tolist(),
+        shot.statistics,
+    )
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])
     refined_est = dict(zip(labels, refined_pred))

@@ -242,8 +242,21 @@ class TestConfigParsing:
          "matrix entries must be [re, im] pairs"),
         ({"source": "file"}, {"dim": 2, "elements": [[[0.5, 0], [0, 0.5]]]},
          "matrix entries must be [re, im] pairs"),
+        ({"source": "file"}, {"elements": []}, "missing key 'dim'"),
+        ({"source": "file"}, {"dim": None, "elements": []}, "int() argument must be"),
+        ({"source": "file"}, {"dim": float("inf"), "elements": []},
+         "cannot convert float infinity to integer"),
+        ({"source": "file"}, [1, 2], "list indices must be integers"),
+        ({"source": "file"}, {"dim": 2, "elements": 3}, "'int' object is not iterable"),
+        ({"source": "file"},
+         {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": 4},
+         "'int' object is not iterable"),
+        ({"source": "walk"}, 3, "'int' object is not subscriptable"),
+        ({"source": "walk"}, {"matrix": [[[1, 0]]], "coin_dim": 1}, "missing key 'n_positions'"),
     ], ids=["random-d", "random-outcomes", "walk-not-json", "walk-not-unitary",
-            "walk-number-entries", "file-number-entries"])
+            "walk-number-entries", "file-number-entries", "file-no-dim", "file-null-dim",
+            "file-infinite-dim", "file-list", "file-number-elements", "file-number-labels",
+            "walk-number", "walk-no-positions"])
     def test_malformed_povm_source_exits_2(self, tmp_path, capsys, povm, content, message):
         """Every malformed povm source is a config error, named by the key
         that points at it where there is one: exit 2, nothing written."""

@@ -204,7 +204,8 @@ class TestRunTrials:
         assert np.isnan(s.mean.real) and np.isnan(s.mean.imag)
         assert np.isnan(s.sample_var_re) and np.isnan(s.sample_var_im)
         assert s.trials == 0
-        vr, vi = error_transfer_variance(scn.exact_tables(), scn.coeffs(), N_REF, scn.scale)
+        tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
+        vr, vi = error_transfer_variance(tables, scn.coeffs(), N_REF, scn.scale)
         assert s.predicted_var == vr + vi
 
     def test_negative_trials_refused(self):
@@ -238,7 +239,8 @@ class TestTrialKernel:
     @staticmethod
     def kernel_inputs(scn):
         coeffs = scn.coeffs()
-        cells = np.maximum(scn.exact_tables().reshape(9, 4), 0.0)
+        tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
+        cells = np.maximum(tables.reshape(9, 4), 0.0)
         return cells, coeffs.cell_re / scn.scale, coeffs.cell_im / scn.scale
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -251,6 +253,7 @@ class TestTrialKernel:
             for lab in povm.labels:
                 scn = EntryScenario(povm.element(lab), d - 1, 0, g)
                 cells, w_re, w_im = self.kernel_inputs(scn)
+                tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
                 w = np.column_stack([w_re, w_im])
                 flat = cells.reshape(-1)
                 rates = N_REF * flat
@@ -266,7 +269,7 @@ class TestTrialKernel:
                     var, (w**2).T @ rates / N_REF**2, rtol=1e-12, atol=1e-12 * scale**2 / N_REF
                 )
                 np.testing.assert_allclose(
-                    var, error_transfer_variance(scn.exact_tables(), scn.coeffs(), N_REF),
+                    var, error_transfer_variance(tables, scn.coeffs(), N_REF),
                     rtol=1e-12,
                 )
 
@@ -334,6 +337,86 @@ class TestTrialKernel:
         np.testing.assert_array_equal(im[chunk : 2 * chunk], direct[:, 1])
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_one_trial_is_the_column_draw(self, sic_tables, statistics):
+        """One trial, drawn in one call per row, is the group-by-group draw
+        of many trials cut to one: scalar Poisson draws, or per setting the
+        chain of conditional binomials, from the same stream."""
+        block, n = montecarlo._SETTING_OF_CELL, 1000
+        prob = _kernels.checked_cells(sic_tables.reshape(9, 4), statistics).reshape(36)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            if statistics == "poisson":
+                explicit = [rng.poisson(n * p) for p in prob]
+            else:
+                explicit = []
+                for b in range(9):
+                    left, rest = n, 1.0
+                    for p in prob[block == b]:
+                        explicit.append(rng.binomial(left, 1.0 if p >= rest else p / rest))
+                        left, rest = left - explicit[-1], rest - p
+            drawn = _kernels.draw_counts(np.random.default_rng(seed), 1, block, prob, n,
+                                         statistics)
+            assert drawn.shape == (1, 36)
+            assert (drawn[0] == np.array(explicit, dtype=float)).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("prob", [[0.5, 0.5, 1e-17], [0.3, 0.3, 0.4, 1e-17]],
+                             ids=["rest-zero", "rest-negative"])
+    def test_chain_past_spent_probability(self, prob):
+        """A positive group after rounding has spent all the probability
+        (``rest`` exactly 0, or below it) draws 0 particles, without a
+        division by zero or a negative binomial probability."""
+        prob = np.array(prob)
+        block = np.zeros(prob.size, dtype=np.intp)
+        counts = _kernels.draw_counts(np.random.default_rng(1), 2, block, prob, 1000,
+                                      "multinomial")
+        assert (counts[:, -1] == 0).all()
+        assert (counts.sum(axis=1) == 1000).all()
+
+    def test_chained_binomial_moments(self):
+        """Over 2 x 10^5 trials the chained binomials have the multinomial's
+        means, variances and in-setting covariances, and settings are
+        independent; each moment is the mean of a per-trial statistic, within
+        5 of its standard errors."""
+        trials, n = 200_000, 1000
+        block = np.array([0, 0, 0, 1, 1])
+        prob = np.array([0.1, 0.25, 0.3, 0.45, 0.5])
+        counts = _kernels.draw_counts(
+            np.random.default_rng(8), trials, block, prob, n, "multinomial"
+        )
+        assert counts.shape == (trials, 5)
+        dev = counts - n * prob
+        for g in range(5):
+            for h in range(g, 5):
+                z = dev[:, g] * dev[:, h]
+                if g == h:
+                    truth = n * prob[g] * (1 - prob[g])
+                else:
+                    truth = -n * prob[g] * prob[h] if block[g] == block[h] else 0.0
+                assert abs(z.mean() - truth) < 5 * z.std() / np.sqrt(trials), (g, h)
+            se = dev[:, g].std() / np.sqrt(trials)
+            assert abs(dev[:, g].mean()) < 5 * se, g
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_stack_equals_per_outcome_calls(self, statistics, monkeypatch):
+        """A stack of outcomes, drawn on one pool, gives each outcome the
+        arrays of its own call, whatever the number of threads."""
+        povm = random_povm(2, 5, seed=33)
+        tables = exact_entry_tables(povm.elements, 1, 0, CouplingConfig.symmetric(0.6))
+        cells = nonnegative_cells(tables).reshape(5, 9, 4)
+        coeffs = rt_coefficients(2, 0.6)
+        seeds = [4, 2**32 - 1, 0, 71, 9]
+        trials = 2 * _kernels.CHUNK_TRIALS + 5
+        args = (coeffs.cell_re, coeffs.cell_im, 3000, trials)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "WORKERS", workers)
+            re, im = _kernels.trial_estimates(cells, *args, seeds, statistics)
+            assert re.shape == im.shape == (5, trials)
+            for l, seed in enumerate(seeds):
+                one_re, one_im = _kernels.trial_estimates(cells[l], *args, seed, statistics)
+                assert (re[l] == one_re).all() and (im[l] == one_im).all()
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_zero_trials(self, statistics):
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         re, im = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 0, 5, statistics)
@@ -364,7 +447,8 @@ def reference_sweep(spec):
         else:
             noisy = apply_dephasing(spec.povm, value, spec.j, spec.k)
             scn = EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
-        tables, coeffs = scn.exact_tables(), scn.coeffs()
+        tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
+        coeffs = scn.coeffs()
         vr, vi = error_transfer_variance(tables, coeffs, n, scn.scale)
         row = {
             "axis_value": float(value), "var_analytic": _analytic_for(scn, n),
