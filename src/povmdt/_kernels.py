@@ -1,4 +1,4 @@
-"""The Monte Carlo trial kernel: per-trial entry estimates from sampled counts.
+"""The Monte Carlo trial kernel: sample moments of entry estimates from sampled counts.
 
 A trial's estimate is linear in the cell counts, ``sum_c w_c N_c / n``, with
 the cell weights ``(cell_re, cell_im)`` of
@@ -24,28 +24,48 @@ same check first (:func:`checked_cells`, once for a whole stack of
 outcomes); their callers have already refused and clipped negative cells
 (:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
 
-A chunk of many trials is drawn group by group (:func:`draw_counts`): each
-Poisson group's column is one ``poisson`` call with a scalar rate, and each
-multinomial setting is a chain of conditional binomials, one scalar-probability
-column per group and nothing for the rejected bucket (Devroye, *Non-Uniform
-Random Variate Generation*, 1986, ch. XI).  Both are exact in distribution,
-and neither pays numpy's per-element broadcast iterator.  One trial is drawn
-in one call per row, which consumes the stream in the same order.
+A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
+count whose law is the same in every trial is drawn by inverting its CDF
+table through a guide table: one uniform, a lookup and a step per count
+(Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. III.2).  Two
+kinds of count have a fixed law: every Poisson group, ``Poisson(n p_g)``,
+and the first group of each multinomial setting, ``Binomial(n, p_1)``
+(:func:`count_tables`).  A table spans its law's mean +- (13 sd + 13) and is
+built once per kernel call, on the calling thread; the workers only read
+it.  A group is inverted when its table fits a chunk, at most
+``CHUNK_TRIALS`` entries, which covers rates up to about 10^5, so the tables
+do not depend on the trial count and their memory is bounded like a
+chunk's.  A group whose table would not fit keeps numpy's sampler, one
+``poisson(n p_g, size)`` call with a scalar rate.  The later groups of a
+multinomial setting keep numpy's chain of conditional binomials,
+``binomial(left, p_g / rest, size)`` with ``left`` the particles not yet
+placed, which differs from trial to trial, and nothing is drawn for the
+rejected bucket (Devroye, ch. XI).  Inversion is exact up to the table's
+float64 rounding and its truncation: the table CDFs lie within 2e-14 of
+``scipy.stats`` for Poisson rates 1e-9 to 10^5 and binomials with n up to
+10^5, and the truncated tails carry less than 2e-30 of the mass.  One trial
+is drawn in one numpy call per row (:func:`_draw_row`), without tables.
 
-Counts are drawn, contracted and discarded in chunks of ``CHUNK_TRIALS``
-trials, so peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).  Chunk
-``c`` of an outcome draws from its own PCG64 stream, seeded by the ``c``-th
-spawned child of ``SeedSequence`` of the outcome's seed, and writes only its
-own slice of the output.  The chunks of every outcome of a study (a stack
-of cells, :func:`trial_estimates`) run on one pool of up to ``WORKERS``
-threads (numpy's samplers release the GIL), so no worker idles at the end of
-each outcome; because every chunk owns its stream, the output does not
-depend on the number of threads or on the stacking, and a longer run
-extends a shorter one.
+Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
+trials.  Each task draws one outcome's share of a chunk, and the last task
+of a chunk to finish turns the chunk's estimates into per-row moments
+(count, mean and the sum of squared deviations) and drops them; the kernel
+merges the chunks' moments in chunk order with the pairwise update of Chan,
+Golub and LeVeque (1979).  So peak memory is O(WORKERS x CHUNK_TRIALS), not
+O(trials): what grows with the trial count is a few floats per chunk.
+Chunk ``c`` of an outcome draws from its own PCG64 stream, seeded by
+``SeedSequence(seed, spawn_key=(c,))``, the ``c``-th spawned child of the
+outcome's seed.  The tasks of a study (a stack of outcomes,
+:func:`trial_estimates`) run on one pool of up to ``WORKERS`` threads
+(numpy's samplers release the GIL), one task per outcome and chunk, so even
+a one-chunk stack keeps every thread busy; because every task owns its
+stream and the merge order is fixed, the moments depend neither on the
+number of threads nor on the stacking.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -62,6 +82,10 @@ WORKERS = (
 
 #: Largest excess of a setting's cell sum over 1 that is taken as rounding.
 SETTING_SUM_TOL = 1e-9
+
+#: An inversion table reaches this many standard deviations, plus as many
+#: counts, past its law's mean on either side.
+TABLE_REACH = 13
 
 
 # numpy with PCG64 is the only sampler, and the package does not read
@@ -134,7 +158,88 @@ def group_cells(cells, w_re, w_im, statistics):
     return block[keep], prob[keep], weights[keep]
 
 
-def draw_counts(rng, size, block, prob, n, statistics):
+def table_span(n, p, poisson):
+    """The counts ``(lo, hi)`` that the inversion table of ``Poisson(n p)``,
+    or of ``Binomial(n, p)``, spans: the mean +- (``TABLE_REACH`` sd +
+    ``TABLE_REACH``), clipped to the law's support."""
+    mean = n * p
+    reach = TABLE_REACH * math.sqrt(mean if poisson else mean * (1.0 - p)) + TABLE_REACH
+    lo = max(0, math.floor(mean - reach))
+    hi = math.ceil(mean + reach)
+    return lo, hi if poisson else min(n, hi)
+
+
+def inversion_table(n, p, poisson):
+    """The table that draws ``Poisson(n p)``, or ``Binomial(n, p)`` with
+    ``0 < p < 1``, by inversion: ``(lo, cdf, guide)``.
+
+    ``cdf[i]`` is the probability of a count at most ``lo + i``, over the
+    counts of :func:`table_span`.  The pmf runs outward from the mode by its
+    ratio recurrence, lambda / k for Poisson and (n - k) / (k + 1) p / (1 - p)
+    for the binomial, and its cumulative sum is divided by its own total, the
+    normalising constant.  ``guide[i]`` is the number of CDF entries at most
+    ``i / M``, over M cells, the power of two from 2 ``len(cdf)`` up, so
+    that ``u M`` and ``i / M`` are exact in float64.
+    """
+    lo, hi = table_span(n, p, poisson)
+    mean = n * p
+    if poisson:
+        mode = math.floor(mean)
+        up = mean / np.arange(mode + 1, hi + 1)      # p(k) / p(k - 1)
+        down = np.arange(mode, lo, -1) / mean        # p(k - 1) / p(k)
+    else:
+        mode = min(math.floor((n + 1) * p), n)
+        odds = p / (1.0 - p)
+        k = np.arange(mode, hi)
+        up = (n - k) / (k + 1) * odds                # p(k + 1) / p(k)
+        k = np.arange(mode, lo, -1)
+        down = k / (n - k + 1) / odds                # p(k - 1) / p(k)
+    cdf = np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    cells = 1 << (2 * cdf.size - 1).bit_length()
+    # cdf[i] <= j / M  <=>  ceil(cdf[i] M) <= j, exactly for a power of two M
+    first_cell = np.ceil(cdf * cells).astype(np.intp)
+    guide = np.cumsum(np.bincount(first_cell, minlength=cells + 1)[:cells])
+    return lo, cdf, guide
+
+
+def count_tables(block, prob, n, statistics):
+    """The :func:`inversion_table` of each group whose count has one law in
+    every trial; None for every other group.
+
+    Those are every Poisson group and the first group of each multinomial
+    setting.  A group whose table would have more than ``CHUNK_TRIALS``
+    entries gets None, and so does a first group that holds the whole
+    setting (``p >= 1``).
+    """
+    poisson = statistics == "poisson"
+    fixed = np.full(prob.size, poisson)
+    if not poisson:  # the first group of each block, as the chain of draw_counts runs
+        fixed[np.unique(block, return_index=True)[1]] = True
+        fixed &= prob < 1.0
+    tables = []
+    for p, inverted in zip(prob.tolist(), fixed.tolist()):
+        lo, hi = table_span(n, p, poisson)
+        inverted = inverted and hi - lo < CHUNK_TRIALS
+        tables.append(inversion_table(n, p, poisson) if inverted else None)
+    return tables
+
+
+def _invert(rng, size, table):
+    """``size`` counts drawn from an :func:`inversion_table`, as an int array."""
+    lo, cdf, guide = table
+    u = rng.random(size)
+    k = guide[(u * guide.size).astype(np.intp)]
+    k += cdf[k] <= u
+    short = np.flatnonzero(cdf[k] <= u)
+    if short.size:
+        k[short] = np.searchsorted(cdf, u[short], "right")
+    k += lo
+    return k
+
+
+def draw_counts(rng, size, block, prob, n, statistics, tables=None):
     """Counts of the groups, one row per trial, as a (size, groups) float array.
 
     Poisson counts are independent with means ``n * prob``.  Multinomial
@@ -142,29 +247,36 @@ def draw_counts(rng, size, block, prob, n, statistics):
     block's rejected bucket, whose count is dropped.  Float, because every
     caller scales or contracts the counts, which would convert them anyway.
 
-    More than one trial is drawn group by group: ``poisson(n p_g, size)``,
-    or per block the chain that numpy's multinomial runs row by row,
-    ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
-    placed and ``rest`` the probability not yet spent.  One trial is one
-    call per row, a broadcast ``poisson`` or one ``multinomial`` per block:
-    the same counts as the column rule, drawn three to four times faster
-    for the scan's 36 ungrouped cells, where the cost of each numpy call
-    dominates.
+    More than one trial is drawn group by group.  A group with a table in
+    ``tables``, one entry per group as :func:`count_tables` gives them, is
+    drawn by inversion; the others, and every group when ``tables`` is None,
+    by ``poisson(n p_g, size)``, or per block by the chain that numpy's
+    multinomial runs row by row, ``binomial(left, p_g / rest, ...)`` with
+    ``left`` the particles not yet placed and ``rest`` the probability not
+    yet spent.  One trial is one numpy call per row, a broadcast ``poisson``
+    or one ``multinomial`` per block, three to four times faster for the
+    scan's 36 ungrouped cells, where the cost of each numpy call dominates.
     """
     if size == 1:
         return _draw_row(rng, block, prob, n, statistics)
+    if tables is None:
+        tables = [None] * prob.size
     counts = np.empty((prob.size, size))
     if statistics == "poisson":
-        for g, rate in enumerate((n * prob).tolist()):
-            counts[g] = rng.poisson(rate, size)
+        for g, (rate, table) in enumerate(zip((n * prob).tolist(), tables)):
+            counts[g] = rng.poisson(rate, size) if table is None else _invert(rng, size, table)
         return counts.T
     for b in np.unique(block):
         left, rest = n, 1.0
         for g in np.flatnonzero(block == b).tolist():
             p = prob[g]
-            # p <= rest but for rounding; once p >= rest, ratio 1 places every
-            # particle left, so a later group (rest <= 0 by then) draws from 0
-            counts[g] = drawn = rng.binomial(left, 1.0 if p >= rest else p / rest, size)
+            if tables[g] is not None:
+                drawn = _invert(rng, size, tables[g])
+            else:
+                # p <= rest but for rounding; once p >= rest, ratio 1 places every
+                # particle left, so a later group (rest <= 0 by then) draws from 0
+                drawn = rng.binomial(left, 1.0 if p >= rest else p / rest, size)
+            counts[g] = drawn
             left = left - drawn
             rest -= p
     return counts.T
@@ -182,49 +294,109 @@ def _draw_row(rng, block, prob, n, statistics):
     return counts
 
 
-def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
-    """Per-trial (re, im) arrays of raw (unscaled) entry estimates.
+def moments(x):
+    """``(count, mean, m2)`` of each row of ``x`` along its last axis, with
+    ``m2`` the sum of squared deviations from the mean; ``x`` has at least
+    one column, and is overwritten with the squared deviations."""
+    mean = x.mean(axis=-1)
+    x -= mean[..., None]
+    x *= x
+    return x.shape[-1], mean, x.sum(axis=-1)
+
+
+def merge_moments(a, b):
+    """The :func:`moments` of two samples' rows taken together (Chan, Golub
+    and LeVeque 1979)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    count = na + nb
+    delta = mean_b - mean_a
+    return count, mean_a + delta * (nb / count), m2_a + m2_b + delta * delta * (na * nb / count)
+
+
+def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", extra_rows=None):
+    """Sample means and variances of raw (unscaled) entry estimates over
+    ``trials`` trials, as ``(mean, var)``.
 
     ``cells`` is the (settings, 4) array of one outcome's exact, non-negative
-    joint probabilities with an int ``seed``, giving two (trials,) arrays, or
-    an (outcomes, settings, 4) stack of them with one seed per outcome,
-    giving two (outcomes, trials) arrays.  ``w_re``/``w_im`` are the flat
-    cell weights, shared by every outcome.  Outcome l of a stack gives the
-    same arrays as a call with its cells and seed alone; every chunk of every
-    outcome runs on one pool of threads.  Multinomial statistics refuse a
-    setting whose cells sum above 1.
+    joint probabilities with an int ``seed``, giving two (2,) arrays, rows
+    (re, im), or an (outcomes, settings, 4) stack of them with one seed per
+    outcome, giving two (2, outcomes) arrays.  ``w_re``/``w_im`` are the flat
+    cell weights, shared by every outcome.  ``extra_rows``, if given, maps
+    each chunk's (2, outcomes, size) estimates to an iterable of further
+    (outcomes, size) rows, made from them in the thread of the chunk's last
+    draw, whose moments follow (re, im) in the output.  The variance is the
+    unbiased one, NaN below two trials, and the mean is NaN for no trials.
+
+    The moments do not depend on ``WORKERS``.  Outcome l of a stack gives
+    the moments of a call with its cells and seed alone.  The tables do not
+    depend on ``trials``, so the whole chunks of a shorter call are the first
+    chunks of a longer one.  Multinomial statistics refuse a setting whose
+    cells sum above 1.
     """
     cells = checked_cells(cells, statistics)
     stacked = cells.ndim == 3
     stack, seeds = (cells, list(seed)) if stacked else (cells[None], [seed])
     if len(seeds) != len(stack):
         raise ValueError(f"{len(seeds)} seeds for {len(stack)} outcomes")
-    out = np.empty((2, len(stack), trials))
-    re, im = out if stacked else out[:, 0]
     if trials == 0:  # nothing to draw: skip the grouping, the costly step here
-        return re, im
+        est = np.empty((2, len(stack), 0))
+        rows = 2 + (len(list(extra_rows(est))) if extra_rows else 0)
+        mean = var = np.full((rows, len(stack)), np.nan)
+        return (mean, var) if stacked else (mean[:, 0], var[:, 0])
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
     groups = [group_cells(c, w_re, w_im, statistics) for c in stack]
-    chunks = -(-trials // CHUNK_TRIALS)
-    tasks = [
-        (l, c, stream)
-        for l, s in enumerate(seeds)
-        for c, stream in enumerate(np.random.SeedSequence(s).spawn(chunks))
-    ]
-
-    def draw_chunk(task):
-        l, c, stream = task
-        start = c * CHUNK_TRIALS
-        stop = min(start + CHUNK_TRIALS, trials)
-        block, prob, weights = groups[l]
-        counts = draw_counts(np.random.default_rng(stream), stop - start, block, prob, n,
-                             statistics)
-        out[:, l, start:stop] = (counts @ weights).T
+    tables = [count_tables(block, prob, n, statistics) for block, prob, _ in groups]
 
     # imported here: ``import povmdt`` should not pay for it
+    import threading
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
+    from functools import reduce
 
-    with ThreadPoolExecutor(max(1, min(WORKERS, len(tasks)))) as pool:
-        list(pool.map(draw_chunk, tasks))
-    out /= n
-    return re, im
+    lock = threading.Lock()
+
+    def draw(l, c, est, left):
+        """Draw outcome l of chunk c into ``est``; the chunk's last draw to
+        finish returns the chunk's moments, the others None."""
+        block, prob, weights = groups[l]
+        rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
+        counts = draw_counts(rng, est.shape[-1], block, prob, n, statistics, tables[l])
+        est[:, l] = (counts @ weights).T
+        with lock:
+            left[0] -= 1
+            if left[0]:
+                return None
+        est /= n
+        # each extra row is reduced before the next one is made
+        extra = [moments(row[None]) for row in extra_rows(est)] if extra_rows else []
+        size, mean, m2 = moments(est)  # after the extra rows: it overwrites est
+        return (size, np.concatenate([mean, *(part[1] for part in extra)]),
+                np.concatenate([m2, *(part[2] for part in extra)]))
+
+    chunks = -(-trials // CHUNK_TRIALS)
+    workers = max(1, min(WORKERS, chunks * len(stack)))
+    ahead = max(2, 2 * workers // len(stack))  # chunks in flight before the merge waits
+
+    def chunk_moments(futures):
+        """The moments of a chunk, once all of its draws are done."""
+        done = [future.result() for future in futures]  # raises a failed draw's error
+        return next(part for part in done if part is not None)
+
+    def in_chunk_order(pool):
+        """The chunks' moments, with at most ``ahead`` chunks drawn ahead of
+        the merge."""
+        pending = deque()
+        for c in range(chunks):
+            est = np.empty((2, len(stack), min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)))
+            left = [len(stack)]
+            pending.append([pool.submit(draw, l, c, est, left) for l in range(len(stack))])
+            if len(pending) > ahead:
+                yield chunk_moments(pending.popleft())
+        for futures in pending:
+            yield chunk_moments(futures)
+
+    with ThreadPoolExecutor(workers) as pool:
+        _, mean, m2 = reduce(merge_moments, in_chunk_order(pool))
+    var = m2 / (trials - 1) if trials > 1 else np.full(m2.shape, np.nan)
+    return (mean, var) if stacked else (mean[:, 0], var[:, 0])

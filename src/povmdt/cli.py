@@ -195,7 +195,8 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     for gi, (axis, axis_value, param) in enumerate(grid):
         noisy = transform(povm, param, j, k)
         elems = noisy.elements[rows_of]
-        cells, var_re, var_im = exact_slot(elems, j, k, coeffs, n, names)
+        cells, var_re, var_im = exact_slot(elems, j, k, coeffs, n, names,
+                                           statistics=shot.statistics)
         point_seeds = seeds[gi * len(labels):(gi + 1) * len(labels)].tolist()
         counts = sample_counts(cells, shot, point_seeds)
         values = estimate_from_tables(counts, coeffs).tolist()

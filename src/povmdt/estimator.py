@@ -160,26 +160,36 @@ def estimate_from_tables(
 
 
 def error_transfer_variance(
-    tables: np.ndarray, coeffs: RtCoefficients, n: int, scale: float = 1.0
+    tables: np.ndarray, coeffs: RtCoefficients, n: int, scale: float = 1.0,
+    statistics: str = "poisson",
 ):
     """Shot-noise variances (var_re, var_im) of the entry estimate: two
     floats, or two arrays with one entry per outcome of an (L, 9, 2, 2)
     stack.
 
-    First-order propagation of per-cell counting noise, var(W_mn) = W_mn/n
-    for n particles per setting, through the linear cell weights.  ``scale``
-    must match the one used for the estimate.
+    The estimate is linear in the counts, so its variance is exact at n
+    particles per setting: ``sum_c w_c^2 W_c / n`` for independent Poisson
+    counts, and for ``multinomial`` counts, which spread exactly n particles
+    over each setting s, ``[sum_c w_c^2 W_c - sum_s (sum_{c in s} w_c
+    W_c)^2] / n``, per component.  ``scale`` must match the one used for the
+    estimate.
     """
     if n <= 0:
         raise ValueError(f"particle number per setting must be positive, got {n}")
+    if statistics not in ("poisson", "multinomial"):
+        raise ValueError(f"statistics must be 'poisson' or 'multinomial', got {statistics!r}")
     flat = nonnegative_cells(tables)
     rows = flat.reshape(-1, N_CELLS)
-    sq_re, sq_im = coeffs.cell_re**2, coeffs.cell_im**2
-    var_re = np.array([sq_re @ f for f in rows]) / n / scale**2
-    var_im = np.array([sq_im @ f for f in rows]) / n / scale**2
+    var = []
+    for w in (coeffs.cell_re, coeffs.cell_im):
+        sq = w**2
+        total = np.array([sq @ f for f in rows])
+        if statistics == "multinomial":
+            total -= np.square((rows * w).reshape(len(rows), -1, 4).sum(axis=-1)).sum(axis=-1)
+        var.append(total / n / scale**2)
     if flat.ndim == 1:
-        return float(var_re[0]), float(var_im[0])
-    return var_re, var_im
+        return float(var[0][0]), float(var[1][0])
+    return var[0], var[1]
 
 
 def analytic_variance(theta: float, g: float, eta: float, n: int) -> float:

@@ -188,17 +188,14 @@ def sample_counts(tables, shot: ShotModel, seeds=None) -> np.ndarray:
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
 
-def _sample_var(x: np.ndarray) -> float:
-    """Unbiased sample variance; NaN below two samples (no degrees of freedom)."""
-    return float(x.var(ddof=1)) if x.size >= 2 else float("nan")
-
-
-def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, scale=1.0):
+def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, scale=1.0,
+               statistics="poisson"):
     """The exact step of every Monte Carlo study of slot (j, k) of an
     (L, d, d) stack: its cells checked and clipped once, and the arrays
-    (var_re, var_im) of error-transfer variances at n particles per setting.
-    An outcome whose post-selection probability (one setting's four cells)
-    is at or below ``P_FLOOR`` is refused by its entry in ``names``.
+    (var_re, var_im) of error-transfer variances at n particles per setting
+    under the given counting ``statistics``.  An outcome whose
+    post-selection probability (one setting's four cells) is at or below
+    ``P_FLOOR`` is refused by its entry in ``names``.
     """
     tables = exact_entry_tables(elements, j, k, CouplingConfig.symmetric(coeffs.g))
     for name, p_f in zip(names, tables.reshape(-1, 36)[:, :4].sum(axis=1).tolist(), strict=True):
@@ -207,7 +204,7 @@ def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, 
                 f"{name}: post-selection probability {p_f:.3e} <= floor {P_FLOOR:.1e}"
             )
     cells = _clip_once(tables)
-    return (cells,) + error_transfer_variance(cells, coeffs, n, scale)
+    return (cells,) + error_transfer_variance(cells, coeffs, n, scale, statistics)
 
 
 def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSummary:
@@ -223,16 +220,16 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     coeffs = scenario.coeffs()
     j, k = scenario.j, scenario.k
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
-                               [f"entry ({j}, {k})"], scenario.scale)
+                               [f"entry ({j}, {k})"], scenario.scale, shot.statistics)
     scale = scenario.scale
-    re, im = _kernels.trial_estimates(
+    mean, var = _kernels.trial_estimates(
         cells.flat[0].reshape(9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
         shot.n_per_setting, trials, shot.seed, shot.statistics,
     )
     return TrialSummary(
-        mean=complex(re.mean(), im.mean()) if trials else complex(math.nan, math.nan),
-        sample_var_re=_sample_var(re),
-        sample_var_im=_sample_var(im),
+        mean=complex(*mean.tolist()),
+        sample_var_re=float(var[0]),
+        sample_var_im=float(var[1]),
         predicted_var=float(vr[0] + vi[0]),
         trials=trials,
     )
@@ -323,27 +320,28 @@ def refinement_trials(
     seeds = _child_seeds(shot.seed, len(labels))
     n = shot.n_per_setting
     names = [f"outcome {lab}" for lab in labels]
-    cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n, names)
+    cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n, names,
+                                       statistics=shot.statistics)
 
     raw_est = {
         lab: EntryEstimate(complex(element[j, k]), float(var_re[i]), float(var_im[i]), n, "exact")
         for i, (lab, element) in enumerate(zip(labels, povm.elements))
     }
-    re, im = _kernels.trial_estimates(
+
+    def refined(est):
+        """A chunk's refined re and im rows, one at a time, with the weights
+        fixed at the predicted variances."""
+        return (_refine_arrays(x, predicted)[0] for x, predicted in zip(est, (var_re, var_im)))
+
+    _, var = _kernels.trial_estimates(
         cells.flat.reshape(-1, 9, 4), coeffs.cell_re, coeffs.cell_im, n, trials, seeds.tolist(),
-        shot.statistics,
+        shot.statistics, extra_rows=refined,
     )
 
     refined_pred = completeness_refine([raw_est[lab] for lab in labels])
     refined_est = dict(zip(labels, refined_pred))
-
-    raw_sv = {lab: (_sample_var(re[i]), _sample_var(im[i])) for i, lab in enumerate(labels)}
-    # refine every trial with the weights fixed at the predicted variances
-    ref_re, _ = _refine_arrays(re, var_re)
-    ref_sv_re = [_sample_var(x) for x in ref_re]
-    del ref_re
-    ref_im, _ = _refine_arrays(im, var_im)
-    ref_sv = {lab: (ref_sv_re[i], _sample_var(ref_im[i])) for i, lab in enumerate(labels)}
+    raw_sv = {lab: (float(var[0, i]), float(var[1, i])) for i, lab in enumerate(labels)}
+    ref_sv = {lab: (float(var[2, i]), float(var[3, i])) for i, lab in enumerate(labels)}
     return RefinementStudy(
         tuple(labels), raw_est, refined_est, raw_sv, ref_sv, trials
     )

@@ -76,7 +76,8 @@ def reference_scan(cfg, refine=False):
             elem = noisy.element(lab)
             seed = int(seeds[gi * len(labels) + li])
             tables = exact_entry_tables(elem, j, k, coupling)
-            var_re, var_im = error_transfer_variance(tables, coeffs, n)
+            var_re, var_im = error_transfer_variance(tables, coeffs, n,
+                                                     statistics=shot.statistics)
             counts = sample_counts(tables, ShotModel(n, shot.statistics, seed))
             est = EntryEstimate(estimate_from_tables(counts, coeffs), var_re, var_im, n, "sampled")
             truth = complex(elem[j, k])

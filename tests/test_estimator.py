@@ -252,6 +252,31 @@ class TestErrorTransfer:
             )
         np.testing.assert_allclose(values, values[0], rtol=1e-12)
 
+    def test_multinomial_form_is_the_count_covariance(self, small_random_povm):
+        """Under multinomial counts the variance is w^T C w / n^2 with each
+        setting's count covariance C = n (diag(p) - p p^T); a stack gives the
+        per-outcome values bit for bit, and the Poisson form is never lower."""
+        n, g = 3000, 0.7
+        coeffs = rt_coefficients(3, g)
+        tables = entry_tables(small_random_povm.elements, 2, 0, g)
+        stacked = error_transfer_variance(tables, coeffs, n, 0.8, "multinomial")
+        for i, one in enumerate(tables):
+            var = error_transfer_variance(one, coeffs, n, 0.8, "multinomial")
+            assert var == (stacked[0][i], stacked[1][i])
+            cells = np.maximum(one.reshape(9, 4), 0.0)
+            for w, got, poisson in zip(
+                (coeffs.cell_re, coeffs.cell_im), var,
+                error_transfer_variance(one, coeffs, n, 0.8),
+            ):
+                want = sum(
+                    ws @ (n * (np.diag(p) - np.outer(p, p))) @ ws
+                    for ws, p in zip(w.reshape(9, 4), cells)
+                ) / (n * 0.8) ** 2
+                assert abs(got - want) <= 1e-12 * want
+                assert poisson >= got
+        with pytest.raises(ValueError, match="statistics"):
+            error_transfer_variance(tables, coeffs, n, statistics="binomial")
+
     def test_agrees_with_analytic_law_everywhere(self):
         """Normalized transfer variance equals the closed form on a grid."""
         for theta in (0.0, 0.4, THETA_SIC, 2.2, np.pi):

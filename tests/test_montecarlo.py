@@ -1,11 +1,14 @@
 """Shot-noise sampling, repeated trials, sweeps and backends."""
 
+import functools
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from povmdt import (
     CouplingConfig,
@@ -136,10 +139,11 @@ class TestSampleCounts:
         counts = sample_counts(tables, ShotModel(1000, "multinomial", seed=1)) * 1000
         assert counts[4].sum() <= 1000
         coeffs = rt_coefficients(2, np.pi / 4)
-        re, im = _kernels.trial_estimates(
+        mean, var = _kernels.trial_estimates(
             tables.reshape(9, 4), coeffs.cell_re, coeffs.cell_im, 1000, 10, 1, "multinomial"
         )
-        assert re.shape == im.shape == (10,)
+        assert mean.shape == var.shape == (2,)
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
 
     def test_deterministic(self, sic_tables):
         shot = ShotModel(5000, "poisson", seed=77)
@@ -179,22 +183,46 @@ class TestRunTrials:
         sample_total = s.sample_var_re + s.sample_var_im
         assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.1
 
+    # The relative standard error of a sample variance over T trials is
+    # about sqrt(2 / T): 0.45 % at 10^5 trials, 0.32 % at 2 x 10^5.  The
+    # multinomial prediction is exact, so 2 % is over four of them.
+
     def test_multinomial_statistics_agree(self):
         scn = point_x_scenario()
-        s = run_trials(scn, ShotModel(N_REF, "multinomial", seed=8), 4000)
+        s = run_trials(scn, ShotModel(N_REF, "multinomial", seed=8), 100_000)
         sample_total = s.sample_var_re + s.sample_var_im
-        assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.1
+        assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.02
 
     def test_multinomial_statistics_agree_d3(self, small_random_povm):
         scn = EntryScenario(small_random_povm.element(small_random_povm.labels[0]), 2, 0,
                             np.pi / 4)
-        trials = 20000
+        trials = 200_000
         s = run_trials(scn, ShotModel(N_REF, "multinomial", seed=8), trials)
         sample_total = s.sample_var_re + s.sample_var_im
-        assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.1
+        assert abs(sample_total - s.predicted_var) / s.predicted_var < 0.02
         truth = scn.exact_value()
         assert abs(s.mean.real - truth.real) < 4 * np.sqrt(s.sample_var_re / trials)
         assert abs(s.mean.imag - truth.imag) < 4 * np.sqrt(s.sample_var_im / trials)
+
+    def test_multinomial_variance_is_exact_on_sic(self, sic):
+        """At g = pi/4 the multinomial form matches each component's sample
+        variance within 2 % for every SIC outcome, where the Poisson form
+        reads up to 12.5 % high."""
+        coupling = CouplingConfig.symmetric(np.pi / 4)
+        poisson_excess = []
+        for lab in sic.labels:
+            scn = EntryScenario(sic.element(lab), 1, 0, np.pi / 4)
+            tables = exact_entry_tables(scn.pi_l, 1, 0, coupling)
+            exact = error_transfer_variance(tables, scn.coeffs(), N_REF, statistics="multinomial")
+            s = run_trials(scn, ShotModel(N_REF, "multinomial", seed=lab), 200_000)
+            assert s.predicted_var == sum(exact)
+            for sample, predicted, poisson in zip(
+                (s.sample_var_re, s.sample_var_im), exact,
+                error_transfer_variance(tables, scn.coeffs(), N_REF),
+            ):
+                assert abs(sample / predicted - 1) < 0.02, lab
+                poisson_excess.append(poisson / sample - 1)
+        assert max(poisson_excess) > 0.1
 
     def test_zero_trials_give_nan_statistics(self):
         scn = point_x_scenario()
@@ -296,21 +324,42 @@ class TestTrialKernel:
             _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
         # a total above 1 by rounding only is accepted
         cells[4] *= (1 + 1e-12) / cells[4].sum()
-        re, im = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
-        assert re.shape == im.shape == (10,)
+        mean, var = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
+        assert mean.shape == var.shape == (2,)
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
+
+    @staticmethod
+    def direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c):
+        """The (2, size) estimates of chunk c of a kernel call, drawn outside
+        the kernel from ``SeedSequence(seed, spawn_key=(c,))`` with the
+        call's tables; C-contiguous like the kernel's, so that their sums run
+        in the same order."""
+        block, prob, weights = _kernels.group_cells(cells, w_re, w_im, statistics)
+        tables = _kernels.count_tables(block, prob, n, statistics)
+        size = min(_kernels.CHUNK_TRIALS, trials - c * _kernels.CHUNK_TRIALS)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        counts = _kernels.draw_counts(rng, size, block, prob, n, statistics, tables)
+        return np.ascontiguousarray((counts @ weights).T) / n
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_chunks_share_one_stream(self, statistics):
-        """A longer run extends a shorter one across a chunk boundary, and
-        the next chunk continues the stream instead of repeating it."""
+        """A longer run extends a shorter one across a chunk boundary: its
+        moments merge the shorter run's with those of the next chunk, which
+        continues the stream instead of repeating it."""
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         chunk = _kernels.CHUNK_TRIALS
         short = _kernels.trial_estimates(cells, w_re, w_im, 2000, chunk, 9, statistics)
         long = _kernels.trial_estimates(cells, w_re, w_im, 2000, chunk + 3, 9, statistics)
-        for a, b in zip(short, long):
-            assert b.shape == (chunk + 3,)
-            np.testing.assert_array_equal(a, b[:chunk])
-            assert not np.array_equal(b[chunk:], b[:3])
+        first = self.direct_chunk(cells, w_re, w_im, 2000, chunk + 3, 9, statistics, 0)
+        tail = self.direct_chunk(cells, w_re, w_im, 2000, chunk + 3, 9, statistics, 1)
+        assert tail.shape == (2, 3)
+        assert not np.array_equal(tail, first[:, :3])
+        first = _kernels.moments(first)
+        np.testing.assert_array_equal(short[0], first[1])
+        np.testing.assert_array_equal(short[1], first[2] / (chunk - 1))
+        _, mean, m2 = _kernels.merge_moments(first, _kernels.moments(tail))
+        np.testing.assert_array_equal(long[0], mean)
+        np.testing.assert_array_equal(long[1], m2 / (chunk + 2))
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_output_independent_of_thread_count(self, statistics, monkeypatch):
@@ -320,27 +369,51 @@ class TestTrialKernel:
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "WORKERS", workers)
             runs.append(_kernels.trial_estimates(cells, w_re, w_im, 2000, trials, 11, statistics))
-        for re, im in runs[1:]:
-            np.testing.assert_array_equal(re, runs[0][0])
-            np.testing.assert_array_equal(im, runs[0][1])
+        for mean, var in runs[1:]:
+            np.testing.assert_array_equal(mean, runs[0][0])
+            np.testing.assert_array_equal(var, runs[0][1])
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_chunk_stream_layout(self, statistics):
-        """Chunk c draws from the c-th spawned child of SeedSequence(seed)."""
+        """Chunk c draws from the c-th spawned child of SeedSequence(seed):
+        the kernel's moments are those of the chunks drawn directly, merged
+        in chunk order, bit for bit."""
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         chunk, n, seed = _kernels.CHUNK_TRIALS, 2000, 17
-        re, im = _kernels.trial_estimates(cells, w_re, w_im, n, 2 * chunk + 7, seed, statistics)
-        block, prob, weights = _kernels.group_cells(cells, w_re, w_im, statistics)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        direct = _kernels.draw_counts(rng, chunk, block, prob, n, statistics) @ weights / n
-        np.testing.assert_array_equal(re[chunk : 2 * chunk], direct[:, 0])
-        np.testing.assert_array_equal(im[chunk : 2 * chunk], direct[:, 1])
+        trials = 2 * chunk + 7
+        mean, var = _kernels.trial_estimates(cells, w_re, w_im, n, trials, seed, statistics)
+        children = np.random.SeedSequence(seed).spawn(3)
+        parts = []
+        for c in range(3):
+            child = np.random.SeedSequence(seed, spawn_key=(c,))
+            assert (child.generate_state(4) == children[c].generate_state(4)).all()
+            parts.append(_kernels.moments(
+                self.direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c)))
+        count, direct_mean, m2 = functools.reduce(_kernels.merge_moments, parts)
+        assert count == trials
+        np.testing.assert_array_equal(mean, direct_mean)
+        np.testing.assert_array_equal(var, m2 / (trials - 1))
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_moments_match_two_pass(self, sic_tables, statistics):
+        """The merged moments are numpy's two-pass mean and var(ddof=1) over
+        the concatenated chunk draws, within 1e-12 relative."""
+        coeffs = rt_coefficients(2, np.pi / 4)
+        cells = nonnegative_cells(sic_tables).reshape(9, 4)
+        args = (cells, coeffs.cell_re, coeffs.cell_im, N_REF, 5 * _kernels.CHUNK_TRIALS + 11, 5,
+                statistics)
+        mean, var = _kernels.trial_estimates(*args)
+        draws = np.concatenate([self.direct_chunk(*args, c) for c in range(6)], axis=1)
+        assert abs(mean[0]) > 0.1
+        np.testing.assert_allclose(var, draws.var(axis=1, ddof=1), rtol=1e-12)
+        np.testing.assert_allclose(mean, draws.mean(axis=1), rtol=1e-12,
+                                   atol=1e-12 * np.sqrt(var).max())
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_one_trial_is_the_column_draw(self, sic_tables, statistics):
-        """One trial, drawn in one call per row, is the group-by-group draw
-        of many trials cut to one: scalar Poisson draws, or per setting the
-        chain of conditional binomials, from the same stream."""
+        """One trial, drawn in one call per row, has the counts of numpy's
+        scalar draws from the same stream: one Poisson draw per cell, or per
+        setting the chain of conditional binomials."""
         block, n = montecarlo._SETTING_OF_CELL, 1000
         prob = _kernels.checked_cells(sic_tables.reshape(9, 4), statistics).reshape(36)
         for seed in range(5):
@@ -400,7 +473,7 @@ class TestTrialKernel:
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_stack_equals_per_outcome_calls(self, statistics, monkeypatch):
         """A stack of outcomes, drawn on one pool, gives each outcome the
-        arrays of its own call, whatever the number of threads."""
+        moments of its own call, whatever the number of threads."""
         povm = random_povm(2, 5, seed=33)
         tables = exact_entry_tables(povm.elements, 1, 0, CouplingConfig.symmetric(0.6))
         cells = nonnegative_cells(tables).reshape(5, 9, 4)
@@ -410,29 +483,200 @@ class TestTrialKernel:
         args = (coeffs.cell_re, coeffs.cell_im, 3000, trials)
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "WORKERS", workers)
-            re, im = _kernels.trial_estimates(cells, *args, seeds, statistics)
-            assert re.shape == im.shape == (5, trials)
+            mean, var = _kernels.trial_estimates(cells, *args, seeds, statistics)
+            assert mean.shape == var.shape == (2, 5)
             for l, seed in enumerate(seeds):
-                one_re, one_im = _kernels.trial_estimates(cells[l], *args, seed, statistics)
-                assert (re[l] == one_re).all() and (im[l] == one_im).all()
+                one_mean, one_var = _kernels.trial_estimates(cells[l], *args, seed, statistics)
+                assert (mean[:, l] == one_mean).all() and (var[:, l] == one_var).all()
+
+    def test_one_chunk_stack_uses_every_thread(self, monkeypatch):
+        """Each outcome of a chunk is its own task: a four-outcome stack of
+        one chunk runs its draws two at a time on two threads."""
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
+        meet = threading.Barrier(2, timeout=30)
+        draw_counts = _kernels.draw_counts
+
+        def draw_in_pairs(*args):
+            meet.wait()  # breaks, and the call raises, unless two draws run at once
+            return draw_counts(*args)
+
+        monkeypatch.setattr(_kernels, "draw_counts", draw_in_pairs)
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        mean, var = _kernels.trial_estimates(np.stack([cells] * 4), w_re, w_im, N_REF, 500,
+                                             [1, 2, 3, 4])
+        assert np.isfinite(var).all() and len(set(var[0].tolist())) == 4
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_zero_trials(self, statistics):
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
-        re, im = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 0, 5, statistics)
-        assert re.shape == im.shape == (0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, var = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 0, 5, statistics)
+            stack_mean, stack_var = _kernels.trial_estimates(
+                np.stack([cells] * 3), w_re, w_im, N_REF, 0, [5, 6, 7], statistics)
+        assert mean.shape == var.shape == (2,)
+        assert stack_mean.shape == stack_var.shape == (2, 3)
+        for x in (mean, var, stack_mean, stack_var):
+            assert np.isnan(x).all()
 
-    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
-    def test_memory_bounded(self, statistics):
-        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+    @staticmethod
+    def traced_peak(study):
+        """The tracemalloc peak, in MiB, of one call of ``study``."""
         tracemalloc.start()
         try:
-            _kernels.trial_estimates(cells, w_re, w_im, N_REF, 200_000, 3, statistics)
-            peak = tracemalloc.get_traced_memory()[1]
+            study()
+            return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_memory_bounded(self, statistics, monkeypatch):
+        """Chunks are reduced to moments where they are drawn: the kernel's
+        peak is that of two threads' chunks, whatever the trial count."""
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        peak = self.traced_peak(lambda: _kernels.trial_estimates(
+            cells, w_re, w_im, N_REF, 200_000, 3, statistics))
+        assert peak < 4
+
+    def test_study_memory_bounded(self, monkeypatch):
+        """``run_trials`` at 4 x 10^6 trials and a six-outcome
+        ``refinement_trials`` at 5 x 10^5 each peak below 8 MiB, within 1.2x
+        of their peaks at 40 and 10 times fewer trials."""
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
+        scn, shot = point_x_scenario(), ShotModel(N_REF, "poisson", seed=4)
+        povm = random_povm(2, 6, seed=3)
+
+        def refinement(trials):
+            return lambda: refinement_trials(povm, 1, 0, np.pi / 4, shot, trials)
+
+        for small, large in [
+            (lambda: run_trials(scn, shot, 10**5), lambda: run_trials(scn, shot, 4 * 10**6)),
+            (refinement(5 * 10**4), refinement(5 * 10**5)),
+        ]:
+            small_peak, large_peak = self.traced_peak(small), self.traced_peak(large)
+            assert large_peak < 8
+            assert large_peak < 1.2 * small_peak
+
+
+class TestInvertedDraws:
+    """Counts drawn by inverting a CDF table, and the cap rule that leaves
+    numpy's samplers to the rest."""
+
+    #: The workload's Poisson rates, small rates, and a rate near the cap.
+    RATES = (1e-9, 1e-3, 0.5, 1.0, 3.0, 12.0, 799.375, 3197.5, 2e4, 9.8e4)
+    BINOMIALS = [(n, p) for n in (1, 2, 10, 1000, N_REF, 10**5)
+                 for p in (1e-9, 1e-3, 0.0625, 0.5, 0.999, 1 - 1e-9)]
+
+    @staticmethod
+    def law(n, p, poisson):
+        return scipy.stats.poisson(n * p) if poisson else scipy.stats.binom(n, p)
+
+    @pytest.mark.parametrize("poisson, n, p", [(True, 1, rate) for rate in RATES]
+                             + [(False, n, p) for n, p in BINOMIALS])
+    def test_table_is_the_cdf(self, poisson, n, p):
+        """The table CDF is scipy's within 1e-13, and the mass beyond its
+        edges is below 1e-25."""
+        lo, hi = _kernels.table_span(n, p, poisson)
+        assert hi - lo < _kernels.CHUNK_TRIALS
+        table_lo, cdf, guide = _kernels.inversion_table(n, p, poisson)
+        assert table_lo == lo and cdf.size == hi - lo + 1 and cdf[-1] == 1.0
+        law = self.law(n, p, poisson)
+        np.testing.assert_allclose(cdf, law.cdf(np.arange(lo, hi + 1)), rtol=0, atol=1e-13)
+        assert law.cdf(lo - 1) + law.sf(hi) < 1e-25
+        # the guide never points past the count a uniform on its cell maps to
+        cells = np.arange(guide.size) / guide.size
+        assert (guide == np.searchsorted(cdf, cells, "right")).all()
+
+    def test_cap_is_the_chunk(self):
+        """Poisson rates up to about 10^5 fit a chunk's table."""
+        for rate, fits in [(9.8e4, True), (1e5, False)]:
+            lo, hi = _kernels.table_span(1, rate, True)
+            assert (hi - lo < _kernels.CHUNK_TRIALS) == fits
+        block, prob = np.zeros(2, dtype=np.intp), np.array([0.5, 0.5])
+        assert _kernels.count_tables(block, prob, 2 * 10**5, "poisson") == [None, None]
+
+    @staticmethod
+    def check_draws(counts, law):
+        """Mean and variance within 5 SE of the law's, and a chi-square test
+        against its pmf over bins of about 1 % probability each."""
+        size = counts.size
+        mean, var = counts.mean(), counts.var(ddof=1)
+        dev4 = ((counts - mean) ** 4).mean()
+        assert abs(mean - law.mean()) < 5 * np.sqrt(var / size)
+        assert abs(var - law.var()) < 5 * np.sqrt((dev4 - var**2) / size)
+        # bin i holds the counts in (edges[i - 1], edges[i]]
+        edges = np.unique(law.ppf(np.linspace(0, 1, 101)[1:-1]))
+        expected = size * np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
+        seen = np.bincount(np.searchsorted(edges, counts), minlength=edges.size + 1)
+        assert expected.min() >= 5
+        chi2 = ((seen - expected) ** 2 / expected).sum()
+        assert scipy.stats.chi2.sf(chi2, edges.size) > 1e-3, chi2
+
+    @pytest.mark.parametrize("statistics, n, p", [
+        ("poisson", N_REF, 0.5 / N_REF), ("poisson", N_REF, 12 / N_REF),
+        ("poisson", N_REF, 0.0625), ("poisson", N_REF, 0.25), ("multinomial", N_REF, 0.0625),
+    ], ids=["rate-0.5", "rate-12", "rate-799.375", "rate-3197.5", "binomial"])
+    def test_inverted_draws_follow_the_law(self, statistics, n, p):
+        """10^6 inverted draws of Poisson(n p), or of the first count of a
+        setting, Binomial(n, p)."""
+        block, prob = np.zeros(1, dtype=np.intp), np.array([p])
+        tables = _kernels.count_tables(block, prob, n, statistics)
+        assert tables[0] is not None
+        counts = _kernels.draw_counts(np.random.default_rng(2024), 10**6, block, prob, n,
+                                      statistics, tables)
+        self.check_draws(counts[:, 0], self.law(n, p, statistics == "poisson"))
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_numpy_draws_past_the_cap(self, statistics, monkeypatch):
+        """A table longer than CHUNK_TRIALS is never built: at n = 10^8 the
+        counts are numpy's and follow the law, and a 300-trial study there
+        builds no table either."""
+        def refuse(*args):
+            raise AssertionError("an inversion table was built")
+
+        monkeypatch.setattr(_kernels, "inversion_table", refuse)
+        n, block, prob = 10**8, np.zeros(1, dtype=np.intp), np.array([0.0625])
+        tables = _kernels.count_tables(block, prob, n, statistics)
+        assert tables == [None]
+        counts = _kernels.draw_counts(np.random.default_rng(2025), 10**6, block, prob, n,
+                                      statistics, tables)
+        self.check_draws(counts[:, 0], self.law(n, 0.0625, statistics == "poisson"))
+        cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
+        mean, var = _kernels.trial_estimates(cells, w_re, w_im, n, 300, 1, statistics)
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
+
+    def test_tables_do_not_depend_on_trials(self):
+        """A study of fewer trials than a table has entries inverts too: the
+        chunk of a 300-trial call is drawn from the tables of a long one."""
+        cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
+        block, prob, _ = _kernels.group_cells(cells, w_re, w_im, "poisson")
+        tables = _kernels.count_tables(block, prob, N_REF, "poisson")
+        assert all(t is not None and t[1].size > 300 for t in tables)
+        direct = TestTrialKernel.direct_chunk(cells, w_re, w_im, N_REF, 300, 6, "poisson", 0)
+        _, mean, m2 = _kernels.moments(direct)
+        got_mean, got_var = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 300, 6)
+        np.testing.assert_array_equal(got_mean, mean)
+        np.testing.assert_array_equal(got_var, m2 / 299)
+
+    def test_chain_after_inverted_first_group(self):
+        """A setting whose first group is inverted and whose later groups
+        chain on its count has the multinomial's means and covariances,
+        within 5 standard errors over 2 x 10^5 trials."""
+        trials, n = 200_000, 1000
+        block = np.array([0, 0, 0, 1, 1])
+        prob = np.array([0.1, 0.25, 0.3, 0.45, 0.5])
+        tables = _kernels.count_tables(block, prob, n, "multinomial")
+        assert [t is not None for t in tables] == [True, False, False, True, False]
+        counts = _kernels.draw_counts(np.random.default_rng(8), trials, block, prob, n,
+                                      "multinomial", tables)
+        dev = counts - n * prob
+        same = block[:, None] == block[None, :]
+        truth = np.where(same, -n * np.outer(prob, prob), 0.0) + np.diag(n * prob)
+        products = dev[:, :, None] * dev[:, None, :]
+        se = products.std(axis=0) / np.sqrt(trials)
+        assert (np.abs(products.mean(axis=0) - truth) < 5 * se).all()
+        assert (np.abs(dev.mean(axis=0)) < 5 * dev.std(axis=0) / np.sqrt(trials)).all()
 
 def reference_sweep(spec):
     """``variance_sweep`` as one inline pipeline per grid point: exact tables,
@@ -449,7 +693,7 @@ def reference_sweep(spec):
             scn = EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
         tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
         coeffs = scn.coeffs()
-        vr, vi = error_transfer_variance(tables, coeffs, n, scn.scale)
+        vr, vi = error_transfer_variance(tables, coeffs, n, scn.scale, stats)
         row = {
             "axis_value": float(value), "var_analytic": _analytic_for(scn, n),
             "var_transfer": vr + vi, "var_empirical": float("nan"),
@@ -457,12 +701,12 @@ def reference_sweep(spec):
             "trials": spec.trials, "seed": int(seed),
         }
         if spec.trials > 0:
-            re, im = _kernels.trial_estimates(
+            mean, var = _kernels.trial_estimates(
                 nonnegative_cells(tables).reshape(9, 4), coeffs.cell_re / scn.scale,
                 coeffs.cell_im / scn.scale, n, spec.trials, int(seed), stats,
             )
-            row["var_empirical"] = float(re.var(ddof=1)) + float(im.var(ddof=1))
-            row["mean_re"], row["mean_im"] = float(re.mean()), float(im.mean())
+            row["var_empirical"] = float(var[0]) + float(var[1])
+            row["mean_re"], row["mean_im"] = float(mean[0]), float(mean[1])
         rows.append(row)
     return rows
 
