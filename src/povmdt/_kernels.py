@@ -4,7 +4,8 @@ A trial's estimate is linear in the cell counts, ``sum_c w_c N_c / n``, with
 the cell weights ``(cell_re, cell_im)`` of
 :func:`povmdt.estimator.rt_coefficients`.  Cells that share a weight pair
 therefore enter the estimate only through the sum of their counts, and that
-sum is drawn directly (:func:`group_cells`):
+sum is drawn directly (:func:`group_cells`, which finds the groups once per
+study, since every outcome shares the weights):
 
 * ``poisson``: cell counts are independent, and a sum of independent Poisson
   counts is a Poisson count with the summed rate;
@@ -47,20 +48,19 @@ float64 rounding and its truncation: the table CDFs lie within 2e-14 of
 is drawn in one numpy call per row (:func:`_draw_row`), without tables.
 
 Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
-trials.  Each task draws one outcome's share of a chunk, and the last task
-of a chunk to finish turns the chunk's estimates into per-row moments
-(count, mean and the sum of squared deviations) and drops them; the kernel
-merges the chunks' moments in chunk order with the pairwise update of Chan,
-Golub and LeVeque (1979).  So peak memory is O(WORKERS x CHUNK_TRIALS), not
-O(trials): what grows with the trial count is a few floats per chunk.
-Chunk ``c`` of an outcome draws from its own PCG64 stream, seeded by
-``SeedSequence(seed, spawn_key=(c,))``, the ``c``-th spawned child of the
-outcome's seed.  The tasks of a study (a stack of outcomes,
-:func:`trial_estimates`) run on one pool of up to ``WORKERS`` threads
-(numpy's samplers release the GIL), one task per outcome and chunk, so even
-a one-chunk stack keeps every thread busy; because every task owns its
-stream and the merge order is fixed, the moments depend neither on the
-number of threads nor on the stacking.
+trials.  Each task draws one chunk of every outcome of a study (a stack of
+outcomes, :func:`trial_estimates`), turns the chunk's estimates into per-row
+moments (count, mean and the sum of squared deviations) and drops them; the
+kernel merges the chunks' moments in chunk order with the pairwise update of
+Chan, Golub and LeVeque (1979).  So peak memory is O(WORKERS x
+CHUNK_TRIALS), not O(trials): what grows with the trial count is a few
+floats per chunk.  Chunk ``c`` of an outcome draws from its own PCG64
+stream, seeded by ``SeedSequence(seed, spawn_key=(c,))``, the ``c``-th
+spawned child of the outcome's seed.  The chunks of a study run on one pool
+of up to ``WORKERS`` threads (numpy's samplers release the GIL), one task
+per chunk, so a study of one chunk runs on one thread; because every
+outcome's chunk owns its stream and the merge order is fixed, the moments
+depend neither on the number of threads nor on the stacking.
 """
 
 from __future__ import annotations
@@ -135,27 +135,30 @@ def checked_cells(cells, statistics: str) -> np.ndarray:
     return cells / np.maximum(totals, 1.0)[..., None]
 
 
-def group_cells(cells, w_re, w_im, statistics):
+def group_cells(stack, w_re, w_im, statistics):
     """Merge the cells that share a weight pair into one drawn count.
 
-    ``cells`` is (settings, 4) of probabilities and ``w_re``/``w_im`` the
-    matching flat cell weights.  Poisson counts merge across all settings;
-    multinomial counts merge within each setting only.  Returns
-    ``(block, prob, weights)``, one entry per group: the setting it is drawn
-    in (0 for every Poisson group), its summed probability, and its
+    ``stack`` is (outcomes, settings, 4) of probabilities and ``w_re``/``w_im``
+    the flat cell weights, shared by every outcome, so the groups are found
+    once per stack.  Poisson counts merge across all settings; multinomial
+    counts merge within each setting only.  Returns one ``(block, prob,
+    weights)`` per outcome, one entry per group: the setting it is drawn in
+    (0 for every Poisson group), its summed probability, and its
     ``(w_re, w_im)`` pair as a (groups, 2) array.  Groups with a zero weight
     pair or a zero probability are left out.
     """
-    if statistics == "multinomial":
-        cell_block = np.repeat(np.arange(cells.shape[0]), cells.shape[1])
-    else:
-        cell_block = np.zeros(cells.size)
-    key = np.column_stack([cell_block, w_re, w_im])
+    _, settings, per_setting = stack.shape
+    blocks = np.arange(settings) if statistics == "multinomial" else np.zeros(settings)
+    key = np.column_stack([np.repeat(blocks, per_setting), w_re, w_im])
     uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    prob = np.bincount(inverse.reshape(-1), weights=cells.reshape(-1), minlength=len(uniq))
     block, weights = uniq[:, 0].astype(np.intp), uniq[:, 1:]
-    keep = weights.any(axis=1) & (prob > 0)
-    return block[keep], prob[keep], weights[keep]
+    weighted = weights.any(axis=1)
+    groups = []
+    for cells in stack:
+        prob = np.bincount(inverse.reshape(-1), weights=cells.reshape(-1), minlength=len(uniq))
+        keep = weighted & (prob > 0)
+        groups.append((block[keep], prob[keep], weights[keep]))
+    return groups
 
 
 def table_span(n, p, poisson):
@@ -239,7 +242,7 @@ def _invert(rng, size, table):
     return k
 
 
-def draw_counts(rng, size, block, prob, n, statistics, tables=None):
+def draw_counts(rng, size, block, prob, n, statistics, tables):
     """Counts of the groups, one row per trial, as a (size, groups) float array.
 
     Poisson counts are independent with means ``n * prob``.  Multinomial
@@ -249,18 +252,17 @@ def draw_counts(rng, size, block, prob, n, statistics, tables=None):
 
     More than one trial is drawn group by group.  A group with a table in
     ``tables``, one entry per group as :func:`count_tables` gives them, is
-    drawn by inversion; the others, and every group when ``tables`` is None,
-    by ``poisson(n p_g, size)``, or per block by the chain that numpy's
-    multinomial runs row by row, ``binomial(left, p_g / rest, ...)`` with
-    ``left`` the particles not yet placed and ``rest`` the probability not
-    yet spent.  One trial is one numpy call per row, a broadcast ``poisson``
-    or one ``multinomial`` per block, three to four times faster for the
-    scan's 36 ungrouped cells, where the cost of each numpy call dominates.
+    drawn by inversion; the others by ``poisson(n p_g, size)``, or per block
+    by the chain that numpy's multinomial runs row by row,
+    ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
+    placed and ``rest`` the probability not yet spent.  One trial is one
+    numpy call per row, a broadcast ``poisson`` or one ``multinomial`` per
+    block, without tables (a one-trial caller may pass None), three to four
+    times faster for the scan's 36 ungrouped cells, where the cost of each
+    numpy call dominates.
     """
     if size == 1:
         return _draw_row(rng, block, prob, n, statistics)
-    if tables is None:
-        tables = [None] * prob.size
     counts = np.empty((prob.size, size))
     if statistics == "poisson":
         for g, (rate, table) in enumerate(zip((n * prob).tolist(), tables)):
@@ -324,9 +326,10 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", ex
     outcome, giving two (2, outcomes) arrays.  ``w_re``/``w_im`` are the flat
     cell weights, shared by every outcome.  ``extra_rows``, if given, maps
     each chunk's (2, outcomes, size) estimates to an iterable of further
-    (outcomes, size) rows, made from them in the thread of the chunk's last
-    draw, whose moments follow (re, im) in the output.  The variance is the
-    unbiased one, NaN below two trials, and the mean is NaN for no trials.
+    (outcomes, size) rows, made from them in the chunk's task, whose moments
+    follow (re, im) in the output.  The variance is the unbiased one, NaN
+    below two trials, and the mean is NaN for no trials; a negative trial
+    count is refused.
 
     The moments do not depend on ``WORKERS``.  Outcome l of a stack gives
     the moments of a call with its cells and seed alone.  The tables do not
@@ -334,6 +337,8 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", ex
     chunks of a longer one.  Multinomial statistics refuse a setting whose
     cells sum above 1.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     cells = checked_cells(cells, statistics)
     stacked = cells.ndim == 3
     stack, seeds = (cells, list(seed)) if stacked else (cells[None], [seed])
@@ -345,28 +350,21 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", ex
         mean = var = np.full((rows, len(stack)), np.nan)
         return (mean, var) if stacked else (mean[:, 0], var[:, 0])
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
-    groups = [group_cells(c, w_re, w_im, statistics) for c in stack]
+    groups = group_cells(stack, w_re, w_im, statistics)
     tables = [count_tables(block, prob, n, statistics) for block, prob, _ in groups]
 
     # imported here: ``import povmdt`` should not pay for it
-    import threading
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
     from functools import reduce
 
-    lock = threading.Lock()
-
-    def draw(l, c, est, left):
-        """Draw outcome l of chunk c into ``est``; the chunk's last draw to
-        finish returns the chunk's moments, the others None."""
-        block, prob, weights = groups[l]
-        rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
-        counts = draw_counts(rng, est.shape[-1], block, prob, n, statistics, tables[l])
-        est[:, l] = (counts @ weights).T
-        with lock:
-            left[0] -= 1
-            if left[0]:
-                return None
+    def chunk_moments(c):
+        """The moments of chunk c, every outcome drawn from its own stream."""
+        est = np.empty((2, len(stack), min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)))
+        for l, (block, prob, weights) in enumerate(groups):
+            rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
+            counts = draw_counts(rng, est.shape[-1], block, prob, n, statistics, tables[l])
+            est[:, l] = (counts @ weights).T
         est /= n
         # each extra row is reduced before the next one is made
         extra = [moments(row[None]) for row in extra_rows(est)] if extra_rows else []
@@ -375,26 +373,18 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", ex
                 np.concatenate([m2, *(part[2] for part in extra)]))
 
     chunks = -(-trials // CHUNK_TRIALS)
-    workers = max(1, min(WORKERS, chunks * len(stack)))
-    ahead = max(2, 2 * workers // len(stack))  # chunks in flight before the merge waits
-
-    def chunk_moments(futures):
-        """The moments of a chunk, once all of its draws are done."""
-        done = [future.result() for future in futures]  # raises a failed draw's error
-        return next(part for part in done if part is not None)
+    workers = max(1, min(WORKERS, chunks))
 
     def in_chunk_order(pool):
-        """The chunks' moments, with at most ``ahead`` chunks drawn ahead of
-        the merge."""
+        """The chunks' moments, with at most ``2 * workers`` chunks drawn
+        ahead of the merge."""
         pending = deque()
         for c in range(chunks):
-            est = np.empty((2, len(stack), min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)))
-            left = [len(stack)]
-            pending.append([pool.submit(draw, l, c, est, left) for l in range(len(stack))])
-            if len(pending) > ahead:
-                yield chunk_moments(pending.popleft())
-        for futures in pending:
-            yield chunk_moments(futures)
+            pending.append(pool.submit(chunk_moments, c))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()  # raises a failed chunk's error
+        for future in pending:
+            yield future.result()
 
     with ThreadPoolExecutor(workers) as pool:
         _, mean, m2 = reduce(merge_moments, in_chunk_order(pool))

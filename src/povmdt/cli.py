@@ -254,9 +254,9 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
     if cfg.sweep["axis"] in ("xi", "phi"):
         if cfg.entry is None or cfg.entry["l"] == "all":
             raise ConfigError("sweep over xi/phi needs an entry block with a single l")
-        kwargs.update(
-            povm=cfg.povm(), label=cfg.entry["l"], j=cfg.entry["j"], k=cfg.entry["k"],
-        )
+        povm = cfg.povm()
+        [(label, j, k)] = _entry_list(cfg, povm)
+        kwargs.update(povm=povm, label=label, j=j, k=k)
     try:
         spec = SweepSpec(**kwargs)
     except ValueError as exc:

@@ -183,7 +183,7 @@ def sample_counts(tables, shot: ShotModel, seeds=None) -> np.ndarray:
     counts = np.empty(cells.shape)
     for i, seed in enumerate(seeds):
         counts[i] = _kernels.draw_counts(
-            np.random.default_rng(seed), 1, _SETTING_OF_CELL, cells[i], n, shot.statistics
+            np.random.default_rng(seed), 1, _SETTING_OF_CELL, cells[i], n, shot.statistics, None
         )
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
@@ -215,8 +215,6 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     trials the mean and sample variances are NaN.  A scenario whose
     post-selection probability is at or below the floor is refused.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
     coeffs = scenario.coeffs()
     j, k = scenario.j, scenario.k
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,

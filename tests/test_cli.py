@@ -596,6 +596,28 @@ class TestVarianceSweepCommand:
         assert "config error: sweep: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"l": 9, "j": 1, "k": 0}, "entry.l: no outcome labelled 9"),
+        ({"l": 1, "j": 5, "k": 0}, "entry: indices (5, 0) out of range for dimension 2"),
+    ], ids=["label", "index"])
+    @pytest.mark.parametrize("axis", ["xi", "phi"])
+    def test_unresolvable_entry_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                         axis, entry, message):
+        """An xi or phi sweep resolves its entry as scan and oracle-check do:
+        a label that names no outcome, or an index past the dimension, is a
+        config error."""
+        monkeypatch.setattr(cli, "variance_sweep", refuse_to_run)
+        cfg = write_config(tmp_path, {
+            "povm": {"source": "builtin:sic"},
+            "entry": entry,
+            "shots": {"n_per_setting": 100},
+            "sweep": {"axis": axis, "grid": [1.0, 0.5], "trials": 10},
+        })
+        out = tmp_path / "out"
+        assert main(["variance-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def refuse_to_run(*args, **kwargs):
     raise AssertionError("the command ran")

@@ -237,8 +237,14 @@ class TestRunTrials:
         assert s.predicted_var == vr + vi
 
     def test_negative_trials_refused(self):
-        with pytest.raises(ValueError, match="trials"):
-            run_trials(point_x_scenario(), ShotModel(N_REF), -1)
+        cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
+        for study in (
+            lambda: run_trials(point_x_scenario(), ShotModel(N_REF), -1),
+            lambda: refinement_trials(random_povm(2, 3, seed=5), 1, 0, 0.6, ShotModel(N_REF), -3),
+            lambda: _kernels.trial_estimates(cells, w_re, w_im, N_REF, -1, 1),
+        ):
+            with pytest.raises(ValueError, match="trials must be >= 0"):
+                study()
 
     def test_dead_outcome_refused(self):
         scn = EntryScenario(np.zeros((2, 2)), 1, 0, np.pi / 4)
@@ -285,7 +291,8 @@ class TestTrialKernel:
                 w = np.column_stack([w_re, w_im])
                 flat = cells.reshape(-1)
                 rates = N_REF * flat
-                block, prob, weights = _kernels.group_cells(cells, w_re, w_im, "poisson")
+                block, prob, weights = _kernels.group_cells(
+                    cells[None], w_re, w_im, "poisson")[0]
                 assert len(prob) <= 9 and (block == 0).all()
                 grates = N_REF * prob
                 scale = np.abs(w).max()
@@ -301,7 +308,8 @@ class TestTrialKernel:
                     rtol=1e-12,
                 )
 
-                block, prob, weights = _kernels.group_cells(cells, w_re, w_im, "multinomial")
+                block, prob, weights = _kernels.group_cells(
+                    cells[None], w_re, w_im, "multinomial")[0]
                 for s in range(9):
                     mine, cell_w = block == s, w[4 * s : 4 * s + 4]
                     for power in (1, 2):
@@ -313,7 +321,7 @@ class TestTrialKernel:
 
     def test_zero_weight_and_zero_rate_cells_not_drawn(self):
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
-        block, prob, weights = _kernels.group_cells(cells, w_re, w_im, "poisson")
+        block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, "poisson")[0]
         assert (prob > 0).all() and weights.any(axis=1).all()
         assert len(prob) == 8
 
@@ -334,7 +342,7 @@ class TestTrialKernel:
         the kernel from ``SeedSequence(seed, spawn_key=(c,))`` with the
         call's tables; C-contiguous like the kernel's, so that their sums run
         in the same order."""
-        block, prob, weights = _kernels.group_cells(cells, w_re, w_im, statistics)
+        block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, statistics)[0]
         tables = _kernels.count_tables(block, prob, n, statistics)
         size = min(_kernels.CHUNK_TRIALS, trials - c * _kernels.CHUNK_TRIALS)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
@@ -394,6 +402,52 @@ class TestTrialKernel:
         np.testing.assert_array_equal(mean, direct_mean)
         np.testing.assert_array_equal(var, m2 / (trials - 1))
 
+    #: Moments of the kernel and of refinement_trials over more than one
+    #: chunk, from the current many-trial stream: a change that alters the
+    #: stream must renew them.  rtol 1e-12 leaves room for BLAS rounding, not
+    #: for another draw.
+    PINNED_KERNEL = {
+        "poisson": ([-0.00011515465804407636, -0.0001593862485510619],
+                    [0.0004973471260270251, 0.0005009529196720963]),
+        "multinomial": ([-6.042950399609541e-05, 0.000148435116832408],
+                        [0.0005072876079668268, 0.0004892362329079161]),
+    }
+    PINNED_REFINEMENT = {
+        "poisson": (
+            [(0.0002728037837487426, 0.00021325040135474445),
+             (0.00031789657170055004, 0.0002216733532989627),
+             (9.702352428502626e-05, 7.524464176827946e-05)],
+            [(0.0001668294396126768, 0.00012772073720622264),
+             (0.0001716233550583151, 0.00012528562155787352),
+             (8.350643575380328e-05, 6.414916968285613e-05)],
+        ),
+        "multinomial": (
+            [(0.00024611999659657327, 0.00020353697736545133),
+             (0.000271574199068788, 0.00021829482570269787),
+             (9.539485301265651e-05, 7.457824960353905e-05)],
+            [(0.0001495260026300493, 0.00012022733306094643),
+             (0.00015358328357459726, 0.00012311971817170335),
+             (8.064271172587433e-05, 6.343611236125942e-05)],
+        ),
+    }
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_many_trial_stream_pinned(self, statistics):
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        mean, var = _kernels.trial_estimates(cells, w_re, w_im, 2000,
+                                             2 * _kernels.CHUNK_TRIALS + 7, 17, statistics)
+        pinned_mean, pinned_var = self.PINNED_KERNEL[statistics]
+        np.testing.assert_allclose(mean, pinned_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(var, pinned_var, rtol=1e-12, atol=0)
+        study = refinement_trials(random_povm(2, 3, seed=5), 1, 0, 0.6,
+                                  ShotModel(3000, statistics, seed=21),
+                                  _kernels.CHUNK_TRIALS + 100)
+        raw, refined = self.PINNED_REFINEMENT[statistics]
+        np.testing.assert_allclose([study.raw_sample_var[lab] for lab in study.labels], raw,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose([study.refined_sample_var[lab] for lab in study.labels],
+                                   refined, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_moments_match_two_pass(self, sic_tables, statistics):
         """The merged moments are numpy's two-pass mean and var(ddof=1) over
@@ -428,7 +482,7 @@ class TestTrialKernel:
                         explicit.append(rng.binomial(left, 1.0 if p >= rest else p / rest))
                         left, rest = left - explicit[-1], rest - p
             drawn = _kernels.draw_counts(np.random.default_rng(seed), 1, block, prob, n,
-                                         statistics)
+                                         statistics, None)
             assert drawn.shape == (1, 36)
             assert (drawn[0] == np.array(explicit, dtype=float)).all()
 
@@ -442,7 +496,7 @@ class TestTrialKernel:
         prob = np.array(prob)
         block = np.zeros(prob.size, dtype=np.intp)
         counts = _kernels.draw_counts(np.random.default_rng(1), 2, block, prob, 1000,
-                                      "multinomial")
+                                      "multinomial", [None] * prob.size)
         assert (counts[:, -1] == 0).all()
         assert (counts.sum(axis=1) == 1000).all()
 
@@ -455,7 +509,7 @@ class TestTrialKernel:
         block = np.array([0, 0, 0, 1, 1])
         prob = np.array([0.1, 0.25, 0.3, 0.45, 0.5])
         counts = _kernels.draw_counts(
-            np.random.default_rng(8), trials, block, prob, n, "multinomial"
+            np.random.default_rng(8), trials, block, prob, n, "multinomial", [None] * prob.size
         )
         assert counts.shape == (trials, 5)
         dev = counts - n * prob
@@ -489,9 +543,9 @@ class TestTrialKernel:
                 one_mean, one_var = _kernels.trial_estimates(cells[l], *args, seed, statistics)
                 assert (mean[:, l] == one_mean).all() and (var[:, l] == one_var).all()
 
-    def test_one_chunk_stack_uses_every_thread(self, monkeypatch):
-        """Each outcome of a chunk is its own task: a four-outcome stack of
-        one chunk runs its draws two at a time on two threads."""
+    def test_two_chunk_stack_uses_every_thread(self, monkeypatch):
+        """Each chunk is its own task: the two chunks of a four-outcome stack
+        draw side by side on two threads."""
         monkeypatch.setattr(_kernels, "WORKERS", 2)
         meet = threading.Barrier(2, timeout=30)
         draw_counts = _kernels.draw_counts
@@ -502,9 +556,30 @@ class TestTrialKernel:
 
         monkeypatch.setattr(_kernels, "draw_counts", draw_in_pairs)
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
-        mean, var = _kernels.trial_estimates(np.stack([cells] * 4), w_re, w_im, N_REF, 500,
-                                             [1, 2, 3, 4])
+        mean, var = _kernels.trial_estimates(np.stack([cells] * 4), w_re, w_im, N_REF,
+                                             2 * _kernels.CHUNK_TRIALS, [1, 2, 3, 4])
         assert np.isfinite(var).all() and len(set(var[0].tolist())) == 4
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_one_grouping_per_study(self, statistics, monkeypatch):
+        """The groups of a six-outcome study are found by one np.unique over
+        the (block, w_re, w_im) keys of its 36 cells."""
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            if kwargs.get("axis") == 0:
+                calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels.np, "unique", counted)
+        povm = random_povm(2, 6, seed=3)
+        cells = nonnegative_cells(exact_entry_tables(
+            povm.elements, 1, 0, CouplingConfig.symmetric(0.6))).reshape(6, 9, 4)
+        coeffs = rt_coefficients(2, 0.6)
+        _kernels.trial_estimates(cells, coeffs.cell_re, coeffs.cell_im, 3000, 300,
+                                 list(range(6)), statistics)
+        assert calls == [(36, 3)]
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_zero_trials(self, statistics):
@@ -650,7 +725,7 @@ class TestInvertedDraws:
         """A study of fewer trials than a table has entries inverts too: the
         chunk of a 300-trial call is drawn from the tables of a long one."""
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
-        block, prob, _ = _kernels.group_cells(cells, w_re, w_im, "poisson")
+        block, prob, _ = _kernels.group_cells(cells[None], w_re, w_im, "poisson")[0]
         tables = _kernels.count_tables(block, prob, N_REF, "poisson")
         assert all(t is not None and t[1].size > 300 for t in tables)
         direct = TestTrialKernel.direct_chunk(cells, w_re, w_im, N_REF, 300, 6, "poisson", 0)
