@@ -20,7 +20,8 @@ paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
 :func:`draw_counts` is the one counting-noise sampler: the trial kernel
 contracts its counts with the group weights, and
 :func:`povmdt.montecarlo.sample_counts` draws one trial of the 36 ungrouped
-cells of each outcome's W table with it.  Both pass their cells through the
+cells of each outcome's W table with it, every outcome of a stack from one
+stream.  Both pass their cells through the
 same check first (:func:`checked_cells`, once for a whole stack of
 outcomes); their callers have already refused and clipped negative cells
 (:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
@@ -45,7 +46,9 @@ rejected bucket (Devroye, ch. XI).  Inversion is exact up to the table's
 float64 rounding and its truncation: the table CDFs lie within 2e-14 of
 ``scipy.stats`` for Poisson rates 1e-9 to 10^5 and binomials with n up to
 10^5, and the truncated tails carry less than 2e-30 of the mass.  One trial
-is drawn in one numpy call per row (:func:`_draw_row`), without tables.
+is drawn without tables, in one numpy call for every outcome of a stack: a
+broadcast ``poisson``, or one ``multinomial`` with a row per outcome and
+block.
 
 Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
 trials.  Each task draws one chunk of every outcome of a study (a stack of
@@ -255,14 +258,31 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
     drawn by inversion; the others by ``poisson(n p_g, size)``, or per block
     by the chain that numpy's multinomial runs row by row,
     ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
-    placed and ``rest`` the probability not yet spent.  One trial is one
-    numpy call per row, a broadcast ``poisson`` or one ``multinomial`` per
-    block, without tables (a one-trial caller may pass None), three to four
-    times faster for the scan's 36 ungrouped cells, where the cost of each
-    numpy call dominates.
+    placed and ``rest`` the probability not yet spent.
+
+    One trial is drawn without tables (a one-trial caller may pass None), in
+    one numpy call, and ``prob`` may then be an (outcomes, groups) stack
+    sharing ``block``: one row per outcome, the counts of drawing each
+    outcome in turn from ``rng``.  Poisson counts are one broadcast
+    ``poisson(n * prob)``; multinomial counts one ``multinomial`` with a row
+    of probabilities per outcome and block: the block's groups in order,
+    zeros up to the widest block, and its rejected bucket
+    ``max(1 - sum, 0)``.  A zero probability draws nothing from the stream,
+    so the counts are those of one ``multinomial`` call per block.
     """
     if size == 1:
-        return _draw_row(rng, block, prob, n, statistics)
+        prob = np.atleast_2d(prob)
+        if statistics == "poisson":
+            return rng.poisson(n * prob).astype(np.float64)
+        # each group's block row and its place in that row, blocks ascending
+        row, group = np.nonzero(block == np.unique(block)[:, None])
+        place = np.arange(group.size) - np.searchsorted(row, row)
+        pvals = np.zeros(prob.shape[:-1] + (row[-1] + 1, place.max() + 2))
+        pvals[..., row, place] = prob[..., group]
+        pvals[..., -1] = np.maximum(1.0 - pvals[..., :-1].sum(axis=-1), 0.0)
+        counts = np.empty(prob.shape)
+        counts[..., group] = rng.multinomial(n, pvals)[..., row, place]
+        return counts
     counts = np.empty((prob.size, size))
     if statistics == "poisson":
         for g, (rate, table) in enumerate(zip((n * prob).tolist(), tables)):
@@ -282,18 +302,6 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
             left = left - drawn
             rest -= p
     return counts.T
-
-
-def _draw_row(rng, block, prob, n, statistics):
-    """:func:`draw_counts` for one trial, as a (1, groups) float array."""
-    if statistics == "poisson":
-        return rng.poisson(n * prob, size=(1, prob.size)).astype(np.float64)
-    counts = np.empty((1, prob.size))
-    for b in np.unique(block):
-        mine = block == b
-        p = prob[mine]
-        counts[:, mine] = rng.multinomial(n, np.append(p, max(1.0 - p.sum(), 0.0)))[:-1]
-    return counts
 
 
 def moments(x):

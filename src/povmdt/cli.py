@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -151,14 +151,16 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
 # --- scan -----------------------------------------------------------------------
 
 
-def _scan_row(lab, j, k, axis, axis_value, est: EntryEstimate, truth: complex, seed: int) -> dict:
-    return {
-        "l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
-        "est_re": est.value.real, "est_im": est.value.imag,
-        "var_re": est.var_re, "var_im": est.var_im,
-        "true_re": truth.real, "true_im": truth.imag,
-        "n": est.n_per_setting, "seed": seed, "method": est.method,
-    }
+def _scan_rows(labels, j, k, axis, axis_value, values, var_re, var_im, truths, n, seed,
+               method) -> list[dict]:
+    """The rows of one grid point, one per outcome, from its columns: lists
+    of complex ``values`` and ``truths`` and of float variances."""
+    return [
+        {"l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
+         "est_re": value.real, "est_im": value.imag, "var_re": vr, "var_im": vi,
+         "true_re": truth.real, "true_im": truth.imag, "n": n, "seed": seed, "method": method}
+        for lab, value, vr, vi, truth in zip(labels, values, var_re, var_im, truths)
+    ]
 
 
 def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
@@ -169,8 +171,9 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     ground truth.  With ``refine`` the sum-rule refinement is applied
     across outcomes at each grid point.  The exact step
     (:func:`~povmdt.montecarlo.exact_slot`), draw and estimates of a grid
-    point are one call each for all its outcomes; every outcome still draws
-    its counts from its own seed.  An outcome with a dead post-selection is
+    point are one call each for all its outcomes.  Every outcome of a grid
+    point draws from the point's own seed, which the ``seed`` column of
+    its sampled rows names.  An outcome with a dead post-selection is
     refused.
     """
     if cfg.noise is None:
@@ -190,26 +193,25 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     n = shot.n_per_setting
     coeffs = rt_coefficients(povm.dim, cfg.g)
     rows_of = [povm.labels.index(lab) for lab in labels]
-    seeds = _child_seeds(shot.seed, len(grid) * len(labels))
+    seeds = _child_seeds(shot.seed, len(grid)).tolist()
     rows = []
-    for gi, (axis, axis_value, param) in enumerate(grid):
+    for (axis, axis_value, param), seed in zip(grid, seeds):
         noisy = transform(povm, param, j, k)
         elems = noisy.elements[rows_of]
         cells, var_re, var_im = exact_slot(elems, j, k, coeffs, n, names,
                                            statistics=shot.statistics)
-        point_seeds = seeds[gi * len(labels):(gi + 1) * len(labels)].tolist()
-        counts = sample_counts(cells, shot, point_seeds)
+        counts = sample_counts(cells, replace(shot, seed=seed))
         values = estimate_from_tables(counts, coeffs).tolist()
-        sampled = [
-            EntryEstimate(value, vr, vi, n, "sampled")
-            for value, vr, vi in zip(values, var_re.tolist(), var_im.tolist())
-        ]
-        truths = elems[:, j, k].tolist()
-        for lab, est, truth, seed in zip(labels, sampled, truths, point_seeds):
-            rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, seed))
+        var_re, var_im, truths = var_re.tolist(), var_im.tolist(), elems[:, j, k].tolist()
+        point = (labels, j, k, axis, axis_value)
+        rows += _scan_rows(*point, values, var_re, var_im, truths, n, seed, "sampled")
         if refine:
-            for lab, est, truth in zip(labels, completeness_refine(sampled), truths):
-                rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, -1))
+            refined = completeness_refine([
+                EntryEstimate(value, vr, vi, n, "sampled")
+                for value, vr, vi in zip(values, var_re, var_im)
+            ])
+            values, var_re, var_im = zip(*((e.value, e.var_re, e.var_im) for e in refined))
+            rows += _scan_rows(*point, values, var_re, var_im, truths, n, -1, "refined")
     return rows
 
 

@@ -152,39 +152,24 @@ def _child_seeds(seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(count)
 
 
-def sample_counts(tables, shot: ShotModel, seeds=None) -> np.ndarray:
+def sample_counts(tables, shot: ShotModel) -> np.ndarray:
     """One noisy realization of the (9, 2, 2) W tables, as counts / n; or of
-    each outcome of an (L, 9, 2, 2) stack, given one seed per outcome.
+    each outcome of an (L, 9, 2, 2) stack.
 
     Poisson mode draws each cell count independently with mean n*W;
     multinomial mode distributes exactly n particles per setting over the
     four cells and a rejected bucket, refusing a setting whose cells sum
     above 1.  The draw is the trial kernel's, one trial of the ungrouped
-    cells.  One outcome draws from ``default_rng(shot.seed)``; outcome l of
-    a stack from its own ``default_rng(seeds[l])``, so a stacked call equals
-    the L single-outcome calls bit for bit while the stack is checked and
-    clipped once.  The draw is deterministic for given (tables, shot,
-    seeds).
+    cells, checked and clipped once for the whole stack.  Every outcome
+    draws from one ``default_rng(shot.seed)``, in outcome order, in one
+    numpy call; outcome 0 of a stack draws what it would draw alone.  The
+    draw is deterministic for given (tables, shot).
     """
     flat = nonnegative_cells(tables)
-    if seeds is None:
-        if flat.ndim != 1:
-            raise ValueError(
-                f"sample_counts draws one outcome's W tables, shape (9, 2, 2), or a stack "
-                f"given one seed per outcome; got shape {flat.shape[:-1] + (9, 2, 2)} "
-                "and no seeds"
-            )
-        seeds = [shot.seed]
     cells = _kernels.checked_cells(flat.reshape(flat.shape[:-1] + (9, 4)), shot.statistics)
-    cells = cells.reshape(-1, 36)
-    if len(seeds) != len(cells):
-        raise ValueError(f"{len(seeds)} seeds for {len(cells)} outcomes")
     n = shot.n_per_setting
-    counts = np.empty(cells.shape)
-    for i, seed in enumerate(seeds):
-        counts[i] = _kernels.draw_counts(
-            np.random.default_rng(seed), 1, _SETTING_OF_CELL, cells[i], n, shot.statistics, None
-        )
+    counts = _kernels.draw_counts(np.random.default_rng(shot.seed), 1, _SETTING_OF_CELL,
+                                  cells.reshape(-1, 36), n, shot.statistics, None)
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
 

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from povmdt import Povm, cli, save_povm
-from povmdt.cli import _scan_row, main, run_scan
+from povmdt.cli import main, run_scan
 from povmdt.config import ConfigError, parse_config
 from povmdt.estimator import (
     EntryEstimate,
@@ -19,7 +19,7 @@ from povmdt.estimator import (
     rt_coefficients,
 )
 from povmdt.montecarlo import (
-    EntryScenario, ShotModel, refinement_trials, run_trials, sample_counts,
+    EntryScenario, refinement_trials, run_trials,
 )
 from povmdt.noise import apply_dephasing, apply_phase_rotation, wavepacket_overlap
 from povmdt.protocol import CouplingConfig, exact_entry_tables
@@ -56,7 +56,8 @@ BASE_SCAN = {
 
 def reference_scan(cfg, refine=False):
     """Per-outcome reference for ``run_scan``: one tables, variance and
-    estimate call per (grid point, outcome)."""
+    estimate call per (grid point, outcome), every outcome of a grid point
+    drawn in order from the point's one generator by numpy directly."""
     povm, shot = cfg.povm(), cfg.shot_model()
     j, k = cfg.entry["j"], cfg.entry["k"]
     labels = list(povm.labels)
@@ -67,26 +68,41 @@ def reference_scan(cfg, refine=False):
     n = shot.n_per_setting
     coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
-    seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid) * len(labels))
+    seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid))
     rows = []
-    for gi, (axis, axis_value, param) in enumerate(grid):
+
+    def row(lab, est, truth, seed):
+        return {
+            "l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
+            "est_re": est.value.real, "est_im": est.value.imag,
+            "var_re": est.var_re, "var_im": est.var_im,
+            "true_re": truth.real, "true_im": truth.imag,
+            "n": n, "seed": seed, "method": est.method,
+        }
+
+    for (axis, axis_value, param), seed in zip(grid, seeds.tolist()):
         noisy = transform(povm, param, j, k)
+        rng = np.random.default_rng(seed)
         truths, sampled = [], []
-        for li, lab in enumerate(labels):
+        for lab in labels:
             elem = noisy.element(lab)
-            seed = int(seeds[gi * len(labels) + li])
             tables = exact_entry_tables(elem, j, k, coupling)
             var_re, var_im = error_transfer_variance(tables, coeffs, n,
                                                      statistics=shot.statistics)
-            counts = sample_counts(tables, ShotModel(n, shot.statistics, seed))
+            cells = np.maximum(tables.reshape(9, 4), 0.0)
+            if shot.statistics == "poisson":
+                counts = rng.poisson(n * cells)
+            else:
+                counts = [rng.multinomial(n, [*p, max(1.0 - p.sum(), 0.0)])[:-1] for p in cells]
+            counts = np.reshape(counts, (9, 2, 2)) / n
             est = EntryEstimate(estimate_from_tables(counts, coeffs), var_re, var_im, n, "sampled")
             truth = complex(elem[j, k])
             truths.append(truth)
             sampled.append(est)
-            rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, seed))
+            rows.append(row(lab, est, truth, seed))
         if refine:
             for lab, est, truth in zip(labels, completeness_refine(sampled), truths):
-                rows.append(_scan_row(lab, j, k, axis, axis_value, est, truth, -1))
+                rows.append(row(lab, est, truth, -1))
     return rows
 
 

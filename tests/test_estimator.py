@@ -104,8 +104,8 @@ class TestFlatTables:
 
     def test_missing_setting_rejected(self):
         """Tables of any shape but (9, 2, 2) or an (L, 9, 2, 2) stack, such
-        as one that lacks a setting, are refused by every reader; the
-        sampler draws one outcome and refuses a stack."""
+        as one that lacks a setting, are refused by every reader, the
+        sampler included."""
         coeffs = rt_coefficients(2, np.pi / 4)
         for shape in [(8, 2, 2), (9, 4), (36,), (9, 2, 2, 1), (2, 8, 2, 2), (1, 1, 9, 2, 2)]:
             tables = np.zeros(shape)
@@ -115,8 +115,6 @@ class TestFlatTables:
                 error_transfer_variance(tables, coeffs, 100)
             with pytest.raises(ValueError, match=r"shape \(9, 2, 2\)"):
                 sample_counts(tables, ShotModel(100))
-        with pytest.raises(ValueError, match="one outcome"):
-            sample_counts(np.zeros((2, 9, 2, 2)), ShotModel(100))
 
 
 class TestStackedEstimates:

@@ -4,7 +4,6 @@ import functools
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,26 +99,30 @@ class TestSampleCounts:
             sample_counts(bad, ShotModel(1000, "multinomial", seed=1))
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
-    def test_stack_equals_single_outcome_calls(self, statistics):
-        """Given one seed per outcome, the draw of an (L, 9, 2, 2) stack is
-        the L single-outcome draws bit for bit, also from cells clipped once
-        for the sampler and the variance together."""
+    def test_stack_draws_outcomes_in_order_from_one_stream(self, statistics):
+        """Outcome 0 of an (L, 9, 2, 2) stack draws what it would draw alone,
+        and the whole stack draws the outcomes in order from one generator,
+        also from cells clipped once for the sampler and the variance
+        together."""
         povm = random_povm(3, 5, seed=21)
         tables = exact_entry_tables(povm.elements, 0, 2, CouplingConfig.symmetric(0.7))
-        seeds = [11, 2**32 - 1, 0, 12345, 99]
         shot = ShotModel(4000, statistics, seed=5)
-        stacked = sample_counts(tables, shot, seeds)
+        stacked = sample_counts(tables, shot)
         assert stacked.shape == (5, 9, 2, 2)
-        for one, seed, got in zip(tables, seeds, stacked):
-            np.testing.assert_array_equal(got, sample_counts(one, replace(shot, seed=seed)))
+        np.testing.assert_array_equal(stacked[0], sample_counts(tables[0], shot))
+        rng = np.random.default_rng(shot.seed)
+        for one, got in zip(nonnegative_cells(tables).reshape(5, 9, 4), stacked):
+            if statistics == "poisson":
+                counts = rng.poisson(4000 * one)
+            else:
+                counts = [rng.multinomial(4000, [*p, max(1.0 - p.sum(), 0.0)])[:-1] for p in one]
+            np.testing.assert_array_equal(got, np.reshape(counts, (9, 2, 2)) / 4000)
         cells = _clip_once(tables)
-        np.testing.assert_array_equal(sample_counts(cells, shot, seeds), stacked)
+        np.testing.assert_array_equal(sample_counts(cells, shot), stacked)
         coeffs = rt_coefficients(3, 0.7)
         for shared, own in zip(error_transfer_variance(cells, coeffs, 4000),
                                error_transfer_variance(tables, coeffs, 4000)):
             np.testing.assert_array_equal(shared, own)
-        with pytest.raises(ValueError, match="2 seeds for 5 outcomes"):
-            sample_counts(tables, shot, seeds[:2])
 
     def test_multinomial_stack_names_outcome_and_setting(self, sic):
         """A setting whose cells sum above 1 is named by outcome and setting,
@@ -127,7 +130,7 @@ class TestSampleCounts:
         tables = exact_entry_tables(sic.elements, 1, 0, CouplingConfig.symmetric(np.pi / 4))
         tables[2, 4] += 0.5
         with pytest.raises(ValueError, match=r"^outcome 2, setting 4 cells sum to"):
-            sample_counts(tables, ShotModel(1000, "multinomial"), [1, 2, 3, 4])
+            sample_counts(tables, ShotModel(1000, "multinomial"))
         with pytest.raises(ValueError, match=r"^setting 4 cells sum to"):
             sample_counts(tables[2], ShotModel(1000, "multinomial"))
 
