@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import CALIBRATION_SAMPLES, ConfigError, ScenarioConfig, parse_config
 from .estimator import (
     estimate_record,
     EntryEstimate,
@@ -281,7 +281,7 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
     """
     if cfg.calibration is None and cfg.noise is None:
         raise ConfigError("calibrate requires a calibration (or noise) block")
-    calib = cfg.calibration or {"samples": 100000, "grid": None, "phase_inputs": []}
+    calib = cfg.calibration or {"samples": CALIBRATION_SAMPLES, "grid": None, "phase_inputs": []}
     samples = calib["samples"]
     grid = calib["grid"]
     if grid is None:

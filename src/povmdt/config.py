@@ -27,6 +27,7 @@ from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_w
 POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
+CALIBRATION_SAMPLES = 100000  # calibration.samples, also when calibrate has no such block
 
 
 class ConfigError(ValueError):
@@ -310,7 +311,8 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"xi_grid": False, "samples": False, "phase_inputs": False,
              "epsilon": False, "coherence_length": False},
         )
-        samples = _number(block, "calibration", "samples", default=100000, integer=True)
+        samples = _number(block, "calibration", "samples", default=CALIBRATION_SAMPLES,
+                          integer=True)
         if samples <= 0:
             raise ConfigError(f"calibration.samples: expected a positive integer, got {samples}")
         cfg.calibration = {

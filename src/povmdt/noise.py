@@ -81,8 +81,12 @@ def apply_phase_rotation(povm: Povm, phi: float, j: int, k: int) -> Povm:
     """Multiply the (j, k) entry of every element by exp(-i phi).
 
     The (k, j) entry gets the conjugate factor, so hermiticity and the
-    modulus of the coherence are preserved.  Equivalent to conjugating each
-    element by exp(-i (phi/2) C) with C = |a_j><a_j| - |a_k><a_k|.
+    modulus of the coherence are preserved.  For d = 2 this equals
+    conjugating each element by exp(-i (phi/2) C) with
+    C = |a_j><a_j| - |a_k><a_k|.  For d > 2 that conjugation would also
+    rotate the entries linking j or k to the other levels; rotating one slot
+    alone is then not a completely positive map, and a rotated set with an
+    element that is not positive is refused.
     """
     return _scaled_slot(povm, j, k, np.exp(-1j * phi), f"phase rotation by phi={phi:g}")
 

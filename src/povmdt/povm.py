@@ -31,7 +31,8 @@ class Povm:
     ``elements`` is a sequence of (d, d) matrices or an (L, d, d) array,
     copied, and ``labels`` are integers (``bool`` is refused), 1..L by
     default.  Each element must be Hermitian and positive semidefinite
-    within ``tol``.  By default the elements must also sum to the identity;
+    within the fixed tolerance ``DEFAULT_TOL`` (1e-9).  By default the
+    elements must also sum to the identity within the same tolerance;
     constructors of deliberately sub-complete collections pass
     ``check_complete=False`` and the residual stays queryable through
     :meth:`completeness_residual`.
@@ -45,7 +46,6 @@ class Povm:
         elements,
         labels=None,
         *,
-        tol: float = DEFAULT_TOL,
         check_complete: bool = True,
     ):
         try:
@@ -61,17 +61,17 @@ class Povm:
             )
         d = stack.shape[1]
         adjoint = stack.conj().swapaxes(1, 2)
-        # ``x <= tol`` is False for NaN, so a NaN element is refused too, and
+        # ``x <= DEFAULT_TOL`` is False for NaN, so a NaN element is refused, and
         # so is an infinite one: inf - inf is NaN (its warning is silenced)
         with np.errstate(invalid="ignore"):
-            hermitian = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1) <= tol
+            hermitian = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1) <= DEFAULT_TOL
             hermitian_part = (stack + adjoint) / 2
         valid = hermitian.copy()
-        valid[hermitian] = np.linalg.eigvalsh(hermitian_part[hermitian])[:, 0] >= -tol
+        valid[hermitian] = np.linalg.eigvalsh(hermitian_part[hermitian])[:, 0] >= -DEFAULT_TOL
         if not valid.all():
             i = int(np.argmin(valid))
             kind = "Hermitian" if not hermitian[i] else "positive semidefinite"
-            raise ValueError(f"element {i} is not {kind} within {tol}")
+            raise ValueError(f"element {i} is not {kind} within {DEFAULT_TOL}")
         if labels is None:
             labels = range(1, len(stack) + 1)
         for label in labels:
@@ -88,7 +88,7 @@ class Povm:
         self._dim = d
         if check_complete:
             resid = self.completeness_residual()
-            if resid > max(tol, 1e-10):
+            if resid > DEFAULT_TOL:
                 raise ValueError(f"elements do not sum to identity: residual {resid:.3e}")
 
     @property

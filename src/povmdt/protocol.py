@@ -92,7 +92,9 @@ class CouplingConfig:
     """Coupling strengths for the two meters, each strictly inside (0, pi/2).
 
     The entry estimator currently assumes equal strengths; asymmetric
-    configurations evolve fine but are rejected by :meth:`g`.
+    configurations evolve fine (:func:`evolve_joint`,
+    :func:`prepare_entry_state`) but are rejected by :attr:`g`, which
+    :func:`exact_entry_tables` reads first.
     """
 
     g_b: float
@@ -274,7 +276,9 @@ def _cells(tables) -> np.ndarray:
 def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) -> np.ndarray:
     """Exact W tables for probing entry (j, k) of one (d, d) element, given
     in the computational basis: (9, 2, 2), or (L, 9, 2, 2) for an (L, d, d)
-    stack."""
+    stack.  The readout of these tables assumes equal couplings, so unequal
+    ones are refused through :attr:`CouplingConfig.g`."""
+    cfg.g  # raises for g_b != g_a
     pi = _elements(pi_l)
     js = prepare_entry_state(pi.shape[-1], j, k, cfg)
     return meter_tables(js, pi)

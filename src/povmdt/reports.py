@@ -44,43 +44,24 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _format_value(v) -> str:
-    if hasattr(v, "item"):  # numpy scalar
-        v = v.item()
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-#: Types whose ``str`` is their CSV text as :func:`_format_value` writes it
-#: (``str`` of a float is its shortest round-trip ``repr``).
-_PLAIN = (str, int, float)
-
-
 def write_csv(path: str, columns: list[str], rows: list[dict], metadata: dict) -> None:
-    """CSV with '#'-prefixed metadata header lines (skippable by readers)."""
+    """CSV with '#'-prefixed metadata header lines (skippable by readers).
+
+    Every value is written with ``str``, so a float is its shortest
+    round-trip ``repr``.
+    """
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join([
-            str(v) if type(v) in _PLAIN else _format_value(v)
-            for v in map(row.__getitem__, columns)
-        ]))
+        lines.append(",".join(map(str, map(row.__getitem__, columns))))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_json_report(path: str, metadata: dict, results: dict) -> None:
+    """JSON report of the metadata and ``results``, which hold only JSON
+    types: any other value (a complex, an ndarray, a numpy int) raises
+    TypeError before anything is written."""
     payload = dict(metadata)
     payload["results"] = results
-    _atomic_write(path, json.dumps(payload, indent=1, default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    _atomic_write(path, json.dumps(payload, indent=1) + "\n")
 

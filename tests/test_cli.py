@@ -23,7 +23,7 @@ from povmdt.montecarlo import (
 )
 from povmdt.noise import apply_dephasing, apply_phase_rotation, wavepacket_overlap
 from povmdt.protocol import CouplingConfig, exact_entry_tables
-from povmdt.reports import _format_value
+from povmdt.reports import write_csv, write_json_report
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -515,7 +515,7 @@ def test_json_reports_hold_the_csv_rows(tmp_path):
                 continue
             header, *rows = [line.split(",") for line in path.read_text().splitlines()
                              if not line.startswith("#")]
-            got = [[_format_value(r[c]) for c in header] for r in results[JSON_KEY[path.name]]]
+            got = [[str(r[c]) for c in header] for r in results[JSON_KEY[path.name]]]
             assert got == rows, path.name
 
 
@@ -527,6 +527,38 @@ def test_metadata_recorded(tmp_path):
         for csv in out.glob("*.csv"):
             header = csv.read_text().splitlines()
             assert "# backend: numpy" in header and "# rng: numpy-pcg64" in header, csv
+
+
+class TestArtifactWriters:
+    @pytest.mark.parametrize("value", [1 + 2j, np.zeros(2), np.int64(3)],
+                             ids=["complex", "ndarray", "numpy-int"])
+    def test_json_report_refuses_a_non_json_value(self, tmp_path, value):
+        """A JSON report holds only JSON types; any other value stops the
+        write before a file or its directory exists."""
+        with pytest.raises(TypeError):
+            write_json_report(str(tmp_path / "out" / "report.json"), {"seed": 1},
+                              {"rows": [{"value": value}]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        """A write whose final rename fails removes its temp file and leaves
+        no target."""
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_csv(str(tmp_path / "table.csv"), ["a"], [{"a": 0.1}], {"seed": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_values_are_their_str(self, tmp_path):
+        """Every CSV value is written with ``str``: a float as its shortest
+        round-trip repr, the same text for a numpy float64."""
+        path = tmp_path / "table.csv"
+        row = {"s": "x", "i": -3, "f": 0.1 + 0.2, "nf": np.float64(2.0 ** -1074)}
+        write_csv(str(path), list(row), [row], {"seed": 1})
+        assert path.read_text().splitlines() == ["# seed: 1", "s,i,f,nf",
+                                                 "x,-3,0.30000000000000004,5e-324"]
 
 
 class TestVarianceSweepCommand:

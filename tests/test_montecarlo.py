@@ -17,6 +17,7 @@ from povmdt import (
     ShotModel,
     SweepSpec,
     apply_dephasing,
+    apply_phase_rotation,
     exact_entry_tables,
     make_parametric_element,
     random_povm,
@@ -767,7 +768,8 @@ def reference_sweep(spec):
             elem = make_parametric_element(spec.theta, spec.eta, spec.e01)
             scn = EntryScenario(elem, 1, 0, value, scale=spec.eta)
         else:
-            noisy = apply_dephasing(spec.povm, value, spec.j, spec.k)
+            noise = apply_dephasing if spec.axis == "xi" else apply_phase_rotation
+            noisy = noise(spec.povm, value, spec.j, spec.k)
             scn = EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
         tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
         coeffs = scn.coeffs()
@@ -792,17 +794,31 @@ def reference_sweep(spec):
 class TestVarianceSweep:
     @pytest.mark.parametrize("trials", [0, 300])
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
-    @pytest.mark.parametrize("axis", ["g", "xi"])
+    @pytest.mark.parametrize("axis", ["g", "xi", "phi"])
     def test_rows_equal_the_reference_loop(self, sic, axis, statistics, trials):
         shot = ShotModel(N_REF, statistics, seed=29)
         if axis == "g":
             spec = SweepSpec("g", (np.pi / 16, np.pi / 4, 3 * np.pi / 8), trials, shot,
                              theta=THETA_SIC, eta=0.5, e01=0.1 + 0.05j)
-        else:
+        elif axis == "xi":
             spec = SweepSpec("xi", (1.0, 0.4, 0.0), trials, shot, povm=sic, label=3,
+                             g=np.pi / 8)
+        else:
+            spec = SweepSpec("phi", (0.0, 0.8, np.pi), trials, shot, povm=sic, label=3,
                              g=np.pi / 8)
         # repr tells every float bit apart and makes NaN equal to NaN
         assert repr(variance_sweep(spec)) == repr(reference_sweep(spec))
+
+    @pytest.mark.parametrize("axis, povm, label", [
+        ("xi", random_povm(3, 3, seed=4), 2),   # d = 3: the law is for a qubit
+        ("phi", Povm([np.eye(2)]), 1),          # trace 2: no efficiency in (0, 1]
+    ])
+    def test_analytic_law_is_nan_off_its_domain(self, axis, povm, label):
+        spec = SweepSpec(axis, (1.0, 0.9), 0, ShotModel(N_REF, "poisson", seed=5),
+                         povm=povm, label=label)
+        rows = variance_sweep(spec)
+        assert all(np.isnan(r["var_analytic"]) for r in rows)
+        assert all(np.isfinite(r["var_transfer"]) and r["var_transfer"] > 0 for r in rows)
 
     def test_dead_outcome_refused(self):
         spec = SweepSpec("xi", (1.0, 0.5), 10, ShotModel(1000),

@@ -105,6 +105,13 @@ class TestPhaseRotation:
         out = apply_phase_rotation(povm, 0.9, 0, 1)
         assert out.completeness_residual() < 1e-12
 
+    def test_non_positive_result_refused_by_name(self):
+        """Rotating one coherence is not completely positive for d > 2: no
+        unitary conjugation could leave an element that is not positive."""
+        with pytest.raises(ValueError, match=r"^phase rotation by phi=0.7 of slot \(1, 0\): "
+                                             r"element 2 is not positive semidefinite"):
+            apply_phase_rotation(random_povm(3, 3, seed=4), 0.7, 1, 0)
+
 
 class TestTransformAlgebra:
     def test_dephasing_and_rotation_commute(self, sic):

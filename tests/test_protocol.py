@@ -197,6 +197,18 @@ class TestCouplingConfig:
         with pytest.raises(ValueError, match="asymmetric"):
             cfg.g
 
+    def test_asymmetric_refused_by_exact_tables(self):
+        """Unequal couplings evolve, but tables read with the equal-coupling
+        functional would give a wrong entry with no error, so the exact
+        tables refuse them."""
+        e = random_povm(2, 3, seed=1).elements[0]
+        cfg = CouplingConfig(0.3, 0.4)
+        assert prepare_entry_state(2, 1, 0, cfg).rho.shape == (8, 8)
+        with pytest.raises(ValueError, match="^asymmetric couplings"):
+            exact_entry_tables(e, 1, 0, cfg)
+        with pytest.raises(ValueError, match="^asymmetric couplings"):
+            exact_entry_tables(e[None], 1, 0, cfg)
+
 
 def post_selection_probability(js, pi):
     """p_f, the trace of the unnormalized post-selected meter operator."""
