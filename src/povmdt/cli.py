@@ -34,6 +34,7 @@ from .config import CALIBRATION_SAMPLES, ConfigError, ScenarioConfig, parse_conf
 from .estimator import (
     estimate_record,
     EntryEstimate,
+    _require_outcomes,
     completeness_refine,
     estimate_from_tables,
     rt_coefficients,
@@ -151,15 +152,18 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
 # --- scan -----------------------------------------------------------------------
 
 
-def _scan_rows(labels, j, k, axis, axis_value, values, var_re, var_im, truths, n, seed,
-               method) -> list[dict]:
-    """The rows of one grid point, one per outcome, from its columns: lists
-    of complex ``values`` and ``truths`` and of float variances."""
+def _scan_rows(labels, j, k, grid, n, seeds, method, values, var_re, var_im, truths):
+    """The rows of a scan, one list per grid point of one row per outcome,
+    from (points, outcomes) columns: complex ``values`` and ``truths`` and
+    float variances; ``seeds`` names each point's seed."""
+    columns = (values.real, values.imag, var_re, var_im, truths.real, truths.imag)
     return [
-        {"l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
-         "est_re": value.real, "est_im": value.imag, "var_re": vr, "var_im": vi,
-         "true_re": truth.real, "true_im": truth.imag, "n": n, "seed": seed, "method": method}
-        for lab, value, vr, vi, truth in zip(labels, values, var_re, var_im, truths)
+        [{"l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
+          "est_re": er, "est_im": ei, "var_re": vr, "var_im": vi,
+          "true_re": tr, "true_im": ti, "n": n, "seed": seed, "method": method}
+         for lab, er, ei, vr, vi, tr, ti in zip(labels, *point)]
+        for (axis, axis_value, _), seed, *point in zip(
+            grid, seeds, *(column.tolist() for column in columns))
     ]
 
 
@@ -169,12 +173,14 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     One noisy realization per (grid point, outcome) at the configured shot
     model, with predicted error-transfer variances and the transformed
     ground truth.  With ``refine`` the sum-rule refinement is applied
-    across outcomes at each grid point.  The exact step
-    (:func:`~povmdt.montecarlo.exact_slot`), draw and estimates of a grid
-    point are one call each for all its outcomes.  Every outcome of a grid
-    point draws from the point's own seed, which the ``seed`` column of
-    its sampled rows names.  An outcome with a dead post-selection is
-    refused.
+    across outcomes at each grid point.  Only the noise map runs grid point
+    by grid point; after every point's map, the exact step
+    (:func:`~povmdt.montecarlo.exact_slot`), the estimates and the
+    refinement are one call each for the whole grid.  Every outcome of a
+    grid point draws from the point's own seed, in one
+    :func:`~povmdt.montecarlo.sample_counts` call, and the ``seed`` column
+    of its sampled rows names that seed.  An outcome with a dead
+    post-selection is refused by grid point and outcome.
     """
     if cfg.noise is None:
         raise ConfigError("scan requires a noise block")
@@ -186,33 +192,31 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     labels = [lab for lab, _, _ in _entry_list(cfg, povm)]
     if refine:
         labels = list(povm.labels)  # the sum rule needs every outcome
-    names = [f"outcome {lab}" for lab in labels]
+        _require_outcomes(len(labels))
 
     transform = apply_dephasing if cfg.noise["type"] == "dephasing" else apply_phase_rotation
     grid = cfg.noise["grid"]
     n = shot.n_per_setting
     coeffs = rt_coefficients(povm.dim, cfg.g)
     rows_of = [povm.labels.index(lab) for lab in labels]
+    elems = np.stack([transform(povm, param, j, k).elements[rows_of] for _, _, param in grid])
+    shape = elems.shape[:2]  # (grid points, outcomes)
+    names = [f"grid point {p} ({axis} = {value:g}), outcome {lab}"
+             for p, (axis, value, _) in enumerate(grid) for lab in labels]
+    cells, var_re, var_im = exact_slot(elems.reshape((-1,) + elems.shape[2:]), j, k, coeffs, n,
+                                       names, statistics=shot.statistics)
     seeds = _child_seeds(shot.seed, len(grid)).tolist()
-    rows = []
-    for (axis, axis_value, param), seed in zip(grid, seeds):
-        noisy = transform(povm, param, j, k)
-        elems = noisy.elements[rows_of]
-        cells, var_re, var_im = exact_slot(elems, j, k, coeffs, n, names,
-                                           statistics=shot.statistics)
-        counts = sample_counts(cells, replace(shot, seed=seed))
-        values = estimate_from_tables(counts, coeffs).tolist()
-        var_re, var_im, truths = var_re.tolist(), var_im.tolist(), elems[:, j, k].tolist()
-        point = (labels, j, k, axis, axis_value)
-        rows += _scan_rows(*point, values, var_re, var_im, truths, n, seed, "sampled")
-        if refine:
-            refined = completeness_refine([
-                EntryEstimate(value, vr, vi, n, "sampled")
-                for value, vr, vi in zip(values, var_re, var_im)
-            ])
-            values, var_re, var_im = zip(*((e.value, e.var_re, e.var_im) for e in refined))
-            rows += _scan_rows(*point, values, var_re, var_im, truths, n, -1, "refined")
-    return rows
+    size = len(labels)
+    counts = np.stack([sample_counts(cells[p * size:(p + 1) * size], replace(shot, seed=seed))
+                       for p, seed in enumerate(seeds)])
+    values = estimate_from_tables(counts.reshape(-1, 9, 2, 2), coeffs).reshape(shape)
+    var_re, var_im, truths = var_re.reshape(shape), var_im.reshape(shape), elems[..., j, k]
+    rows = _scan_rows(labels, j, k, grid, n, seeds, "sampled", values, var_re, var_im, truths)
+    if refine:
+        refined = _scan_rows(labels, j, k, grid, n, [-1] * len(grid), "refined",
+                             *completeness_refine(values, var_re, var_im), truths)
+        rows = [part for both in zip(rows, refined) for part in both]
+    return [row for part in rows for row in part]
 
 
 SCAN_COLUMNS = [

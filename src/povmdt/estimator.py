@@ -23,8 +23,11 @@ its predicted shot-noise variance.
 :func:`estimate_from_tables`, :func:`error_transfer_variance` and
 :func:`nonnegative_cells` take one outcome's (9, 2, 2) W tables or an
 (L, 9, 2, 2) stack, and return one value per outcome for a stack.  Each
-outcome's 36-cell contraction stays one 1-D dot product: a matrix-vector
-product over the stack sums in another order and moves the last ulp.
+outcome's 36-cell contraction is one 1-D dot product: one outcome takes
+it directly, a stack as one batched ``np.matmul`` of (1, 36) rows with a
+(36, 1) column, which numpy runs as that dot for each outcome, so a stack
+equals its per-outcome calls bit for bit.  A single (L, 36) @ (36,)
+product would sum in another order and move the last ulp.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ class _ClippedCells:
 
     flat: np.ndarray
 
+    def __getitem__(self, outcomes) -> "_ClippedCells":
+        """The cells of a slice of the outcomes of a stack, still checked
+        and clipped."""
+        return _ClippedCells(self.flat[outcomes])
+
 
 def _clip_once(tables) -> _ClippedCells:
     """Check and clip W tables once for all their readers: the sampler, the
@@ -152,11 +160,19 @@ def estimate_from_tables(
     estimate the entry of the efficiency-normalized operator.
     """
     flat = _cells(tables)
-    values = [
-        complex(coeffs.cell_re @ f, coeffs.cell_im @ f) / scale
-        for f in flat.reshape(-1, N_CELLS)
-    ]
-    return values[0] if flat.ndim == 1 else np.array(values, dtype=complex)
+    if flat.ndim == 1:
+        return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat) / scale
+    values = np.empty(len(flat), dtype=complex)
+    # each part divided on its own: numpy's complex / float is not Python's
+    values.real = _dot(flat, coeffs.cell_re) / scale
+    values.imag = _dot(flat, coeffs.cell_im) / scale
+    return values
+
+
+def _dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ f`` for each row ``f`` of an (L, 36) stack: one batched 1-D dot
+    product per row, the same bits as the row's own ``w @ f``."""
+    return np.matmul(rows[:, None, :], w[:, None])[:, 0, 0]
 
 
 def error_transfer_variance(
@@ -183,7 +199,7 @@ def error_transfer_variance(
     var = []
     for w in (coeffs.cell_re, coeffs.cell_im):
         sq = w**2
-        total = np.array([sq @ f for f in rows])
+        total = np.array([sq @ flat]) if flat.ndim == 1 else _dot(rows, sq)
         if statistics == "multinomial":
             total -= np.square((rows * w).reshape(len(rows), -1, 4).sum(axis=-1)).sum(axis=-1)
         var.append(total / n / scale**2)
@@ -230,7 +246,7 @@ def observable_variance(js: JointState, pi_l: np.ndarray, coeffs: RtCoefficients
     return total
 
 
-def completeness_refine(estimates: list[EntryEstimate]) -> list[EntryEstimate]:
+def completeness_refine(values, var_re, var_im):
     """Improve per-outcome entry estimates using the zero sum rule.
 
     For a complete POVM the off-diagonal entries satisfy sum_l E^(l) = 0
@@ -239,42 +255,51 @@ def completeness_refine(estimates: list[EntryEstimate]) -> list[EntryEstimate]:
     estimates are combined with inverse-variance weights; the refined
     variance is w * w_comp * sum_u var_u, which never exceeds either input.
     Real and imaginary parts are refined independently.
-    """
-    if len(estimates) < 2:
-        raise ValueError("refinement needs at least two outcomes")
-    re, im, var_re, var_im = columns = np.array(
-        [(e.value.real, e.value.imag, e.var_re, e.var_im) for e in estimates], dtype=float
-    ).T.copy()
-    if not np.isfinite(columns[2:]).all():
-        raise ValueError("refinement requires finite variances for every outcome")
-    if (columns[2:] <= 0).any():
-        raise ValueError("refinement requires strictly positive variances")
 
-    re, var_re = _refine_arrays(re, var_re)
-    im, var_im = _refine_arrays(im, var_im)
-    return [
-        EntryEstimate(complex(r, i), vr, vi, est.n_per_setting, "refined")
-        for r, i, vr, vi, est in zip(
-            re.tolist(), im.tolist(), var_re.tolist(), var_im.tolist(), estimates
-        )
-    ]
+    ``values`` (complex) and the variances ``var_re``, ``var_im`` hold one
+    entry per outcome along their last axis: (L,), or (P, L) for P sets of
+    estimates (the points of a scan grid), each refined on its own.
+    Returns the refined ``(values, var_re, var_im)`` in the same shapes.
+    """
+    values = np.asarray(values, dtype=complex)
+    variances = np.array([var_re, var_im], dtype=float)
+    _require_outcomes(values.shape[-1])
+    if not np.isfinite(variances).all():
+        raise ValueError("refinement requires finite variances for every outcome")
+    if (variances <= 0).any():
+        raise ValueError("refinement requires strictly positive variances")
+    re, var_re = _refine_arrays(values.real, variances[0])
+    im, var_im = _refine_arrays(values.imag, variances[1])
+    refined = np.empty(values.shape, dtype=complex)
+    refined.real, refined.imag = re, im
+    return refined, var_re, var_im
+
+
+def _require_outcomes(count: int) -> None:
+    """Refuse a refinement over fewer than two outcomes: an outcome's
+    complement is the sum of the others."""
+    if count < 2:
+        raise ValueError("refinement needs at least two outcomes")
 
 
 def _refine_arrays(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mix each outcome's values with their sum-rule complement.
 
-    ``values`` is (outcomes, ...) and ``variances`` (outcomes,) the variance
-    of each outcome's values.  Outcome l's complement is minus the sum of
-    the other outcomes' values, with the sum of their variances; the two are
-    mixed with inverse-variance weights.  Returns the refined values and
-    their variances.
+    ``variances`` is (outcomes,) or (points, outcomes): the variance of each
+    outcome's values, refined point by point.  ``values`` has the shape of
+    ``variances``, or further axes after it (the trials of the kernel's
+    rows) that share each outcome's variance.  Outcome l's complement is
+    minus the sum of the other outcomes' values, with the sum of their
+    variances; the two are mixed with inverse-variance weights.  Returns the
+    refined values and their variances.
     """
-    comp_var = variances.sum() - variances
+    comp_var = variances.sum(axis=-1, keepdims=True) - variances
     w = (1 / variances) / (1 / variances + 1 / comp_var)
     wc = 1.0 - w
-    across = (-1,) + (1,) * (values.ndim - 1)
-    # in place, to hold two (outcomes, ...) temporaries rather than five
-    refined = values - values.sum(axis=0)  # the complement, -(sum - own)
+    across = w.shape + (1,) * (values.ndim - w.ndim)
+    # in place, to hold two values-sized temporaries rather than five; the
+    # complement is -(sum - own)
+    refined = values - values.sum(axis=w.ndim - 1, keepdims=True)
     refined *= wc.reshape(across)
     refined += w.reshape(across) * values
     return refined, w * wc * (variances + comp_var)

@@ -22,6 +22,7 @@ from .estimator import (
     RtCoefficients,
     _clip_once,
     _refine_arrays,
+    _require_outcomes,
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
@@ -183,11 +184,15 @@ def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, 
     ``P_FLOOR`` is refused by its entry in ``names``.
     """
     tables = exact_entry_tables(elements, j, k, CouplingConfig.symmetric(coeffs.g))
-    for name, p_f in zip(names, tables.reshape(-1, 36)[:, :4].sum(axis=1).tolist(), strict=True):
-        if not p_f > P_FLOOR:
-            raise DeadPostSelectionError(
-                f"{name}: post-selection probability {p_f:.3e} <= floor {P_FLOOR:.1e}"
-            )
+    p_f = tables.reshape(-1, 36)[:, :4].sum(axis=1)
+    if len(p_f) != len(names):
+        raise ValueError(f"{len(names)} names for {len(p_f)} outcomes")
+    dead = np.flatnonzero(~(p_f > P_FLOOR))
+    if dead.size:
+        raise DeadPostSelectionError(
+            f"{names[dead[0]]}: post-selection probability {p_f[dead[0]]:.3e} "
+            f"<= floor {P_FLOOR:.1e}"
+        )
     cells = _clip_once(tables)
     return (cells,) + error_transfer_variance(cells, coeffs, n, scale, statistics)
 
@@ -298,6 +303,7 @@ def refinement_trials(
     """
     if j == k:
         raise ValueError("refinement targets an off-diagonal entry; need j != k")
+    _require_outcomes(len(povm))
     labels = list(povm.labels)
     coeffs = rt_coefficients(povm.dim, g)
     seeds = _child_seeds(shot.seed, len(labels))
@@ -306,9 +312,10 @@ def refinement_trials(
     cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n, names,
                                        statistics=shot.statistics)
 
+    truths = povm.elements[:, j, k]
     raw_est = {
-        lab: EntryEstimate(complex(element[j, k]), float(var_re[i]), float(var_im[i]), n, "exact")
-        for i, (lab, element) in enumerate(zip(labels, povm.elements))
+        lab: EntryEstimate(value, vr, vi, n, "exact")
+        for lab, value, vr, vi in zip(labels, truths.tolist(), var_re.tolist(), var_im.tolist())
     }
 
     def refined(est):
@@ -321,8 +328,11 @@ def refinement_trials(
         shot.statistics, extra_rows=refined,
     )
 
-    refined_pred = completeness_refine([raw_est[lab] for lab in labels])
-    refined_est = dict(zip(labels, refined_pred))
+    refined_est = {
+        lab: EntryEstimate(value, vr, vi, n, "refined")
+        for lab, value, vr, vi in zip(labels, *(
+            column.tolist() for column in completeness_refine(truths, var_re, var_im)))
+    }
     raw_sv = {lab: (float(var[0, i]), float(var[1, i])) for i, lab in enumerate(labels)}
     ref_sv = {lab: (float(var[2, i]), float(var[3, i])) for i, lab in enumerate(labels)}
     return RefinementStudy(

@@ -12,7 +12,6 @@ import yaml
 
 from povmdt import (
     CouplingConfig,
-    EntryEstimate,
     EntryScenario,
     ShotModel,
     SweepSpec,
@@ -250,21 +249,22 @@ def test_criterion_8_completeness_refinement(sic):
     for lab in sic.labels:
         tables = exact_entry_tables(sic.element(lab), 1, 0, cfg)
         vr, vi = error_transfer_variance(tables, coeffs, N_REF)
-        raw.append(EntryEstimate(matrix_entry_oracle(sic, lab, 1, 0), vr, vi, N_REF, "exact"))
-    refined = completeness_refine(raw)
-    for i, (r, f) in enumerate(zip(raw, refined)):
-        for attr in ("var_re", "var_im"):
-            own = getattr(r, attr)
-            total = sum(getattr(e, attr) for e in raw)
+        raw.append((matrix_entry_oracle(sic, lab, 1, 0), vr, vi))
+    values, var_re, var_im = zip(*raw)
+    _, *refined = completeness_refine(values, var_re, var_im)
+    for raw_var, refined_var in zip((var_re, var_im), refined):
+        for own, f in zip(raw_var, refined_var):
+            total = sum(raw_var)
             comp = total - own
             w = (1 / own) / (1 / own + 1 / comp)
-            assert abs(getattr(f, attr) - w * (1 - w) * total) < 1e-12
-            assert getattr(f, attr) <= min(own, comp) + 1e-15
+            assert abs(f - w * (1 - w) * total) < 1e-12
+            assert f <= min(own, comp) + 1e-15
 
     trials = 10000
     study = refinement_trials(sic, 1, 0, g, ShotModel(N_REF, "poisson", seed=20260808), trials)
     margin = 1 - 3 * np.sqrt(2 / trials)  # one-sided >= 95% band on a variance ratio
     ratios = []
+    assert all(est.method == "refined" for est in study.refined.values())
     for lab in study.labels:
         raw_tot = sum(study.raw_sample_var[lab])
         ref_tot = sum(study.refined_sample_var[lab])

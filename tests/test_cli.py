@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from povmdt import Povm, cli, save_povm
+from povmdt import Povm, cli, montecarlo, save_povm
 from povmdt.cli import main, run_scan
 from povmdt.config import ConfigError, parse_config
 from povmdt.estimator import (
@@ -101,8 +101,11 @@ def reference_scan(cfg, refine=False):
             sampled.append(est)
             rows.append(row(lab, est, truth, seed))
         if refine:
-            for lab, est, truth in zip(labels, completeness_refine(sampled), truths):
-                rows.append(row(lab, est, truth, -1))
+            refined = completeness_refine([est.value for est in sampled],
+                                          [est.var_re for est in sampled],
+                                          [est.var_im for est in sampled])
+            for lab, value, vr, vi, truth in zip(labels, *(c.tolist() for c in refined), truths):
+                rows.append(row(lab, EntryEstimate(value, vr, vi, n, "refined"), truth, -1))
     return rows
 
 
@@ -423,6 +426,9 @@ class TestScanCommand:
         ({"source": "random", "d": 2, "outcomes": 5, "seed": 8}, {"l": "all", "j": 1, "k": 0}),
         ({"source": "random", "d": 3, "outcomes": 4, "seed": 7}, {"l": "all", "j": 0, "k": 2}),
         ({"source": "random", "d": 3, "outcomes": 4, "seed": 7}, {"l": 3, "j": 2, "k": 1}),
+        # numpy's pairwise sum changes its order at 8 terms: the grid's
+        # outcome sums must still be each point's own
+        ({"source": "random", "d": 2, "outcomes": 9, "seed": 21}, {"l": "all", "j": 0, "k": 1}),
     ])
     @pytest.mark.parametrize("refine", [False, True])
     def test_rows_equal_the_per_outcome_loop(self, tmp_path, statistics, noise, povm, entry,
@@ -434,15 +440,33 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("command", [["scan"], ["scan", "--refine"],
                                          ["calibrate", "--refine"]])
-    def test_dead_outcome_refused(self, tmp_path, capsys, command):
+    def test_dead_outcome_refused(self, tmp_path, capsys, monkeypatch, command):
         """An outcome whose post-selection probability is zero, the first of
-        the complete set {0, I}, is refused by name; nothing is written."""
+        the complete set {0, I}, is refused by name, and a scan names its
+        grid point; a refinement of a one-outcome POVM is refused before
+        any exact step.  Nothing is written."""
         path = str(tmp_path / "zero.json")
         save_povm(Povm([np.zeros((2, 2)), np.eye(2)]), path)
         cfg = write_config(tmp_path, dict(BASE_SCAN, povm={"source": "file", "path": path}))
         out = tmp_path / "out"
         assert main(command + ["--config", cfg, "--out", str(out)]) == 1
-        assert "outcome 1: post-selection probability" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "outcome 1: post-selection probability" in err
+        if command[0] == "scan":
+            assert "grid point 0 (xi = 1), outcome 1: post-selection probability" in err
+        assert not out.exists()
+        if "--refine" not in command:
+            return
+
+        def no_exact_step(*args, **kwargs):
+            raise AssertionError("exact step before the outcome count was checked")
+
+        monkeypatch.setattr(cli, "exact_slot", no_exact_step)
+        monkeypatch.setattr(montecarlo, "exact_slot", no_exact_step)
+        one = write_config(tmp_path, dict(BASE_SCAN, povm={
+            "source": "random", "d": 2, "outcomes": 1, "seed": 3}), "one.yaml")
+        assert main(command + ["--config", one, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: refinement needs at least two outcomes\n"
         assert not out.exists()
 
     def test_non_integer_label_in_povm_file_exits_2(self, tmp_path, capsys):

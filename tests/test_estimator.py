@@ -330,56 +330,54 @@ class TestObservableVariance:
 
 class TestCompletenessRefine:
     def test_two_outcomes_equal_variance(self):
-        ests = [
-            EntryEstimate(0.1 + 0.0j, 2.0, 3.0, 100, "exact"),
-            EntryEstimate(-0.1 + 0.0j, 2.0, 3.0, 100, "exact"),
-        ]
-        ref = completeness_refine(ests)
-        assert abs(ref[0].var_re - 1.0) < 1e-14
-        assert abs(ref[0].var_im - 1.5) < 1e-14
-        assert all(r.method == "refined" for r in ref)
+        values, var_re, var_im = completeness_refine([0.1 + 0.0j, -0.1 + 0.0j], [2.0, 2.0],
+                                                     [3.0, 3.0])
+        assert abs(var_re[0] - 1.0) < 1e-14
+        assert abs(var_im[0] - 1.5) < 1e-14
+        assert values.dtype == complex and values.shape == var_re.shape == var_im.shape == (2,)
 
     def test_never_worse_than_either_input(self, rng):
+        """Each grid point of a (points, outcomes) stack is refined as it is
+        alone, bit for bit, also past the 8 outcomes where numpy's pairwise
+        sum changes its order."""
         for _ in range(20):
-            n = int(rng.integers(2, 7))
-            ests = [
-                EntryEstimate(
-                    complex(rng.normal(), rng.normal()),
-                    float(rng.uniform(0.1, 5)),
-                    float(rng.uniform(0.1, 5)),
-                    10,
-                    "sampled",
-                )
-                for _ in range(n)
-            ]
-            refined = completeness_refine(ests)
-            for i, r in enumerate(refined):
-                own = ests[i].var_re
-                comp = sum(e.var_re for e in ests) - own
-                assert r.var_re <= min(own, comp) + 1e-14
+            n = int(rng.integers(2, 12))
+            values = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            var_re, var_im = rng.uniform(0.1, 5, size=(2, 3, n))
+            refined = completeness_refine(values, var_re, var_im)
+            for p in range(3):
+                alone = completeness_refine(values[p], var_re[p], var_im[p])
+                for got, want in zip(refined, alone):
+                    assert got[p].tolist() == want.tolist()
+                for i, r in enumerate(alone[1]):
+                    own = var_re[p, i]
+                    comp = var_re[p].sum() - own
+                    assert r <= min(own, comp) + 1e-14
 
     def test_exact_complete_povm_values_unchanged(self):
         """With a true zero sum, the complement agrees and refinement moves
         nothing."""
         povm = random_povm(2, 4, seed=5)
         coeffs = rt_coefficients(2, 0.9)
-        ests = []
+        values, var_re, var_im = [], [], []
         for lab in povm.labels:
             tables = entry_tables(povm.element(lab), 1, 0, 0.9)
             vr, vi = error_transfer_variance(tables, coeffs, 1000)
-            ests.append(EntryEstimate(estimate_from_tables(tables, coeffs), vr, vi, 1000, "exact"))
-        for before, after in zip(ests, completeness_refine(ests)):
-            assert abs(before.value - after.value) < 1e-10
-            assert after.total_variance < before.total_variance
+            values.append(estimate_from_tables(tables, coeffs))
+            var_re.append(vr)
+            var_im.append(vi)
+        after, after_re, after_im = completeness_refine(values, var_re, var_im)
+        for i, before in enumerate(values):
+            assert abs(before - after[i]) < 1e-10
+            assert after_re[i] + after_im[i] < var_re[i] + var_im[i]
 
     def test_requires_finite_positive_variances(self):
-        good = EntryEstimate(0j, 1.0, 1.0, 10, "sampled")
-        bad = EntryEstimate(0j, float("nan"), 1.0, 10, "sampled")
         with pytest.raises(ValueError, match="finite"):
-            completeness_refine([good, bad])
-        zero = EntryEstimate(0j, 0.0, 1.0, 10, "sampled")
+            completeness_refine([0j, 0j], [1.0, float("nan")], [1.0, 1.0])
         with pytest.raises(ValueError, match="positive"):
-            completeness_refine([good, zero])
+            completeness_refine([0j, 0j], [1.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="at least two outcomes"):
+            completeness_refine([[0j], [0j]], [[1.0], [1.0]], [[1.0], [1.0]])
 
     def test_total_variance_property(self):
         e = EntryEstimate(1j, 0.25, 0.5, 10, "sampled")
