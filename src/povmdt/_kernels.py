@@ -51,8 +51,10 @@ broadcast ``poisson``, or one ``multinomial`` with a row per outcome and
 block.
 
 Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
-trials.  Each task draws one chunk of every outcome of a study (a stack of
-outcomes, :func:`trial_estimates`), turns the chunk's estimates into per-row
+trials.  Each task draws one chunk of every outcome of a study (the one
+input of :func:`trial_estimates` is a stack of outcomes with a seed each:
+one outcome for ``run_trials``, every outcome of a POVM for
+``refinement_trials``), turns the chunk's estimates into per-row
 moments (count, mean and the sum of squared deviations) and drops them; the
 kernel merges the chunks' moments in chunk order with the pairwise update of
 Chan, Golub and LeVeque (1979).  So peak memory is O(WORKERS x
@@ -266,9 +268,11 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
     outcome in turn from ``rng``.  Poisson counts are one broadcast
     ``poisson(n * prob)``; multinomial counts one ``multinomial`` with a row
     of probabilities per outcome and block: the block's groups in order,
-    zeros up to the widest block, and its rejected bucket
-    ``max(1 - sum, 0)``.  A zero probability draws nothing from the stream,
-    so the counts are those of one ``multinomial`` call per block.
+    zeros up to the widest block, and a last column for the rejected
+    bucket, left at zero, since numpy gives the last category whatever the
+    others leave and never reads its probability.  A zero probability draws
+    nothing from the stream, so the counts are those of one ``multinomial``
+    call per block.
     """
     if size == 1:
         prob = np.atleast_2d(prob)
@@ -279,7 +283,6 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
         place = np.arange(group.size) - np.searchsorted(row, row)
         pvals = np.zeros(prob.shape[:-1] + (row[-1] + 1, place.max() + 2))
         pvals[..., row, place] = prob[..., group]
-        pvals[..., -1] = np.maximum(1.0 - pvals[..., :-1].sum(axis=-1), 0.0)
         counts = np.empty(prob.shape)
         counts[..., group] = rng.multinomial(n, pvals)[..., row, place]
         return counts
@@ -324,39 +327,35 @@ def merge_moments(a, b):
     return count, mean_a + delta * (nb / count), m2_a + m2_b + delta * delta * (na * nb / count)
 
 
-def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", extra_rows=None):
-    """Sample means and variances of raw (unscaled) entry estimates over
-    ``trials`` trials, as ``(mean, var)``.
+def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson", extra_rows=None):
+    """Sample means and variances of the estimates ``sum_c w_c N_c / n`` over
+    ``trials`` trials, as two (rows, outcomes) arrays ``(mean, var)``.
 
-    ``cells`` is the (settings, 4) array of one outcome's exact, non-negative
-    joint probabilities with an int ``seed``, giving two (2,) arrays, rows
-    (re, im), or an (outcomes, settings, 4) stack of them with one seed per
-    outcome, giving two (2, outcomes) arrays.  ``w_re``/``w_im`` are the flat
-    cell weights, shared by every outcome.  ``extra_rows``, if given, maps
-    each chunk's (2, outcomes, size) estimates to an iterable of further
-    (outcomes, size) rows, made from them in the chunk's task, whose moments
-    follow (re, im) in the output.  The variance is the unbiased one, NaN
-    below two trials, and the mean is NaN for no trials; a negative trial
-    count is refused.
+    ``cells`` is an (outcomes, settings, 4) stack of exact, non-negative
+    joint probabilities, with one int seed per outcome in ``seeds``, and
+    ``w_re``/``w_im`` the flat cell weights shared by every outcome, as the
+    caller scales them.  The rows are (re, im), then the moments of the
+    further (outcomes, size) rows that ``extra_rows``, if given, makes in
+    each chunk's task from the chunk's (2, outcomes, size) estimates.  The
+    variance is the unbiased one, NaN below two trials, and the mean is NaN
+    for no trials; a negative trial count is refused.
 
-    The moments do not depend on ``WORKERS``.  Outcome l of a stack gives
-    the moments of a call with its cells and seed alone.  The tables do not
-    depend on ``trials``, so the whole chunks of a shorter call are the first
-    chunks of a longer one.  Multinomial statistics refuse a setting whose
-    cells sum above 1.
+    The moments do not depend on ``WORKERS``, and an outcome's column is
+    that of a stack of it alone.  The tables do not depend on ``trials``,
+    so the whole chunks of a shorter call are the first chunks of a longer
+    one.  Multinomial statistics refuse a setting whose cells sum above 1.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    cells = checked_cells(cells, statistics)
-    stacked = cells.ndim == 3
-    stack, seeds = (cells, list(seed)) if stacked else (cells[None], [seed])
+    stack = checked_cells(cells, statistics)
+    seeds = list(seeds)
     if len(seeds) != len(stack):
         raise ValueError(f"{len(seeds)} seeds for {len(stack)} outcomes")
     if trials == 0:  # nothing to draw: skip the grouping, the costly step here
         est = np.empty((2, len(stack), 0))
         rows = 2 + (len(list(extra_rows(est))) if extra_rows else 0)
         mean = var = np.full((rows, len(stack)), np.nan)
-        return (mean, var) if stacked else (mean[:, 0], var[:, 0])
+        return mean, var
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
     groups = group_cells(stack, w_re, w_im, statistics)
     tables = [count_tables(block, prob, n, statistics) for block, prob, _ in groups]
@@ -397,4 +396,4 @@ def trial_estimates(cells, w_re, w_im, n, trials, seed, statistics="poisson", ex
     with ThreadPoolExecutor(workers) as pool:
         _, mean, m2 = reduce(merge_moments, in_chunk_order(pool))
     var = m2 / (trials - 1) if trials > 1 else np.full(m2.shape, np.nan)
-    return (mean, var) if stacked else (mean[:, 0], var[:, 0])
+    return mean, var

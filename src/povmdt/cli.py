@@ -281,7 +281,8 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
     ``--refine`` the refinement demo.
 
     Without a calibration grid, a dephasing noise grid is calibrated.  A
-    table is written only when it has rows.
+    table is written only when it has rows; a run that would write none is
+    refused.
     """
     if cfg.calibration is None and cfg.noise is None:
         raise ConfigError("calibrate requires a calibration (or noise) block")
@@ -290,6 +291,9 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
     grid = calib["grid"]
     if grid is None:
         grid = cfg.noise["grid"] if cfg.noise and cfg.noise["type"] == "dephasing" else []
+    if not (grid or calib["phase_inputs"] or args.refine):
+        raise ConfigError("calibrate has nothing to do: no overlap grid (calibration or "
+                          "dephasing noise), no calibration.phase_inputs and no --refine")
 
     seeds = _child_seeds(cfg.seed, max(len(grid), 1))
     xi_rows = [

@@ -22,12 +22,14 @@ its predicted shot-noise variance.
 
 :func:`estimate_from_tables`, :func:`error_transfer_variance` and
 :func:`nonnegative_cells` take one outcome's (9, 2, 2) W tables or an
-(L, 9, 2, 2) stack, and return one value per outcome for a stack.  Each
-outcome's 36-cell contraction is one 1-D dot product: one outcome takes
-it directly, a stack as one batched ``np.matmul`` of (1, 36) rows with a
-(36, 1) column, which numpy runs as that dot for each outcome, so a stack
-equals its per-outcome calls bit for bit.  A single (L, 36) @ (36,)
-product would sum in another order and move the last ulp.
+(L, 9, 2, 2) stack of them, and return one value per outcome for a
+stack, of the raw entry (studies normalize by ``EntryScenario.scale``).
+Each outcome's 36-cell contraction is one 1-D dot product: one outcome's
+estimate takes it directly, a stack and every variance as one batched
+``np.matmul`` of (1, 36) rows with a (36, 1) column, which numpy runs as
+that dot for each outcome, so a stack equals its per-outcome calls bit
+for bit.  A single (L, 36) @ (36,) product would sum in another order and
+move the last ulp.
 """
 
 from __future__ import annotations
@@ -150,22 +152,16 @@ def estimate_record(
     }
 
 
-def estimate_from_tables(
-    tables: np.ndarray, coeffs: RtCoefficients, scale: float = 1.0
-):
-    """Entry estimate from (exact or sampled) (9, 2, 2) W tables: a complex,
-    or a complex array with one entry per outcome of an (L, 9, 2, 2) stack.
-
-    ``scale`` divides the raw entry; pass the element efficiency eta to
-    estimate the entry of the efficiency-normalized operator.
-    """
+def estimate_from_tables(tables: np.ndarray, coeffs: RtCoefficients):
+    """Raw entry estimate from (exact or sampled) (9, 2, 2) W tables: a
+    complex, or a complex array with one entry per outcome of an
+    (L, 9, 2, 2) stack."""
     flat = _cells(tables)
     if flat.ndim == 1:
-        return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat) / scale
+        return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat)
     values = np.empty(len(flat), dtype=complex)
-    # each part divided on its own: numpy's complex / float is not Python's
-    values.real = _dot(flat, coeffs.cell_re) / scale
-    values.imag = _dot(flat, coeffs.cell_im) / scale
+    values.real = _dot(flat, coeffs.cell_re)
+    values.imag = _dot(flat, coeffs.cell_im)
     return values
 
 
@@ -176,10 +172,9 @@ def _dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def error_transfer_variance(
-    tables: np.ndarray, coeffs: RtCoefficients, n: int, scale: float = 1.0,
-    statistics: str = "poisson",
+    tables: np.ndarray, coeffs: RtCoefficients, n: int, statistics: str = "poisson"
 ):
-    """Shot-noise variances (var_re, var_im) of the entry estimate: two
+    """Shot-noise variances (var_re, var_im) of the raw entry estimate: two
     floats, or two arrays with one entry per outcome of an (L, 9, 2, 2)
     stack.
 
@@ -187,8 +182,7 @@ def error_transfer_variance(
     particles per setting: ``sum_c w_c^2 W_c / n`` for independent Poisson
     counts, and for ``multinomial`` counts, which spread exactly n particles
     over each setting s, ``[sum_c w_c^2 W_c - sum_s (sum_{c in s} w_c
-    W_c)^2] / n``, per component.  ``scale`` must match the one used for the
-    estimate.
+    W_c)^2] / n``, per component.
     """
     if n <= 0:
         raise ValueError(f"particle number per setting must be positive, got {n}")
@@ -198,11 +192,10 @@ def error_transfer_variance(
     rows = flat.reshape(-1, N_CELLS)
     var = []
     for w in (coeffs.cell_re, coeffs.cell_im):
-        sq = w**2
-        total = np.array([sq @ flat]) if flat.ndim == 1 else _dot(rows, sq)
+        total = _dot(rows, w**2)
         if statistics == "multinomial":
             total -= np.square((rows * w).reshape(len(rows), -1, 4).sum(axis=-1)).sum(axis=-1)
-        var.append(total / n / scale**2)
+        var.append(total / n)
     if flat.ndim == 1:
         return float(var[0][0]), float(var[1][0])
     return var[0], var[1]

@@ -174,14 +174,14 @@ def sample_counts(tables, shot: ShotModel) -> np.ndarray:
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
 
-def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, scale=1.0,
+def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names,
                statistics="poisson"):
     """The exact step of every Monte Carlo study of slot (j, k) of an
     (L, d, d) stack: its cells checked and clipped once, and the arrays
-    (var_re, var_im) of error-transfer variances at n particles per setting
-    under the given counting ``statistics``.  An outcome whose
-    post-selection probability (one setting's four cells) is at or below
-    ``P_FLOOR`` is refused by its entry in ``names``.
+    (var_re, var_im) of the raw entries' error-transfer variances at n
+    particles per setting under the given counting ``statistics``.  An
+    outcome whose post-selection probability (one setting's four cells) is
+    at or below ``P_FLOOR`` is refused by its entry in ``names``.
     """
     tables = exact_entry_tables(elements, j, k, CouplingConfig.symmetric(coeffs.g))
     p_f = tables.reshape(-1, 36)[:, :4].sum(axis=1)
@@ -194,7 +194,7 @@ def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names, 
             f"<= floor {P_FLOOR:.1e}"
         )
     cells = _clip_once(tables)
-    return (cells,) + error_transfer_variance(cells, coeffs, n, scale, statistics)
+    return (cells,) + error_transfer_variance(cells, coeffs, n, statistics)
 
 
 def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSummary:
@@ -203,22 +203,23 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     The predicted variance is the error-transfer value at the exact tables,
     so predicted-vs-sample comparison is meaningful per scenario.  With no
     trials the mean and sample variances are NaN.  A scenario whose
-    post-selection probability is at or below the floor is refused.
+    post-selection probability is at or below the floor is refused.  Here,
+    once, entries are divided by ``scenario.scale``: the kernel's weights by
+    it, the raw entry's predicted variances by its square.
     """
     coeffs = scenario.coeffs()
-    j, k = scenario.j, scenario.k
+    j, k, scale = scenario.j, scenario.k, scenario.scale
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
-                               [f"entry ({j}, {k})"], scenario.scale, shot.statistics)
-    scale = scenario.scale
+                               [f"entry ({j}, {k})"], shot.statistics)
     mean, var = _kernels.trial_estimates(
-        cells.flat[0].reshape(9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
-        shot.n_per_setting, trials, shot.seed, shot.statistics,
+        cells.flat.reshape(1, 9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
+        shot.n_per_setting, trials, [shot.seed], shot.statistics,
     )
     return TrialSummary(
-        mean=complex(*mean.tolist()),
-        sample_var_re=float(var[0]),
-        sample_var_im=float(var[1]),
-        predicted_var=float(vr[0] + vi[0]),
+        mean=complex(*mean[:, 0].tolist()),
+        sample_var_re=float(var[0, 0]),
+        sample_var_im=float(var[1, 0]),
+        predicted_var=float(vr[0] / scale**2 + vi[0] / scale**2),
         trials=trials,
     )
 

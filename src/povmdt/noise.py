@@ -144,18 +144,15 @@ def wavepacket_overlap(epsilon: float, coherence_length: float) -> float:
     return float(np.exp(-(epsilon**2) / (2 * coherence_length**2)))
 
 
-def calibrate_xi(xi_true: float, n: int | None = None, seed: int | None = None) -> float:
-    """Simulated overlap calibration.
+def calibrate_xi(xi_true: float, n: int, seed: int) -> float:
+    """Simulated overlap calibration from ``n`` samples drawn with ``seed``.
 
     The calibration interferometer maps the overlap onto the diagonal state
     rho = (1+xi)/2 |H><H| + (1-xi)/2 |V><V|, projected onto {|H>, |V>}; the
-    estimate is P_H - P_V.  With ``n`` samples the counts are binomial;
-    ``n=None`` returns the analytic (infinite-sample) value.
+    estimate is P_H - P_V, from binomial counts.
     """
     if not 0.0 <= xi_true <= 1.0:
         raise ValueError(f"xi must lie in [0, 1], got {xi_true}")
-    if n is None:
-        return float(xi_true)
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
     rng = np.random.default_rng(seed)

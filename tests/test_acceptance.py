@@ -109,8 +109,8 @@ def test_criterion_3_analytic_variance_law():
     for theta, want in ((0.0, x), (THETA_SIC, y)):
         elem = make_parametric_element(theta, 0.5, 0.0)
         tables = exact_entry_tables(elem, 1, 0, cfg)
-        vr, vi = error_transfer_variance(tables, coeffs, N_REF, scale=0.5)
-        rel_worst = max(rel_worst, abs(vr + vi - want) / want)
+        vr, vi = error_transfer_variance(tables, coeffs, N_REF)
+        rel_worst = max(rel_worst, abs((vr + vi) / 0.5**2 - want) / want)
     assert rel_worst < 1e-9
     print(f"\n[criterion 3] PASS  X = {x:.6e}, Y = {y:.6e}, "
           f"transfer-vs-law rel dev = {rel_worst:.2e}")

@@ -737,13 +737,20 @@ class TestCalibrateCommand:
         ({"epsilon": [0, 20]}, "coherence_length"),
         ({"xi_grid": [0.5], "samples": 0}, "samples"),
         ({"xi_grid": [0.5], "samples": -3}, "samples"),
+        # nothing to calibrate: no grid, no phase inputs and no --refine
+        ({"samples": 1000}, "nothing to do"),
+        (None, "nothing to do"),
     ])
     def test_bad_grid_exits_2(self, tmp_path, capsys, calibration, message):
-        out = tmp_path / "cal"
-        cfg = write_config(tmp_path, {"calibration": calibration})
-        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        # None: a rotation noise block and no calibration block
+        data = ({"calibration": calibration} if calibration is not None
+                else dict(BASE_SCAN, noise={"type": "rotation", "phi": [0.0, 0.5]}))
+        cfg = write_config(tmp_path, data)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"cal_{fmt}"
+            assert main(["calibrate", "--config", cfg, "--out", str(out), "--format", fmt]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_dephasing_noise_grid_without_calibration_block(self, tmp_path):
         out = tmp_path / "cal"

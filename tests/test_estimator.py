@@ -130,14 +130,12 @@ class TestStackedEstimates:
             exact = entry_tables(povm.elements, j, k, g)
             sampled = rng.poisson(np.maximum(exact, 0) * 5000) / 5000
             for tables in (exact, sampled):
-                for scale in (1.0, 0.37):
-                    values = estimate_from_tables(tables, coeffs, scale)
-                    var_re, var_im = error_transfer_variance(tables, coeffs, 5000, scale)
-                    assert values.shape == var_re.shape == var_im.shape == (len(povm),)
-                    for i, one in enumerate(tables):
-                        assert values[i] == estimate_from_tables(one, coeffs, scale)
-                        assert (var_re[i], var_im[i]) == error_transfer_variance(
-                            one, coeffs, 5000, scale)
+                values = estimate_from_tables(tables, coeffs)
+                var_re, var_im = error_transfer_variance(tables, coeffs, 5000)
+                assert values.shape == var_re.shape == var_im.shape == (len(povm),)
+                for i, one in enumerate(tables):
+                    assert values[i] == estimate_from_tables(one, coeffs)
+                    assert (var_re[i], var_im[i]) == error_transfer_variance(one, coeffs, 5000)
 
     def test_stack_refuses_a_negative_cell_of_any_outcome(self):
         tables = np.zeros((3, 9, 2, 2))
@@ -219,10 +217,8 @@ class TestErrorTransfer:
         """Normalized-entry variance at theta=0, g=pi/4, eta=1/2, N=12790."""
         pi = make_parametric_element(0.0, 0.5, 0.0)
         coeffs = rt_coefficients(2, np.pi / 4)
-        vr, vi = error_transfer_variance(
-            entry_tables(pi, 1, 0, np.pi / 4), coeffs, N_REF, scale=0.5
-        )
-        assert abs((vr + vi) * 6395 - 1.0) < 1e-12
+        vr, vi = error_transfer_variance(entry_tables(pi, 1, 0, np.pi / 4), coeffs, N_REF)
+        assert abs((vr + vi) / 0.5**2 * 6395 - 1.0) < 1e-12
 
     def test_doubling_n_halves_variance(self, sic):
         coeffs = rt_coefficients(2, 0.5)
@@ -257,19 +253,19 @@ class TestErrorTransfer:
         n, g = 3000, 0.7
         coeffs = rt_coefficients(3, g)
         tables = entry_tables(small_random_povm.elements, 2, 0, g)
-        stacked = error_transfer_variance(tables, coeffs, n, 0.8, "multinomial")
+        stacked = error_transfer_variance(tables, coeffs, n, "multinomial")
         for i, one in enumerate(tables):
-            var = error_transfer_variance(one, coeffs, n, 0.8, "multinomial")
+            var = error_transfer_variance(one, coeffs, n, "multinomial")
             assert var == (stacked[0][i], stacked[1][i])
             cells = np.maximum(one.reshape(9, 4), 0.0)
             for w, got, poisson in zip(
                 (coeffs.cell_re, coeffs.cell_im), var,
-                error_transfer_variance(one, coeffs, n, 0.8),
+                error_transfer_variance(one, coeffs, n),
             ):
                 want = sum(
                     ws @ (n * (np.diag(p) - np.outer(p, p))) @ ws
                     for ws, p in zip(w.reshape(9, 4), cells)
-                ) / (n * 0.8) ** 2
+                ) / n**2
                 assert abs(got - want) <= 1e-12 * want
                 assert poisson >= got
         with pytest.raises(ValueError, match="statistics"):
@@ -282,11 +278,9 @@ class TestErrorTransfer:
                 for eta in (0.3, 0.5, 1.0):
                     pi = make_parametric_element(theta, eta, 0.0)
                     coeffs = rt_coefficients(2, g)
-                    vr, vi = error_transfer_variance(
-                        entry_tables(pi, 1, 0, g), coeffs, N_REF, scale=eta
-                    )
+                    vr, vi = error_transfer_variance(entry_tables(pi, 1, 0, g), coeffs, N_REF)
                     want = analytic_variance(theta, g, eta, N_REF)
-                    assert abs(vr + vi - want) / want < 1e-11
+                    assert abs((vr + vi) / eta**2 - want) / want < 1e-11
 
 
 class TestAnalyticVariance:

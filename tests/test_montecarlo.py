@@ -42,6 +42,13 @@ def point_x_scenario():
     return EntryScenario(elem, 1, 0, np.pi / 4, scale=0.5)
 
 
+def one_outcome(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
+    """The trial kernel's (re, im) means and variances for one outcome's
+    (settings, 4) cells and seed: column 0 of its stack of one."""
+    mean, var = _kernels.trial_estimates(cells[None], w_re, w_im, n, trials, [seed], statistics)
+    return mean[:, 0], var[:, 0]
+
+
 @pytest.fixture
 def sic_tables(sic):
     cfg = CouplingConfig.symmetric(np.pi / 4)
@@ -144,9 +151,9 @@ class TestSampleCounts:
         assert counts[4].sum() <= 1000
         coeffs = rt_coefficients(2, np.pi / 4)
         mean, var = _kernels.trial_estimates(
-            tables.reshape(9, 4), coeffs.cell_re, coeffs.cell_im, 1000, 10, 1, "multinomial"
+            tables.reshape(1, 9, 4), coeffs.cell_re, coeffs.cell_im, 1000, 10, [1], "multinomial"
         )
-        assert mean.shape == var.shape == (2,)
+        assert mean.shape == var.shape == (2, 1)
         assert np.isfinite(mean).all() and np.isfinite(var).all()
 
     def test_deterministic(self, sic_tables):
@@ -237,15 +244,15 @@ class TestRunTrials:
         assert np.isnan(s.sample_var_re) and np.isnan(s.sample_var_im)
         assert s.trials == 0
         tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
-        vr, vi = error_transfer_variance(tables, scn.coeffs(), N_REF, scn.scale)
-        assert s.predicted_var == vr + vi
+        vr, vi = error_transfer_variance(tables, scn.coeffs(), N_REF)
+        assert s.predicted_var == vr / scn.scale**2 + vi / scn.scale**2
 
     def test_negative_trials_refused(self):
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
         for study in (
             lambda: run_trials(point_x_scenario(), ShotModel(N_REF), -1),
             lambda: refinement_trials(random_povm(2, 3, seed=5), 1, 0, 0.6, ShotModel(N_REF), -3),
-            lambda: _kernels.trial_estimates(cells, w_re, w_im, N_REF, -1, 1),
+            lambda: _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, -1, [1]),
         ):
             with pytest.raises(ValueError, match="trials must be >= 0"):
                 study()
@@ -333,11 +340,12 @@ class TestTrialKernel:
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         cells[4] += 0.5
         with pytest.raises(ValueError, match="setting 4"):
-            _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
+            _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 10, [1], "multinomial")
         # a total above 1 by rounding only is accepted
         cells[4] *= (1 + 1e-12) / cells[4].sum()
-        mean, var = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 10, 1, "multinomial")
-        assert mean.shape == var.shape == (2,)
+        mean, var = _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 10, [1],
+                                             "multinomial")
+        assert mean.shape == var.shape == (2, 1)
         assert np.isfinite(mean).all() and np.isfinite(var).all()
 
     @staticmethod
@@ -360,8 +368,8 @@ class TestTrialKernel:
         continues the stream instead of repeating it."""
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         chunk = _kernels.CHUNK_TRIALS
-        short = _kernels.trial_estimates(cells, w_re, w_im, 2000, chunk, 9, statistics)
-        long = _kernels.trial_estimates(cells, w_re, w_im, 2000, chunk + 3, 9, statistics)
+        short = one_outcome(cells, w_re, w_im, 2000, chunk, 9, statistics)
+        long = one_outcome(cells, w_re, w_im, 2000, chunk + 3, 9, statistics)
         first = self.direct_chunk(cells, w_re, w_im, 2000, chunk + 3, 9, statistics, 0)
         tail = self.direct_chunk(cells, w_re, w_im, 2000, chunk + 3, 9, statistics, 1)
         assert tail.shape == (2, 3)
@@ -380,7 +388,7 @@ class TestTrialKernel:
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "WORKERS", workers)
-            runs.append(_kernels.trial_estimates(cells, w_re, w_im, 2000, trials, 11, statistics))
+            runs.append(one_outcome(cells, w_re, w_im, 2000, trials, 11, statistics))
         for mean, var in runs[1:]:
             np.testing.assert_array_equal(mean, runs[0][0])
             np.testing.assert_array_equal(var, runs[0][1])
@@ -393,7 +401,7 @@ class TestTrialKernel:
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         chunk, n, seed = _kernels.CHUNK_TRIALS, 2000, 17
         trials = 2 * chunk + 7
-        mean, var = _kernels.trial_estimates(cells, w_re, w_im, n, trials, seed, statistics)
+        mean, var = one_outcome(cells, w_re, w_im, n, trials, seed, statistics)
         children = np.random.SeedSequence(seed).spawn(3)
         parts = []
         for c in range(3):
@@ -438,8 +446,8 @@ class TestTrialKernel:
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_many_trial_stream_pinned(self, statistics):
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
-        mean, var = _kernels.trial_estimates(cells, w_re, w_im, 2000,
-                                             2 * _kernels.CHUNK_TRIALS + 7, 17, statistics)
+        mean, var = one_outcome(cells, w_re, w_im, 2000, 2 * _kernels.CHUNK_TRIALS + 7, 17,
+                                statistics)
         pinned_mean, pinned_var = self.PINNED_KERNEL[statistics]
         np.testing.assert_allclose(mean, pinned_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(var, pinned_var, rtol=1e-12, atol=0)
@@ -460,7 +468,7 @@ class TestTrialKernel:
         cells = nonnegative_cells(sic_tables).reshape(9, 4)
         args = (cells, coeffs.cell_re, coeffs.cell_im, N_REF, 5 * _kernels.CHUNK_TRIALS + 11, 5,
                 statistics)
-        mean, var = _kernels.trial_estimates(*args)
+        mean, var = one_outcome(*args)
         draws = np.concatenate([self.direct_chunk(*args, c) for c in range(6)], axis=1)
         assert abs(mean[0]) > 0.1
         np.testing.assert_allclose(var, draws.var(axis=1, ddof=1), rtol=1e-12)
@@ -489,6 +497,43 @@ class TestTrialKernel:
                                          statistics, None)
             assert drawn.shape == (1, 36)
             assert (drawn[0] == np.array(explicit, dtype=float)).all()
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_one_trial_of_uneven_groups(self, statistics):
+        """One trial of grouped cells, as the last chunk of a call of
+        ``CHUNK_TRIALS + 1`` trials draws it, has the counts of numpy drawing
+        each outcome's blocks in turn from one generator: for one outcome's
+        groups, whose settings hold different numbers of groups, and for a
+        stack of outcomes sharing uneven blocks with a block number unused."""
+        n = 1000
+        povm = random_povm(3, 4, seed=12)
+        coeffs = rt_coefficients(3, 0.7)
+        tables = exact_entry_tables(povm.elements, 2, 0, CouplingConfig.symmetric(0.7))
+        cells = _kernels.checked_cells(nonnegative_cells(tables).reshape(4, 9, 4), statistics)
+        block, prob, _ = _kernels.group_cells(cells, coeffs.cell_re, coeffs.cell_im,
+                                              statistics)[1]
+        if statistics == "multinomial":
+            assert len(set(np.bincount(block).tolist())) > 1
+        stack_block = np.array([0, 0, 0, 1, 2, 2, 4, 4, 4, 4])
+        parts = np.random.default_rng(3).dirichlet(np.ones(5), size=(3, 5))[..., :-1]
+        stack_prob = np.concatenate(
+            [parts[:, b, :size] for b, size in enumerate(np.bincount(stack_block)) if size],
+            axis=1)
+        for block, prob in [(block, prob), (stack_block, stack_prob)]:
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                want = np.empty(np.atleast_2d(prob).shape)
+                for l, one in enumerate(np.atleast_2d(prob)):
+                    if statistics == "poisson":
+                        want[l] = rng.poisson(n * one)
+                        continue
+                    for b in np.unique(block):
+                        p = one[block == b]
+                        pvals = [*p, max(1.0 - p.sum(), 0.0)]
+                        want[l, block == b] = rng.multinomial(n, pvals)[:-1]
+                drawn = _kernels.draw_counts(np.random.default_rng(seed), 1, block, prob, n,
+                                             statistics, None)
+                np.testing.assert_array_equal(drawn, want)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("prob", [[0.5, 0.5, 1e-17], [0.3, 0.3, 0.4, 1e-17]],
@@ -544,7 +589,7 @@ class TestTrialKernel:
             mean, var = _kernels.trial_estimates(cells, *args, seeds, statistics)
             assert mean.shape == var.shape == (2, 5)
             for l, seed in enumerate(seeds):
-                one_mean, one_var = _kernels.trial_estimates(cells[l], *args, seed, statistics)
+                one_mean, one_var = one_outcome(cells[l], *args, seed, statistics)
                 assert (mean[:, l] == one_mean).all() and (var[:, l] == one_var).all()
 
     def test_two_chunk_stack_uses_every_thread(self, monkeypatch):
@@ -590,10 +635,11 @@ class TestTrialKernel:
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean, var = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 0, 5, statistics)
+            mean, var = _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 0, [5],
+                                                 statistics)
             stack_mean, stack_var = _kernels.trial_estimates(
                 np.stack([cells] * 3), w_re, w_im, N_REF, 0, [5, 6, 7], statistics)
-        assert mean.shape == var.shape == (2,)
+        assert mean.shape == var.shape == (2, 1)
         assert stack_mean.shape == stack_var.shape == (2, 3)
         for x in (mean, var, stack_mean, stack_var):
             assert np.isnan(x).all()
@@ -615,7 +661,7 @@ class TestTrialKernel:
         monkeypatch.setattr(_kernels, "WORKERS", 2)
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         peak = self.traced_peak(lambda: _kernels.trial_estimates(
-            cells, w_re, w_im, N_REF, 200_000, 3, statistics))
+            cells[None], w_re, w_im, N_REF, 200_000, [3], statistics))
         assert peak < 4
 
     def test_study_memory_bounded(self, monkeypatch):
@@ -722,7 +768,7 @@ class TestInvertedDraws:
                                       statistics, tables)
         self.check_draws(counts[:, 0], self.law(n, 0.0625, statistics == "poisson"))
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
-        mean, var = _kernels.trial_estimates(cells, w_re, w_im, n, 300, 1, statistics)
+        mean, var = one_outcome(cells, w_re, w_im, n, 300, 1, statistics)
         assert np.isfinite(mean).all() and np.isfinite(var).all()
 
     def test_tables_do_not_depend_on_trials(self):
@@ -734,7 +780,7 @@ class TestInvertedDraws:
         assert all(t is not None and t[1].size > 300 for t in tables)
         direct = TestTrialKernel.direct_chunk(cells, w_re, w_im, N_REF, 300, 6, "poisson", 0)
         _, mean, m2 = _kernels.moments(direct)
-        got_mean, got_var = _kernels.trial_estimates(cells, w_re, w_im, N_REF, 300, 6)
+        got_mean, got_var = one_outcome(cells, w_re, w_im, N_REF, 300, 6)
         np.testing.assert_array_equal(got_mean, mean)
         np.testing.assert_array_equal(got_var, m2 / 299)
 
@@ -773,15 +819,15 @@ def reference_sweep(spec):
             scn = EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
         tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
         coeffs = scn.coeffs()
-        vr, vi = error_transfer_variance(tables, coeffs, n, scn.scale, stats)
+        vr, vi = error_transfer_variance(tables, coeffs, n, stats)
         row = {
             "axis_value": float(value), "var_analytic": _analytic_for(scn, n),
-            "var_transfer": vr + vi, "var_empirical": float("nan"),
+            "var_transfer": vr / scn.scale**2 + vi / scn.scale**2, "var_empirical": float("nan"),
             "mean_re": float("nan"), "mean_im": float("nan"),
             "trials": spec.trials, "seed": int(seed),
         }
         if spec.trials > 0:
-            mean, var = _kernels.trial_estimates(
+            mean, var = one_outcome(
                 nonnegative_cells(tables).reshape(9, 4), coeffs.cell_re / scn.scale,
                 coeffs.cell_im / scn.scale, n, spec.trials, int(seed), stats,
             )
