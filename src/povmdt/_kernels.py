@@ -28,8 +28,9 @@ outcomes); their callers have already refused and clipped negative cells
 
 A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
 count whose law is the same in every trial is drawn by inverting its CDF
-table through a guide table: one uniform, a lookup and a step per count
-(Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. III.2).  Two
+table through a guide table: a uniform and a lookup per count, and a search
+for the few that the guide leaves short (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. III.2).  Two
 kinds of count have a fixed law: every Poisson group, ``Poisson(n p_g)``,
 and the first group of each multinomial setting, ``Binomial(n, p_1)``
 (:func:`count_tables`).  A table spans its law's mean +- (13 sd + 13) and is
@@ -235,11 +236,12 @@ def count_tables(block, prob, n, statistics):
 
 
 def _invert(rng, size, table):
-    """``size`` counts drawn from an :func:`inversion_table`, as an int array."""
+    """``size`` counts drawn from an :func:`inversion_table`, as an int array:
+    ``searchsorted(cdf, u, "right") + lo`` of each uniform ``u``.  The guide's
+    entry is that index wherever the CDF at the entry exceeds ``u``."""
     lo, cdf, guide = table
     u = rng.random(size)
     k = guide[(u * guide.size).astype(np.intp)]
-    k += cdf[k] <= u
     short = np.flatnonzero(cdf[k] <= u)
     if short.size:
         k[short] = np.searchsorted(cdf, u[short], "right")

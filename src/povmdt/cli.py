@@ -201,12 +201,15 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     rows_of = [povm.labels.index(lab) for lab in labels]
     elems = np.stack([transform(povm, param, j, k).elements[rows_of] for _, _, param in grid])
     shape = elems.shape[:2]  # (grid points, outcomes)
-    names = [f"grid point {p} ({axis} = {value:g}), outcome {lab}"
-             for p, (axis, value, _) in enumerate(grid) for lab in labels]
-    cells, var_re, var_im = exact_slot(elems.reshape((-1,) + elems.shape[2:]), j, k, coeffs, n,
-                                       names, statistics=shot.statistics)
-    seeds = _child_seeds(shot.seed, len(grid)).tolist()
     size = len(labels)
+
+    def name(i):  # built only for a refusal
+        (axis, value, _), lab = grid[i // size], labels[i % size]
+        return f"grid point {i // size} ({axis} = {value:g}), outcome {lab}"
+
+    cells, var_re, var_im = exact_slot(elems.reshape((-1,) + elems.shape[2:]), j, k, coeffs, n,
+                                       name, statistics=shot.statistics)
+    seeds = _child_seeds(shot.seed, len(grid)).tolist()
     counts = np.stack([sample_counts(cells[p * size:(p + 1) * size], replace(shot, seed=seed))
                        for p, seed in enumerate(seeds)])
     values = estimate_from_tables(counts.reshape(-1, 9, 2, 2), coeffs).reshape(shape)

@@ -174,23 +174,21 @@ def sample_counts(tables, shot: ShotModel) -> np.ndarray:
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
 
-def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, names,
+def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, name,
                statistics="poisson"):
     """The exact step of every Monte Carlo study of slot (j, k) of an
     (L, d, d) stack: its cells checked and clipped once, and the arrays
     (var_re, var_im) of the raw entries' error-transfer variances at n
     particles per setting under the given counting ``statistics``.  An
     outcome whose post-selection probability (one setting's four cells) is
-    at or below ``P_FLOOR`` is refused by its entry in ``names``.
+    at or below ``P_FLOOR`` is refused by ``name(i)``, called only then.
     """
     tables = exact_entry_tables(elements, j, k, CouplingConfig.symmetric(coeffs.g))
     p_f = tables.reshape(-1, 36)[:, :4].sum(axis=1)
-    if len(p_f) != len(names):
-        raise ValueError(f"{len(names)} names for {len(p_f)} outcomes")
     dead = np.flatnonzero(~(p_f > P_FLOOR))
     if dead.size:
         raise DeadPostSelectionError(
-            f"{names[dead[0]]}: post-selection probability {p_f[dead[0]]:.3e} "
+            f"{name(int(dead[0]))}: post-selection probability {p_f[dead[0]]:.3e} "
             f"<= floor {P_FLOOR:.1e}"
         )
     cells = _clip_once(tables)
@@ -210,7 +208,7 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     coeffs = scenario.coeffs()
     j, k, scale = scenario.j, scenario.k, scenario.scale
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
-                               [f"entry ({j}, {k})"], shot.statistics)
+                               lambda i: f"entry ({j}, {k})", shot.statistics)
     mean, var = _kernels.trial_estimates(
         cells.flat.reshape(1, 9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
         shot.n_per_setting, trials, [shot.seed], shot.statistics,
@@ -309,9 +307,8 @@ def refinement_trials(
     coeffs = rt_coefficients(povm.dim, g)
     seeds = _child_seeds(shot.seed, len(labels))
     n = shot.n_per_setting
-    names = [f"outcome {lab}" for lab in labels]
-    cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n, names,
-                                       statistics=shot.statistics)
+    cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n,
+                                       lambda i: f"outcome {labels[i]}", shot.statistics)
 
     truths = povm.elements[:, j, k]
     raw_est = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import asoperator, dag, is_density, is_hermitian, partial_trace, tensor
-from .povm import Povm
+from .povm import Povm, _check_elements
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,10 @@ class Environment:
 
 def _scaled_slot(povm: Povm, j: int, k: int, factor, model: str) -> Povm:
     """Multiply the (j, k) entry of every element by ``factor`` and the (k, j)
-    entry by its conjugate, one element at a time; a resulting element that
-    is not positive is refused, naming ``model`` and the slot."""
+    entry by its conjugate, one element at a time, in one copy of the stack,
+    which is checked as :class:`Povm` checks its elements and becomes the
+    result's: an element that is not positive is refused, naming ``model``
+    and the slot."""
     d = povm.dim
     if not 0 <= j < d or not 0 <= k < d:
         raise IndexError(f"entry indices ({j}, {k}) out of range for dimension {d}")
@@ -59,9 +61,10 @@ def _scaled_slot(povm: Povm, j: int, k: int, factor, model: str) -> Povm:
         m[j, k] *= factor
         m[k, j] *= conjugate
     try:
-        return Povm(elems, povm.labels, check_complete=False)
+        _check_elements(elems)
     except ValueError as exc:
         raise ValueError(f"{model} of slot ({j}, {k}): {exc}") from None
+    return Povm._over_checked(elems, povm.labels)
 
 
 def apply_dephasing(povm: Povm, xi: float, j: int, k: int) -> Povm:

@@ -25,6 +25,23 @@ from .reports import _atomic_write
 POVM_SCHEMA_VERSION = 1
 
 
+def _check_elements(stack: np.ndarray) -> None:
+    """Refuse an (L, d, d) complex stack, naming its first element that is not
+    Hermitian, or not positive semidefinite, within ``DEFAULT_TOL``."""
+    adjoint = stack.conj().swapaxes(1, 2)
+    # ``x <= DEFAULT_TOL`` is False for NaN, so a NaN element is refused, and
+    # so is an infinite one: inf - inf is NaN (its warning is silenced)
+    with np.errstate(invalid="ignore"):
+        hermitian = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1) <= DEFAULT_TOL
+        hermitian_part = (stack + adjoint) / 2
+    valid = hermitian.copy()
+    valid[hermitian] = np.linalg.eigvalsh(hermitian_part[hermitian])[:, 0] >= -DEFAULT_TOL
+    if not valid.all():
+        i = int(np.argmin(valid))
+        kind = "Hermitian" if not hermitian[i] else "positive semidefinite"
+        raise ValueError(f"element {i} is not {kind} within {DEFAULT_TOL}")
+
+
 class Povm:
     """Ordered collection of measurement operators with outcome labels.
 
@@ -59,19 +76,7 @@ class Povm:
                 f"elements must be square matrices of one dimension, an (L, d, d) stack; "
                 f"got shape {stack.shape}"
             )
-        d = stack.shape[1]
-        adjoint = stack.conj().swapaxes(1, 2)
-        # ``x <= DEFAULT_TOL`` is False for NaN, so a NaN element is refused, and
-        # so is an infinite one: inf - inf is NaN (its warning is silenced)
-        with np.errstate(invalid="ignore"):
-            hermitian = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1) <= DEFAULT_TOL
-            hermitian_part = (stack + adjoint) / 2
-        valid = hermitian.copy()
-        valid[hermitian] = np.linalg.eigvalsh(hermitian_part[hermitian])[:, 0] >= -DEFAULT_TOL
-        if not valid.all():
-            i = int(np.argmin(valid))
-            kind = "Hermitian" if not hermitian[i] else "positive semidefinite"
-            raise ValueError(f"element {i} is not {kind} within {DEFAULT_TOL}")
+        _check_elements(stack)
         if labels is None:
             labels = range(1, len(stack) + 1)
         for label in labels:
@@ -83,9 +88,7 @@ class Povm:
         if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be unique")
         stack.setflags(write=False)
-        self._elements = stack
-        self._labels = tuple(labels)
-        self._dim = d
+        self._elements, self._labels, self._dim = stack, tuple(labels), stack.shape[1]
         if check_complete:
             resid = self.completeness_residual()
             if resid > DEFAULT_TOL:
@@ -118,6 +121,15 @@ class Povm:
         except ValueError:
             raise KeyError(f"no outcome labelled {label}; labels are {self._labels}") from None
         return self._elements[idx]
+
+    @classmethod
+    def _over_checked(cls, stack: np.ndarray, labels: tuple) -> "Povm":
+        """A POVM of an existing one's ``labels`` over ``stack``, which
+        :func:`_check_elements` passed; kept read-only, not copied."""
+        povm = object.__new__(cls)
+        stack.setflags(write=False)
+        povm._elements, povm._labels, povm._dim = stack, labels, stack.shape[1]
+        return povm
 
     def completeness_residual(self) -> float:
         """Max-norm of (sum of elements - identity)."""

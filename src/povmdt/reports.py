@@ -11,6 +11,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from . import __version__
 
 REPORT_SCHEMA_VERSION = 1
@@ -44,16 +46,26 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _column_text(values: list) -> list:
+    """``str`` of each value of a column; of each bitwise-distinct one once if all
+    are exact ``float``s (keyed on bits: 0.0 and -0.0 differ, NaN needs no ==)."""
+    if set(map(type, values)) != {float}:
+        return list(map(str, values))
+    bits, where = np.unique(np.array(values).view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(float).tolist()))  # a float's repr is its str
+    return np.array(text, dtype=object)[where].tolist()
+
+
 def write_csv(path: str, columns: list[str], rows: list[dict], metadata: dict) -> None:
     """CSV with '#'-prefixed metadata header lines (skippable by readers).
 
     Every value is written with ``str``, so a float is its shortest
-    round-trip ``repr``.
+    round-trip ``repr``, one column at a time (:func:`_column_text`).
     """
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(str, map(row.__getitem__, columns))))
+    text = [_column_text([row[column] for row in rows]) for column in columns]
+    lines.extend(map(",".join, zip(*text)) if columns else [""] * len(rows))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -522,17 +522,30 @@ JSON_KEY = {
 }
 
 
+def reference_csv(columns, rows, metadata):
+    """The CSV text of ``write_csv``, written row by row: each row's values
+    joined by ``str``."""
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(str, (row[c] for c in columns))) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def test_json_reports_hold_the_csv_rows(tmp_path):
     """With --format json every README command writes one <command>.json whose
-    results rows equal the CSV run's rows, column for column; oracle-check
-    still writes distributions.csv."""
+    results rows equal the CSV run's rows, column for column, and each CSV
+    file is byte for byte the row-wise formatting of those rows under the
+    report's metadata (JSON floats round-trip exactly); oracle-check still
+    writes distributions.csv."""
     for name, argv in README_COMMANDS:
         csv_out, json_out = tmp_path / "csv" / name, tmp_path / "json" / name
         assert main(argv + ["--out", str(csv_out)]) == 0, name
         assert main(argv + ["--out", str(json_out), "--format", "json"]) == 0, name
         report = f"{argv[0].replace('-', '_')}.json"
         assert sorted(p.name for p in json_out.glob("*.json")) == [report], name
-        results = json.loads((json_out / report).read_text())["results"]
+        metadata = json.loads((json_out / report).read_text())
+        results = metadata.pop("results")
+        del metadata["wall_clock_s"]
         for path in csv_out.glob("*.csv"):
             if path.name == "distributions.csv":
                 assert (json_out / path.name).read_bytes() == path.read_bytes()
@@ -541,6 +554,8 @@ def test_json_reports_hold_the_csv_rows(tmp_path):
                              if not line.startswith("#")]
             got = [[str(r[c]) for c in header] for r in results[JSON_KEY[path.name]]]
             assert got == rows, path.name
+            text = reference_csv(header, results[JSON_KEY[path.name]], metadata)
+            assert path.read_bytes() == text.encode(), path.name
 
 
 def test_metadata_recorded(tmp_path):
@@ -551,6 +566,29 @@ def test_metadata_recorded(tmp_path):
         for csv in out.glob("*.csv"):
             header = csv.read_text().splitlines()
             assert "# backend: numpy" in header and "# rng: numpy-pcg64" in header, csv
+
+
+def _nan_with_payload(bits):
+    return np.array([bits], dtype=np.int64).view(np.float64).tolist()[0]
+
+
+#: Columns of values whose text a formatter keyed on value rather than on
+#: bits and type would get wrong, seven rows each.
+ADVERSARIAL_COLUMNS = {
+    "signed_zero": [0.0, -0.0, 0.0, -0.0, 1.5, -0.0, 0.0],
+    "nan": [float("nan"), -float("nan"), _nan_with_payload(0x7FF8000000000001), 1.0,
+            float("nan"), _nan_with_payload(-1), 2.0],
+    "inf": [float("inf"), -float("inf"), 1e308, float("inf"), 0.0, -1e308, -float("inf")],
+    "subnormal": [5e-324, -5e-324, 5e-324, 2.2250738585072014e-308, 0.0, 1e-320, -0.0],
+    "repeated": [0.1, 0.1 + 0.2, 0.1, 0.1 + 0.2, 0.1, 1 / 3, 1 / 3],
+    "one_and_one_point_zero": [1, 1.0, 1, 2, 2.0, 1.0, 1],
+    "bool": [True, 1.0, 1, False, 0.0, True, 0.0],
+    "numpy_float": [np.float64(0.1), 0.1, np.float64(-0.0), 0.0, np.float64(5e-324), 0.1,
+                    np.float64(0.1)],
+    "all_numpy": [np.float64(x) for x in (0.5, -0.0, 0.0, 0.5, np.nan, 1e-7, 3.0)],
+    "int": [3, -3, 0, 3, 2**70, -1, 0],
+    "text": ["a", "b", "", "a", "1.0", "nan", "-0.0"],
+}
 
 
 class TestArtifactWriters:
@@ -574,6 +612,35 @@ class TestArtifactWriters:
         with pytest.raises(OSError, match="rename refused"):
             write_csv(str(tmp_path / "table.csv"), ["a"], [{"a": 0.1}], {"seed": 1})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_csv_equals_the_row_wise_reference(self, tmp_path, size):
+        """Column-wise formatting writes the text of the row-wise reference:
+        signed zeros, NaNs of any sign and payload, infinities, subnormals
+        and repeated floats keep their own ``str``, and so do 1 beside 1.0,
+        True, numpy floats and strings; for zero, one and several rows, and
+        for every, one and no column."""
+        columns = list(ADVERSARIAL_COLUMNS)[::-1]
+        rows = [dict({c: values[i] for c, values in ADVERSARIAL_COLUMNS.items()}, extra=object())
+                for i in range(size)]
+        meta = {"seed": 1, "note": "x"}
+        path = tmp_path / "table.csv"
+        for chosen in (columns, ["signed_zero"], []):
+            write_csv(str(path), chosen, rows, meta)
+            assert path.read_bytes() == reference_csv(chosen, rows, meta).encode(), chosen
+
+    def test_csv_equals_the_row_wise_reference_on_drawn_floats(self, tmp_path):
+        """Thousands of floats drawn from a small pool with special values,
+        and the same floats beside one int, write the reference's text."""
+        rng = np.random.default_rng(21)
+        pool = np.concatenate([rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40),
+                               [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324]])
+        floats = rng.choice(pool, 3000).tolist()
+        rows = [{"a": x, "b": y} for x, y in zip(floats, floats[::-1])]
+        rows[1234]["b"] = 7
+        path = tmp_path / "table.csv"
+        write_csv(str(path), ["a", "b"], rows, {"seed": 1})
+        assert path.read_bytes() == reference_csv(["a", "b"], rows, {"seed": 1}).encode()
 
     def test_csv_values_are_their_str(self, tmp_path):
         """Every CSV value is written with ``str``: a float as its shortest

@@ -713,6 +713,26 @@ class TestInvertedDraws:
         cells = np.arange(guide.size) / guide.size
         assert (guide == np.searchsorted(cdf, cells, "right")).all()
 
+    @pytest.mark.parametrize("poisson, n, p", [(True, 1, rate) for rate in RATES]
+                             + [(False, n, p) for n, p in BINOMIALS])
+    def test_invert_is_the_cdf_search(self, poisson, n, p):
+        """Each count is ``searchsorted(cdf, u, "right") + lo`` of its
+        uniform, for uniforms at and next to every CDF value and every
+        guide cell's edge, handed out in order by a stub generator."""
+        table = _kernels.inversion_table(n, p, poisson)
+        lo, cdf, guide = table
+        at = np.concatenate([cdf, np.arange(guide.size) / guide.size, [0.0]])
+        u = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]  # the range of Generator.random
+
+        class StubRng:
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        counts = _kernels._invert(StubRng(), u.size, table)
+        np.testing.assert_array_equal(counts, np.searchsorted(cdf, u, "right") + lo)
+
     def test_cap_is_the_chunk(self):
         """Poisson rates up to about 10^5 fit a chunk's table."""
         for rate, fits in [(9.8e4, True), (1e5, False)]:

@@ -1,5 +1,7 @@
 """Dephasing, phase rotation, environment coupling and calibrations."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,9 +23,28 @@ from povmdt import (
     wavepacket_overlap,
     xi_from_environment,
 )
-from povmdt.linalg import dag, partial_trace
+from povmdt.linalg import DEFAULT_TOL, dag, partial_trace
+from povmdt.noise import _scaled_slot
 
 S26 = np.sqrt(2) / 6
+
+
+def slot_map_reference(povm, factor, j, k):
+    """The slot map one element at a time: the (j, k) entry times ``factor``
+    and the (k, j) entry times its conjugate, each one numpy scalar product."""
+    elems = np.array(povm.elements)
+    for m in elems:
+        m[j, k] = m[j, k] * factor
+        m[k, j] = m[k, j] * np.conj(factor)
+    return elems
+
+
+#: (map, its parameter, the factor it puts on the (j, k) entry, its name).
+SLOT_MAPS = (
+    [(apply_dephasing, xi, xi, f"dephasing by xi={xi:g}") for xi in (0.0, 0.37, 1.0)]
+    + [(apply_phase_rotation, phi, np.exp(-1j * phi), f"phase rotation by phi={phi:g}")
+       for phi in (0.0, 2.5, -np.pi)]
+)
 
 
 class TestDephasing:
@@ -111,6 +132,52 @@ class TestPhaseRotation:
         with pytest.raises(ValueError, match=r"^phase rotation by phi=0.7 of slot \(1, 0\): "
                                              r"element 2 is not positive semidefinite"):
             apply_phase_rotation(random_povm(3, 3, seed=4), 0.7, 1, 0)
+
+
+class TestSlotMapReference:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("transform, param, factor, model", SLOT_MAPS,
+                             ids=[model for *_, model in SLOT_MAPS])
+    def test_maps_equal_the_scalar_loop(self, d, transform, param, factor, model):
+        """Both maps equal the per-element scalar loop bit for bit on random
+        POVMs, for both orders of a slot; a set the loop leaves with an
+        element that is not positive is refused, naming the first one."""
+        for seed in range(3):
+            povm = random_povm(d, d + 2, seed=seed)
+            for j, k in ((1, 0), (0, d - 1)):
+                want = slot_map_reference(povm, factor, j, k)
+                bad = np.flatnonzero(np.linalg.eigvalsh(want)[:, 0] < -DEFAULT_TOL)
+                if bad.size:
+                    message = (f"{model} of slot ({j}, {k}): element {bad[0]} is not "
+                               f"positive semidefinite within {DEFAULT_TOL}")
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        transform(povm, param, j, k)
+                    continue
+                out = transform(povm, param, j, k)
+                assert out.elements.view(np.int64).tolist() == want.view(np.int64).tolist()
+                assert out.labels == povm.labels and out.dim == d
+                assert not out.elements.flags.writeable
+                assert not np.shares_memory(out.elements, povm.elements)
+
+    def test_non_positive_d3_set_refused_by_name(self):
+        message = ("dephasing by xi=0.37 of slot (2, 0): element 2 is not positive "
+                   "semidefinite within 1e-09")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_dephasing(random_povm(3, 3, seed=6), 0.37, 2, 0)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0),
+                                        complex(1.0, np.inf)])
+    def test_non_finite_factor_refused(self, factor):
+        """A NaN or infinite factor leaves elements that are not Hermitian
+        (inf - inf is NaN), and the map refuses them."""
+        message = r"^noise of slot \(1, 0\): element 0 is not Hermitian within 1e-09$"
+        with pytest.raises(ValueError, match=message):
+            _scaled_slot(random_povm(2, 3, seed=4), 1, 0, factor, "noise")
+
+    def test_nan_angle_refused(self):
+        with pytest.raises(ValueError, match=r"^phase rotation by phi=nan of slot \(1, 0\): "
+                                             r"element 0 is not Hermitian"):
+            apply_phase_rotation(random_povm(2, 3, seed=4), np.nan, 1, 0)
 
 
 class TestTransformAlgebra:

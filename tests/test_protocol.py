@@ -235,7 +235,22 @@ class TestPostSelection:
 
     def test_dead_post_selection(self):
         with pytest.raises(DeadPostSelectionError, match="zero element: post-selection"):
-            exact_slot(np.zeros((1, 2, 2)), 1, 0, rt_coefficients(2, 0.4), 1000, ["zero element"])
+            exact_slot(np.zeros((1, 2, 2)), 1, 0, rt_coefficients(2, 0.4), 1000,
+                       lambda i: "zero element")
+
+    def test_refusal_named_only_on_refusal(self, sic):
+        """``name`` is called only to refuse, once, with the index of the
+        first dead element of the stack."""
+        def never(i):
+            raise AssertionError("a name was built without a refusal")
+
+        coeffs = rt_coefficients(2, 0.4)
+        exact_slot(sic.elements, 1, 0, coeffs, 1000, never)
+        calls = []
+        stack = np.stack([sic.element(1), np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(DeadPostSelectionError, match="^element 1: post-selection"):
+            exact_slot(stack, 1, 0, coeffs, 1000, lambda i: calls.append(i) or f"element {i}")
+        assert calls == [1]
 
     def test_post_selected_state_is_density(self, sic):
         js = prepare_entry_state(2, 1, 0, CouplingConfig.symmetric(0.3))
