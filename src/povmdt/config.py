@@ -5,6 +5,12 @@ units of pi (``g: 0.25`` means pi/4) to avoid decimal-pi transcription
 slips.  Unknown keys are rejected everywhere; validation errors carry the
 dotted path of the offending key.
 
+Every number enters through one reader, :func:`_real`, which refuses a
+non-number, a non-finite value, a non-integer where an integer is meant and
+a non-positive value where a positive one is.  :func:`_number` reads one
+key of a block through it, :func:`_number_list` a list and :func:`_seed` a
+seed; :func:`_choice` reads a key that takes one of a fixed set of values.
+
 This is the only module that reads the block formats.  Noise and
 calibration grids are resolved here into ``(axis, axis_value, param)``
 points: an ``xi`` list as is, an ``epsilon`` list through
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import yaml
@@ -28,6 +35,7 @@ POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
 CALIBRATION_SAMPLES = 100000  # calibration.samples, also when calibrate has no such block
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -47,44 +55,51 @@ def _require(block: dict, path: str, allowed: dict) -> dict:
     return block
 
 
-def _number(block: dict, path: str, key: str, default=None, integer=False):
+def _real(value, path: str, integer=False, positive=False, scale=1.0):
+    """The one number reader: ``value`` as an int, or as a float times
+    ``scale``; a refusal names ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= _FLOAT_MAX:  # also NaN, and an int too large for a float
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if integer:
+        if int(value) != value:
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        value = int(value)
+    if positive and value <= 0:
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{path}: expected a positive {kind}, got {value!r}")
+    return value if integer else float(value) * scale
+
+
+def _number(block: dict, path: str, key: str, default=None, integer=False, positive=False,
+            scale=1.0):
+    """``block[key]`` read by :func:`_real`, or ``default`` if absent."""
     if key not in block:
         return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    if integer:
-        if int(v) != v:
-            raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-        return int(v)
-    return float(v)
-
-
-def _angle(block: dict, path: str, key: str, default=None):
-    """Angle in units of pi -> radians."""
-    v = _number(block, path, key, default=None)
-    if v is None:
-        return default
-    return v * math.pi
+    return _real(block[key], f"{path}.{key}", integer, positive, scale)
 
 
 def _seed(value, path: str) -> int:
     """A seed from outside the program: a non-negative integer."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 0:
-        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
-    return int(value)
+    try:
+        if _real(value, path, integer=True) >= 0:
+            return int(value)
+    except ConfigError:
+        pass
+    raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
 
 
 def _number_list(value, path: str, scale: float = 1.0) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
-        out.append(float(v) * scale)
-    return out
+    return [_real(v, f"{path}[{i}]", False, False, scale) for i, v in enumerate(value)]
+
+
+def _choice(value, path: str, options: tuple):
+    if value not in options:
+        raise ConfigError(f"{path}: expected one of {options}, got {value!r}")
+    return value
 
 
 def _xi_grid(block: dict, path: str, xi_key: str) -> list[tuple] | None:
@@ -211,9 +226,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"source": True, "d": False, "outcomes": False, "seed": False,
              "path": False, "unitary": False},
         )
-        source = block.get("source")
-        if source not in POVM_SOURCES:
-            raise ConfigError(f"povm.source: expected one of {POVM_SOURCES}, got {source!r}")
+        source = _choice(block["source"], "povm.source", POVM_SOURCES)
         if source == "random":
             sizes = {key: _number(block, "povm", key, integer=True) for key in ("d", "outcomes")}
             for key, value in sizes.items():
@@ -241,7 +254,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
 
     if "coupling" in raw:
         block = _require(raw["coupling"], "coupling", {"g": True})
-        g = _angle(block, "coupling", "g")
+        g = _number(block, "coupling", "g", scale=math.pi)
         if not 0 < g < math.pi / 2:
             raise ConfigError(
                 f"coupling.g: {block['g']!r} (units of pi) must lie strictly in (0, 0.5)"
@@ -253,12 +266,10 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             raw["shots"], "shots",
             {"n_per_setting": True, "statistics": False, "seed": False},
         )
+        n = _number(block, "shots", "n_per_setting", integer=True)
+        seed = _seed(block["seed"], "shots.seed") if "seed" in block else cfg.seed
         try:
-            cfg.shots = ShotModel(
-                _number(block, "shots", "n_per_setting", integer=True),
-                block.get("statistics", "poisson"),
-                _seed(block["seed"], "shots.seed") if "seed" in block else cfg.seed,
-            )
+            cfg.shots = ShotModel(n, block.get("statistics", "poisson"), seed)
         except ValueError as exc:
             raise ConfigError(f"shots: {exc}") from None
 
@@ -268,9 +279,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"type": True, "xi": False, "epsilon": False,
              "coherence_length": False, "phi": False},
         )
-        kind = block.get("type")
-        if kind not in NOISE_TYPES:
-            raise ConfigError(f"noise.type: expected one of {NOISE_TYPES}, got {kind!r}")
+        kind = _choice(block["type"], "noise.type", NOISE_TYPES)
         if kind == "dephasing":
             grid = _xi_grid(block, "noise", "xi")
             if grid is None:
@@ -287,17 +296,15 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"axis": True, "grid": True, "trials": False, "theta": False,
              "eta": False, "e01": False, "g": False},
         )
-        axis = block.get("axis")
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep.axis: expected one of {SWEEP_AXES}, got {axis!r}")
+        axis = _choice(block["axis"], "sweep.axis", SWEEP_AXES)
         angle_scale = math.pi if axis in ("g", "theta", "phi") else 1.0
         sweep = {
             "axis": axis,
             "grid": tuple(_number_list(block["grid"], "sweep.grid", scale=angle_scale)),
             "trials": _number(block, "sweep", "trials", default=10000, integer=True),
-            "theta": _angle(block, "sweep", "theta", default=0.0),
+            "theta": _number(block, "sweep", "theta", default=0.0, scale=math.pi),
             "eta": _number(block, "sweep", "eta", default=0.5),
-            "g": _angle(block, "sweep", "g", default=cfg.g),
+            "g": _number(block, "sweep", "g", default=cfg.g, scale=math.pi),
         }
         e01 = _number_list(block.get("e01", [0.0, 0.0]), "sweep.e01")
         if len(e01) != 2:
@@ -311,12 +318,9 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             {"xi_grid": False, "samples": False, "phase_inputs": False,
              "epsilon": False, "coherence_length": False},
         )
-        samples = _number(block, "calibration", "samples", default=CALIBRATION_SAMPLES,
-                          integer=True)
-        if samples <= 0:
-            raise ConfigError(f"calibration.samples: expected a positive integer, got {samples}")
         cfg.calibration = {
-            "samples": samples,
+            "samples": _number(block, "calibration", "samples", default=CALIBRATION_SAMPLES,
+                               integer=True, positive=True),
             "grid": _xi_grid(block, "calibration", "xi_grid"),
             "phase_inputs": (
                 _number_list(block["phase_inputs"], "calibration.phase_inputs")
@@ -330,15 +334,9 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             if not isinstance(block["dir"], str):
                 raise ConfigError("output.dir: expected a string path")
             cfg.out_dir = block["dir"]
-        fmt = block.get("format", "csv")
-        if fmt not in FORMATS:
-            raise ConfigError(f"output.format: expected one of {FORMATS}, got {fmt!r}")
-        cfg.out_format = fmt
+        cfg.out_format = _choice(block.get("format", "csv"), "output.format", FORMATS)
 
     if "tolerance" in raw:
-        tol = _number(raw, "config", "tolerance")
-        if tol is None or tol <= 0:
-            raise ConfigError(f"tolerance: expected a positive number, got {raw['tolerance']!r}")
-        cfg.tolerance = tol
+        cfg.tolerance = _real(raw["tolerance"], "tolerance", positive=True)
 
     return cfg

@@ -73,8 +73,8 @@ class EntryScenario:
         object.__setattr__(self, "pi_l", asoperator(self.pi_l))
         if self.j == self.k:
             raise ValueError("entry scenarios target off-diagonal entries; need j != k")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def coeffs(self) -> RtCoefficients:
         return rt_coefficients(self.pi_l.shape[0], self.g)

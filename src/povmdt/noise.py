@@ -11,6 +11,7 @@ calibration procedures mirroring the bench ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,9 @@ def apply_phase_rotation(povm: Povm, phi: float, j: int, k: int) -> Povm:
     alone is then not a completely positive map, and a rotated set with an
     element that is not positive is refused.
     """
-    return _scaled_slot(povm, j, k, np.exp(-1j * phi), f"phase rotation by phi={phi:g}")
+    with np.errstate(invalid="ignore"):  # an infinite phi: a NaN factor, which the check refuses
+        factor = np.exp(-1j * phi)
+    return _scaled_slot(povm, j, k, factor, f"phase rotation by phi={phi:g}")
 
 
 def _env_unitary(c_obs: np.ndarray, env: Environment) -> np.ndarray:
@@ -142,6 +145,9 @@ def wavepacket_overlap(epsilon: float, coherence_length: float) -> float:
     zero delay.  Scenario configs may supply explicit (eps, xi) pairs
     instead when a measured curve is available.
     """
+    if not (math.isfinite(epsilon) and math.isfinite(coherence_length)):
+        raise ValueError(f"delay and coherence length must be finite, got {epsilon} "
+                         f"and {coherence_length}")
     if coherence_length <= 0:
         raise ValueError(f"coherence length must be positive, got {coherence_length}")
     return float(np.exp(-(epsilon**2) / (2 * coherence_length**2)))
@@ -170,7 +176,7 @@ def calibrate_phase(p_h: float, p_v: float) -> float:
     The argument is clamped within a 1e-9 margin; beyond that the inputs
     are inconsistent with the calibration model.
     """
-    arg = 2.0 * (p_h - p_v)
-    if abs(arg) > 1.0 + 1e-9:
+    arg = 2.0 * (float(p_h) - float(p_v))  # Python floats: inf - inf is NaN, no warning
+    if not abs(arg) <= 1.0 + 1e-9:  # also NaN
         raise ValueError(f"2(P_H - P_V) = {arg:.6g} lies outside [-1, 1]: bad calibration data")
     return float(np.arccos(np.clip(arg, -1.0, 1.0)))

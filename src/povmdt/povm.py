@@ -219,6 +219,8 @@ def make_parametric_element(theta: float, eta: float, e01: complex) -> np.ndarra
     """
     if not 0 < eta <= 1:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
+    if not (np.isfinite(theta) and np.isfinite(e01)):
+        raise ValueError(f"theta and e01 must be finite, got {theta} and {e01}")
     c, s = np.cos(theta), np.sin(theta)
     bound = abs(c * s)
     if abs(e01) > bound + 1e-12:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,118 @@ class TestConfigParsing:
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+SIC = {"source": "builtin:sic"}
+INF, NAN = float("inf"), float("nan")
+
+
+def without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+def sweep_config(**sweep):
+    return dict(BASE_SCAN, sweep=dict({"axis": "g", "grid": [0.25], "trials": 10}, **sweep))
+
+
+@pytest.mark.parametrize("command, data, message", [
+    # blocks and keys
+    ("oracle-check", {"povm": [1]}, "povm: expected a mapping, got list"),
+    ("oracle-check", {"povm": {}}, "povm: missing required key(s) ['source']"),
+    ("scan", dict(BASE_SCAN, entry={"j": "a", "k": 0}), "entry.j: expected a number, got 'a'"),
+    # missing blocks
+    ("oracle-check", None, "povm: block is required for this command"),
+    ("scan", without(BASE_SCAN, "shots"), "shots: block is required for this command"),
+    # POVM sources
+    ("oracle-check", {"povm": {"source": "file", "path": "missing.json"}},
+     "povm.path: file not found: missing.json"),
+    ("oracle-check", {"povm": {"source": "sic"}},
+     "povm.source: expected one of ('builtin:sic', 'random', 'file', 'walk'), got 'sic'"),
+    ("oracle-check", {"povm": {"source": "random", "outcomes": 3}},
+     "povm.d: required for source 'random'"),
+    ("oracle-check", {"povm": {"source": "file"}}, "povm.path: required (string) for source 'file'"),
+    ("oracle-check", {"povm": {"source": "walk"}},
+     "povm.unitary: required (string) for source 'walk'"),
+    # noise
+    ("scan", dict(BASE_SCAN, noise={"type": "thermal"}),
+     "noise.type: expected one of ('dephasing', 'rotation'), got 'thermal'"),
+    ("scan", dict(BASE_SCAN, noise={"type": "dephasing"}),
+     "noise: dephasing needs either an xi grid or an epsilon grid"),
+    ("scan", dict(BASE_SCAN, noise={"type": "rotation"}),
+     "noise: rotation needs a phi grid (units of pi)"),
+    # other keys
+    ("variance-sweep", sweep_config(axis="eta"),
+     "sweep.axis: expected one of ('g', 'theta', 'xi', 'phi'), got 'eta'"),
+    ("oracle-check", {"povm": SIC, "output": {"dir": 3}}, "output.dir: expected a string path"),
+    ("oracle-check", {"povm": SIC, "output": {"format": "xml"}},
+     "output.format: expected one of ('csv', 'json'), got 'xml'"),
+    ("oracle-check", {"povm": SIC, "tolerance": 0}, "tolerance: expected a positive number, got 0"),
+    ("oracle-check", {"povm": SIC, "tolerance": -1e-9},
+     "tolerance: expected a positive number, got -1e-09"),
+    # commands
+    ("scan", without(BASE_SCAN, "noise"), "scan requires a noise block"),
+    ("scan", without(BASE_SCAN, "entry"), "scan requires an entry block (one (j, k) slot)"),
+    ("variance-sweep", sweep_config(axis="xi", grid=[0.5]),
+     "sweep over xi/phi needs an entry block with a single l"),
+    ("calibrate", {"povm": SIC}, "calibrate requires a calibration (or noise) block"),
+], ids=["block-not-mapping", "missing-key", "non-number", "empty-file", "no-shots",
+        "povm-file-not-found", "povm-source", "random-without-d", "file-without-path",
+        "walk-without-unitary", "noise-type", "dephasing-without-grid", "rotation-without-phi",
+        "sweep-axis", "output-dir", "output-format", "tolerance-zero", "tolerance-negative",
+        "scan-without-noise", "scan-without-entry", "xi-sweep-all-outcomes",
+        "calibrate-without-block"])
+def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
+    """Each refusal of the config reader and of a command exits 2 with its
+    one message and writes nothing."""
+    monkeypatch.chdir(tmp_path)  # where a relative POVM path is not found
+    if data is None:
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("")
+    else:
+        cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("scan", dict(BASE_SCAN, shots={"n_per_setting": INF}),
+     "shots.n_per_setting: expected a finite number, got inf"),
+    ("scan", dict(BASE_SCAN, shots={"n_per_setting": NAN}),
+     "shots.n_per_setting: expected a finite number, got nan"),
+    ("variance-sweep", sweep_config(trials=INF), "sweep.trials: expected a finite number, got inf"),
+    ("oracle-check", {"povm": {"source": "random", "d": INF, "outcomes": 3}},
+     "povm.d: expected a finite number, got inf"),
+    ("calibrate", {"calibration": {"xi_grid": [0.5], "samples": INF}},
+     "calibration.samples: expected a finite number, got inf"),
+    ("calibrate", {"calibration": {"epsilon": [0, INF], "coherence_length": 120.0}},
+     "calibration.epsilon[1]: expected a finite number, got inf"),
+    ("calibrate", {"calibration": {"phase_inputs": [NAN]}},
+     "calibration.phase_inputs[0]: expected a finite number, got nan"),
+    ("scan", dict(BASE_SCAN, noise={"type": "rotation", "phi": [0.1, INF]}),
+     "noise.phi[1]: expected a finite number, got inf"),
+    ("variance-sweep", sweep_config(axis="theta", grid=[0.1, INF]),
+     "sweep.grid[1]: expected a finite number, got inf"),
+    ("variance-sweep", sweep_config(axis="theta", grid=[0.1], e01=[INF, 0]),
+     "sweep.e01[0]: expected a finite number, got inf"),
+    ("oracle-check", {"povm": SIC, "tolerance": INF}, "tolerance: expected a finite number, got inf"),
+    ("oracle-check", {"povm": SIC, "tolerance": NAN}, "tolerance: expected a finite number, got nan"),
+    ("oracle-check", {"povm": SIC, "coupling": {"g": 10 ** 400}},
+     f"coupling.g: expected a finite number, got {10 ** 400}"),
+], ids=["shots-inf", "shots-nan", "trials-inf", "povm-d-inf", "samples-inf", "epsilon-inf",
+        "phase-input-nan", "phi-inf", "theta-grid-inf", "e01-inf", "tolerance-inf",
+        "tolerance-nan", "g-past-any-float"])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, data, message):
+    """A non-finite number is refused where it enters, naming its key, before
+    numpy or int() sees it: exit 2, no warning, nothing written."""
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 class TestOracleCheckCommand:

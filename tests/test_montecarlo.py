@@ -175,6 +175,14 @@ class TestSampleCounts:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        elem = make_parametric_element(0.0, 0.5, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                EntryScenario(elem, 1, 0, np.pi / 4, scale=scale)
+
     def test_deterministic_summary(self):
         scn = point_x_scenario()
         shot = ShotModel(N_REF, "poisson", seed=13)

@@ -1,6 +1,7 @@
 """Dephasing, phase rotation, environment coupling and calibrations."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,14 @@ class TestSlotMapReference:
                                              r"element 0 is not Hermitian"):
             apply_phase_rotation(random_povm(2, 3, seed=4), np.nan, 1, 0)
 
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.float64(np.inf)])
+    def test_infinite_angle_refused_without_a_warning(self, phi):
+        message = rf"^phase rotation by phi={phi:g} of slot \(1, 0\): element 0 is not Hermitian"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                apply_phase_rotation(random_povm(2, 3, seed=4), phi, 1, 0)
+
 
 class TestTransformAlgebra:
     def test_dephasing_and_rotation_commute(self, sic):
@@ -289,6 +298,14 @@ class TestWavepacketOverlap:
         with pytest.raises(ValueError, match="positive"):
             wavepacket_overlap(10.0, 0.0)
 
+    @pytest.mark.parametrize("epsilon, length", [(np.inf, 120.0), (np.nan, 120.0),
+                                                 (10.0, np.inf), (10.0, np.nan)])
+    def test_non_finite_refused(self, epsilon, length):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                wavepacket_overlap(epsilon, length)
+
 
 class TestCalibrateXi:
     def test_unit_overlap_sampled(self):
@@ -319,6 +336,14 @@ class TestCalibratePhase:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="calibration"):
             calibrate_phase(1.0, -0.2)
+
+    @pytest.mark.parametrize("p_h, p_v", [(np.nan, 0.5), (0.5, np.nan), (np.inf, np.inf),
+                                          (np.float64(np.inf), np.float64(np.inf))])
+    def test_non_finite_refused(self, p_h, p_v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bad calibration data"):
+                calibrate_phase(p_h, p_v)
 
 
 class TestEnvironmentValidation:

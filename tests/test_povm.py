@@ -1,6 +1,7 @@
 """POVM containers, constructors, the entry oracle and serialization."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestParametricElement:
     def test_eta_range(self):
         with pytest.raises(ValueError, match="eta"):
             make_parametric_element(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("theta, e01", [(np.inf, 0.0), (np.nan, 0.0), (0.5, np.nan),
+                                            (0.5, complex(0.0, np.inf))])
+    def test_non_finite_refused_before_numpy_warns(self, theta, e01):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta and e01 must be finite"):
+                make_parametric_element(theta, 0.5, e01)
 
 
 class TestWalkExtraction:
