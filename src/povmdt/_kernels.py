@@ -55,18 +55,19 @@ Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
 trials.  Each task draws one chunk of every outcome of a study (the one
 input of :func:`trial_estimates` is a stack of outcomes with a seed each:
 one outcome for ``run_trials``, every outcome of a POVM for
-``refinement_trials``), turns the chunk's estimates into per-row
-moments (count, mean and the sum of squared deviations) and drops them; the
-kernel merges the chunks' moments in chunk order with the pairwise update of
-Chan, Golub and LeVeque (1979).  So peak memory is O(WORKERS x
-CHUNK_TRIALS), not O(trials): what grows with the trial count is a few
-floats per chunk.  Chunk ``c`` of an outcome draws from its own PCG64
-stream, seeded by ``SeedSequence(seed, spawn_key=(c,))``, the ``c``-th
-spawned child of the outcome's seed.  The chunks of a study run on one pool
-of up to ``WORKERS`` threads (numpy's samplers release the GIL), one task
-per chunk, so a study of one chunk runs on one thread; because every
-outcome's chunk owns its stream and the merge order is fixed, the moments
-depend neither on the number of threads nor on the stacking.
+``refinement_trials``), reduces the chunk's estimates to moments across
+the outcomes (count, means and co-moments) and drops them; the kernel
+merges the chunks' moments in chunk order with the pairwise update of Chan,
+Golub and LeVeque (1979), which extends to co-moments (Pebay 2008).  So
+peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials): what grows with
+the trial count is a few floats per chunk.  Chunk ``c`` of an outcome
+draws from its own PCG64 stream, seeded by ``SeedSequence(seed,
+spawn_key=(c,))``, the ``c``-th spawned child of the outcome's seed.  The
+chunks of a study run on one pool of up to ``WORKERS`` threads (numpy's
+samplers release the GIL), one task per chunk, so a study of one chunk runs
+on one thread; because every outcome's chunk owns its stream and the merge
+order is fixed, the moments depend neither on the number of threads nor on
+the stacking.
 """
 
 from __future__ import annotations
@@ -310,42 +311,47 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
 
 
 def moments(x):
-    """``(count, mean, m2)`` of each row of ``x`` along its last axis, with
-    ``m2`` the sum of squared deviations from the mean; ``x`` has at least
-    one column, and is overwritten with the squared deviations."""
+    """``(count, mean, m2)`` of the rows of ``x``, (..., rows, size) with at
+    least one column: the means along the last axis and the (..., rows,
+    rows) co-moments, sums of products of two rows' deviations.  One row
+    multiplies at a time, so no temporary outgrows ``x`` and a diagonal entry
+    sums a row's squares as a per-row reduction does (a matrix product would
+    not).  ``x`` is overwritten with the deviations."""
     mean = x.mean(axis=-1)
     x -= mean[..., None]
-    x *= x
-    return x.shape[-1], mean, x.sum(axis=-1)
+    m2 = np.stack([(x * x[..., l : l + 1, :]).sum(axis=-1) for l in range(x.shape[-2])], -1)
+    return x.shape[-1], mean, m2
 
 
 def merge_moments(a, b):
     """The :func:`moments` of two samples' rows taken together (Chan, Golub
-    and LeVeque 1979)."""
+    and LeVeque 1979; for co-moments, Pebay 2008)."""
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
     count = na + nb
     delta = mean_b - mean_a
-    return count, mean_a + delta * (nb / count), m2_a + m2_b + delta * delta * (na * nb / count)
+    outer = delta[..., :, None] * delta[..., None, :]
+    return count, mean_a + delta * (nb / count), m2_a + m2_b + outer * (na * nb / count)
 
 
-def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson", extra_rows=None):
-    """Sample means and variances of the estimates ``sum_c w_c N_c / n`` over
-    ``trials`` trials, as two (rows, outcomes) arrays ``(mean, var)``.
+def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
+    """Sample means and covariances of the estimates ``sum_c w_c N_c / n``
+    over ``trials`` trials: a (2, outcomes) array of means and a (2,
+    outcomes, outcomes) array of covariances across the outcomes, for the
+    (re, im) components.
 
     ``cells`` is an (outcomes, settings, 4) stack of exact, non-negative
     joint probabilities, with one int seed per outcome in ``seeds``, and
     ``w_re``/``w_im`` the flat cell weights shared by every outcome, as the
-    caller scales them.  The rows are (re, im), then the moments of the
-    further (outcomes, size) rows that ``extra_rows``, if given, makes in
-    each chunk's task from the chunk's (2, outcomes, size) estimates.  The
-    variance is the unbiased one, NaN below two trials, and the mean is NaN
-    for no trials; a negative trial count is refused.
+    caller scales them.  The covariances are the unbiased ones, symmetric
+    bit for bit, and NaN below two trials; the means are NaN for no trials.
+    A negative trial count is refused.
 
-    The moments do not depend on ``WORKERS``, and an outcome's column is
-    that of a stack of it alone.  The tables do not depend on ``trials``,
-    so the whole chunks of a shorter call are the first chunks of a longer
-    one.  Multinomial statistics refuse a setting whose cells sum above 1.
+    The moments do not depend on ``WORKERS``, and an outcome's mean and
+    variance are those of a stack of it alone.  The tables do not depend
+    on ``trials``, so the whole chunks of a shorter call are the first
+    chunks of a longer one.  Multinomial statistics refuse a setting whose
+    cells sum above 1.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -353,11 +359,9 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson", e
     seeds = list(seeds)
     if len(seeds) != len(stack):
         raise ValueError(f"{len(seeds)} seeds for {len(stack)} outcomes")
+    outcomes = len(stack)
     if trials == 0:  # nothing to draw: skip the grouping, the costly step here
-        est = np.empty((2, len(stack), 0))
-        rows = 2 + (len(list(extra_rows(est))) if extra_rows else 0)
-        mean = var = np.full((rows, len(stack)), np.nan)
-        return mean, var
+        return np.full((2, outcomes), np.nan), np.full((2, outcomes, outcomes), np.nan)
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
     groups = group_cells(stack, w_re, w_im, statistics)
     tables = [count_tables(block, prob, n, statistics) for block, prob, _ in groups]
@@ -369,24 +373,21 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson", e
 
     def chunk_moments(c):
         """The moments of chunk c, every outcome drawn from its own stream."""
-        est = np.empty((2, len(stack), min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)))
+        est = np.empty((2, outcomes, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)))
         for l, (block, prob, weights) in enumerate(groups):
             rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
             counts = draw_counts(rng, est.shape[-1], block, prob, n, statistics, tables[l])
             est[:, l] = (counts @ weights).T
         est /= n
-        # each extra row is reduced before the next one is made
-        extra = [moments(row[None]) for row in extra_rows(est)] if extra_rows else []
-        size, mean, m2 = moments(est)  # after the extra rows: it overwrites est
-        return (size, np.concatenate([mean, *(part[1] for part in extra)]),
-                np.concatenate([m2, *(part[2] for part in extra)]))
+        return moments(est)
 
     chunks = -(-trials // CHUNK_TRIALS)
     workers = max(1, min(WORKERS, chunks))
 
     def in_chunk_order(pool):
         """The chunks' moments, with at most ``2 * workers`` chunks drawn
-        ahead of the merge."""
+        ahead of the merge: ``pool.map`` submits every chunk at once, and its
+        futures grow a long study's peak memory with the chunk count."""
         pending = deque()
         for c in range(chunks):
             pending.append(pool.submit(chunk_moments, c))
@@ -397,5 +398,5 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson", e
 
     with ThreadPoolExecutor(workers) as pool:
         _, mean, m2 = reduce(merge_moments, in_chunk_order(pool))
-    var = m2 / (trials - 1) if trials > 1 else np.full(m2.shape, np.nan)
-    return mean, var
+    cov = m2 / (trials - 1) if trials > 1 else np.full(m2.shape, np.nan)
+    return mean, cov

@@ -8,8 +8,9 @@ dotted path of the offending key.
 Every number enters through one reader, :func:`_real`, which refuses a
 non-number, a non-finite value, a non-integer where an integer is meant and
 a non-positive value where a positive one is.  :func:`_number` reads one
-key of a block through it, :func:`_number_list` a list and :func:`_seed` a
-seed; :func:`_choice` reads a key that takes one of a fixed set of values.
+key of a block through it, an integer one within int64, :func:`_number_list`
+a list and :func:`_seed` a seed, any non-negative integer; :func:`_choice`
+reads a key that takes one of a fixed set of values.
 
 This is the only module that reads the block formats.  Noise and
 calibration grids are resolved here into ``(axis, axis_value, param)``
@@ -36,6 +37,7 @@ NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
 CALIBRATION_SAMPLES = 100000  # calibration.samples, also when calibrate has no such block
 _FLOAT_MAX = sys.float_info.max
+_INT64_MAX = 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -77,7 +79,10 @@ def _number(block: dict, path: str, key: str, default=None, integer=False, posit
     """``block[key]`` read by :func:`_real`, or ``default`` if absent."""
     if key not in block:
         return default
-    return _real(block[key], f"{path}.{key}", integer, positive, scale)
+    value = _real(block[key], f"{path}.{key}", integer, positive, scale)
+    if integer and abs(value) > _INT64_MAX:  # numpy takes a count or an index as a C long
+        raise ConfigError(f"{path}.{key}: expected an integer in the int64 range, got {value!r}")
+    return value
 
 
 def _seed(value, path: str) -> int:

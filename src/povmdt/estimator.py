@@ -276,23 +276,17 @@ def _require_outcomes(count: int) -> None:
 
 
 def _refine_arrays(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mix each outcome's values with their sum-rule complement.
+    """Mix each outcome's value with its sum-rule complement.
 
-    ``variances`` is (outcomes,) or (points, outcomes): the variance of each
-    outcome's values, refined point by point.  ``values`` has the shape of
-    ``variances``, or further axes after it (the trials of the kernel's
-    rows) that share each outcome's variance.  Outcome l's complement is
-    minus the sum of the other outcomes' values, with the sum of their
-    variances; the two are mixed with inverse-variance weights.  Returns the
-    refined values and their variances.
+    ``values`` and ``variances`` are (outcomes,) or (points, outcomes),
+    refined point by point.  Outcome l's complement is minus the sum of the
+    other outcomes' values, with the sum of their variances; the two are
+    mixed with inverse-variance weights.  Returns the refined values and
+    their variances.
     """
     comp_var = variances.sum(axis=-1, keepdims=True) - variances
     w = (1 / variances) / (1 / variances + 1 / comp_var)
     wc = 1.0 - w
-    across = w.shape + (1,) * (values.ndim - w.ndim)
-    # in place, to hold two values-sized temporaries rather than five; the
-    # complement is -(sum - own)
-    refined = values - values.sum(axis=w.ndim - 1, keepdims=True)
-    refined *= wc.reshape(across)
-    refined += w.reshape(across) * values
+    # the complement is -(sum - own)
+    refined = (values - values.sum(axis=-1, keepdims=True)) * wc + w * values
     return refined, w * wc * (variances + comp_var)

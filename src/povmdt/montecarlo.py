@@ -21,7 +21,6 @@ from .estimator import (
     EntryEstimate,
     RtCoefficients,
     _clip_once,
-    _refine_arrays,
     _require_outcomes,
     analytic_variance,
     completeness_refine,
@@ -209,14 +208,14 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     j, k, scale = scenario.j, scenario.k, scenario.scale
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
                                lambda i: f"entry ({j}, {k})", shot.statistics)
-    mean, var = _kernels.trial_estimates(
+    mean, cov = _kernels.trial_estimates(
         cells.flat.reshape(1, 9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
         shot.n_per_setting, trials, [shot.seed], shot.statistics,
     )
     return TrialSummary(
         mean=complex(*mean[:, 0].tolist()),
-        sample_var_re=float(var[0, 0]),
-        sample_var_im=float(var[1, 0]),
+        sample_var_re=float(cov[0, 0, 0]),
+        sample_var_im=float(cov[1, 0, 0]),
         predicted_var=float(vr[0] / scale**2 + vi[0] / scale**2),
         trials=trials,
     )
@@ -316,23 +315,23 @@ def refinement_trials(
         for lab, value, vr, vi in zip(labels, truths.tolist(), var_re.tolist(), var_im.tolist())
     }
 
-    def refined(est):
-        """A chunk's refined re and im rows, one at a time, with the weights
-        fixed at the predicted variances."""
-        return (_refine_arrays(x, predicted)[0] for x, predicted in zip(est, (var_re, var_im)))
-
-    _, var = _kernels.trial_estimates(
-        cells.flat.reshape(-1, 9, 4), coeffs.cell_re, coeffs.cell_im, n, trials, seeds.tolist(),
-        shot.statistics, extra_rows=refined,
-    )
+    _, cov = _kernels.trial_estimates(cells.flat.reshape(-1, 9, 4), coeffs.cell_re,
+                                      coeffs.cell_im, n, trials, seeds.tolist(), shot.statistics)
+    # the refinement is x_l -> x_l - wc_l sum_u x_u, wc = v / sum v: over the raw
+    # covariance C, its sample variance is C_ll - 2 wc_l (C1)_l + wc_l^2 1'C1
+    predicted = np.stack([var_re, var_im])
+    wc = predicted / predicted.sum(axis=-1, keepdims=True)
+    row_sums = cov.sum(axis=-1)
+    raw_var = np.diagonal(cov, axis1=-2, axis2=-1)
+    refined_var = raw_var - 2 * wc * row_sums + wc**2 * row_sums.sum(axis=-1, keepdims=True)
 
     refined_est = {
         lab: EntryEstimate(value, vr, vi, n, "refined")
         for lab, value, vr, vi in zip(labels, *(
             column.tolist() for column in completeness_refine(truths, var_re, var_im)))
     }
-    raw_sv = {lab: (float(var[0, i]), float(var[1, i])) for i, lab in enumerate(labels)}
-    ref_sv = {lab: (float(var[2, i]), float(var[3, i])) for i, lab in enumerate(labels)}
+    raw_sv = dict(zip(labels, zip(*raw_var.tolist())))
+    ref_sv = dict(zip(labels, zip(*refined_var.tolist())))
     return RefinementStudy(
         tuple(labels), raw_est, refined_est, raw_sv, ref_sv, trials
     )

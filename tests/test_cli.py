@@ -346,12 +346,17 @@ def sweep_config(**sweep):
     ("variance-sweep", sweep_config(axis="xi", grid=[0.5]),
      "sweep over xi/phi needs an entry block with a single l"),
     ("calibrate", {"povm": SIC}, "calibrate requires a calibration (or noise) block"),
+    # integers past numpy's C long
+    ("calibrate", {"calibration": {"xi_grid": [0.5], "samples": 10**29}},
+     f"calibration.samples: expected an integer in the int64 range, got {10**29}"),
+    ("scan", dict(BASE_SCAN, shots={"n_per_setting": 10**29}),
+     f"shots.n_per_setting: expected an integer in the int64 range, got {10**29}"),
 ], ids=["block-not-mapping", "missing-key", "non-number", "empty-file", "no-shots",
         "povm-file-not-found", "povm-source", "random-without-d", "file-without-path",
         "walk-without-unitary", "noise-type", "dephasing-without-grid", "rotation-without-phi",
         "sweep-axis", "output-dir", "output-format", "tolerance-zero", "tolerance-negative",
         "scan-without-noise", "scan-without-entry", "xi-sweep-all-outcomes",
-        "calibrate-without-block"])
+        "calibrate-without-block", "samples-past-int64", "shots-past-int64"])
 def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
     """Each refusal of the config reader and of a command exits 2 with its
     one message and writes nothing."""

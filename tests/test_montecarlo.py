@@ -44,9 +44,9 @@ def point_x_scenario():
 
 def one_outcome(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     """The trial kernel's (re, im) means and variances for one outcome's
-    (settings, 4) cells and seed: column 0 of its stack of one."""
-    mean, var = _kernels.trial_estimates(cells[None], w_re, w_im, n, trials, [seed], statistics)
-    return mean[:, 0], var[:, 0]
+    (settings, 4) cells and seed: outcome 0 of its stack of one."""
+    mean, cov = _kernels.trial_estimates(cells[None], w_re, w_im, n, trials, [seed], statistics)
+    return mean[:, 0], cov[:, 0, 0]
 
 
 @pytest.fixture
@@ -150,11 +150,11 @@ class TestSampleCounts:
         counts = sample_counts(tables, ShotModel(1000, "multinomial", seed=1)) * 1000
         assert counts[4].sum() <= 1000
         coeffs = rt_coefficients(2, np.pi / 4)
-        mean, var = _kernels.trial_estimates(
+        mean, cov = _kernels.trial_estimates(
             tables.reshape(1, 9, 4), coeffs.cell_re, coeffs.cell_im, 1000, 10, [1], "multinomial"
         )
-        assert mean.shape == var.shape == (2, 1)
-        assert np.isfinite(mean).all() and np.isfinite(var).all()
+        assert mean.shape == (2, 1) and cov.shape == (2, 1, 1)
+        assert np.isfinite(mean).all() and np.isfinite(cov).all()
 
     def test_deterministic(self, sic_tables):
         shot = ShotModel(5000, "poisson", seed=77)
@@ -351,10 +351,10 @@ class TestTrialKernel:
             _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 10, [1], "multinomial")
         # a total above 1 by rounding only is accepted
         cells[4] *= (1 + 1e-12) / cells[4].sum()
-        mean, var = _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 10, [1],
+        mean, cov = _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 10, [1],
                                              "multinomial")
-        assert mean.shape == var.shape == (2, 1)
-        assert np.isfinite(mean).all() and np.isfinite(var).all()
+        assert mean.shape == (2, 1) and cov.shape == (2, 1, 1)
+        assert np.isfinite(mean).all() and np.isfinite(cov).all()
 
     @staticmethod
     def direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c):
@@ -382,12 +382,12 @@ class TestTrialKernel:
         tail = self.direct_chunk(cells, w_re, w_im, 2000, chunk + 3, 9, statistics, 1)
         assert tail.shape == (2, 3)
         assert not np.array_equal(tail, first[:, :3])
-        first = _kernels.moments(first)
-        np.testing.assert_array_equal(short[0], first[1])
-        np.testing.assert_array_equal(short[1], first[2] / (chunk - 1))
-        _, mean, m2 = _kernels.merge_moments(first, _kernels.moments(tail))
-        np.testing.assert_array_equal(long[0], mean)
-        np.testing.assert_array_equal(long[1], m2 / (chunk + 2))
+        first = _kernels.moments(first[:, None])
+        np.testing.assert_array_equal(short[0], first[1][:, 0])
+        np.testing.assert_array_equal(short[1], first[2][:, 0, 0] / (chunk - 1))
+        _, mean, m2 = _kernels.merge_moments(first, _kernels.moments(tail[:, None]))
+        np.testing.assert_array_equal(long[0], mean[:, 0])
+        np.testing.assert_array_equal(long[1], m2[:, 0, 0] / (chunk + 2))
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_output_independent_of_thread_count(self, statistics, monkeypatch):
@@ -416,11 +416,11 @@ class TestTrialKernel:
             child = np.random.SeedSequence(seed, spawn_key=(c,))
             assert (child.generate_state(4) == children[c].generate_state(4)).all()
             parts.append(_kernels.moments(
-                self.direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c)))
+                self.direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c)[:, None]))
         count, direct_mean, m2 = functools.reduce(_kernels.merge_moments, parts)
         assert count == trials
-        np.testing.assert_array_equal(mean, direct_mean)
-        np.testing.assert_array_equal(var, m2 / (trials - 1))
+        np.testing.assert_array_equal(mean, direct_mean[:, 0])
+        np.testing.assert_array_equal(var, m2[:, 0, 0] / (trials - 1))
 
     #: Moments of the kernel and of refinement_trials over more than one
     #: chunk, from the current many-trial stream: a change that alters the
@@ -594,11 +594,38 @@ class TestTrialKernel:
         args = (coeffs.cell_re, coeffs.cell_im, 3000, trials)
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "WORKERS", workers)
-            mean, var = _kernels.trial_estimates(cells, *args, seeds, statistics)
-            assert mean.shape == var.shape == (2, 5)
+            mean, cov = _kernels.trial_estimates(cells, *args, seeds, statistics)
+            assert mean.shape == (2, 5) and cov.shape == (2, 5, 5)
             for l, seed in enumerate(seeds):
                 one_mean, one_var = one_outcome(cells[l], *args, seed, statistics)
-                assert (mean[:, l] == one_mean).all() and (var[:, l] == one_var).all()
+                assert (mean[:, l] == one_mean).all() and (cov[:, l, l] == one_var).all()
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_covariance_cross_terms(self, statistics, monkeypatch):
+        """An outcome stacked twice with one seed covaries with its copy
+        exactly as with itself, the covariance is symmetric bit for bit, and
+        an independently drawn outcome is uncorrelated within 4 / sqrt(trials);
+        whatever the number of threads."""
+        povm = random_povm(2, 3, seed=9)
+        coeffs = rt_coefficients(2, 0.6)
+        cells = nonnegative_cells(exact_entry_tables(
+            povm.elements, 1, 0, CouplingConfig.symmetric(0.6))).reshape(3, 9, 4)
+        trials = 2 * _kernels.CHUNK_TRIALS + 7
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "WORKERS", workers)
+            mean, cov = _kernels.trial_estimates(cells[[0, 0, 1]], coeffs.cell_re, coeffs.cell_im,
+                                                 3000, trials, [8, 8, 5], statistics)
+            assert mean.shape == (2, 3) and cov.shape == (2, 3, 3)
+            assert (mean[:, 0] == mean[:, 1]).all()
+            assert (cov[:, 0, 1] == cov[:, 0, 0]).all()
+            assert (cov == cov.transpose(0, 2, 1)).all()
+            corr = cov[:, 0, 2] / np.sqrt(cov[:, 0, 0] * cov[:, 2, 2])
+            assert (np.abs(corr) < 4 / np.sqrt(trials)).all(), corr
+            runs.append((mean, cov))
+        for mean, cov in runs[1:]:
+            np.testing.assert_array_equal(mean, runs[0][0])
+            np.testing.assert_array_equal(cov, runs[0][1])
 
     def test_two_chunk_stack_uses_every_thread(self, monkeypatch):
         """Each chunk is its own task: the two chunks of a four-outcome stack
@@ -613,8 +640,9 @@ class TestTrialKernel:
 
         monkeypatch.setattr(_kernels, "draw_counts", draw_in_pairs)
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
-        mean, var = _kernels.trial_estimates(np.stack([cells] * 4), w_re, w_im, N_REF,
+        mean, cov = _kernels.trial_estimates(np.stack([cells] * 4), w_re, w_im, N_REF,
                                              2 * _kernels.CHUNK_TRIALS, [1, 2, 3, 4])
+        var = np.diagonal(cov, axis1=1, axis2=2)
         assert np.isfinite(var).all() and len(set(var[0].tolist())) == 4
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
@@ -643,13 +671,13 @@ class TestTrialKernel:
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean, var = _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 0, [5],
+            mean, cov = _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, 0, [5],
                                                  statistics)
-            stack_mean, stack_var = _kernels.trial_estimates(
+            stack_mean, stack_cov = _kernels.trial_estimates(
                 np.stack([cells] * 3), w_re, w_im, N_REF, 0, [5, 6, 7], statistics)
-        assert mean.shape == var.shape == (2, 1)
-        assert stack_mean.shape == stack_var.shape == (2, 3)
-        for x in (mean, var, stack_mean, stack_var):
+        assert mean.shape == (2, 1) and cov.shape == (2, 1, 1)
+        assert stack_mean.shape == (2, 3) and stack_cov.shape == (2, 3, 3)
+        for x in (mean, cov, stack_mean, stack_cov):
             assert np.isnan(x).all()
 
     @staticmethod
@@ -807,10 +835,10 @@ class TestInvertedDraws:
         tables = _kernels.count_tables(block, prob, N_REF, "poisson")
         assert all(t is not None and t[1].size > 300 for t in tables)
         direct = TestTrialKernel.direct_chunk(cells, w_re, w_im, N_REF, 300, 6, "poisson", 0)
-        _, mean, m2 = _kernels.moments(direct)
+        _, mean, m2 = _kernels.moments(direct[:, None])
         got_mean, got_var = one_outcome(cells, w_re, w_im, N_REF, 300, 6)
-        np.testing.assert_array_equal(got_mean, mean)
-        np.testing.assert_array_equal(got_var, m2 / 299)
+        np.testing.assert_array_equal(got_mean, mean[:, 0])
+        np.testing.assert_array_equal(got_var, m2[:, 0, 0] / 299)
 
     def test_chain_after_inverted_first_group(self):
         """A setting whose first group is inverted and whose later groups
@@ -985,6 +1013,33 @@ class TestRefinementTrials:
             assert ref_tot < raw_tot
             pred_ratio = study.refined[lab].total_variance / study.raw[lab].total_variance
             assert abs(ref_tot / raw_tot - pred_ratio) < 0.1
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_refined_sample_variance_is_the_per_trial_one(self, statistics):
+        """The refined sample variances are those of refining every trial,
+        drawn chunk by chunk outside the kernel, with the weights fixed at
+        the predicted variances, within 1e-12 relative; the raw ones are
+        numpy's var(ddof=1) of the same draws."""
+        povm, j, k, g = random_povm(2, 4, seed=14), 1, 0, 0.6
+        shot = ShotModel(3000, statistics, seed=23)
+        trials = 2 * _kernels.CHUNK_TRIALS + 7
+        study = refinement_trials(povm, j, k, g, shot, trials)
+        coeffs = rt_coefficients(2, g)
+        cells, var_re, var_im = montecarlo.exact_slot(povm.elements, j, k, coeffs, 3000, str,
+                                                      statistics)
+        seeds = np.random.SeedSequence(shot.seed).generate_state(len(povm)).tolist()
+        est = np.stack([
+            np.concatenate([TestTrialKernel.direct_chunk(
+                one, coeffs.cell_re, coeffs.cell_im, 3000, trials, seed, statistics, c)
+                for c in range(3)], axis=1)
+            for one, seed in zip(cells.flat.reshape(-1, 9, 4), seeds)], axis=1)
+        # each trial's (re, im) column x refined to x_l - (v_l / sum v) sum_u x_u
+        predicted = np.stack([var_re, var_im])[..., None]
+        wc = predicted / predicted.sum(axis=1, keepdims=True)
+        refined = est - wc * est.sum(axis=1, keepdims=True)
+        for want, got in [(est, study.raw_sample_var), (refined, study.refined_sample_var)]:
+            np.testing.assert_allclose([got[lab] for lab in study.labels],
+                                       want.var(axis=-1, ddof=1).T, rtol=1e-12, atol=0)
 
     def test_clips_the_stack_once(self, monkeypatch):
         """The variance and every outcome's trials share one clip of the
