@@ -25,17 +25,22 @@ its predicted shot-noise variance.
 (L, 9, 2, 2) stack of them, and return one value per outcome for a
 stack, of the raw entry (studies normalize by ``EntryScenario.scale``).
 Each outcome's 36-cell contraction is one 1-D dot product: one outcome's
-estimate takes it directly, a stack and every variance as one batched
-``np.matmul`` of (1, 36) rows with a (36, 1) column, which numpy runs as
-that dot for each outcome, so a stack equals its per-outcome calls bit
-for bit.  A single (L, 36) @ (36,) product would sum in another order and
-move the last ulp.
+estimate takes it directly as ``np.dot`` of two 36-vectors (BLAS ddot), a
+stack and every variance as one batched ``np.matmul`` of (1, 36) rows with
+a (36, 1) column, which numpy runs as that dot for each outcome, so a stack
+equals its per-outcome calls bit for bit.  A single (L, 36) @ (36,) product
+would sum in another order and move the last ulp.
+
+The weights depend only on (d, g), so :func:`rt_coefficients` is memoized
+and equal calls share one read-only result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -63,12 +68,23 @@ class RtCoefficients:
     cell_im: np.ndarray = field(repr=False)
 
 
+@lru_cache(maxsize=256)
 def rt_coefficients(d: int, g: float) -> RtCoefficients:
-    """Weights for system dimension d and coupling strength g in (0, pi/2)."""
+    """Weights for integral system dimension d and coupling strength g in
+    (0, pi/2).
+
+    Memoized on (d, g): equal calls return the same immutable
+    :class:`RtCoefficients`, which holds ``int(d)`` and ``float(g)``
+    whatever the types of the first call's keys.
+    """
     if not 0.0 < g < math.pi / 2:
         raise ValueError(f"coupling strength g={g!r} must lie strictly inside (0, pi/2)")
+    # an integral float is accepted: it would hit the memo of its equal int
+    if isinstance(d, (bool, np.bool_)) or not (isinstance(d, Real) and float(d).is_integer()):
+        raise ValueError(f"system dimension must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"system dimension must be >= 2, got {d}")
+    d, g = int(d), float(g)
     alpha = 1.0 / (4 * math.cos(g) ** 2)
     beta = 1.0 / (4 * math.sin(g) * math.cos(g))
     gamma = 2 * alpha
@@ -92,12 +108,19 @@ def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
     """The 36 cells of the (9, 2, 2) W tables, or (L, 36) for an
     (L, 9, 2, 2) stack, with rounding negatives set to 0.
 
-    A cell below -1e-9 is no rounding error and is refused.  Cells already
+    A cell below -1e-9 is no rounding error and is refused, and so is a
+    NaN or infinite cell, which would pass that check.  Cells already
     checked and clipped by :func:`_clip_once` are returned as they are.
     """
     if isinstance(tables, _ClippedCells):
         return tables.flat
     flat = _cells(tables)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        row, cell = divmod(first, N_CELLS)
+        where = f"cell {cell}" if flat.ndim == 1 else f"outcome {row}, cell {cell}"
+        raise ValueError(f"non-finite probability cell: {flat.flat[first]} ({where})")
     if flat.min() < -1e-9:
         raise ValueError(f"negative probability cell: {flat.min():.3e}")
     return np.maximum(flat, 0.0)
@@ -158,7 +181,7 @@ def estimate_from_tables(tables: np.ndarray, coeffs: RtCoefficients):
     (L, 9, 2, 2) stack."""
     flat = _cells(tables)
     if flat.ndim == 1:
-        return complex(coeffs.cell_re @ flat, coeffs.cell_im @ flat)
+        return complex(np.dot(coeffs.cell_re, flat), np.dot(coeffs.cell_im, flat))
     values = np.empty(len(flat), dtype=complex)
     values.real = _dot(flat, coeffs.cell_re)
     values.imag = _dot(flat, coeffs.cell_im)

@@ -284,4 +284,4 @@ def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int) -> complex:
     if not 0 <= j < d or not 0 <= k < d:
         raise IndexError(f"entry indices ({j}, {k}) out of range for dimension {d}")
     # adding 0j turns a signed zero into +0.0, so no artifact shows "-0.0"
-    return complex(e[j, k]) + 0j
+    return e.item(j, k) + 0j

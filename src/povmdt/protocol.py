@@ -32,7 +32,9 @@ The exact pipeline also takes a stack of elements: :func:`reduced_meter_operator
 :func:`meter_tables` and :func:`exact_entry_tables` map one (d, d) element to
 one result and an (L, d, d) stack to L results along a leading outcome axis,
 (L, 9, 2, 2) for the tables.  Each outcome's arithmetic is the same either
-way, so a stacked call equals the per-element calls bit for bit.
+way, so a stacked call equals the per-element calls bit for bit: one element
+is one 1-D ``np.dot`` with the effects, a stack one batched ``np.matmul`` of
+(1, 2d^2) rows, and numpy runs both as the same BLAS gemv per element.
 
 Each cell is linear in the element, W_c = sum_st Pi_l[s, t] A_c[s, t], with
 the cell effect A_c[s, t] = Tr[(|t><s| (x) M_c) rho_J].  A :class:`JointState`
@@ -78,6 +80,8 @@ CELL_PROJECTORS = np.array([
     for n in range(2)
 ])
 CELL_PROJECTORS.setflags(write=False)
+
+_FLOAT64 = np.dtype(np.float64)
 
 #: Post-selection probabilities at or below this are refused as dead.
 P_FLOOR = 1e-14
@@ -224,10 +228,11 @@ def _elements(pi_l, d: int | None = None) -> np.ndarray:
     """One (d, d) element or an (L, d, d) stack of them, as complex; of system
     dimension ``d`` when it is given."""
     pi = np.asarray(pi_l, dtype=complex)
-    if pi.ndim not in (2, 3) or pi.shape[-1] != pi.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {pi.shape}")
-    if d is not None and pi.shape[-1] != d:
-        raise ValueError(f"element dimension {pi.shape[-1]} != system dimension {d}")
+    shape = pi.shape
+    if len(shape) not in (2, 3) or shape[-1] != shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {shape}")
+    if d is not None and shape[-1] != d:
+        raise ValueError(f"element dimension {shape[-1]} != system dimension {d}")
     return pi
 
 
@@ -253,9 +258,12 @@ def meter_tables(js: JointState, pi_l: np.ndarray) -> np.ndarray:
     probability, not to 1.
     """
     pi = _elements(pi_l, js.system_dim)
+    if pi.ndim == 2:
+        return np.dot(pi.ravel().view(np.float64), js.effects).reshape(9, 2, 2)
     v = np.ascontiguousarray(pi).view(np.float64)
-    # one (1, 2d^2) @ (2d^2, 36) product per outcome, so that a stack equals its
-    # per-element calls bit for bit; an (L, 2d^2) GEMM may sum in another order
+    # one (1, 2d^2) @ (2d^2, 36) product per outcome, the gemv of the
+    # one-element np.dot, so that a stack equals its per-element calls bit for
+    # bit; an (L, 2d^2) GEMM may sum in another order
     w = np.matmul(v.reshape(-1, 1, v.shape[-2] * v.shape[-1]), js.effects)
     return w.reshape(pi.shape[:-2] + (9, 2, 2))
 
@@ -265,12 +273,21 @@ def _cells(tables) -> np.ndarray:
     :data:`CELL_PROJECTORS`, or (L, 36) for an (L, 9, 2, 2) stack; a view
     where the input allows one.
 
-    Tables may come from outside the package, so any other shape is refused.
+    Tables may come from outside the package, so any other shape is
+    refused, and so are complex tables, whose imaginary part a cast to float
+    would drop.
     """
-    w = np.asarray(tables, dtype=np.float64)
-    if w.ndim not in (3, 4) or w.shape[-3:] != (9, 2, 2):
-        raise ValueError(f"W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got {w.shape}")
-    return w.reshape(w.shape[:-3] + (36,))
+    w = np.asarray(tables)
+    if w.dtype != _FLOAT64:
+        if w.dtype.kind == "c":
+            raise ValueError(f"W tables must be real, got dtype {w.dtype}")
+        w = w.astype(np.float64)
+    shape = w.shape
+    if shape == (9, 2, 2):
+        return w.reshape(36)
+    if len(shape) != 4 or shape[1:] != (9, 2, 2):
+        raise ValueError(f"W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got {shape}")
+    return w.reshape(shape[0], 36)
 
 
 def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) -> np.ndarray:

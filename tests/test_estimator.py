@@ -1,5 +1,8 @@
 """Entry reconstruction, variance laws and the completeness refinement."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,46 @@ class TestRtCoefficients:
         with pytest.raises(ValueError, match="strictly inside"):
             rt_coefficients(2, np.pi / 2)
 
+    @pytest.mark.parametrize("d, g, message", [
+        (2, 0.0, "coupling strength g=0.0 must lie strictly inside (0, pi/2)"),
+        (2, np.pi / 2, f"coupling strength g={np.pi / 2!r} must lie strictly inside (0, pi/2)"),
+        (2, float("nan"), "coupling strength g=nan must lie strictly inside (0, pi/2)"),
+        (1, 0.6, "system dimension must be >= 2, got 1"),
+        (0, 0.6, "system dimension must be >= 2, got 0"),
+        (2.5, 0.6, "system dimension must be an integer, got 2.5"),
+        (np.float64(3.5), 0.6, "system dimension must be an integer, got np.float64(3.5)"),
+        (float("inf"), 0.6, "system dimension must be an integer, got inf"),
+        (True, 0.6, "system dimension must be an integer, got True"),
+        (np.True_, 0.6, "system dimension must be an integer, got np.True_"),
+        ("3", 0.6, "system dimension must be an integer, got '3'"),
+    ], ids=["g-0", "g-pi/2", "g-nan", "d-1", "d-0", "d-2.5", "d-np-3.5", "d-inf", "d-True",
+            "d-np-True", "d-str"])
+    def test_refusals_keep_their_messages(self, d, g, message):
+        """Each refusal raises ValueError with its message, on every call:
+        a refused call leaves nothing in the memo."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rt_coefficients(d, g)
+
+    def test_memoized_read_only_plain_types(self):
+        """Equal calls return one read-only object, holding int(d) and
+        float(g) whatever the types of the first call's keys; an integral
+        float d is the memo key of its int."""
+        c = rt_coefficients(np.int64(4), np.float64(0.61))
+        assert rt_coefficients(4, 0.61) is c
+        assert rt_coefficients(4.0, 0.61) is c
+        assert type(c.d) is int and type(c.g) is float
+        assert (c.d, c.g) == (4, 0.61)
+        assert rt_coefficients.cache_info().maxsize is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.g = 0.7
+        for weights in (c.cell_re, c.cell_im):
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0] = 1.0
+        assert rt_coefficients(3.0, 0.61).d == 3
+        assert type(rt_coefficients(3.0, 0.61).d) is int
+
 
 class TestFlatTables:
     def test_flat_round_trip(self, rng):
@@ -142,6 +185,44 @@ class TestStackedEstimates:
         tables[2, 4, 1, 0] = -1e-6
         with pytest.raises(ValueError, match="negative probability cell"):
             error_transfer_variance(tables, rt_coefficients(2, 0.5), 100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_refused_naming_the_first(self, bad):
+        """NaN passes the negative-cell check (min < -1e-9 is False for
+        NaN), and +inf passes it too; both are refused, naming the first
+        non-finite cell, by every reader that checks cells."""
+        coeffs = rt_coefficients(2, 0.5)
+        one = np.full((9, 2, 2), 0.25)
+        one[4, 1, 0] = bad
+        one[6, 0, 0] = np.nan
+        stack = np.full((3, 9, 2, 2), 0.25)
+        stack[1] = one
+        for tables, where in ((one, "cell 18"), (stack, "outcome 1, cell 18")):
+            message = f"^non-finite probability cell: {bad} \\({where}\\)$"
+            with pytest.raises(ValueError, match=message):
+                nonnegative_cells(tables)
+            for statistics in ("poisson", "multinomial"):
+                with pytest.raises(ValueError, match=message):
+                    error_transfer_variance(tables, coeffs, 100, statistics)
+            with pytest.raises(ValueError, match=message):
+                sample_counts(tables, ShotModel(100, seed=1))
+
+    @pytest.mark.parametrize("imag", [0.1, 0.0])
+    def test_complex_tables_refused(self, imag):
+        """Complex tables are refused, not cast to their real part with a
+        ComplexWarning (0.25 + 0.1j tables used to read 0.269 + 0j), even
+        when every imaginary part is zero."""
+        coeffs = rt_coefficients(2, 0.5)
+        for shape in ((9, 2, 2), (2, 9, 2, 2)):
+            tables = np.full(shape, 0.25 + imag * 1j)
+            for read in (
+                lambda: estimate_from_tables(tables, coeffs),
+                lambda: error_transfer_variance(tables, coeffs, 100),
+                lambda: nonnegative_cells(tables),
+                lambda: sample_counts(tables, ShotModel(100, seed=1)),
+            ):
+                with pytest.raises(ValueError, match="^W tables must be real, got dtype complex128$"):
+                    read()
 
 
 class TestEstimates:

@@ -1,5 +1,7 @@
 """Sequential coupling, post-selection and exact meter statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -23,7 +25,7 @@ from povmdt import (
     random_povm,
 )
 from povmdt import protocol
-from povmdt.estimator import _clip_once, rt_coefficients
+from povmdt.estimator import RtCoefficients, _clip_once, rt_coefficients
 from povmdt.linalg import dag, random_unitary, tensor
 from povmdt.protocol import (
     BASIS_PROJECTORS,
@@ -169,7 +171,8 @@ class TestJointState:
 @pytest.mark.parametrize("make", [
     lambda: JointState(brute_joint_state(2, 1, 0, 0.6), 2),
     lambda: EntryScenario(np.eye(2) / 2, 1, 0, 0.6),
-    lambda: rt_coefficients(3, 0.6),
+    # rt_coefficients is memoized, so two calls return one object
+    lambda: RtCoefficients(3, 0.6, 0.25, 0.5, np.ones(36), np.ones(36)),
     lambda: _clip_once(np.full((9, 2, 2), 0.25)),
 ], ids=["JointState", "EntryScenario", "RtCoefficients", "_ClippedCells"])
 def test_array_dataclasses_compare_by_identity(make):
@@ -369,6 +372,39 @@ class TestStackedTables:
                     assert abs(meter_tables(js, povm.elements) - ref).max() <= 4 * 2**-52, (
                         d, outcomes, g)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_element_equals_its_stack_of_one_bit_for_bit(self, d):
+        """One element takes a 1-D np.dot with the effects, and one table set
+        a 1-D np.dot with the weights; a stack takes the batched np.matmul.
+        A one-element call equals its ``[None]`` stack call in every bit,
+        signed zeros included."""
+
+        def bits(x):
+            return np.asarray(x).tobytes()
+
+        rng = np.random.default_rng(2400 + d)
+        elements = [e for seed in rng.integers(2**31, size=3)
+                    for e in random_povm(d, 3, seed=int(seed)).elements]
+        signed = np.eye(d, dtype=complex) / d
+        signed.imag[...] = -0.0
+        elements += [signed, np.zeros((d, d), dtype=complex), -np.zeros((d, d), dtype=complex)]
+        for g in (np.pi / 16, 0.6, np.pi / 4, 1.3):
+            cfg = CouplingConfig.symmetric(g)
+            coeffs = rt_coefficients(d, g)
+            for j, k in [(j, k) for j in range(d) for k in range(d) if j != k]:
+                js = prepare_entry_state(d, j, k, cfg)
+                for e in elements:
+                    one = meter_tables(js, e)
+                    assert bits(one) == bits(meter_tables(js, e[None])[0])
+                    assert bits(exact_entry_tables(e, j, k, cfg)) == bits(
+                        exact_entry_tables(e[None], j, k, cfg)[0])
+                    zeroed = one.copy()
+                    zeroed[::2, 0] = -0.0
+                    zeroed[1::2, 1] = 0.0
+                    for tables in (one, zeroed, np.full((9, 2, 2), -0.0)):
+                        assert bits(estimate_from_tables(tables, coeffs)) == bits(
+                            estimate_from_tables(tables[None], coeffs)[0])
+
     def test_one_element_stack_keeps_its_axis(self, sic):
         cfg = CouplingConfig.symmetric(np.pi / 4)
         tables = exact_entry_tables(sic.elements[:1], 1, 0, cfg)
@@ -383,6 +419,41 @@ class TestStackedTables:
                 exact_entry_tables(bad, 1, 0, cfg)
         with pytest.raises(ValueError, match="system dimension"):
             meter_tables(js, np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: protocol._elements(np.zeros(2)),
+     "expected a square matrix or a stack of them, got shape (2,)"),
+    (lambda: protocol._elements(np.zeros((2, 3))),
+     "expected a square matrix or a stack of them, got shape (2, 3)"),
+    (lambda: protocol._elements(np.zeros((4, 2, 3))),
+     "expected a square matrix or a stack of them, got shape (4, 2, 3)"),
+    (lambda: protocol._elements(np.zeros((1, 1, 2, 2))),
+     "expected a square matrix or a stack of them, got shape (1, 1, 2, 2)"),
+    (lambda: protocol._elements(np.zeros((3, 3)), 2), "element dimension 3 != system dimension 2"),
+    (lambda: protocol._elements(np.zeros((5, 3, 3)), 2),
+     "element dimension 3 != system dimension 2"),
+    (lambda: protocol._cells(np.zeros(36)),
+     "W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got (36,)"),
+    (lambda: protocol._cells(np.zeros((8, 2, 2))),
+     "W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got (8, 2, 2)"),
+    (lambda: protocol._cells(np.zeros((9, 2, 2, 1))),
+     "W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got (9, 2, 2, 1)"),
+    (lambda: protocol._cells(np.zeros((3, 9, 4))),
+     "W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got (3, 9, 4)"),
+    (lambda: protocol._cells(np.zeros((1, 1, 9, 2, 2))),
+     "W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got (1, 1, 9, 2, 2)"),
+    (lambda: protocol._cells(np.zeros((9, 2, 2), dtype=np.float32).reshape(36)),
+     "W tables must have shape (9, 2, 2) or (L, 9, 2, 2), got (36,)"),
+    (lambda: protocol._cells(np.full((9, 2, 2), 0.25 + 0.1j)),
+     "W tables must be real, got dtype complex128"),
+    (lambda: protocol._cells(np.zeros((2, 9, 2, 2), dtype=np.complex64)),
+     "W tables must be real, got dtype complex64"),
+], ids=["1-D", "2x3", "stack-2x3", "4-D", "dim", "stack-dim", "cells-1-D", "setting-missing",
+        "trailing-axis", "cells-3-D", "cells-5-D", "float32-1-D", "complex", "complex-stack"])
+def test_shape_and_dtype_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestCellEffects:
