@@ -23,7 +23,8 @@ contracts its counts with the group weights, and
 cells of each outcome's W table with it, every outcome of a stack from one
 stream.  Both pass their cells through the
 same check first (:func:`checked_cells`, once for a whole stack of
-outcomes); their callers have already refused and clipped negative cells
+outcomes), as does :func:`povmdt.estimator.error_transfer_variance`; their
+callers have already refused and clipped negative cells
 (:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
 
 A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
@@ -136,7 +137,7 @@ def checked_cells(cells, statistics: str) -> np.ndarray:
         where = f"setting {worst[-1]}" if len(worst) == 1 else (
             f"outcome {worst[0]}, setting {worst[1]}")
         raise ValueError(
-            f"{where} cells sum to {totals[worst]!r} > 1, "
+            f"{where} cells sum to {float(totals[worst])!r} > 1, "
             "so its rejected bucket would have a negative probability"
         )
     return cells / np.maximum(totals, 1.0)[..., None]

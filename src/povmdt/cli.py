@@ -213,7 +213,8 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     counts = np.stack([sample_counts(cells[p * size:(p + 1) * size], replace(shot, seed=seed))
                        for p, seed in enumerate(seeds)])
     values = estimate_from_tables(counts.reshape(-1, 9, 2, 2), coeffs).reshape(shape)
-    var_re, var_im, truths = var_re.reshape(shape), var_im.reshape(shape), elems[..., j, k]
+    # adding 0j turns a signed zero into +0.0, as in matrix_entry_oracle
+    var_re, var_im, truths = var_re.reshape(shape), var_im.reshape(shape), elems[..., j, k] + 0j
     rows = _scan_rows(labels, j, k, grid, n, seeds, "sampled", values, var_re, var_im, truths)
     if refine:
         refined = _scan_rows(labels, j, k, grid, n, [-1] * len(grid), "refined",

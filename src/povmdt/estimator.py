@@ -44,6 +44,7 @@ from numbers import Real
 
 import numpy as np
 
+from ._kernels import checked_cells
 from .linalg import asoperator
 from .protocol import CELL_PROJECTORS, JointState, _cells, reduced_meter_operator
 
@@ -115,12 +116,7 @@ def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
     if isinstance(tables, _ClippedCells):
         return tables.flat
     flat = _cells(tables)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        row, cell = divmod(first, N_CELLS)
-        where = f"cell {cell}" if flat.ndim == 1 else f"outcome {row}, cell {cell}"
-        raise ValueError(f"non-finite probability cell: {flat.flat[first]} ({where})")
+    _refuse_nonfinite(flat)
     if flat.min() < -1e-9:
         raise ValueError(f"negative probability cell: {flat.min():.3e}")
     return np.maximum(flat, 0.0)
@@ -138,6 +134,17 @@ class _ClippedCells:
         """The cells of a slice of the outcomes of a stack, still checked
         and clipped."""
         return _ClippedCells(self.flat[outcomes])
+
+
+def _refuse_nonfinite(flat: np.ndarray) -> None:
+    """Refuse (36,) or (L, 36) cells with a NaN or infinite cell, naming the
+    first one."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        row, cell = divmod(first, N_CELLS)
+        where = f"cell {cell}" if flat.ndim == 1 else f"outcome {row}, cell {cell}"
+        raise ValueError(f"non-finite probability cell: {flat.flat[first]} ({where})")
 
 
 def _clip_once(tables) -> _ClippedCells:
@@ -178,13 +185,19 @@ def estimate_record(
 def estimate_from_tables(tables: np.ndarray, coeffs: RtCoefficients):
     """Raw entry estimate from (exact or sampled) (9, 2, 2) W tables: a
     complex, or a complex array with one entry per outcome of an
-    (L, 9, 2, 2) stack."""
+    (L, 9, 2, 2) stack.  A NaN or infinite cell is refused by name; the
+    cells are searched only when the estimate, which it spoils, is not finite."""
     flat = _cells(tables)
     if flat.ndim == 1:
-        return complex(np.dot(coeffs.cell_re, flat), np.dot(coeffs.cell_im, flat))
+        re, im = np.dot(coeffs.cell_re, flat), np.dot(coeffs.cell_im, flat)
+        if not (math.isfinite(re) and math.isfinite(im)):
+            _refuse_nonfinite(flat)
+        return complex(re, im)
     values = np.empty(len(flat), dtype=complex)
     values.real = _dot(flat, coeffs.cell_re)
     values.imag = _dot(flat, coeffs.cell_im)
+    if not np.isfinite(values).all():
+        _refuse_nonfinite(flat)
     return values
 
 
@@ -205,14 +218,13 @@ def error_transfer_variance(
     particles per setting: ``sum_c w_c^2 W_c / n`` for independent Poisson
     counts, and for ``multinomial`` counts, which spread exactly n particles
     over each setting s, ``[sum_c w_c^2 W_c - sum_s (sum_{c in s} w_c
-    W_c)^2] / n``, per component.
+    W_c)^2] / n``, per component.  The cells pass the sampler's setting rule
+    (:func:`povmdt._kernels.checked_cells`), so the law is that of the draws.
     """
     if n <= 0:
         raise ValueError(f"particle number per setting must be positive, got {n}")
-    if statistics not in ("poisson", "multinomial"):
-        raise ValueError(f"statistics must be 'poisson' or 'multinomial', got {statistics!r}")
     flat = nonnegative_cells(tables)
-    rows = flat.reshape(-1, N_CELLS)
+    rows = checked_cells(flat.reshape(flat.shape[:-1] + (9, 4)), statistics).reshape(-1, N_CELLS)
     var = []
     for w in (coeffs.cell_re, coeffs.cell_im):
         total = _dot(rows, w**2)
@@ -267,10 +279,11 @@ def completeness_refine(values, var_re, var_im):
 
     For a complete POVM the off-diagonal entries satisfy sum_l E^(l) = 0
     (real and imaginary parts separately), so each entry has a complement
-    estimate E_comp = -sum_{u != l} E^(u).  The direct and complement
-    estimates are combined with inverse-variance weights; the refined
-    variance is w * w_comp * sum_u var_u, which never exceeds either input.
-    Real and imaginary parts are refined independently.
+    estimate E_comp = -sum_{u != l} E^(u).  Mixing the two with
+    inverse-variance weights is, in closed form, x_l -> x_l - wc_l sum_u x_u
+    with variance v_l - wc_l v_l, where wc_l = v_l / sum_u v_u
+    (:func:`_shares`); that never exceeds v_l or the complement's variance.
+    Real and imaginary parts are refined independently, as one stacked array.
 
     ``values`` (complex) and the variances ``var_re``, ``var_im`` hold one
     entry per outcome along their last axis: (L,), or (P, L) for P sets of
@@ -284,11 +297,12 @@ def completeness_refine(values, var_re, var_im):
         raise ValueError("refinement requires finite variances for every outcome")
     if (variances <= 0).any():
         raise ValueError("refinement requires strictly positive variances")
-    re, var_re = _refine_arrays(values.real, variances[0])
-    im, var_im = _refine_arrays(values.imag, variances[1])
+    x = np.stack([values.real, values.imag])
+    wc = _shares(variances)
+    x -= wc * x.sum(axis=-1, keepdims=True)
     refined = np.empty(values.shape, dtype=complex)
-    refined.real, refined.imag = re, im
-    return refined, var_re, var_im
+    refined.real, refined.imag = x
+    return refined, *(variances - wc * variances)
 
 
 def _require_outcomes(count: int) -> None:
@@ -298,18 +312,7 @@ def _require_outcomes(count: int) -> None:
         raise ValueError("refinement needs at least two outcomes")
 
 
-def _refine_arrays(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mix each outcome's value with its sum-rule complement.
-
-    ``values`` and ``variances`` are (outcomes,) or (points, outcomes),
-    refined point by point.  Outcome l's complement is minus the sum of the
-    other outcomes' values, with the sum of their variances; the two are
-    mixed with inverse-variance weights.  Returns the refined values and
-    their variances.
-    """
-    comp_var = variances.sum(axis=-1, keepdims=True) - variances
-    w = (1 / variances) / (1 / variances + 1 / comp_var)
-    wc = 1.0 - w
-    # the complement is -(sum - own)
-    refined = (values - values.sum(axis=-1, keepdims=True)) * wc + w * values
-    return refined, w * wc * (variances + comp_var)
+def _shares(variances: np.ndarray) -> np.ndarray:
+    """Each outcome's share ``v / sum v`` of the variances along the last
+    axis: the weight of the sum rule's residual in the refinement."""
+    return variances / variances.sum(axis=-1, keepdims=True)

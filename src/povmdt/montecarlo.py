@@ -12,7 +12,7 @@ SeedSequence, and repeated trials run in the chunked trial kernel of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .estimator import (
     RtCoefficients,
     _clip_once,
     _require_outcomes,
+    _shares,
     analytic_variance,
     completeness_refine,
     error_transfer_variance,
@@ -102,12 +103,15 @@ class TrialSummary:
 class SweepSpec:
     """A one-axis sweep of the measurement-precision study.
 
-    axis "g" or "theta" sweeps the qubit element eta*[[cos^2 t, e01], ...]
-    with the other angle fixed; axis "xi"/"phi" applies dephasing/rotation
-    to a fixed element of ``povm`` and sweeps the noise parameter.  Angles
-    are radians.  Values that break the model (g outside (0, pi/2), eta
-    outside (0, 1], an e01 beyond the positivity bound at a swept theta, xi
-    outside [0, 1]) are refused on construction, before any trial.
+    axis "g" or "theta" sweeps entry (1, 0) of the qubit element
+    eta*[[cos^2 t, e01], ...] with the other angle fixed; axis "xi"/"phi"
+    applies dephasing/rotation to element ``label`` of ``povm`` and sweeps
+    the noise parameter at entry (j, k).  Angles are radians.  Values that
+    break the model (g outside (0, pi/2), eta outside (0, 1], an e01 beyond
+    the positivity bound at a swept theta, xi outside [0, 1]) are refused on
+    construction, before any trial, and so is a field that the axis does not
+    read (``povm``, ``label``, ``j``, ``k`` for g and theta; ``theta``,
+    ``eta``, ``e01`` for xi and phi) set away from its default.
     """
 
     axis: str
@@ -126,6 +130,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        unread = ("povm", "label", "j", "k") if self.axis in ("g", "theta") else (
+            "theta", "eta", "e01")
+        changed = [f.name if f.name == "povm" else f"{f.name}={getattr(self, f.name)!r}"
+                   for f in fields(self)
+                   if f.name in unread and getattr(self, f.name) != f.default]
+        if changed:
+            raise ValueError(f"axis {self.axis!r} sweeps do not read {', '.join(unread)}; "
+                             f"got {', '.join(changed)}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be non-empty")
         bad = [g for g in (self.grid if self.axis == "g" else [self.g])
@@ -297,7 +309,9 @@ def refinement_trials(
     Every outcome is sampled in its own independent post-selection channel;
     per trial, each entry estimate is refined against the complement built
     from the other outcomes with inverse-variance weights fixed at the
-    predicted (exact-table) variances.
+    predicted (exact-table) variances v: completeness_refine's map x_l -> x_l
+    - wc_l sum_u x_u, with its shares wc = v / sum v.  Over the kernel's raw
+    covariance C, its sample variance is C_ll - 2 wc_l (C1)_l + wc_l^2 1'C1.
     """
     if j == k:
         raise ValueError("refinement targets an off-diagonal entry; need j != k")
@@ -309,7 +323,7 @@ def refinement_trials(
     cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n,
                                        lambda i: f"outcome {labels[i]}", shot.statistics)
 
-    truths = povm.elements[:, j, k]
+    truths = povm.elements[:, j, k] + 0j  # a signed zero reads +0.0, as in the oracle
     raw_est = {
         lab: EntryEstimate(value, vr, vi, n, "exact")
         for lab, value, vr, vi in zip(labels, truths.tolist(), var_re.tolist(), var_im.tolist())
@@ -317,10 +331,7 @@ def refinement_trials(
 
     _, cov = _kernels.trial_estimates(cells.flat.reshape(-1, 9, 4), coeffs.cell_re,
                                       coeffs.cell_im, n, trials, seeds.tolist(), shot.statistics)
-    # the refinement is x_l -> x_l - wc_l sum_u x_u, wc = v / sum v: over the raw
-    # covariance C, its sample variance is C_ll - 2 wc_l (C1)_l + wc_l^2 1'C1
-    predicted = np.stack([var_re, var_im])
-    wc = predicted / predicted.sum(axis=-1, keepdims=True)
+    wc = _shares(np.stack([var_re, var_im]))
     row_sums = cov.sum(axis=-1)
     raw_var = np.diagonal(cov, axis1=-2, axis2=-1)
     refined_var = raw_var - 2 * wc * row_sums + wc**2 * row_sums.sum(axis=-1, keepdims=True)

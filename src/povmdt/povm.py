@@ -124,8 +124,9 @@ class Povm:
 
     @classmethod
     def _over_checked(cls, stack: np.ndarray, labels: tuple) -> "Povm":
-        """A POVM of an existing one's ``labels`` over ``stack``, which
-        :func:`_check_elements` passed; kept read-only, not copied."""
+        """A POVM of ``labels``, a tuple of distinct ints, over ``stack``, which
+        :func:`_check_elements` passed (and the completeness check, where the
+        caller needs it); checked no further, kept read-only, not copied."""
         povm = object.__new__(cls)
         stack.setflags(write=False)
         povm._elements, povm._labels, povm._dim = stack, labels, stack.shape[1]
@@ -270,8 +271,8 @@ def random_povm(d: int, n_outcomes: int, seed: int) -> Povm:
         raise ValueError(f"need at least one outcome, got {n_outcomes}")
     rng = np.random.default_rng(seed)
     u = random_unitary(d * n_outcomes, rng)
-    p = povm_from_walk(u, n_outcomes, d)
-    return Povm(p.elements, labels=list(range(1, n_outcomes + 1)), check_complete=True)
+    return Povm._over_checked(povm_from_walk(u, n_outcomes, d)._elements,
+                              tuple(range(1, n_outcomes + 1)))
 
 
 def matrix_entry_oracle(povm: Povm, label: int, j: int, k: int) -> complex:

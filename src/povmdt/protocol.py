@@ -294,8 +294,15 @@ def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) ->
     """Exact W tables for probing entry (j, k) of one (d, d) element, given
     in the computational basis: (9, 2, 2), or (L, 9, 2, 2) for an (L, d, d)
     stack.  The readout of these tables assumes equal couplings, so unequal
-    ones are refused through :attr:`CouplingConfig.g`."""
+    ones are refused through :attr:`CouplingConfig.g`.  An element with a
+    NaN or infinite entry, which would give NaN tables, is refused, naming
+    the first such entry."""
     cfg.g  # raises for g_b != g_a
     pi = _elements(pi_l)
+    finite = np.isfinite(pi)
+    if not finite.all():
+        first = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), pi.shape))
+        where = f"entry {first[-2:]}" if pi.ndim == 2 else f"element {first[0]}, entry {first[1:]}"
+        raise ValueError(f"non-finite element entry: {pi[first]} ({where})")
     js = prepare_entry_state(pi.shape[-1], j, k, cfg)
     return meter_tables(js, pi)

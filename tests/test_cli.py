@@ -351,12 +351,17 @@ def sweep_config(**sweep):
      f"calibration.samples: expected an integer in the int64 range, got {10**29}"),
     ("scan", dict(BASE_SCAN, shots={"n_per_setting": 10**29}),
      f"shots.n_per_setting: expected an integer in the int64 range, got {10**29}"),
+    # a sweep key its axis does not read
+    ("variance-sweep", dict(sweep_config(axis="xi", grid=[0.5], eta=0.3, theta=0.2),
+                            entry={"l": 1, "j": 1, "k": 0}),
+     f"sweep: axis 'xi' sweeps do not read theta, eta, e01; got theta={0.2 * np.pi!r}, eta=0.3"),
 ], ids=["block-not-mapping", "missing-key", "non-number", "empty-file", "no-shots",
         "povm-file-not-found", "povm-source", "random-without-d", "file-without-path",
         "walk-without-unitary", "noise-type", "dephasing-without-grid", "rotation-without-phi",
         "sweep-axis", "output-dir", "output-format", "tolerance-zero", "tolerance-negative",
         "scan-without-noise", "scan-without-entry", "xi-sweep-all-outcomes",
-        "calibrate-without-block", "samples-past-int64", "shots-past-int64"])
+        "calibrate-without-block", "samples-past-int64", "shots-past-int64",
+        "xi-sweep-unread-keys"])
 def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
     """Each refusal of the config reader and of a command exits 2 with its
     one message and writes nothing."""
@@ -504,6 +509,27 @@ class TestScanCommand:
             want = complex(*np.array([row["true_re"], row["true_im"]]))
             base = (np.sqrt(2) / 6) * np.exp(2j * np.pi / 3)
             assert abs(want - base * np.exp(-1j * row["axis_value"])) < 1e-12
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_truths_never_read_negative_zero(self, tmp_path, statistics):
+        """The README rotation grid turns zero entries of builtin:sic into
+        signed zeros; the scan's truths read +0.0 for them, as the entry
+        oracle does, in sampled and refined rows and in the CSV."""
+        data = dict(BASE_SCAN, noise={"type": "rotation", "phi": [-0.6, -0.2, 0.4, 0.8]},
+                    shots={"n_per_setting": 12790, "statistics": statistics})
+        path = write_config(tmp_path, data)
+        cfg = parse_config(path)
+        rotated = np.array([apply_phase_rotation(cfg.povm(), phi, 1, 0).elements[:, 1, 0]
+                            for _, _, phi in cfg.noise["grid"]])
+        zeros = np.concatenate([rotated.real[rotated.real == 0], rotated.imag[rotated.imag == 0]])
+        assert np.signbit(zeros).any()
+        truths = [row[key] for row in run_scan(cfg, refine=True) for key in ("true_re", "true_im")]
+        assert 0.0 in truths and not any(np.signbit(t) for t in truths if t == 0)
+        out = tmp_path / "out"
+        assert main(["scan", "--config", path, "--out", str(out), "--refine"]) == 0
+        cells = [cell for line in (out / "scan.csv").read_text().splitlines()
+                 if not line.startswith("#") for cell in line.split(",")]
+        assert "0.0" in cells and "-0.0" not in cells
 
     def test_refine_adds_rows_with_smaller_variance(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE_SCAN))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,28 @@ class TestStackedEstimates:
                     error_transfer_variance(tables, coeffs, 100, statistics)
             with pytest.raises(ValueError, match=message):
                 sample_counts(tables, ShotModel(100, seed=1))
+
+    @pytest.mark.parametrize("cell", [3, 18], ids=["zero-weights", "weighted"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_estimate_refuses_non_finite_cells(self, bad, cell):
+        """The estimate refuses a NaN or infinite cell with the message of
+        the readers that check cells, for one outcome and for a stack.  It
+        tests its own value, which any such cell makes non-finite, even one
+        whose weights are both zero (inf * 0 is NaN); numpy may warn about
+        that product first."""
+        coeffs = rt_coefficients(2, 0.5)
+        assert (coeffs.cell_re[cell] == 0 and coeffs.cell_im[cell] == 0) == (cell == 3)
+        one = np.full((9, 2, 2), 0.25)
+        one.reshape(36)[cell] = bad
+        one[6, 0, 0] = np.nan
+        stack = np.full((3, 9, 2, 2), 0.25)
+        stack[1] = one
+        for tables, where in ((one, f"cell {cell}"), (stack, f"outcome 1, cell {cell}")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(ValueError,
+                                   match=f"^non-finite probability cell: {bad} \\({where}\\)$"):
+                    estimate_from_tables(tables, coeffs)
 
     @pytest.mark.parametrize("imag", [0.1, 0.0])
     def test_complex_tables_refused(self, imag):
@@ -446,6 +469,30 @@ class TestCompletenessRefine:
             assert abs(before - after[i]) < 1e-10
             assert after_re[i] + after_im[i] < var_re[i] + var_im[i]
 
+    def test_closed_form_is_the_inverse_variance_mix(self, rng):
+        """The refinement moves each component by its share v / sum v of the
+        sum rule's residual, the closed form of mixing each outcome with its
+        complement by inverse-variance weights: equal to that mix in exact
+        arithmetic, so within rounding here, and to x - wc sum x, v - wc v
+        bit for bit."""
+        for outcomes in (2, 4, 9):
+            values = rng.normal(size=(5, outcomes)) + 1j * rng.normal(size=(5, outcomes))
+            variances = rng.uniform(0.1, 5, size=(2, 5, outcomes))
+            refined = completeness_refine(values, *variances)
+            x = np.stack([values.real, values.imag])
+            comp = variances.sum(axis=-1, keepdims=True) - variances
+            w = (1 / variances) / (1 / variances + 1 / comp)
+            mixed = (x - x.sum(axis=-1, keepdims=True)) * (1 - w) + w * x
+            mixed_var = w * (1 - w) * (variances + comp)
+            np.testing.assert_allclose([refined[0].real, refined[0].imag], mixed, rtol=1e-13,
+                                       atol=1e-13 * np.abs(x).max())
+            np.testing.assert_allclose(refined[1:], mixed_var, rtol=1e-13, atol=0)
+            wc = variances / variances.sum(axis=-1, keepdims=True)
+            closed = x - wc * x.sum(axis=-1, keepdims=True)
+            assert refined[0].real.tolist() == closed[0].tolist()
+            assert refined[0].imag.tolist() == closed[1].tolist()
+            assert [v.tolist() for v in refined[1:]] == (variances - wc * variances).tolist()
+
     def test_requires_finite_positive_variances(self):
         with pytest.raises(ValueError, match="finite"):
             completeness_refine([0j, 0j], [1.0, float("nan")], [1.0, 1.0])
@@ -457,3 +504,24 @@ class TestCompletenessRefine:
     def test_total_variance_property(self):
         e = EntryEstimate(1j, 0.25, 0.5, 10, "sampled")
         assert e.total_variance == 0.75
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: error_transfer_variance(np.full((9, 2, 2), 0.25), rt_coefficients(2, 0.5), 0),
+     "particle number per setting must be positive, got 0"),
+    (lambda: error_transfer_variance(np.full((9, 2, 2), 0.25), rt_coefficients(2, 0.5), -5),
+     "particle number per setting must be positive, got -5"),
+    (lambda: error_transfer_variance(np.full((9, 2, 2), 0.25), rt_coefficients(2, 0.5), 100,
+                                     "gaussian"),
+     "statistics must be 'poisson' or 'multinomial', got 'gaussian'"),
+    (lambda: analytic_variance(0.3, 0.6, 0.0, 100), "eta must be in (0, 1], got 0.0"),
+    (lambda: analytic_variance(0.3, 0.6, 1.5, 100), "eta must be in (0, 1], got 1.5"),
+    (lambda: analytic_variance(0.3, 0.6, 0.5, 0), "particle number must be positive, got 0"),
+    (lambda: analytic_variance(0.3, 0.6, 0.5, -2), "particle number must be positive, got -2"),
+], ids=["variance-n-0", "variance-n-negative", "variance-statistics", "law-eta-0",
+        "law-eta-above-1", "law-n-0", "law-n-negative"])
+def test_refusals_keep_their_messages(call, message):
+    """Each refusal of the variance laws keeps its message; the
+    statistics refusal of ``error_transfer_variance`` is the sampler's."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

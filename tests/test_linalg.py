@@ -1,5 +1,7 @@
 """Tensor algebra and operator predicates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from povmdt.linalg import (
     is_hermitian,
     is_positive_semidefinite,
     is_unitary,
+    ket,
     partial_trace,
     random_unitary,
     tensor,
@@ -57,6 +60,13 @@ class TestPredicates:
         assert is_positive_semidefinite(np.diag([0.0, 1.0]))
         assert not is_positive_semidefinite(PAULI["z"])
 
+    def test_psd_is_false_for_a_non_hermitian_matrix(self):
+        """A matrix that is not Hermitian is not positive semidefinite, even
+        when its Hermitian part is."""
+        m = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert np.linalg.eigvalsh((m + m.T) / 2).min() > 0
+        assert not is_positive_semidefinite(m)
+
     def test_unitary(self):
         assert is_unitary(PAULI["x"])
         assert not is_unitary(2 * np.eye(2))
@@ -100,3 +110,14 @@ class TestRandomUnitary:
         u1 = random_unitary(4, np.random.default_rng(7))
         u2 = random_unitary(4, np.random.default_rng(7))
         np.testing.assert_array_equal(u1, u2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tensor(), ValueError, "tensor() needs at least one operator"),
+    (lambda: ket(2, 2), IndexError, "basis index 2 out of range for dimension 2"),
+    (lambda: ket(3, -1), IndexError, "basis index -1 out of range for dimension 3"),
+    (lambda: partial_trace(np.eye(4), (2, 2), keep=2), ValueError, "keep must be 0 or 1"),
+], ids=["tensor-empty", "ket-past-end", "ket-negative", "partial-trace-keep"])
+def test_refusals_keep_their_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Shot-noise sampling, repeated trials, sweeps and backends."""
 
 import functools
+import re
 import threading
 import tracemalloc
 import warnings
@@ -141,6 +142,28 @@ class TestSampleCounts:
             sample_counts(tables, ShotModel(1000, "multinomial"))
         with pytest.raises(ValueError, match=r"^setting 4 cells sum to"):
             sample_counts(tables[2], ShotModel(1000, "multinomial"))
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one-outcome"])
+    def test_variance_reads_cells_by_the_sampler_rule(self, sic, stacked):
+        """The multinomial variance reads its cells by the sampler's rule: a
+        setting whose cells sum above 1 is refused with the sampler's
+        message, named by outcome and setting in a stack and by its setting
+        alone for one outcome, its sum printed as a plain float.  Poisson
+        counts have no such rule."""
+        tables = exact_entry_tables(sic.elements, 1, 0, CouplingConfig.symmetric(np.pi / 4))
+        tables[2, 4] *= 3 / tables[2, 4].sum()
+        total = float(tables.reshape(4, 9, 4)[2, 4].sum())
+        where = "outcome 2, setting 4" if stacked else "setting 4"
+        tables = tables if stacked else tables[2]
+        message = (f"^{where} cells sum to {re.escape(repr(total))} > 1, so its rejected "
+                   "bucket would have a negative probability$")
+        coeffs = rt_coefficients(2, np.pi / 4)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(tables, ShotModel(1000, "multinomial"))
+        with pytest.raises(ValueError, match=message):
+            error_transfer_variance(tables, coeffs, 1000, "multinomial")
+        var_re, var_im = error_transfer_variance(tables, coeffs, 1000)
+        assert np.isfinite(var_re).all() and np.isfinite(var_im).all()
 
     def test_multinomial_accepts_rounding_excess(self, sic_tables):
         """A setting summing to 1 + 5e-10, within the rounding tolerance, is
@@ -1066,9 +1089,47 @@ class TestRefinementTrials:
         with pytest.raises(ValueError, match="j != k"):
             refinement_trials(sic, 1, 1, np.pi / 4, ShotModel(1000), trials=10)
 
+    def test_truths_never_read_negative_zero(self, sic):
+        """The exact rows hold the true entries with +0.0 for a signed zero,
+        as the entry oracle does."""
+        povm = apply_phase_rotation(sic, 0.8 * np.pi, 1, 0)
+        assert np.signbit(povm.elements[:, 1, 0].imag[povm.elements[:, 1, 0] == 0]).any()
+        study = refinement_trials(povm, 1, 0, 0.6, ShotModel(1000), 0)
+        values = [study.raw[lab].value for lab in study.labels]
+        assert 0.0 in [part for v in values for part in (v.real, v.imag)]
+        assert not any(np.signbit(part) for v in values for part in (v.real, v.imag) if part == 0)
+
     def test_deterministic(self, sic):
         shot = ShotModel(1000, "poisson", seed=2)
         a = refinement_trials(sic, 1, 0, np.pi / 4, shot, trials=200)
         b = refinement_trials(sic, 1, 0, np.pi / 4, shot, trials=200)
         assert a.raw_sample_var == b.raw_sample_var
         assert a.refined_sample_var == b.refined_sample_var
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _kernels.trial_estimates(np.full((1, 9, 4), 0.01), np.ones(36), np.ones(36), 100,
+                                      10, [1, 2]),
+     "2 seeds for 1 outcomes"),
+    (lambda: EntryScenario(np.eye(2) / 2, 1, 1, 0.6),
+     "entry scenarios target off-diagonal entries; need j != k"),
+    (lambda: SweepSpec("g", (0.5,), -1, ShotModel(100)), "trials must be >= 0"),
+    (lambda: SweepSpec("theta", (0.0, 0.9), 10, ShotModel(100), j=0, k=1, label=7),
+     "axis 'theta' sweeps do not read povm, label, j, k; got label=7, j=0, k=1"),
+    (lambda: SweepSpec("g", (0.5,), 10, ShotModel(100), povm=random_povm(2, 3, seed=4)),
+     "axis 'g' sweeps do not read povm, label, j, k; got povm"),
+    (lambda: SweepSpec("xi", (1.0, 0.5), 10, ShotModel(100), povm=random_povm(2, 3, seed=4),
+                       eta=0.3, theta=0.2),
+     "axis 'xi' sweeps do not read theta, eta, e01; got theta=0.2, eta=0.3"),
+    (lambda: SweepSpec("phi", (0.0, 0.5), 10, ShotModel(100), povm=random_povm(2, 3, seed=4),
+                       e01=0.1j),
+     "axis 'phi' sweeps do not read theta, eta, e01; got e01=0.1j"),
+], ids=["kernel-seeds", "scenario-diagonal", "sweep-trials", "theta-sweep-entry",
+        "g-sweep-povm", "xi-sweep-element", "phi-sweep-e01"])
+def test_refusals_keep_their_messages(call, message):
+    """Each refusal of the studies keeps its message.  A sweep refuses a
+    field that its axis does not read, set away from its default: the g
+    and theta sweeps read entry (1, 0) of the qubit element, the xi and phi
+    sweeps an element of their POVM."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -24,7 +24,7 @@ from povmdt import (
     wavepacket_overlap,
     xi_from_environment,
 )
-from povmdt.linalg import DEFAULT_TOL, dag, partial_trace
+from povmdt.linalg import DEFAULT_TOL, SIGMA_Z, dag, partial_trace
 from povmdt.noise import _scaled_slot
 
 S26 = np.sqrt(2) / 6
@@ -354,3 +354,24 @@ class TestEnvironmentValidation:
     def test_bad_observable(self):
         with pytest.raises(ValueError, match="Hermitian"):
             Environment(np.eye(2) / 2, np.array([[0, 1], [0, 0]]), 0.1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Environment(np.eye(2) / 2, np.eye(3), 0.1), ValueError,
+     "environment state (2, 2) and observable (3, 3) differ"),
+    (lambda: apply_dephasing(random_povm(2, 3, seed=4), 0.5, 2, 0), IndexError,
+     "entry indices (2, 0) out of range for dimension 2"),
+    (lambda: apply_phase_rotation(random_povm(2, 3, seed=4), 0.5, 0, -1), IndexError,
+     "entry indices (0, -1) out of range for dimension 2"),
+    (lambda: apply_dephasing(random_povm(2, 3, seed=4), 0.5, 1, 1), ValueError,
+     "dephasing/rotation act on an off-diagonal slot; need j != k"),
+    (lambda: apply_phase_rotation(random_povm(2, 3, seed=4), 0.5, 0, 0), ValueError,
+     "dephasing/rotation act on an off-diagonal slot; need j != k"),
+    (lambda: dephase_via_environment(np.eye(2) / 2, Environment(np.eye(2) / 2, SIGMA_Z, 0.3),
+                                     np.array([[1.0, 1.0], [0.0, -1.0]])), ValueError,
+     "coupling observable must be Hermitian"),
+], ids=["environment-shapes", "dephasing-index", "rotation-index", "dephasing-diagonal",
+        "rotation-diagonal", "coupling-not-hermitian"])
+def test_refusals_keep_their_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

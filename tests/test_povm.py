@@ -15,6 +15,7 @@ from povmdt import (
     random_povm,
     save_povm,
 )
+from povmdt import povm as povm_module
 from povmdt.linalg import is_hermitian, is_positive_semidefinite, random_unitary
 
 
@@ -112,6 +113,25 @@ class TestRandomPovm:
         p = random_povm(3, 4, seed=1)
         for _, e in p:
             assert np.linalg.eigvalsh(e).min() >= -1e-12
+
+    def test_relabels_the_walk_povm_checked_once(self, monkeypatch):
+        """random_povm is the checked, complete POVM of povm_from_walk,
+        relabelled 1..L: the same read-only elements bit for bit, checked
+        once."""
+        check, checks = povm_module._check_elements, []
+
+        def counting(stack):
+            checks.append(stack.shape)
+            return check(stack)
+
+        monkeypatch.setattr(povm_module, "_check_elements", counting)
+        p = random_povm(3, 4, seed=9)
+        assert checks == [(4, 3, 3)]
+        walk = povm_from_walk(random_unitary(12, np.random.default_rng(9)), 4, 3)
+        assert p.labels == (1, 2, 3, 4) and walk.labels == (0, 1, 2, 3)
+        np.testing.assert_array_equal(p.elements, walk.elements)
+        assert not p.elements.flags.writeable
+        assert p.completeness_residual() < 1e-12
 
     def test_deterministic(self):
         p1 = random_povm(3, 5, seed=42)
@@ -240,3 +260,17 @@ class TestSerialization:
         for (_, a), (_, b) in zip(back, sic):
             np.testing.assert_array_equal(a, b)
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Povm([np.eye(2) / 2] * 2, labels=[1, 2, 3]),
+     "labels and elements must have equal length"),
+    (lambda: Povm.from_dict({"dim": 2, "elements": [
+        [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+         [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]]}),
+     "element shape (3, 3) does not match dim 2"),
+    (lambda: povm_from_walk(np.eye(4), 3, 2), "unitary dimension 4 != n_positions*coin_dim = 6"),
+], ids=["label-count", "file-element-shape", "walk-dimension"])
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

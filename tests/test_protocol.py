@@ -449,9 +449,24 @@ class TestStackedTables:
      "W tables must be real, got dtype complex128"),
     (lambda: protocol._cells(np.zeros((2, 9, 2, 2), dtype=np.complex64)),
      "W tables must be real, got dtype complex64"),
+    (lambda: exact_entry_tables(np.array([[0.5, np.nan], [0.0, 0.5]]), 1, 0,
+                                CouplingConfig.symmetric(0.6)),
+     "non-finite element entry: (nan+0j) (entry (0, 1))"),
+    (lambda: exact_entry_tables(np.array([np.eye(2) / 2, [[0.5, 0.0], [np.inf, 0.5]]]), 1, 0,
+                                CouplingConfig.symmetric(0.6)),
+     "non-finite element entry: (inf+0j) (element 1, entry (1, 0))"),
+    (lambda: JointState(np.eye(8) / 8, 3), "joint dimension 8 != 4 * system_dim = 12"),
+    (lambda: JointState(np.eye(8), 2), "joint state is not a valid density operator within 1e-10"),
+    (lambda: pointer_state_b0(1), "system dimension must be >= 2, got 1"),
+    (lambda: coupling_unitary(np.eye(2), 0.6, "c"), "which_meter must be 'b' or 'a', got 'c'"),
 ], ids=["1-D", "2x3", "stack-2x3", "4-D", "dim", "stack-dim", "cells-1-D", "setting-missing",
-        "trailing-axis", "cells-3-D", "cells-5-D", "float32-1-D", "complex", "complex-stack"])
+        "trailing-axis", "cells-3-D", "cells-5-D", "float32-1-D", "complex", "complex-stack",
+        "nan-element", "inf-element-of-stack", "joint-dim", "joint-not-density", "pointer-d-1",
+        "meter-slot"])
 def test_shape_and_dtype_refusals_keep_their_messages(call, message):
+    """Each refusal of the protocol layer keeps its message: shapes and
+    dtypes of elements and tables, non-finite elements (which would give
+    NaN tables), the joint state, the pointer state and the meter slot."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
