@@ -16,7 +16,6 @@ from .estimator import (
     completeness_refine,
     error_transfer_variance,
     estimate_from_tables,
-    estimate_record,
     observable_variance,
     rt_coefficients,
 )
@@ -77,7 +76,7 @@ __all__ = [
     "coupling_unitary", "evolve_joint", "prepare_entry_state",
     "meter_tables", "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
-    "estimate_from_tables", "estimate_record",
+    "estimate_from_tables",
     "error_transfer_variance", "analytic_variance", "observable_variance",
     "completeness_refine",
     "Environment", "apply_dephasing", "apply_phase_rotation",

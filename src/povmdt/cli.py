@@ -32,8 +32,6 @@ import numpy as np
 
 from .config import CALIBRATION_SAMPLES, ConfigError, ScenarioConfig, parse_config
 from .estimator import (
-    estimate_record,
-    EntryEstimate,
     _require_outcomes,
     completeness_refine,
     estimate_from_tables,
@@ -230,21 +228,10 @@ SCAN_COLUMNS = [
 
 
 def cmd_scan(cfg: ScenarioConfig, args) -> CommandResult:
-    """The rows of :func:`run_scan`, with estimate records in the JSON report."""
+    """The rows of :func:`run_scan`."""
     rows = run_scan(cfg, refine=args.refine)
-
-    def results():
-        records = [
-            estimate_record(
-                EntryEstimate(complex(r["est_re"], r["est_im"]), r["var_re"], r["var_im"],
-                              r["n"], r["method"]),
-                r["l"], r["j"], r["k"], cfg.g, r["seed"],
-            )
-            for r in rows
-        ]
-        return {"rows": rows, "estimates": records}
-
-    return CommandResult([("scan", SCAN_COLUMNS, rows)], results, f"{len(rows)} rows")
+    return CommandResult([("scan", SCAN_COLUMNS, rows)], lambda: {"rows": rows},
+                         f"{len(rows)} rows")
 
 
 # --- variance-sweep ---------------------------------------------------------------

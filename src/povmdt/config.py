@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .montecarlo import AXES as SWEEP_AXES, ShotModel
+from .montecarlo import SWEEP_BUILDERS, ShotModel
 from .noise import wavepacket_overlap
 from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_walk, random_povm
 
@@ -36,6 +36,7 @@ POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
 CALIBRATION_SAMPLES = 100000  # calibration.samples, also when calibrate has no such block
+SWEEP_AXES = tuple(SWEEP_BUILDERS)
 _FLOAT_MAX = sys.float_info.max
 _INT64_MAX = 2**63 - 1
 
@@ -307,14 +308,20 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             "axis": axis,
             "grid": tuple(_number_list(block["grid"], "sweep.grid", scale=angle_scale)),
             "trials": _number(block, "sweep", "trials", default=10000, integer=True),
-            "theta": _number(block, "sweep", "theta", default=0.0, scale=math.pi),
-            "eta": _number(block, "sweep", "eta", default=0.5),
-            "g": _number(block, "sweep", "g", default=cfg.g, scale=math.pi),
         }
-        e01 = _number_list(block.get("e01", [0.0, 0.0]), "sweep.e01")
-        if len(e01) != 2:
-            raise ConfigError(f"sweep.e01: expected [re, im], got {block['e01']!r}")
-        sweep["e01"] = complex(*e01)
+        # the fixed values the block gives, which SweepSpec refuses where
+        # the axis does not take them; every axis but g holds g fixed, at
+        # coupling.g unless the block gives it
+        for key, scale in (("theta", math.pi), ("eta", 1.0), ("g", math.pi)):
+            if key in block:
+                sweep[key] = _number(block, "sweep", key, scale=scale)
+        if axis != "g":
+            sweep.setdefault("g", cfg.g)
+        if "e01" in block:
+            e01 = _number_list(block["e01"], "sweep.e01")
+            if len(e01) != 2:
+                raise ConfigError(f"sweep.e01: expected [re, im], got {block['e01']!r}")
+            sweep["e01"] = complex(*e01)
         cfg.sweep = sweep
 
     if "calibration" in raw:

@@ -170,18 +170,6 @@ class EntryEstimate:
         return self.var_re + self.var_im
 
 
-def estimate_record(
-    est: EntryEstimate, l: int, j: int, k: int, g: float, seed: int | None = None
-) -> dict:
-    """JSON-ready record of one entry estimate (the export wire format)."""
-    return {
-        "l": l, "j": j, "k": k,
-        "re": est.value.real, "im": est.value.imag,
-        "var_re": est.var_re, "var_im": est.var_im,
-        "method": est.method, "g": g, "N": est.n_per_setting, "seed": seed,
-    }
-
-
 def estimate_from_tables(tables: np.ndarray, coeffs: RtCoefficients):
     """Raw entry estimate from (exact or sampled) (9, 2, 2) W tables: a
     complex, or a complex array with one entry per outcome of an
@@ -244,6 +232,12 @@ def analytic_variance(theta: float, g: float, eta: float, n: int) -> float:
 
     Independent of e01 itself.  Diverges at the boundary couplings.
     """
+    st = math.sin(theta)
+    return _variance_law(st * st, g, eta, n)
+
+
+def _variance_law(sin2_theta: float, g: float, eta: float, n: int) -> float:
+    """:func:`analytic_variance` at sin^2 t = ``sin2_theta``."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     if n <= 0:
@@ -251,8 +245,8 @@ def analytic_variance(theta: float, g: float, eta: float, n: int) -> float:
     s2g = math.sin(2 * g)
     if abs(s2g) < 1e-12:
         raise ValueError(f"variance diverges at boundary coupling g={g!r}")
-    st, sg = math.sin(theta), math.sin(g)
-    return (st * st + sg * sg) * (1 + 2 * sg * sg) / (eta * n * s2g**4)
+    sg = math.sin(g)
+    return (sin2_theta + sg * sg) * (1 + 2 * sg * sg) / (eta * n * s2g**4)
 
 
 def observable_variance(js: JointState, pi_l: np.ndarray, coeffs: RtCoefficients) -> float:

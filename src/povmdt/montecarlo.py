@@ -11,8 +11,10 @@ SeedSequence, and repeated trials run in the chunked trial kernel of
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .estimator import (
     _clip_once,
     _require_outcomes,
     _shares,
-    analytic_variance,
+    _variance_law,
     completeness_refine,
     error_transfer_variance,
     nonnegative_cells,
@@ -33,8 +35,6 @@ from .linalg import asoperator
 from .noise import apply_dephasing, apply_phase_rotation
 from .povm import Povm, make_parametric_element
 from .protocol import P_FLOOR, CouplingConfig, DeadPostSelectionError, exact_entry_tables
-
-AXES = ("g", "theta", "xi", "phi")
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,15 @@ class ShotModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_per_setting < 1:
-            raise ValueError(f"n_per_setting must be >= 1, got {self.n_per_setting}")
+        n, seed = self.n_per_setting, self.seed
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"n_per_setting must be an integer >= 1, got {n!r}")
         if self.statistics not in ("poisson", "multinomial"):
             raise ValueError(
                 f"statistics must be 'poisson' or 'multinomial', got {self.statistics!r}"
             )
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +63,8 @@ class EntryScenario:
 
     ``scale`` divides the raw entry estimate; set it to the element
     efficiency to work with efficiency-normalized entries (the convention
-    of the closed-form variance law).
+    of the closed-form variance law).  The coupling ``g`` lies strictly
+    inside (0, pi/2).
     """
 
     pi_l: np.ndarray
@@ -75,6 +79,7 @@ class EntryScenario:
             raise ValueError("entry scenarios target off-diagonal entries; need j != k")
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        self.coeffs()  # refuses a g outside (0, pi/2)
 
     def coeffs(self) -> RtCoefficients:
         return rt_coefficients(self.pi_l.shape[0], self.g)
@@ -99,60 +104,62 @@ class TrialSummary:
     trials: int
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-axis sweep of the measurement-precision study.
+def _g_point(g, theta=0.0, eta=0.5, e01=0.0) -> EntryScenario:
+    """Entry (1, 0) of the qubit element eta*[[cos^2 theta, e01], ...],
+    efficiency-normalized."""
+    return EntryScenario(make_parametric_element(theta, eta, e01), 1, 0, g, scale=eta)
 
-    axis "g" or "theta" sweeps entry (1, 0) of the qubit element
-    eta*[[cos^2 t, e01], ...] with the other angle fixed; axis "xi"/"phi"
-    applies dephasing/rotation to element ``label`` of ``povm`` and sweeps
-    the noise parameter at entry (j, k).  Angles are radians.  Values that
-    break the model (g outside (0, pi/2), eta outside (0, 1], an e01 beyond
-    the positivity bound at a swept theta, xi outside [0, 1]) are refused on
-    construction, before any trial, and so is a field that the axis does not
-    read (``povm``, ``label``, ``j``, ``k`` for g and theta; ``theta``,
-    ``eta``, ``e01`` for xi and phi) set away from its default.
+
+def _theta_point(theta, g=math.pi / 4, eta=0.5, e01=0.0) -> EntryScenario:
+    return _g_point(g, theta, eta, e01)
+
+
+def _xi_point(xi, povm, label=1, j=1, k=0, g=math.pi / 4) -> EntryScenario:
+    return EntryScenario(apply_dephasing(povm, xi, j, k).element(label), j, k, g)
+
+
+def _phi_point(phi, povm, label=1, j=1, k=0, g=math.pi / 4) -> EntryScenario:
+    return EntryScenario(apply_phase_rotation(povm, phi, j, k).element(label), j, k, g)
+
+
+#: The scenario builder of each sweep axis: its first argument is the grid
+#: value, its keywords are the values that the axis holds fixed.
+SWEEP_BUILDERS = {"g": _g_point, "theta": _theta_point, "xi": _xi_point, "phi": _phi_point}
+
+
+class SweepSpec:
+    """A one-axis sweep of the measurement-precision study: one
+    :class:`EntryScenario` per grid value, in ``scenarios``.
+
+    Axis "g" or "theta" sweeps entry (1, 0) of the qubit element
+    eta*[[cos^2 theta, e01], ...] and takes the other angle, ``eta`` and
+    ``e01`` as keywords; axis "xi"/"phi" dephases/rotates slot (j, k) of
+    ``povm`` and sweeps entry (j, k) of element ``label``, and takes
+    ``povm``, ``label``, ``j``, ``k`` and ``g``.  Angles are radians.  A
+    keyword that the axis does not take, its own swept parameter included,
+    is refused, and so is every scenario that breaks the model, by the code
+    that builds it: all on construction, before any trial.
     """
 
-    axis: str
-    grid: tuple
-    trials: int
-    shot: ShotModel
-    theta: float = 0.0
-    eta: float = 0.5
-    e01: complex = 0.0
-    g: float = math.pi / 4
-    povm: Povm | None = None
-    label: int = 1
-    j: int = 1
-    k: int = 0
-
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        unread = ("povm", "label", "j", "k") if self.axis in ("g", "theta") else (
-            "theta", "eta", "e01")
-        changed = [f.name if f.name == "povm" else f"{f.name}={getattr(self, f.name)!r}"
-                   for f in fields(self)
-                   if f.name in unread and getattr(self, f.name) != f.default]
-        if changed:
-            raise ValueError(f"axis {self.axis!r} sweeps do not read {', '.join(unread)}; "
-                             f"got {', '.join(changed)}")
-        if len(self.grid) == 0:
+    def __init__(self, axis: str, grid, trials: int, shot: ShotModel, **fixed):
+        if axis not in SWEEP_BUILDERS:
+            raise ValueError(f"axis must be one of {tuple(SWEEP_BUILDERS)}, got {axis!r}")
+        build = SWEEP_BUILDERS[axis]
+        _, *params = inspect.signature(build).parameters.values()
+        takes = [p.name for p in params]
+        unread = [key for key in fixed if key not in takes]
+        if unread:
+            raise ValueError(f"axis {axis!r} sweeps take {', '.join(takes)}; "
+                             f"got {', '.join(unread)}")
+        missing = [p.name for p in params if p.default is p.empty and p.name not in fixed]
+        if missing:
+            raise ValueError(f"axis {axis!r} sweeps need {', '.join(missing)}")
+        if len(grid) == 0:
             raise ValueError("sweep grid must be non-empty")
-        bad = [g for g in (self.grid if self.axis == "g" else [self.g])
-               if not 0 < g < math.pi / 2]
-        if bad:
-            raise ValueError(f"g must lie strictly inside (0, pi/2); offending {bad}")
-        if self.axis in ("g", "theta"):
-            for theta in self.grid if self.axis == "theta" else [self.theta]:
-                make_parametric_element(theta, self.eta, self.e01)  # eta, e01 checks
-        elif self.povm is None:
-            raise ValueError(f"axis {self.axis!r} sweeps need a povm")
-        if self.axis == "xi" and not all(0 <= xi <= 1 for xi in self.grid):
-            raise ValueError(f"xi grid must lie in [0, 1]; got {list(self.grid)}")
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+        if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 0:
+            raise ValueError(f"trials must be an integer >= 0, got {trials!r}")
+        self.axis, self.grid, self.trials, self.shot = axis, tuple(grid), trials, shot
+        self.scenarios = tuple(build(float(value), **fixed) for value in self.grid)
 
 
 #: The setting of each of the 36 cells: the draw blocks of one W table.
@@ -233,20 +240,6 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     )
 
 
-def _scenario_at(spec: SweepSpec, value: float) -> EntryScenario:
-    """Materialize the scenario at one grid point of the sweep axis."""
-    if spec.axis in ("g", "theta"):
-        theta = value if spec.axis == "theta" else spec.theta
-        g = value if spec.axis == "g" else spec.g
-        elem = make_parametric_element(theta, spec.eta, spec.e01)
-        return EntryScenario(elem, 1, 0, g, scale=spec.eta)
-    if spec.axis == "xi":
-        noisy = apply_dephasing(spec.povm, value, spec.j, spec.k)
-    else:
-        noisy = apply_phase_rotation(spec.povm, value, spec.j, spec.k)
-    return EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
-
-
 def _analytic_for(scenario: EntryScenario, n: int) -> float:
     """Closed-form variance in the scenario's estimand scale (NaN if d > 2)."""
     d = scenario.pi_l.shape[0]
@@ -255,11 +248,9 @@ def _analytic_for(scenario: EntryScenario, n: int) -> float:
     eta = float(np.trace(scenario.pi_l).real)
     if not 0 < eta <= 1:
         return float("nan")
-    cos2 = float(scenario.pi_l[scenario.k, scenario.k].real) / eta
-    theta = math.acos(math.sqrt(min(max(cos2, 0.0), 1.0)))
-    law = analytic_variance(theta, scenario.g, eta, n)
+    sin2 = float(scenario.pi_l[scenario.j, scenario.j].real) / eta
     # the law is stated for the efficiency-normalized entry (scale = eta)
-    return law * (eta / scenario.scale) ** 2
+    return _variance_law(sin2, scenario.g, eta, n) * (eta / scenario.scale) ** 2
 
 
 def variance_sweep(spec: SweepSpec) -> list[dict]:
@@ -268,13 +259,12 @@ def variance_sweep(spec: SweepSpec) -> list[dict]:
     Returns one row per grid point with keys: axis_value, var_analytic,
     var_transfer, var_empirical, mean_re, mean_im, trials, seed.  All three
     variances are expressed in the scenario's estimand scale.  Each point is
-    one :func:`run_trials` call on its own child seed; with trials = 0 the
-    empirical columns are NaN.
+    one :func:`run_trials` call of its scenario on its own child seed; with
+    trials = 0 the empirical columns are NaN.
     """
     seeds = _child_seeds(spec.shot.seed, len(spec.grid)).tolist()
     rows = []
-    for value, seed in zip(spec.grid, seeds):
-        scenario = _scenario_at(spec, float(value))
+    for value, scenario, seed in zip(spec.grid, spec.scenarios, seeds):
         summary = run_trials(scenario, replace(spec.shot, seed=seed), spec.trials)
         rows.append({
             "axis_value": float(value),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def run_metadata(command: str, config_echo: str, seed: int) -> dict:

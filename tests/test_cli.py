@@ -354,14 +354,26 @@ def sweep_config(**sweep):
     # a sweep key its axis does not read
     ("variance-sweep", dict(sweep_config(axis="xi", grid=[0.5], eta=0.3, theta=0.2),
                             entry={"l": 1, "j": 1, "k": 0}),
-     f"sweep: axis 'xi' sweeps do not read theta, eta, e01; got theta={0.2 * np.pi!r}, eta=0.3"),
+     "sweep: axis 'xi' sweeps take povm, label, j, k, g; got theta, eta"),
+    # a sweep's own swept parameter, held fixed
+    ("variance-sweep", sweep_config(axis="g", grid=[0.25], trials=0, g=0.1),
+     "sweep: axis 'g' sweeps take theta, eta, e01; got g"),
+    ("variance-sweep", sweep_config(axis="theta", grid=[0.25], trials=0, theta=0.4),
+     "sweep: axis 'theta' sweeps take g, eta, e01; got theta"),
+    # a noise map that leaves a d = 3 element non-positive, refused before any trial
+    ("variance-sweep", dict(sweep_config(axis="phi", grid=[0.0, 0.25]),
+                            povm={"source": "random", "d": 3, "outcomes": 3, "seed": 4},
+                            entry={"l": 1, "j": 1, "k": 0}),
+     "sweep: phase rotation by phi=0.785398 of slot (1, 0): element 1 is not positive "
+     "semidefinite within 1e-09"),
 ], ids=["block-not-mapping", "missing-key", "non-number", "empty-file", "no-shots",
         "povm-file-not-found", "povm-source", "random-without-d", "file-without-path",
         "walk-without-unitary", "noise-type", "dephasing-without-grid", "rotation-without-phi",
         "sweep-axis", "output-dir", "output-format", "tolerance-zero", "tolerance-negative",
         "scan-without-noise", "scan-without-entry", "xi-sweep-all-outcomes",
         "calibrate-without-block", "samples-past-int64", "shots-past-int64",
-        "xi-sweep-unread-keys"])
+        "xi-sweep-unread-keys", "g-sweep-fixed-g", "theta-sweep-fixed-theta",
+        "phi-sweep-non-positive"])
 def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
     """Each refusal of the config reader and of a command exits 2 with its
     one message and writes nothing."""
@@ -553,8 +565,9 @@ class TestScanCommand:
         out = tmp_path / "oj"
         assert main(["scan", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         report = json.loads((out / "scan.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["command"] == "scan"
+        assert list(report["results"]) == ["rows"]  # each number once: no estimates copy
         assert len(report["results"]["rows"]) == 12
 
     def test_missing_output_dir_exits_2(self, tmp_path):

@@ -15,7 +15,7 @@ PUBLIC = {
     "coupling_unitary", "evolve_joint", "prepare_entry_state",
     "meter_tables", "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
-    "estimate_from_tables", "estimate_record",
+    "estimate_from_tables",
     "error_transfer_variance", "analytic_variance", "observable_variance",
     "completeness_refine",
     "Environment", "apply_dephasing", "apply_phase_rotation",

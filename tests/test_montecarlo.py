@@ -882,20 +882,24 @@ class TestInvertedDraws:
         assert (np.abs(products.mean(axis=0) - truth) < 5 * se).all()
         assert (np.abs(dev.mean(axis=0)) < 5 * dev.std(axis=0) / np.sqrt(trials)).all()
 
-def reference_sweep(spec):
-    """``variance_sweep`` as one inline pipeline per grid point: exact tables,
-    error-transfer variance and the trial kernel, without ``run_trials``."""
-    seeds = np.random.SeedSequence(spec.shot.seed).generate_state(len(spec.grid))
-    n, stats = spec.shot.n_per_setting, spec.shot.statistics
+def reference_sweep(axis, grid, trials, shot, **fixed):
+    """``variance_sweep`` as one inline pipeline per grid point: the scenario
+    from the axis value and every fixed value, given explicitly, then exact
+    tables, error-transfer variance and the trial kernel, without
+    ``SweepSpec`` or ``run_trials``."""
+    seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid))
+    n, stats = shot.n_per_setting, shot.statistics
     rows = []
-    for value, seed in zip(spec.grid, seeds):
-        if spec.axis == "g":
-            elem = make_parametric_element(spec.theta, spec.eta, spec.e01)
-            scn = EntryScenario(elem, 1, 0, value, scale=spec.eta)
+    for value, seed in zip(grid, seeds):
+        if axis in ("g", "theta"):
+            point = dict(fixed, **{axis: value})
+            elem = make_parametric_element(point["theta"], point["eta"], point["e01"])
+            scn = EntryScenario(elem, 1, 0, point["g"], scale=point["eta"])
         else:
-            noise = apply_dephasing if spec.axis == "xi" else apply_phase_rotation
-            noisy = noise(spec.povm, value, spec.j, spec.k)
-            scn = EntryScenario(noisy.element(spec.label), spec.j, spec.k, spec.g)
+            noise = apply_dephasing if axis == "xi" else apply_phase_rotation
+            j, k = fixed["j"], fixed["k"]
+            noisy = noise(fixed["povm"], value, j, k)
+            scn = EntryScenario(noisy.element(fixed["label"]), j, k, fixed["g"])
         tables = exact_entry_tables(scn.pi_l, scn.j, scn.k, CouplingConfig.symmetric(scn.g))
         coeffs = scn.coeffs()
         vr, vi = error_transfer_variance(tables, coeffs, n, stats)
@@ -903,12 +907,12 @@ def reference_sweep(spec):
             "axis_value": float(value), "var_analytic": _analytic_for(scn, n),
             "var_transfer": vr / scn.scale**2 + vi / scn.scale**2, "var_empirical": float("nan"),
             "mean_re": float("nan"), "mean_im": float("nan"),
-            "trials": spec.trials, "seed": int(seed),
+            "trials": trials, "seed": int(seed),
         }
-        if spec.trials > 0:
+        if trials > 0:
             mean, var = one_outcome(
                 nonnegative_cells(tables).reshape(9, 4), coeffs.cell_re / scn.scale,
-                coeffs.cell_im / scn.scale, n, spec.trials, int(seed), stats,
+                coeffs.cell_im / scn.scale, n, trials, int(seed), stats,
             )
             row["var_empirical"] = float(var[0]) + float(var[1])
             row["mean_re"], row["mean_im"] = float(mean[0]), float(mean[1])
@@ -917,22 +921,23 @@ def reference_sweep(spec):
 
 
 class TestVarianceSweep:
-    @pytest.mark.parametrize("trials", [0, 300])
+    @pytest.mark.parametrize("trials", [0, 1, 300, 8193])
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
-    @pytest.mark.parametrize("axis", ["g", "xi", "phi"])
+    @pytest.mark.parametrize("axis", ["g", "theta", "xi", "phi"])
     def test_rows_equal_the_reference_loop(self, sic, axis, statistics, trials):
+        """Every axis, with trials past one chunk and a one-trial last chunk."""
         shot = ShotModel(N_REF, statistics, seed=29)
-        if axis == "g":
-            spec = SweepSpec("g", (np.pi / 16, np.pi / 4, 3 * np.pi / 8), trials, shot,
-                             theta=THETA_SIC, eta=0.5, e01=0.1 + 0.05j)
-        elif axis == "xi":
-            spec = SweepSpec("xi", (1.0, 0.4, 0.0), trials, shot, povm=sic, label=3,
-                             g=np.pi / 8)
-        else:
-            spec = SweepSpec("phi", (0.0, 0.8, np.pi), trials, shot, povm=sic, label=3,
-                             g=np.pi / 8)
+        noise = dict(povm=sic, label=3, j=1, k=0, g=np.pi / 8)
+        grid, fixed = {
+            "g": ((np.pi / 16, np.pi / 4, 3 * np.pi / 8),
+                  dict(theta=THETA_SIC, eta=0.5, e01=0.1 + 0.05j)),
+            "theta": ((0.3, THETA_SIC, 1.2), dict(g=np.pi / 8, eta=0.7, e01=0.1j)),
+            "xi": ((1.0, 0.4, 0.0), noise),
+            "phi": ((0.0, 0.8, np.pi), noise),
+        }[axis]
+        rows = variance_sweep(SweepSpec(axis, grid, trials, shot, **fixed))
         # repr tells every float bit apart and makes NaN equal to NaN
-        assert repr(variance_sweep(spec)) == repr(reference_sweep(spec))
+        assert repr(rows) == repr(reference_sweep(axis, grid, trials, shot, **fixed))
 
     @pytest.mark.parametrize("axis, povm, label", [
         ("xi", random_povm(3, 3, seed=4), 2),   # d = 3: the law is for a qubit
@@ -1113,23 +1118,41 @@ class TestRefinementTrials:
      "2 seeds for 1 outcomes"),
     (lambda: EntryScenario(np.eye(2) / 2, 1, 1, 0.6),
      "entry scenarios target off-diagonal entries; need j != k"),
-    (lambda: SweepSpec("g", (0.5,), -1, ShotModel(100)), "trials must be >= 0"),
+    (lambda: EntryScenario(np.eye(2) / 2, 1, 0, 0.0),
+     "coupling strength g=0.0 must lie strictly inside (0, pi/2)"),
+    (lambda: ShotModel(100.5), "n_per_setting must be an integer >= 1, got 100.5"),
+    (lambda: ShotModel(True), "n_per_setting must be an integer >= 1, got True"),
+    (lambda: ShotModel(100, seed=-1), "seed must be an integer >= 0, got -1"),
+    (lambda: ShotModel(100, seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    (lambda: SweepSpec("g", (0.5,), -1, ShotModel(100)), "trials must be an integer >= 0, got -1"),
+    (lambda: SweepSpec("g", (0.5,), 2.5, ShotModel(100)),
+     "trials must be an integer >= 0, got 2.5"),
     (lambda: SweepSpec("theta", (0.0, 0.9), 10, ShotModel(100), j=0, k=1, label=7),
-     "axis 'theta' sweeps do not read povm, label, j, k; got label=7, j=0, k=1"),
+     "axis 'theta' sweeps take g, eta, e01; got j, k, label"),
     (lambda: SweepSpec("g", (0.5,), 10, ShotModel(100), povm=random_povm(2, 3, seed=4)),
-     "axis 'g' sweeps do not read povm, label, j, k; got povm"),
+     "axis 'g' sweeps take theta, eta, e01; got povm"),
     (lambda: SweepSpec("xi", (1.0, 0.5), 10, ShotModel(100), povm=random_povm(2, 3, seed=4),
                        eta=0.3, theta=0.2),
-     "axis 'xi' sweeps do not read theta, eta, e01; got theta=0.2, eta=0.3"),
+     "axis 'xi' sweeps take povm, label, j, k, g; got eta, theta"),
     (lambda: SweepSpec("phi", (0.0, 0.5), 10, ShotModel(100), povm=random_povm(2, 3, seed=4),
                        e01=0.1j),
-     "axis 'phi' sweeps do not read theta, eta, e01; got e01=0.1j"),
-], ids=["kernel-seeds", "scenario-diagonal", "sweep-trials", "theta-sweep-entry",
-        "g-sweep-povm", "xi-sweep-element", "phi-sweep-e01"])
+     "axis 'phi' sweeps take povm, label, j, k, g; got e01"),
+    (lambda: SweepSpec("g", (0.5,), 0, ShotModel(100), g=0.1),
+     "axis 'g' sweeps take theta, eta, e01; got g"),
+    (lambda: SweepSpec("theta", (0.5,), 0, ShotModel(100), theta=0.4),
+     "axis 'theta' sweeps take g, eta, e01; got theta"),
+    (lambda: SweepSpec("phi", (0.0, 0.7), 10, ShotModel(100), povm=random_povm(3, 3, seed=4)),
+     "phase rotation by phi=0.7 of slot (1, 0): element 2 is not positive semidefinite "
+     "within 1e-09"),
+], ids=["kernel-seeds", "scenario-diagonal", "scenario-g", "shot-n-fraction", "shot-n-bool",
+        "shot-seed-negative", "shot-seed-fraction", "sweep-trials", "sweep-trials-fraction",
+        "theta-sweep-entry", "g-sweep-povm", "xi-sweep-element", "phi-sweep-e01",
+        "g-sweep-fixed-g", "theta-sweep-fixed-theta", "phi-sweep-non-positive"])
 def test_refusals_keep_their_messages(call, message):
     """Each refusal of the studies keeps its message.  A sweep refuses a
-    field that its axis does not read, set away from its default: the g
-    and theta sweeps read entry (1, 0) of the qubit element, the xi and phi
-    sweeps an element of their POVM."""
+    keyword that its axis does not take, its own swept parameter included:
+    the g and theta sweeps read entry (1, 0) of the qubit element, the xi
+    and phi sweeps an element of their POVM.  A sweep that breaks the model
+    is refused on construction, by the code that builds its scenarios."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
