@@ -16,6 +16,13 @@ study, since every outcome shares the weights):
 Both merges are exact in distribution.  Cells with a zero weight pair or a
 zero probability add nothing to the estimate and are not drawn.  For the
 paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
+Poisson groups are independent, so two groups whose weight pairs are exact
+negatives, ``w`` and ``-w``, enter the estimate only through ``w (N+ -
+N-)``, and that difference is drawn as one count (:func:`count_tables`).
+With the paper's weights every nonzero pair but ``(d gamma^2, 0)`` has its
+negative, ``+-d gamma beta`` and ``+-d beta^2`` on the real part and on the
+imaginary part, so a Poisson trial takes at most 5 draws, 4 of them counts
+of a difference.
 
 :func:`draw_counts` is the one counting-noise sampler: the trial kernel
 contracts its counts with the group weights, and
@@ -31,23 +38,31 @@ A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
 count whose law is the same in every trial is drawn by inverting its CDF
 table through a guide table: a uniform and a lookup per count, and a search
 for the few that the guide leaves short (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. III.2).  Two
+Variate Generation*, 1986, ch. III.2).  Three
 kinds of count have a fixed law: every Poisson group, ``Poisson(n p_g)``,
-and the first group of each multinomial setting, ``Binomial(n, p_1)``
-(:func:`count_tables`).  A table spans its law's mean +- (13 sd + 13) and is
-built once per kernel call, on the calling thread; the workers only read
-it.  A group is inverted when its table fits a chunk, at most
-``CHUNK_TRIALS`` entries, which covers rates up to about 10^5, so the tables
-do not depend on the trial count and their memory is bounded like a
-chunk's.  A group whose table would not fit keeps numpy's sampler, one
-``poisson(n p_g, size)`` call with a scalar rate.  The later groups of a
+the difference of an opposite-weight pair of Poisson groups, whose law is
+Skellam's (Skellam 1946), and the first group of each multinomial setting,
+``Binomial(n, p_1)`` (:func:`count_tables`).  A Poisson or binomial table
+spans its law's mean +- (13 sd + 13); a difference table is the correlation
+of its two groups' Poisson pmfs, ``np.convolve(p+, p-[::-1])``, over every
+difference of their spans, so each side truncates what theirs do.  The
+tables are built once per kernel call of more than one trial, on the
+calling thread; the workers only read them.  A count is inverted when its
+table fits a chunk, at most ``CHUNK_TRIALS`` entries, which covers rates up
+to about 10^5 (pairs of rates up to about 2.4 10^4 each), so the tables do
+not depend on the trial count and their memory is bounded like a chunk's.
+A pair whose difference table would not fit draws each of its groups on
+its own.  A Poisson group whose table would not fit keeps numpy's sampler,
+one ``poisson(n p_g, size)`` call with a scalar rate.  The later groups of a
 multinomial setting keep numpy's chain of conditional binomials,
 ``binomial(left, p_g / rest, size)`` with ``left`` the particles not yet
 placed, which differs from trial to trial, and nothing is drawn for the
 rejected bucket (Devroye, ch. XI).  Inversion is exact up to the table's
 float64 rounding and its truncation: the table CDFs lie within 2e-14 of
 ``scipy.stats`` for Poisson rates 1e-9 to 10^5 and binomials with n up to
-10^5, and the truncated tails carry less than 2e-30 of the mass.  One trial
+10^5, and within 3e-14 of ``scipy.stats.skellam`` for rate pairs from
+1e-9 to the cap, and the truncated tails carry less than 2e-30 of the
+mass on each side.  One trial
 is drawn without tables, in one numpy call for every outcome of a stack: a
 broadcast ``poisson``, or one ``multinomial`` with a row per outcome and
 block.
@@ -180,18 +195,12 @@ def table_span(n, p, poisson):
     return lo, hi if poisson else min(n, hi)
 
 
-def inversion_table(n, p, poisson):
-    """The table that draws ``Poisson(n p)``, or ``Binomial(n, p)`` with
-    ``0 < p < 1``, by inversion: ``(lo, cdf, guide)``.
-
-    ``cdf[i]`` is the probability of a count at most ``lo + i``, over the
-    counts of :func:`table_span`.  The pmf runs outward from the mode by its
-    ratio recurrence, lambda / k for Poisson and (n - k) / (k + 1) p / (1 - p)
-    for the binomial, and its cumulative sum is divided by its own total, the
-    normalising constant.  ``guide[i]`` is the number of CDF entries at most
-    ``i / M``, over M cells, the power of two from 2 ``len(cdf)`` up, so
-    that ``u M`` and ``i / M`` are exact in float64.
-    """
+def law_pmf(n, p, poisson):
+    """``(lo, pmf)``: the pmf of ``Poisson(n p)``, or of ``Binomial(n, p)``
+    with ``0 < p < 1``, over the counts ``lo, lo + 1, ...`` of
+    :func:`table_span`, unnormalised: 1 at the mode.  It runs outward from
+    the mode by its ratio recurrence, lambda / k for Poisson and
+    (n - k) / (k + 1) p / (1 - p) for the binomial."""
     lo, hi = table_span(n, p, poisson)
     mean = n * p
     if poisson:
@@ -205,8 +214,20 @@ def inversion_table(n, p, poisson):
         up = (n - k) / (k + 1) * odds                # p(k + 1) / p(k)
         k = np.arange(mode, lo, -1)
         down = k / (n - k + 1) / odds                # p(k - 1) / p(k)
-    cdf = np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
-    np.cumsum(cdf, out=cdf)
+    return lo, np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
+
+
+def guide_table(lo, pmf):
+    """The table that draws a count of the unnormalised ``pmf`` over ``lo,
+    lo + 1, ...`` by inversion: ``(lo, cdf, guide)``.
+
+    ``cdf[i]`` is the probability of a count at most ``lo + i``: the pmf's
+    cumulative sum divided by its own total, the normalising constant.
+    ``guide[i]`` is the number of CDF entries at most ``i / M``, over M
+    cells, the power of two from 2 ``len(cdf)`` up, so that ``u M`` and
+    ``i / M`` are exact in float64.
+    """
+    cdf = np.cumsum(pmf)
     cdf /= cdf[-1]
     cells = 1 << (2 * cdf.size - 1).bit_length()
     # cdf[i] <= j / M  <=>  ceil(cdf[i] M) <= j, exactly for a power of two M
@@ -215,30 +236,77 @@ def inversion_table(n, p, poisson):
     return lo, cdf, guide
 
 
-def count_tables(block, prob, n, statistics):
-    """The :func:`inversion_table` of each group whose count has one law in
-    every trial; None for every other group.
+def inversion_table(n, p, poisson):
+    """The :func:`guide_table` of ``Poisson(n p)``, or of ``Binomial(n, p)``
+    with ``0 < p < 1``, over the counts of :func:`table_span`."""
+    return guide_table(*law_pmf(n, p, poisson))
 
-    Those are every Poisson group and the first group of each multinomial
-    setting.  A group whose table would have more than ``CHUNK_TRIALS``
-    entries gets None, and so does a first group that holds the whole
-    setting (``p >= 1``).
+
+def difference_table(n, p_plus, p_minus):
+    """The :func:`guide_table` of ``N+ - N-``, for independent ``N+ ~
+    Poisson(n p_plus)`` and ``N- ~ Poisson(n p_minus)``: the Skellam law
+    (Skellam 1946).  Its pmf is the correlation of the two laws' pmfs over
+    their :func:`table_span`, so it spans every difference of the two spans,
+    and each side truncates what the two laws' tables do."""
+    lo_plus, plus = law_pmf(n, p_plus, True)
+    lo_minus, minus = law_pmf(n, p_minus, True)
+    return guide_table(lo_plus - (lo_minus + minus.size - 1), np.convolve(plus, minus[::-1]))
+
+
+def opposite_pairs(weights):
+    """``{g: h}`` over the groups ``g < h`` whose ``(w_re, w_im)`` weights
+    are exact negatives of each other, for the distinct rows of a (groups,
+    2) ``weights``, as :func:`group_cells` gives them."""
+    unpaired, pairs = {}, {}
+    for h, (w_re, w_im) in enumerate(weights.tolist()):
+        g = unpaired.pop((-w_re, -w_im), None)
+        if g is None:
+            unpaired[(w_re, w_im)] = h
+        else:
+            pairs[g] = h
+    return pairs
+
+
+#: The :func:`count_tables` entry of a pair's second group: its column holds
+#: 0, since the pair's first group draws the difference of their counts.
+PAIRED = "paired"
+
+
+def count_tables(block, prob, n, statistics, weights=None):
+    """The table that draws each group's count in a chunk of trials, one
+    entry per group, as :func:`draw_counts` reads them.
+
+    Each group whose count has one law in every trial, every Poisson group
+    and the first group of each multinomial setting, gets its
+    :func:`inversion_table`.  Every other group gets None, and so does a
+    group whose table would have more than ``CHUNK_TRIALS`` entries and a
+    first group that holds the whole setting (``p >= 1``).
+
+    Given the groups' (groups, 2) ``weights``, two Poisson groups ``g < h``
+    whose weights are exact negatives enter the estimate only through
+    ``w_g (N_g - N_h)``.  If the :func:`difference_table` of that difference
+    fits ``CHUNK_TRIALS`` entries, group g gets it and group h gets
+    ``PAIRED``; otherwise each keeps its own entry.
     """
     poisson = statistics == "poisson"
     fixed = np.full(prob.size, poisson)
     if not poisson:  # the first group of each block, as the chain of draw_counts runs
         fixed[np.unique(block, return_index=True)[1]] = True
         fixed &= prob < 1.0
-    tables = []
-    for p, inverted in zip(prob.tolist(), fixed.tolist()):
-        lo, hi = table_span(n, p, poisson)
-        inverted = inverted and hi - lo < CHUNK_TRIALS
-        tables.append(inversion_table(n, p, poisson) if inverted else None)
+    spans = [hi - lo for lo, hi in (table_span(n, p, poisson) for p in prob.tolist())]
+    tables = [None] * prob.size
+    if poisson and weights is not None:
+        for g, h in opposite_pairs(weights).items():
+            if spans[g] + spans[h] < CHUNK_TRIALS:  # the entries of the difference, less 1
+                tables[g], tables[h] = difference_table(n, prob[g], prob[h]), PAIRED
+    for g, (p, span, inverted) in enumerate(zip(prob.tolist(), spans, fixed.tolist())):
+        if tables[g] is None and inverted and span < CHUNK_TRIALS:
+            tables[g] = inversion_table(n, p, poisson)
     return tables
 
 
 def _invert(rng, size, table):
-    """``size`` counts drawn from an :func:`inversion_table`, as an int array:
+    """``size`` counts drawn from a :func:`guide_table`, as an int array:
     ``searchsorted(cdf, u, "right") + lo`` of each uniform ``u``.  The guide's
     entry is that index wherever the CDF at the entry exceeds ``u``."""
     lo, cdf, guide = table
@@ -254,14 +322,17 @@ def _invert(rng, size, table):
 def draw_counts(rng, size, block, prob, n, statistics, tables):
     """Counts of the groups, one row per trial, as a (size, groups) float array.
 
-    Poisson counts are independent with means ``n * prob``.  Multinomial
+    Poisson counts are independent with means ``n * prob``, except that of
+    a pair that ``tables`` draws as one difference, the first group holds
+    that difference and the second (``PAIRED``) holds 0.  Multinomial
     counts spread n particles over the groups of each ``block`` and that
     block's rejected bucket, whose count is dropped.  Float, because every
     caller scales or contracts the counts, which would convert them anyway.
 
     More than one trial is drawn group by group.  A group with a table in
     ``tables``, one entry per group as :func:`count_tables` gives them, is
-    drawn by inversion; the others by ``poisson(n p_g, size)``, or per block
+    drawn by inversion, and a ``PAIRED`` group is not drawn; the others
+    are drawn by ``poisson(n p_g, size)``, or per block
     by the chain that numpy's multinomial runs row by row,
     ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
     placed and ``rest`` the probability not yet spent.
@@ -293,7 +364,12 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
     counts = np.empty((prob.size, size))
     if statistics == "poisson":
         for g, (rate, table) in enumerate(zip((n * prob).tolist(), tables)):
-            counts[g] = rng.poisson(rate, size) if table is None else _invert(rng, size, table)
+            if table is None:
+                counts[g] = rng.poisson(rate, size)
+            elif table is PAIRED:
+                counts[g] = 0.0
+            else:
+                counts[g] = _invert(rng, size, table)
         return counts.T
     for b in np.unique(block):
         left, rest = n, 1.0
@@ -350,8 +426,9 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
 
     The moments do not depend on ``WORKERS``, and an outcome's mean and
     variance are those of a stack of it alone.  The tables do not depend
-    on ``trials``, so the whole chunks of a shorter call are the first
-    chunks of a longer one.  Multinomial statistics refuse a setting whose
+    on ``trials`` (a one-trial call, which reads none, builds none), so the
+    whole chunks of a shorter call are the first chunks of a longer one.
+    Multinomial statistics refuse a setting whose
     cells sum above 1.
     """
     if trials < 0:
@@ -365,7 +442,9 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
         return np.full((2, outcomes), np.nan), np.full((2, outcomes, outcomes), np.nan)
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
     groups = group_cells(stack, w_re, w_im, statistics)
-    tables = [count_tables(block, prob, n, statistics) for block, prob, _ in groups]
+    # one trial is drawn without tables (draw_counts), so a one-trial study builds none
+    tables = [count_tables(block, prob, n, statistics, weights) if trials > 1 else None
+              for block, prob, weights in groups]
 
     # imported here: ``import povmdt`` should not pay for it
     from collections import deque

@@ -244,7 +244,9 @@ SWEEP_COLUMNS = [
 
 
 def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
-    """Variance curves along the sweep block; a sweep that breaks the model exits 2."""
+    """Variance curves along the sweep block; a sweep that breaks the model,
+    or a g or theta sweep given a povm or entry block it would not read,
+    exits 2."""
     if cfg.sweep is None:
         raise ConfigError("variance-sweep requires a sweep block")
     kwargs = dict(cfg.sweep, shot=cfg.shot_model())
@@ -258,6 +260,12 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
         spec = SweepSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from None
+    unread = [name for name, block in (("povm", cfg.povm_block), ("entry", cfg.entry))
+              if block is not None]
+    if spec.axis in ("g", "theta") and unread:
+        raise ConfigError(f"sweep: axis {spec.axis!r} sweeps measure entry (1, 0) of the "
+                          f"parametric qubit element and read no povm or entry block; "
+                          f"got {', '.join(unread)}")
     rows = variance_sweep(spec)
     return CommandResult(
         [("variance_sweep", SWEEP_COLUMNS, rows)], lambda: {"rows": rows}, f"{len(rows)} rows"

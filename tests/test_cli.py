@@ -360,6 +360,16 @@ def sweep_config(**sweep):
      "sweep: axis 'g' sweeps take theta, eta, e01; got g"),
     ("variance-sweep", sweep_config(axis="theta", grid=[0.25], trials=0, theta=0.4),
      "sweep: axis 'theta' sweeps take g, eta, e01; got theta"),
+    # a block that a g or theta sweep does not read
+    ("variance-sweep", sweep_config(axis="g", grid=[0.25], trials=0),
+     "sweep: axis 'g' sweeps measure entry (1, 0) of the parametric qubit element and read "
+     "no povm or entry block; got povm, entry"),
+    ("variance-sweep", without(sweep_config(axis="theta", grid=[0.25]), "entry"),
+     "sweep: axis 'theta' sweeps measure entry (1, 0) of the parametric qubit element and "
+     "read no povm or entry block; got povm"),
+    ("variance-sweep", without(sweep_config(axis="g", grid=[0.25]), "povm"),
+     "sweep: axis 'g' sweeps measure entry (1, 0) of the parametric qubit element and read "
+     "no povm or entry block; got entry"),
     # a noise map that leaves a d = 3 element non-positive, refused before any trial
     ("variance-sweep", dict(sweep_config(axis="phi", grid=[0.0, 0.25]),
                             povm={"source": "random", "d": 3, "outcomes": 3, "seed": 4},
@@ -373,7 +383,7 @@ def sweep_config(**sweep):
         "scan-without-noise", "scan-without-entry", "xi-sweep-all-outcomes",
         "calibrate-without-block", "samples-past-int64", "shots-past-int64",
         "xi-sweep-unread-keys", "g-sweep-fixed-g", "theta-sweep-fixed-theta",
-        "phi-sweep-non-positive"])
+        "g-sweep-povm-entry", "theta-sweep-povm", "g-sweep-entry", "phi-sweep-non-positive"])
 def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
     """Each refusal of the config reader and of a command exits 2 with its
     one message and writes nothing."""

@@ -21,6 +21,7 @@ from povmdt import (
     apply_phase_rotation,
     exact_entry_tables,
     make_parametric_element,
+    matrix_entry_oracle,
     random_povm,
     refinement_trials,
     rt_coefficients,
@@ -386,7 +387,7 @@ class TestTrialKernel:
         call's tables; C-contiguous like the kernel's, so that their sums run
         in the same order."""
         block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, statistics)[0]
-        tables = _kernels.count_tables(block, prob, n, statistics)
+        tables = _kernels.count_tables(block, prob, n, statistics, weights)
         size = min(_kernels.CHUNK_TRIALS, trials - c * _kernels.CHUNK_TRIALS)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
         counts = _kernels.draw_counts(rng, size, block, prob, n, statistics, tables)
@@ -450,19 +451,19 @@ class TestTrialKernel:
     #: stream must renew them.  rtol 1e-12 leaves room for BLAS rounding, not
     #: for another draw.
     PINNED_KERNEL = {
-        "poisson": ([-0.00011515465804407636, -0.0001593862485510619],
-                    [0.0004973471260270251, 0.0005009529196720963]),
+        "poisson": ([7.830516746995304e-05, -0.00018278323470197061],
+                    [0.000497395255968124, 0.0004903822685435529]),
         "multinomial": ([-6.042950399609541e-05, 0.000148435116832408],
                         [0.0005072876079668268, 0.0004892362329079161]),
     }
     PINNED_REFINEMENT = {
         "poisson": (
-            [(0.0002728037837487426, 0.00021325040135474445),
-             (0.00031789657170055004, 0.0002216733532989627),
-             (9.702352428502626e-05, 7.524464176827946e-05)],
-            [(0.0001668294396126768, 0.00012772073720622264),
-             (0.0001716233550583151, 0.00012528562155787352),
-             (8.350643575380328e-05, 6.414916968285613e-05)],
+            [(0.0002746753201193062, 0.00021576193192251298),
+             (0.0003161285784731307, 0.00022383059638063322),
+             (9.68997965109798e-05, 7.465700326220224e-05)],
+            [(0.0001652569239246955, 0.00012877495480049164),
+             (0.00017277918017419397, 0.000124265303553134),
+             (8.275390360015897e-05, 6.348507472496345e-05)],
         ),
         "multinomial": (
             [(0.00024611999659657327, 0.00020353697736545133),
@@ -649,6 +650,23 @@ class TestTrialKernel:
         for mean, cov in runs[1:]:
             np.testing.assert_array_equal(mean, runs[0][0])
             np.testing.assert_array_equal(cov, runs[0][1])
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_stack_means_are_the_exact_entries(self, statistics):
+        """Every outcome's mean estimate of a complete six-outcome POVM, over
+        two chunks and a few trials, lies within 4 standard errors of its
+        exact entry, in both components."""
+        povm = random_povm(2, 6, seed=3)
+        coeffs = rt_coefficients(2, 0.6)
+        cells = nonnegative_cells(exact_entry_tables(
+            povm.elements, 1, 0, CouplingConfig.symmetric(0.6))).reshape(6, 9, 4)
+        trials = 2 * _kernels.CHUNK_TRIALS + 5
+        mean, cov = _kernels.trial_estimates(cells, coeffs.cell_re, coeffs.cell_im, N_REF,
+                                             trials, [31, 32, 33, 34, 35, 36], statistics)
+        truth = np.array([matrix_entry_oracle(povm, lab, 1, 0) for lab in povm.labels])
+        se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / trials)
+        z = (mean - [truth.real, truth.imag]) / se
+        assert (np.abs(z) < 4).all(), z
 
     def test_two_chunk_stack_uses_every_thread(self, monkeypatch):
         """Each chunk is its own task: the two chunks of a four-outcome stack
@@ -881,6 +899,104 @@ class TestInvertedDraws:
         se = products.std(axis=0) / np.sqrt(trials)
         assert (np.abs(products.mean(axis=0) - truth) < 5 * se).all()
         assert (np.abs(dev.mean(axis=0)) < 5 * dev.std(axis=0) / np.sqrt(trials)).all()
+
+class TestPairedDraws:
+    """Two Poisson groups with opposite weights, drawn as one count of their
+    difference, and the rules that leave the other groups' draws as they
+    were."""
+
+    #: (rate+, rate-): tiny and unequal rates, the workload's, and rates
+    #: whose difference table nears the cap.
+    RATE_PAIRS = [(1e-9, 1e-9), (1e-9, 3.0), (0.5, 3.0), (12.0, 12.0), (799.375, 3197.5),
+                  (1e4, 2e4), (2.4e4, 2.4e4), (3e4, 1.9e4)]
+
+    @staticmethod
+    def pair(rates, weights=((1.0, 0.0), (-1.0, 0.0))):
+        """``(block, prob, weights)`` of two Poisson groups at ``n = 1``."""
+        return np.zeros(2, dtype=np.intp), np.array(rates), np.array(weights)
+
+    @pytest.mark.parametrize("rates", RATE_PAIRS)
+    def test_table_is_the_cdf(self, rates):
+        """The difference table spans every difference of the two laws'
+        spans, its CDF is scipy's Skellam within 1e-13, and the mass beyond
+        each of its edges is below 2e-30."""
+        (lo_plus, hi_plus), (lo_minus, hi_minus) = (_kernels.table_span(1, r, True)
+                                                    for r in rates)
+        assert hi_plus - lo_plus + hi_minus - lo_minus < _kernels.CHUNK_TRIALS
+        lo, cdf, guide = _kernels.difference_table(1, *rates)
+        hi = lo + cdf.size - 1
+        assert (lo, hi) == (lo_plus - hi_minus, hi_plus - lo_minus) and cdf[-1] == 1.0
+        law = scipy.stats.skellam(*rates)
+        np.testing.assert_allclose(cdf, law.cdf(np.arange(lo, hi + 1)), rtol=0, atol=1e-13)
+        # the upper tail as the lower tail of the mirrored law, which scipy resolves
+        assert law.cdf(lo - 1) < 2e-30
+        assert scipy.stats.skellam(*rates[::-1]).cdf(-hi - 1) < 2e-30
+        cells = np.arange(guide.size) / guide.size
+        assert (guide == np.searchsorted(cdf, cells, "right")).all()
+
+    def test_paired_groups(self):
+        """The paper's weights at g = pi/4 pair all 8 drawn groups of the
+        reference scenario: each first group gets a difference table and its
+        partner ``PAIRED``."""
+        cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
+        block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, "poisson")[0]
+        pairs = _kernels.opposite_pairs(weights)
+        assert len(pairs) == 4 and all(g < h for g, h in pairs.items())
+        for g, h in pairs.items():
+            assert (weights[h] == -weights[g]).all()
+        tables = _kernels.count_tables(block, prob, N_REF, "poisson", weights)
+        for g, h in pairs.items():
+            assert tables[h] is _kernels.PAIRED
+            want = _kernels.difference_table(N_REF, prob[g], prob[h])
+            assert all(np.array_equal(a, b) for a, b in zip(tables[g], want))
+
+    @pytest.mark.parametrize("n, rates", [(N_REF, (0.0625, 0.25)), (1, (0.5, 3.0))],
+                             ids=["workload", "small"])
+    def test_paired_draws_follow_the_law(self, n, rates):
+        """10^6 paired draws: the first column is Skellam(n p+, n p-) and the
+        partner's column is 0."""
+        block, prob, weights = self.pair(rates)
+        tables = _kernels.count_tables(block, prob, n, "poisson", weights)
+        assert tables[1] is _kernels.PAIRED
+        counts = _kernels.draw_counts(np.random.default_rng(2027), 10**6, block, prob, n,
+                                      "poisson", tables)
+        assert (counts[:, 1] == 0).all()
+        TestInvertedDraws.check_draws(counts[:, 0], scipy.stats.skellam(n * prob[0], n * prob[1]))
+
+    @pytest.mark.parametrize("rates, weights", [
+        ((3e4, 3e4), ((1.0, 0.0), (-1.0, 0.0))),
+        ((2e5, 10.0), ((0.0, 1.0), (0.0, -1.0))),
+        ((799.375, 3197.5), ((0.5, 0.0), (-np.nextafter(0.5, 1.0), 0.0))),
+    ], ids=["difference-past-cap", "group-past-cap", "perturbed-weight"])
+    def test_unpaired_groups_keep_their_draws(self, rates, weights):
+        """A pair whose difference table would pass the cap, and weights
+        that are not exact negatives, draw each group as without weights,
+        bit for bit: its own inverted count, or numpy's past the cap."""
+        block, prob, weights = self.pair(rates, weights)
+        tables = _kernels.count_tables(block, prob, 1, "poisson", weights)
+        alone = _kernels.count_tables(block, prob, 1, "poisson")
+        assert _kernels.PAIRED not in tables
+        for table, want, rate in zip(tables, alone, rates):
+            lo, hi = _kernels.table_span(1, rate, True)
+            assert (table is None) == (want is None) == (hi - lo >= _kernels.CHUNK_TRIALS)
+            if table is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(table, want))
+        rng = np.random.default_rng(5)
+        want = [rng.poisson(rate, 1000) if table is None else _kernels._invert(rng, 1000, table)
+                for rate, table in zip(rates, alone)]
+        drawn = _kernels.draw_counts(np.random.default_rng(5), 1000, block, prob, 1, "poisson",
+                                     tables)
+        np.testing.assert_array_equal(drawn, np.transpose(want))
+
+    def test_multinomial_groups_are_not_paired(self):
+        """Multinomial counts are not independent, so opposite weights keep
+        their own tables."""
+        block, prob, weights = self.pair((0.25, 0.5))
+        tables = _kernels.count_tables(block, prob, N_REF, "multinomial", weights)
+        assert tables[1] is None
+        want = _kernels.inversion_table(N_REF, 0.25, False)
+        assert all(np.array_equal(a, b) for a, b in zip(tables[0], want))
+
 
 def reference_sweep(axis, grid, trials, shot, **fixed):
     """``variance_sweep`` as one inline pipeline per grid point: the scenario
