@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,7 @@ from .estimator import (
     rt_coefficients,
 )
 from .montecarlo import (
+    SWEEP_KEYWORDS,
     SweepSpec,
     _child_seeds,
     exact_slot,
@@ -150,18 +151,17 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
 # --- scan -----------------------------------------------------------------------
 
 
-def _scan_rows(labels, j, k, grid, n, seeds, method, values, var_re, var_im, truths):
+def _scan_rows(labels, j, k, grid, n, seed, method, values, var_re, var_im, truths):
     """The rows of a scan, one list per grid point of one row per outcome,
     from (points, outcomes) columns: complex ``values`` and ``truths`` and
-    float variances; ``seeds`` names each point's seed."""
+    float variances; ``seed`` fills the seed column."""
     columns = (values.real, values.imag, var_re, var_im, truths.real, truths.imag)
     return [
         [{"l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
           "est_re": er, "est_im": ei, "var_re": vr, "var_im": vi,
           "true_re": tr, "true_im": ti, "n": n, "seed": seed, "method": method}
          for lab, er, ei, vr, vi, tr, ti in zip(labels, *point)]
-        for (axis, axis_value, _), seed, *point in zip(
-            grid, seeds, *(column.tolist() for column in columns))
+        for (axis, axis_value, _), *point in zip(grid, *(column.tolist() for column in columns))
     ]
 
 
@@ -173,12 +173,12 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     ground truth.  With ``refine`` the sum-rule refinement is applied
     across outcomes at each grid point.  Only the noise map runs grid point
     by grid point; after every point's map, the exact step
-    (:func:`~povmdt.montecarlo.exact_slot`), the estimates and the
-    refinement are one call each for the whole grid.  Every outcome of a
-    grid point draws from the point's own seed, in one
-    :func:`~povmdt.montecarlo.sample_counts` call, and the ``seed`` column
-    of its sampled rows names that seed.  An outcome with a dead
-    post-selection is refused by grid point and outcome.
+    (:func:`~povmdt.montecarlo.exact_slot`), the draw, the estimates and
+    the refinement are one call each for the whole grid.  The one
+    :func:`~povmdt.montecarlo.sample_counts` call draws every (grid point,
+    outcome) in that order from ``default_rng(shot.seed)``, and the
+    ``seed`` column of the sampled rows names that seed.  An outcome with a
+    dead post-selection is refused by grid point and outcome.
     """
     if cfg.noise is None:
         raise ConfigError("scan requires a noise block")
@@ -207,15 +207,13 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
 
     cells, var_re, var_im = exact_slot(elems.reshape((-1,) + elems.shape[2:]), j, k, coeffs, n,
                                        name, statistics=shot.statistics)
-    seeds = _child_seeds(shot.seed, len(grid)).tolist()
-    counts = np.stack([sample_counts(cells[p * size:(p + 1) * size], replace(shot, seed=seed))
-                       for p, seed in enumerate(seeds)])
-    values = estimate_from_tables(counts.reshape(-1, 9, 2, 2), coeffs).reshape(shape)
+    values = estimate_from_tables(sample_counts(cells, shot), coeffs).reshape(shape)
     # adding 0j turns a signed zero into +0.0, as in matrix_entry_oracle
     var_re, var_im, truths = var_re.reshape(shape), var_im.reshape(shape), elems[..., j, k] + 0j
-    rows = _scan_rows(labels, j, k, grid, n, seeds, "sampled", values, var_re, var_im, truths)
+    rows = _scan_rows(labels, j, k, grid, n, shot.seed, "sampled", values, var_re, var_im,
+                      truths)
     if refine:
-        refined = _scan_rows(labels, j, k, grid, n, [-1] * len(grid), "refined",
+        refined = _scan_rows(labels, j, k, grid, n, -1, "refined",
                              *completeness_refine(values, var_re, var_im), truths)
         rows = [part for both in zip(rows, refined) for part in both]
     return [row for part in rows for row in part]
@@ -243,14 +241,20 @@ SWEEP_COLUMNS = [
 ]
 
 
+#: The scenario blocks, and those that give the value of a sweep keyword
+#: when the sweep block does not.
+SCENARIO_BLOCKS = ("povm", "entry", "coupling", "noise", "calibration")
+KEYWORD_BLOCKS = {"povm": ("povm", "entry"), "g": ("coupling",)}
+
+
 def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
     """Variance curves along the sweep block; a sweep that breaks the model,
-    or a g or theta sweep given a povm or entry block it would not read,
-    exits 2."""
+    or one given a scenario block that it does not read, exits 2."""
     if cfg.sweep is None:
         raise ConfigError("variance-sweep requires a sweep block")
     kwargs = dict(cfg.sweep, shot=cfg.shot_model())
-    if cfg.sweep["axis"] in ("xi", "phi"):
+    keywords = SWEEP_KEYWORDS[cfg.sweep["axis"]]
+    if "povm" in keywords:
         if cfg.entry is None or cfg.entry["l"] == "all":
             raise ConfigError("sweep over xi/phi needs an entry block with a single l")
         povm = cfg.povm()
@@ -260,12 +264,13 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
         spec = SweepSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from None
-    unread = [name for name, block in (("povm", cfg.povm_block), ("entry", cfg.entry))
-              if block is not None]
-    if spec.axis in ("g", "theta") and unread:
-        raise ConfigError(f"sweep: axis {spec.axis!r} sweeps measure entry (1, 0) of the "
-                          f"parametric qubit element and read no povm or entry block; "
-                          f"got {', '.join(unread)}")
+    reads = [block for key in keywords if key not in cfg.raw["sweep"]
+             for block in KEYWORD_BLOCKS.get(key, ())]
+    unread = [block for block in SCENARIO_BLOCKS if block not in reads]
+    given = [block for block in unread if block in cfg.raw]
+    if given:
+        raise ConfigError(f"sweep: axis {spec.axis!r} sweeps read none of the blocks "
+                          f"{', '.join(unread)}; got {', '.join(given)}")
     rows = variance_sweep(spec)
     return CommandResult(
         [("variance_sweep", SWEEP_COLUMNS, rows)], lambda: {"rows": rows}, f"{len(rows)} rows"

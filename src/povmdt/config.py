@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .montecarlo import SWEEP_BUILDERS, ShotModel
+from .montecarlo import SWEEP_KEYWORDS, ShotModel
 from .noise import wavepacket_overlap
 from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_walk, random_povm
 
@@ -36,7 +36,7 @@ POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
 CALIBRATION_SAMPLES = 100000  # calibration.samples, also when calibrate has no such block
-SWEEP_AXES = tuple(SWEEP_BUILDERS)
+SWEEP_AXES = tuple(SWEEP_KEYWORDS)
 _FLOAT_MAX = sys.float_info.max
 _INT64_MAX = 2**63 - 1
 
@@ -310,12 +310,12 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             "trials": _number(block, "sweep", "trials", default=10000, integer=True),
         }
         # the fixed values the block gives, which SweepSpec refuses where
-        # the axis does not take them; every axis but g holds g fixed, at
+        # the axis does not take them; an axis that takes g holds it at
         # coupling.g unless the block gives it
         for key, scale in (("theta", math.pi), ("eta", 1.0), ("g", math.pi)):
             if key in block:
                 sweep[key] = _number(block, "sweep", key, scale=scale)
-        if axis != "g":
+        if "g" in SWEEP_KEYWORDS[axis]:
             sweep.setdefault("g", cfg.g)
         if "e01" in block:
             e01 = _number_list(block["e01"], "sweep.e01")

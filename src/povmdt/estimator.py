@@ -130,11 +130,6 @@ class _ClippedCells:
 
     flat: np.ndarray
 
-    def __getitem__(self, outcomes) -> "_ClippedCells":
-        """The cells of a slice of the outcomes of a stack, still checked
-        and clipped."""
-        return _ClippedCells(self.flat[outcomes])
-
 
 def _refuse_nonfinite(flat: np.ndarray) -> None:
     """Refuse (36,) or (L, 36) cells with a NaN or infinite cell, naming the

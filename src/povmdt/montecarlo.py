@@ -125,6 +125,9 @@ def _phi_point(phi, povm, label=1, j=1, k=0, g=math.pi / 4) -> EntryScenario:
 #: The scenario builder of each sweep axis: its first argument is the grid
 #: value, its keywords are the values that the axis holds fixed.
 SWEEP_BUILDERS = {"g": _g_point, "theta": _theta_point, "xi": _xi_point, "phi": _phi_point}
+#: The keywords of each axis's builder, in order.
+SWEEP_KEYWORDS = {axis: tuple(inspect.signature(build).parameters)[1:]
+                  for axis, build in SWEEP_BUILDERS.items()}
 
 
 class SweepSpec:
@@ -144,14 +147,14 @@ class SweepSpec:
     def __init__(self, axis: str, grid, trials: int, shot: ShotModel, **fixed):
         if axis not in SWEEP_BUILDERS:
             raise ValueError(f"axis must be one of {tuple(SWEEP_BUILDERS)}, got {axis!r}")
-        build = SWEEP_BUILDERS[axis]
-        _, *params = inspect.signature(build).parameters.values()
-        takes = [p.name for p in params]
+        build, takes = SWEEP_BUILDERS[axis], SWEEP_KEYWORDS[axis]
         unread = [key for key in fixed if key not in takes]
         if unread:
             raise ValueError(f"axis {axis!r} sweeps take {', '.join(takes)}; "
                              f"got {', '.join(unread)}")
-        missing = [p.name for p in params if p.default is p.empty and p.name not in fixed]
+        params = inspect.signature(build).parameters
+        missing = [key for key in takes
+                   if params[key].default is inspect.Parameter.empty and key not in fixed]
         if missing:
             raise ValueError(f"axis {axis!r} sweeps need {', '.join(missing)}")
         if len(grid) == 0:

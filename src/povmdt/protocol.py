@@ -93,37 +93,21 @@ class DeadPostSelectionError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Coupling strengths for the two meters, each strictly inside (0, pi/2).
+    """The coupling strength ``g`` of both meters, strictly inside (0, pi/2):
+    the entry estimator's readout is that of equally coupled meters."""
 
-    The entry estimator currently assumes equal strengths; asymmetric
-    configurations evolve fine (:func:`evolve_joint`,
-    :func:`prepare_entry_state`) but are rejected by :attr:`g`, which
-    :func:`exact_entry_tables` reads first.
-    """
-
-    g_b: float
-    g_a: float
+    g: float
 
     def __post_init__(self):
-        for name, g in (("g_b", self.g_b), ("g_a", self.g_a)):
-            if not 0.0 < g < np.pi / 2:
-                raise ValueError(
-                    f"{name} = {g!r} must lie strictly inside (0, pi/2); "
-                    "the estimator divides by sin(g)cos(g)"
-                )
+        if not 0.0 < self.g < np.pi / 2:
+            raise ValueError(
+                f"g = {self.g!r} must lie strictly inside (0, pi/2); "
+                "the estimator divides by sin(g)cos(g)"
+            )
 
     @classmethod
     def symmetric(cls, g: float) -> "CouplingConfig":
-        return cls(g, g)
-
-    @property
-    def g(self) -> float:
-        if self.g_b != self.g_a:
-            raise ValueError(
-                f"asymmetric couplings (g_b={self.g_b}, g_a={self.g_a}) are not "
-                "supported by the entry estimator; use equal strengths"
-            )
-        return self.g_b
+        return cls(g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +187,8 @@ def evolve_joint(rho_s: np.ndarray, cfg: CouplingConfig, k: int) -> JointState:
     if not is_density(rho_s, 1e-10):
         raise ValueError("rho_s is not a valid density operator within 1e-10")
     o_b, o_a = build_observables(d, k)
-    u_b = coupling_unitary(o_b, cfg.g_b, "b")
-    u_a = coupling_unitary(o_a, cfg.g_a, "a")
+    u_b = coupling_unitary(o_b, cfg.g, "b")
+    u_a = coupling_unitary(o_a, cfg.g, "a")
     p0 = projector(ket(2, 0))
     rho0 = tensor(rho_s, p0, p0)
     u = u_a @ u_b
@@ -293,11 +277,8 @@ def _cells(tables) -> np.ndarray:
 def exact_entry_tables(pi_l: np.ndarray, j: int, k: int, cfg: CouplingConfig) -> np.ndarray:
     """Exact W tables for probing entry (j, k) of one (d, d) element, given
     in the computational basis: (9, 2, 2), or (L, 9, 2, 2) for an (L, d, d)
-    stack.  The readout of these tables assumes equal couplings, so unequal
-    ones are refused through :attr:`CouplingConfig.g`.  An element with a
-    NaN or infinite entry, which would give NaN tables, is refused, naming
-    the first such entry."""
-    cfg.g  # raises for g_b != g_a
+    stack.  An element with a NaN or infinite entry, which would give NaN
+    tables, is refused, naming the first such entry."""
     pi = _elements(pi_l)
     finite = np.isfinite(pi)
     if not finite.all():

@@ -57,8 +57,8 @@ BASE_SCAN = {
 
 def reference_scan(cfg, refine=False):
     """Per-outcome reference for ``run_scan``: one tables, variance and
-    estimate call per (grid point, outcome), every outcome of a grid point
-    drawn in order from the point's one generator by numpy directly."""
+    estimate call per (grid point, outcome), every (grid point, outcome)
+    drawn in that order from the scan's one generator by numpy directly."""
     povm, shot = cfg.povm(), cfg.shot_model()
     j, k = cfg.entry["j"], cfg.entry["k"]
     labels = list(povm.labels)
@@ -69,7 +69,7 @@ def reference_scan(cfg, refine=False):
     n = shot.n_per_setting
     coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
-    seeds = np.random.SeedSequence(shot.seed).generate_state(len(grid))
+    rng = np.random.default_rng(shot.seed)
     rows = []
 
     def row(lab, est, truth, seed):
@@ -81,9 +81,8 @@ def reference_scan(cfg, refine=False):
             "n": n, "seed": seed, "method": est.method,
         }
 
-    for (axis, axis_value, param), seed in zip(grid, seeds.tolist()):
+    for axis, axis_value, param in grid:
         noisy = transform(povm, param, j, k)
-        rng = np.random.default_rng(seed)
         truths, sampled = [], []
         for lab in labels:
             elem = noisy.element(lab)
@@ -100,7 +99,7 @@ def reference_scan(cfg, refine=False):
             truth = complex(elem[j, k])
             truths.append(truth)
             sampled.append(est)
-            rows.append(row(lab, est, truth, seed))
+            rows.append(row(lab, est, truth, shot.seed))
         if refine:
             refined = completeness_refine([est.value for est in sampled],
                                           [est.var_re for est in sampled],
@@ -360,16 +359,31 @@ def sweep_config(**sweep):
      "sweep: axis 'g' sweeps take theta, eta, e01; got g"),
     ("variance-sweep", sweep_config(axis="theta", grid=[0.25], trials=0, theta=0.4),
      "sweep: axis 'theta' sweeps take g, eta, e01; got theta"),
-    # a block that a g or theta sweep does not read
+    # a scenario block that the sweep does not read
     ("variance-sweep", sweep_config(axis="g", grid=[0.25], trials=0),
-     "sweep: axis 'g' sweeps measure entry (1, 0) of the parametric qubit element and read "
-     "no povm or entry block; got povm, entry"),
+     "sweep: axis 'g' sweeps read none of the blocks povm, entry, coupling, noise, "
+     "calibration; got povm, entry, coupling, noise"),
     ("variance-sweep", without(sweep_config(axis="theta", grid=[0.25]), "entry"),
-     "sweep: axis 'theta' sweeps measure entry (1, 0) of the parametric qubit element and "
-     "read no povm or entry block; got povm"),
+     "sweep: axis 'theta' sweeps read none of the blocks povm, entry, noise, calibration; "
+     "got povm, noise"),
     ("variance-sweep", without(sweep_config(axis="g", grid=[0.25]), "povm"),
-     "sweep: axis 'g' sweeps measure entry (1, 0) of the parametric qubit element and read "
-     "no povm or entry block; got entry"),
+     "sweep: axis 'g' sweeps read none of the blocks povm, entry, coupling, noise, "
+     "calibration; got entry, coupling, noise"),
+    ("variance-sweep", dict(sweep_config(axis="xi", grid=[0.5]), entry={"l": 1, "j": 1, "k": 0}),
+     "sweep: axis 'xi' sweeps read none of the blocks noise, calibration; got noise"),
+    ("variance-sweep", {"shots": {"n_per_setting": 100}, "calibration": {"xi_grid": [0.5]},
+                        "sweep": {"axis": "theta", "grid": [0.25], "trials": 0}},
+     "sweep: axis 'theta' sweeps read none of the blocks povm, entry, noise, calibration; "
+     "got calibration"),
+    ("variance-sweep", {"shots": {"n_per_setting": 100}, "coupling": {"g": 0.1},
+                        "sweep": {"axis": "g", "grid": [0.25], "trials": 0}},
+     "sweep: axis 'g' sweeps read none of the blocks povm, entry, coupling, noise, "
+     "calibration; got coupling"),
+    # coupling.g where the sweep block gives g
+    ("variance-sweep", {"shots": {"n_per_setting": 100}, "coupling": {"g": 0.1},
+                        "sweep": {"axis": "theta", "grid": [0.25], "trials": 0, "g": 0.2}},
+     "sweep: axis 'theta' sweeps read none of the blocks povm, entry, coupling, noise, "
+     "calibration; got coupling"),
     # a noise map that leaves a d = 3 element non-positive, refused before any trial
     ("variance-sweep", dict(sweep_config(axis="phi", grid=[0.0, 0.25]),
                             povm={"source": "random", "d": 3, "outcomes": 3, "seed": 4},
@@ -383,7 +397,9 @@ def sweep_config(**sweep):
         "scan-without-noise", "scan-without-entry", "xi-sweep-all-outcomes",
         "calibrate-without-block", "samples-past-int64", "shots-past-int64",
         "xi-sweep-unread-keys", "g-sweep-fixed-g", "theta-sweep-fixed-theta",
-        "g-sweep-povm-entry", "theta-sweep-povm", "g-sweep-entry", "phi-sweep-non-positive"])
+        "g-sweep-povm-entry", "theta-sweep-povm", "g-sweep-entry", "xi-sweep-noise",
+        "theta-sweep-calibration", "g-sweep-coupling", "theta-sweep-g-and-coupling",
+        "phi-sweep-non-positive"])
 def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
     """Each refusal of the config reader and of a command exits 2 with its
     one message and writes nothing."""
@@ -604,6 +620,40 @@ class TestScanCommand:
                     shots={"n_per_setting": 4000, "statistics": statistics})
         cfg = parse_config(write_config(tmp_path, data))
         assert run_scan(cfg, refine=refine) == reference_scan(cfg, refine=refine)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_one_draw_per_scan(self, tmp_path, monkeypatch, refine):
+        """A scan draws its whole grid in one sample_counts call, and every
+        sampled row names the scan's one seed."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return montecarlo.sample_counts(*args)
+
+        monkeypatch.setattr(cli, "sample_counts", counted)
+        cfg = parse_config(write_config(tmp_path, BASE_SCAN))
+        rows = run_scan(cfg, refine=refine)
+        assert len(calls) == 1 and len(cfg.noise["grid"]) == 3
+        assert {(r["method"], r["seed"]) for r in rows} == (
+            {("sampled", 123), ("refined", -1)} if refine else {("sampled", 123)})
+
+    @pytest.mark.parametrize("statistics, seed", [("poisson", 17), ("multinomial", 18)])
+    def test_pooled_z_scores(self, tmp_path, statistics, seed):
+        """Over a 100-point rotation scan of a complete six-outcome POVM, the
+        mean z^2 of the 1200 sampled (re, im) estimates, and separately of
+        the 1200 refined ones, lies within 3.3 standard deviations of 1:
+        the estimates are unbiased and their reported variances are right."""
+        data = dict(BASE_SCAN, seed=seed,
+                    povm={"source": "random", "d": 2, "outcomes": 6, "seed": 9},
+                    noise={"type": "rotation", "phi": np.linspace(-1, 1, 100).tolist()},
+                    shots={"n_per_setting": 12790, "statistics": statistics})
+        rows = run_scan(parse_config(write_config(tmp_path, data)), refine=True)
+        for method in ("sampled", "refined"):
+            z2 = [(row[f"est_{part}"] - row[f"true_{part}"]) ** 2 / row[f"var_{part}"]
+                  for row in rows if row["method"] == method for part in ("re", "im")]
+            assert len(z2) == 1200
+            assert 0.865 <= np.mean(z2) <= 1.135, (method, np.mean(z2))
 
     @pytest.mark.parametrize("command", [["scan"], ["scan", "--refine"],
                                          ["calibrate", "--refine"]])

@@ -31,7 +31,7 @@ from povmdt import (
 )
 from povmdt import _kernels, estimator, montecarlo
 from povmdt.estimator import _clip_once, error_transfer_variance, nonnegative_cells
-from povmdt.montecarlo import _analytic_for
+from povmdt.montecarlo import _analytic_for, exact_slot
 from povmdt.protocol import SETTINGS
 
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -666,6 +666,28 @@ class TestTrialKernel:
         truth = np.array([matrix_entry_oracle(povm, lab, 1, 0) for lab in povm.labels])
         se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / trials)
         z = (mean - [truth.real, truth.imag]) / se
+        assert (np.abs(z) < 4).all(), z
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_refined_means_are_the_exact_entries(self, statistics):
+        """Every outcome's refined mean m_l - wc_l sum_u m_u of a complete
+        six-outcome POVM, over two chunks and a few trials, lies within 4
+        standard errors of its exact entry, in both components; the standard
+        error is that of refinement_trials' refined sample variance."""
+        povm = random_povm(2, 6, seed=5)
+        coeffs = rt_coefficients(2, 0.6)
+        cells, var_re, var_im = exact_slot(povm.elements, 1, 0, coeffs, N_REF, str, statistics)
+        trials = 2 * _kernels.CHUNK_TRIALS + 5
+        mean, cov = _kernels.trial_estimates(cells.flat.reshape(-1, 9, 4), coeffs.cell_re,
+                                             coeffs.cell_im, N_REF, trials, range(41, 47),
+                                             statistics)
+        wc = estimator._shares(np.stack([var_re, var_im]))
+        refined = mean - wc * mean.sum(axis=-1, keepdims=True)
+        row_sums = cov.sum(axis=-1)
+        refined_var = (np.diagonal(cov, axis1=1, axis2=2) - 2 * wc * row_sums
+                       + wc**2 * row_sums.sum(axis=-1, keepdims=True))
+        truth = np.array([matrix_entry_oracle(povm, lab, 1, 0) for lab in povm.labels])
+        z = (refined - [truth.real, truth.imag]) / np.sqrt(refined_var / trials)
         assert (np.abs(z) < 4).all(), z
 
     def test_two_chunk_stack_uses_every_thread(self, monkeypatch):

@@ -130,7 +130,7 @@ class TestEvolveJoint:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = a @ dag(a)
             rho /= np.trace(rho).real
-            js = evolve_joint(rho, CouplingConfig(0.4, 0.9), int(rng.integers(d)))
+            js = evolve_joint(rho, CouplingConfig(0.4), int(rng.integers(d)))
             assert abs(np.trace(js.rho) - 1) < 1e-12
             assert np.linalg.eigvalsh(js.rho).min() > -1e-12
 
@@ -194,23 +194,6 @@ class TestCouplingConfig:
     def test_boundary_rejected(self, g):
         with pytest.raises(ValueError, match="strictly inside"):
             CouplingConfig.symmetric(g)
-
-    def test_asymmetric_rejected_by_estimator_accessor(self):
-        cfg = CouplingConfig(0.3, 0.4)
-        with pytest.raises(ValueError, match="asymmetric"):
-            cfg.g
-
-    def test_asymmetric_refused_by_exact_tables(self):
-        """Unequal couplings evolve, but tables read with the equal-coupling
-        functional would give a wrong entry with no error, so the exact
-        tables refuse them."""
-        e = random_povm(2, 3, seed=1).elements[0]
-        cfg = CouplingConfig(0.3, 0.4)
-        assert prepare_entry_state(2, 1, 0, cfg).rho.shape == (8, 8)
-        with pytest.raises(ValueError, match="^asymmetric couplings"):
-            exact_entry_tables(e, 1, 0, cfg)
-        with pytest.raises(ValueError, match="^asymmetric couplings"):
-            exact_entry_tables(e[None], 1, 0, cfg)
 
 
 def post_selection_probability(js, pi):
