@@ -22,7 +22,15 @@ N-)``, and that difference is drawn as one count (:func:`count_tables`).
 With the paper's weights every nonzero pair but ``(d gamma^2, 0)`` has its
 negative, ``+-d gamma beta`` and ``+-d beta^2`` on the real part and on the
 imaginary part, so a Poisson trial takes at most 5 draws, 4 of them counts
-of a difference.
+of a difference.  Multinomial counts of one setting are not independent,
+but with the paper's weights every setting but zz draws two groups whose
+weights are exact negatives, g and h (fewer where a group's probability is
+0).  Each of its n particles then steps +1, -1 or 0 with probabilities
+``p_g``, ``p_h`` and ``r = 1 - p_g - p_h``, the rejected bucket, and when
+``r >= 2 sqrt(p_g p_h)`` that step has the law of ``X - Y`` for independent
+Bernoulli ``X`` and ``Y`` (:func:`split_pair`), so ``N_g - N_h`` is the
+difference of two independent binomial counts, each of one law in every
+trial.
 
 :func:`draw_counts` is the one counting-noise sampler: the trial kernel
 contracts its counts with the group weights, and
@@ -38,25 +46,28 @@ A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
 count whose law is the same in every trial is drawn by inverting its CDF
 table through a guide table: a uniform and a lookup per count, and a search
 for the few that the guide leaves short (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. III.2).  Three
+Variate Generation*, 1986, ch. III.2).  Four
 kinds of count have a fixed law: every Poisson group, ``Poisson(n p_g)``,
 the difference of an opposite-weight pair of Poisson groups, whose law is
-Skellam's (Skellam 1946), and the first group of each multinomial setting,
-``Binomial(n, p_1)`` (:func:`count_tables`).  A Poisson or binomial table
-spans its law's mean +- (13 sd + 13); a difference table is the correlation
-of its two groups' Poisson pmfs, ``np.convolve(p+, p-[::-1])``, over every
-difference of their spans, so each side truncates what theirs do.  The
-tables are built once per kernel call of more than one trial, on the
-calling thread; the workers only read them.  A count is inverted when its
+Skellam's (Skellam 1946), the first group of each multinomial setting,
+``Binomial(n, p_1)``, and the two binomials whose difference is that of a
+split multinomial pair, ``Binomial(n, alpha)`` and ``Binomial(n, delta)``
+(:func:`count_tables`).  A Poisson or binomial table spans its law's mean
++- (13 sd + 13); a difference table is the correlation of its two groups'
+Poisson pmfs, ``np.convolve(p+, p-[::-1])``, over every difference of their
+spans, so each side truncates what theirs do.  The tables are built once
+per kernel call of more than one trial, on the calling thread, one per
+distinct law; the workers only read them.  A count is inverted when its
 table fits a chunk, at most ``CHUNK_TRIALS`` entries, which covers rates up
 to about 10^5 (pairs of rates up to about 2.4 10^4 each), so the tables do
 not depend on the trial count and their memory is bounded like a chunk's.
-A pair whose difference table would not fit draws each of its groups on
-its own.  A Poisson group whose table would not fit keeps numpy's sampler,
-one ``poisson(n p_g, size)`` call with a scalar rate.  The later groups of a
-multinomial setting keep numpy's chain of conditional binomials,
-``binomial(left, p_g / rest, size)`` with ``left`` the particles not yet
-placed, which differs from trial to trial, and nothing is drawn for the
+A pair whose difference table, or either of whose two binomial tables,
+would not fit draws each of its groups on its own.  A Poisson group whose
+table would not fit keeps numpy's sampler, one ``poisson(n p_g, size)``
+call with a scalar rate.  The later groups of a multinomial setting that is
+not split keep numpy's chain of conditional binomials, ``binomial(left, p_g
+/ rest, size)`` with ``left`` the particles not yet placed, which differs
+from trial to trial, and nothing is drawn for the
 rejected bucket (Devroye, ch. XI).  Inversion is exact up to the table's
 float64 rounding and its truncation: the table CDFs lie within 2e-14 of
 ``scipy.stats`` for Poisson rates 1e-9 to 10^5 and binomials with n up to
@@ -267,6 +278,27 @@ def opposite_pairs(weights):
     return pairs
 
 
+def split_pair(p_g, p_h):
+    """``(alpha, delta)`` such that ``X - Y``, for independent ``X ~
+    Bern(alpha)`` and ``Y ~ Bern(delta)``, steps +1, -1 and 0 with
+    probabilities ``p_g``, ``p_h`` and ``r = 1 - p_g - p_h``, or None when
+    no such pair exists, ``r < 2 sqrt(p_g p_h)``; ``p_g`` and ``p_h`` are
+    positive.
+
+    ``alpha (1 - delta) = p_g`` and ``delta (1 - alpha) = p_h``, so alpha
+    is the smaller root of ``alpha^2 - (1 + p_g - p_h) alpha + p_g``, and
+    delta that of the same quadratic with g and h swapped; each is taken in
+    the form without cancellation, over the shared root ``s = sqrt(r^2 - 4
+    p_g p_h)``, and the identities then hold to rounding for any ``s``
+    whose square is ``r^2 - 4 p_g p_h`` to rounding.
+    """
+    r = 1.0 - p_g - p_h
+    if r < 2.0 * math.sqrt(p_g * p_h):
+        return None
+    s = math.sqrt(max(r * r - 4.0 * p_g * p_h, 0.0))
+    return 2.0 * p_g / (1.0 + p_g - p_h + s), 2.0 * p_h / (1.0 - p_g + p_h + s)
+
+
 #: The :func:`count_tables` entry of a pair's second group: its column holds
 #: 0, since the pair's first group draws the difference of their counts.
 PAIRED = "paired"
@@ -282,26 +314,57 @@ def count_tables(block, prob, n, statistics, weights=None):
     group whose table would have more than ``CHUNK_TRIALS`` entries and a
     first group that holds the whole setting (``p >= 1``).
 
-    Given the groups' (groups, 2) ``weights``, two Poisson groups ``g < h``
-    whose weights are exact negatives enter the estimate only through
-    ``w_g (N_g - N_h)``.  If the :func:`difference_table` of that difference
-    fits ``CHUNK_TRIALS`` entries, group g gets it and group h gets
-    ``PAIRED``; otherwise each keeps its own entry.
+    Given the groups' (groups, 2) ``weights``, two groups ``g < h`` whose
+    weights are exact negatives enter the estimate only through ``w_g (N_g
+    - N_h)``, and group g may draw that difference while group h gets
+    ``PAIRED``:
+
+    * two Poisson groups: group g gets the :func:`difference_table`, if it
+      fits ``CHUNK_TRIALS`` entries;
+    * the only two groups of a multinomial setting: if :func:`split_pair`
+      splits each particle's step into ``X - Y``, the difference is
+      ``Binomial(n, alpha) - Binomial(n, delta)`` of independent counts, and
+      group g gets the pair of their :func:`inversion_table`, if both fit
+      ``CHUNK_TRIALS`` entries.
+
+    Otherwise each group keeps its own entry.  Groups of equal laws share
+    one table, built once.
     """
     poisson = statistics == "poisson"
     fixed = np.full(prob.size, poisson)
     if not poisson:  # the first group of each block, as the chain of draw_counts runs
         fixed[np.unique(block, return_index=True)[1]] = True
         fixed &= prob < 1.0
-    spans = [hi - lo for lo, hi in (table_span(n, p, poisson) for p in prob.tolist())]
+    probs = prob.tolist()
+    spans = [hi - lo for lo, hi in (table_span(n, p, poisson) for p in probs)]
     tables = [None] * prob.size
+    built = {}
+
+    def shared(build, *law):
+        """``build(n, *law)``, built once per call: equal laws share a table."""
+        key = build, *law
+        if key not in built:
+            built[key] = build(n, *law)
+        return built[key]
+
     if poisson and weights is not None:
         for g, h in opposite_pairs(weights).items():
             if spans[g] + spans[h] < CHUNK_TRIALS:  # the entries of the difference, less 1
-                tables[g], tables[h] = difference_table(n, prob[g], prob[h]), PAIRED
-    for g, (p, span, inverted) in enumerate(zip(prob.tolist(), spans, fixed.tolist())):
+                tables[g], tables[h] = shared(difference_table, probs[g], probs[h]), PAIRED
+    elif weights is not None:
+        for b in np.unique(block).tolist():
+            members = np.flatnonzero(block == b).tolist()
+            if len(members) != 2 or not np.array_equal(weights[members[1]], -weights[members[0]]):
+                continue
+            g, h = members
+            split = split_pair(probs[g], probs[h])
+            if split and all(hi - lo < CHUNK_TRIALS
+                             for lo, hi in (table_span(n, p, False) for p in split)):
+                tables[g] = tuple(shared(inversion_table, p, False) for p in split)
+                tables[h] = PAIRED
+    for g, (p, span, inverted) in enumerate(zip(probs, spans, fixed.tolist())):
         if tables[g] is None and inverted and span < CHUNK_TRIALS:
-            tables[g] = inversion_table(n, p, poisson)
+            tables[g] = shared(inversion_table, p, poisson)
     return tables
 
 
@@ -322,18 +385,19 @@ def _invert(rng, size, table):
 def draw_counts(rng, size, block, prob, n, statistics, tables):
     """Counts of the groups, one row per trial, as a (size, groups) float array.
 
-    Poisson counts are independent with means ``n * prob``, except that of
-    a pair that ``tables`` draws as one difference, the first group holds
-    that difference and the second (``PAIRED``) holds 0.  Multinomial
+    Poisson counts are independent with means ``n * prob``.  Multinomial
     counts spread n particles over the groups of each ``block`` and that
-    block's rejected bucket, whose count is dropped.  Float, because every
-    caller scales or contracts the counts, which would convert them anyway.
+    block's rejected bucket, whose count is dropped.  Of a pair that
+    ``tables`` draws as one difference, the first group holds ``N_g - N_h``
+    and the second (``PAIRED``) holds 0.  Float, because every caller
+    scales or contracts the counts, which would convert them anyway.
 
     More than one trial is drawn group by group.  A group with a table in
     ``tables``, one entry per group as :func:`count_tables` gives them, is
-    drawn by inversion, and a ``PAIRED`` group is not drawn; the others
-    are drawn by ``poisson(n p_g, size)``, or per block
-    by the chain that numpy's multinomial runs row by row,
+    drawn by inversion, a split multinomial pair as the difference of its
+    two tables' inverted counts, drawn in that order, and a ``PAIRED``
+    group is not drawn; the others are drawn by ``poisson(n p_g, size)``,
+    or per block by the chain that numpy's multinomial runs row by row,
     ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
     placed and ``rest`` the probability not yet spent.
 
@@ -372,8 +436,14 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
                 counts[g] = _invert(rng, size, table)
         return counts.T
     for b in np.unique(block):
+        members = np.flatnonzero(block == b).tolist()
+        if tables[members[-1]] is PAIRED:  # a split pair: the difference, then 0
+            g, h = members
+            counts[g] = _invert(rng, size, tables[g][0]) - _invert(rng, size, tables[g][1])
+            counts[h] = 0.0
+            continue
         left, rest = n, 1.0
-        for g in np.flatnonzero(block == b).tolist():
+        for g in members:
             p = prob[g]
             if tables[g] is not None:
                 drawn = _invert(rng, size, tables[g])

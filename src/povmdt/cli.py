@@ -7,9 +7,9 @@ Subcommands::
     povmdt variance-sweep --config cfg.yaml --out DIR
     povmdt calibrate      --config cfg.yaml --out DIR [--refine]
 
-Common flags: ``--seed`` overrides the config seed, ``--format csv|json``
-selects the artifact format.  Exit codes: 0 success, 1 tolerance or
-assertion failure, 2 configuration error.
+Common flags: ``--seed`` overrides the config seed and ``shots.seed``,
+``--format csv|json`` selects the artifact format.  Exit codes: 0 success,
+1 tolerance or assertion failure, 2 configuration error.
 
 The config blocks, noise and calibration grids included, are resolved by
 :func:`povmdt.config.parse_config`; the commands here only iterate them.

@@ -274,6 +274,8 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         )
         n = _number(block, "shots", "n_per_setting", integer=True)
         seed = _seed(block["seed"], "shots.seed") if "seed" in block else cfg.seed
+        if seed_override is not None:  # the artifacts name --seed, so it draws the counts
+            seed = cfg.seed
         try:
             cfg.shots = ShotModel(n, block.get("statistics", "poisson"), seed)
         except ValueError as exc:

@@ -159,6 +159,29 @@ class TestConfigParsing:
         cfg = parse_config(write_config(tmp_path, BASE_SCAN), seed_override=7)
         assert cfg.seed == 7
 
+    def test_seed_flag_replaces_shots_seed(self, tmp_path):
+        """``--seed`` draws a scan's counts even where the config gives
+        ``shots.seed``: two flags write different rows, each naming its own
+        seed in the rows, the CSV header and the JSON report."""
+        data = dict(BASE_SCAN, seed=1, shots={"n_per_setting": 12790, "seed": 9})
+        path = write_config(tmp_path, data)
+        assert parse_config(path).shots.seed == 9
+        samples = {}
+        for seed in (5, 6):
+            assert parse_config(path, seed_override=seed).shots.seed == seed
+            out = tmp_path / f"seed_{seed}"
+            assert main(["scan", "--config", path, "--out", str(out), "--seed", str(seed),
+                         "--format", "json"]) == 0
+            report = json.loads((out / "scan.json").read_text())
+            assert report["seed"] == seed
+            rows = report["results"]["rows"]
+            assert {row["seed"] for row in rows} == {seed}
+            samples[seed] = [(row["est_re"], row["est_im"]) for row in rows]
+            out = tmp_path / f"seed_{seed}_csv"
+            assert main(["scan", "--config", path, "--out", str(out), "--seed", str(seed)]) == 0
+            assert f"# seed: {seed}" in (out / "scan.csv").read_text().splitlines()
+        assert samples[5] != samples[6]
+
     @pytest.mark.parametrize("value", ["abc", 1.5, True, -1])
     @pytest.mark.parametrize("source", ["seed", "--seed", "shots.seed", "povm.seed"])
     def test_bad_seed_is_a_config_error(self, tmp_path, capsys, source, value):

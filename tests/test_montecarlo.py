@@ -5,6 +5,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -453,8 +454,8 @@ class TestTrialKernel:
     PINNED_KERNEL = {
         "poisson": ([7.830516746995304e-05, -0.00018278323470197061],
                     [0.000497395255968124, 0.0004903822685435529]),
-        "multinomial": ([-6.042950399609541e-05, 0.000148435116832408],
-                        [0.0005072876079668268, 0.0004892362329079161]),
+        "multinomial": ([4.7739613202367184e-05, -0.00028979317918369826],
+                        [0.0005030553931514745, 0.0004952676621353799]),
     }
     PINNED_REFINEMENT = {
         "poisson": (
@@ -466,12 +467,12 @@ class TestTrialKernel:
              (8.275390360015897e-05, 6.348507472496345e-05)],
         ),
         "multinomial": (
-            [(0.00024611999659657327, 0.00020353697736545133),
-             (0.000271574199068788, 0.00021829482570269787),
-             (9.539485301265651e-05, 7.457824960353905e-05)],
-            [(0.0001495260026300493, 0.00012022733306094643),
-             (0.00015358328357459726, 0.00012311971817170335),
-             (8.064271172587433e-05, 6.343611236125942e-05)],
+            [(0.0002497859589142766, 0.00020444427503080498),
+             (0.00027364882022952425, 0.00021579901411889095),
+             (9.706200657141767e-05, 7.334965178421894e-05)],
+            [(0.00014857665802435694, 0.00011777413163974544),
+             (0.00015080897799431075, 0.00012245948252707635),
+             (8.2163555053031e-05, 6.21785230957066e-05)],
         ),
     }
 
@@ -1010,14 +1011,127 @@ class TestPairedDraws:
                                      tables)
         np.testing.assert_array_equal(drawn, np.transpose(want))
 
-    def test_multinomial_groups_are_not_paired(self):
-        """Multinomial counts are not independent, so opposite weights keep
-        their own tables."""
-        block, prob, weights = self.pair((0.25, 0.5))
+
+class TestSplitDraws:
+    """The two opposite-weight groups of a multinomial setting, drawn as
+    the difference of two independent binomial counts, and the rules that
+    leave every other setting to the chain."""
+
+    @pytest.mark.parametrize("probs", [
+        (1e-9, 1e-9), (1e-9, 0.3), (0.3, 1e-9), (1e-9, 0.9), (0.0625, 0.25), (0.25, 0.0625),
+        (0.1, 0.45), (0.2, 0.3), (0.25, 0.25), (0.0625, 0.5625), (0.5625, 0.0625),
+    ])
+    def test_split_identities(self, probs):
+        """``alpha (1 - delta) = p_g`` and ``delta (1 - alpha) = p_h``
+        within 4 ulp, evaluated exactly; the last three lie on the boundary
+        ``r = 2 sqrt(p_g p_h)``, which float64 holds exactly there."""
+        p_g, p_h = probs
+        alpha, delta = map(Fraction, _kernels.split_pair(p_g, p_h))
+        assert 0 < alpha < 1 and 0 < delta < 1
+        for got, p in ((alpha * (1 - delta), p_g), (delta * (1 - alpha), p_h)):
+            assert abs(got - Fraction(p)) <= 4 * Fraction(float(np.spacing(p)))
+
+    @pytest.mark.parametrize("probs", [(0.25, 0.5), (0.25, np.nextafter(0.25, 1.0)), (0.5, 0.5)],
+                             ids=["below", "past-boundary", "no-bucket"])
+    def test_no_split_below_the_boundary(self, probs):
+        assert _kernels.split_pair(*probs) is None
+
+    def test_split_groups(self):
+        """At g = pi/4 every drawn setting of the reference scenario holds
+        two opposite-weight groups, and each splits: its first group gets the
+        binomial tables of alpha and delta, its second ``PAIRED``."""
+        cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
+        block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, "multinomial")[0]
         tables = _kernels.count_tables(block, prob, N_REF, "multinomial", weights)
-        assert tables[1] is None
-        want = _kernels.inversion_table(N_REF, 0.25, False)
-        assert all(np.array_equal(a, b) for a, b in zip(tables[0], want))
+        settings = np.unique(block)
+        assert settings.size == 6 and (np.bincount(block)[settings] == 2).all()
+        for b in settings:
+            g, h = np.flatnonzero(block == b)
+            assert (weights[h] == -weights[g]).all() and tables[h] is _kernels.PAIRED
+            for table, p in zip(tables[g], _kernels.split_pair(prob[g], prob[h])):
+                want = _kernels.inversion_table(N_REF, p, False)
+                assert all(np.array_equal(a, b) for a, b in zip(table, want))
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_equal_laws_share_a_table(self, statistics):
+        """One kernel call builds one table per distinct law: at g = pi/4
+        the reference scenario's 4 Poisson pairs have 2 distinct rate pairs,
+        and its 6 split settings 3 distinct values of alpha and delta."""
+        cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
+        block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, statistics)[0]
+        tables = _kernels.count_tables(block, prob, N_REF, statistics, weights)
+        drawn = [t for t in tables if t is not _kernels.PAIRED]
+        if statistics == "poisson":
+            laws = {(prob[g], prob[h]) for g, h in _kernels.opposite_pairs(weights).items()}
+        else:
+            drawn = [table for pair in drawn for table in pair]
+            laws = {p for g in range(0, prob.size, 2) for p in _kernels.split_pair(prob[g], prob[g + 1])}
+        assert len({id(t) for t in drawn}) == len(laws) == (2 if statistics == "poisson" else 3)
+
+    @staticmethod
+    def difference_law(n, p_g, p_h):
+        """The exact law of ``N_g - N_h`` under ``Multinomial(n; p_g, p_h,
+        r)``, as ``P(N_g) Bin(N_h; n - N_g, p_h / (1 - p_g))`` summed over
+        the counts within 15 sd of each mean."""
+        def span(p):
+            mean, reach = n * p, 15 * np.sqrt(n * p * (1 - p)) + 15
+            return np.arange(max(0, int(mean - reach)), min(n, int(mean + reach)) + 1)
+
+        n_g, n_h = span(p_g)[:, None], span(p_h)[None, :]
+        joint = (scipy.stats.binom.pmf(n_g, n, p_g)
+                 * scipy.stats.binom.pmf(n_h, n - n_g, p_h / (1 - p_g)))
+        diff = (n_g - n_h).ravel()
+        pmf = np.bincount(diff - diff.min(), weights=joint.ravel())
+        return scipy.stats.rv_discrete(values=(np.arange(pmf.size) + diff.min(), pmf / pmf.sum()))
+
+    @pytest.mark.parametrize("n, probs", [(N_REF, (0.0625, 0.25)), (N_REF, (0.125, 0.125)),
+                                          (7, (0.2, 0.3))], ids=["workload", "equal", "small"])
+    def test_split_draws_follow_the_law(self, n, probs):
+        """10^6 split draws: the first column has the law of ``N_g - N_h``
+        of the multinomial, its moments within 5 SE, and the partner's
+        column is 0."""
+        block, prob = np.zeros(2, dtype=np.intp), np.array(probs)
+        weights = np.array([(0.5, 0.0), (-0.5, 0.0)])
+        tables = _kernels.count_tables(block, prob, n, "multinomial", weights)
+        assert isinstance(tables[0], tuple) and tables[1] is _kernels.PAIRED
+        counts = _kernels.draw_counts(np.random.default_rng(2029), 10**6, block, prob, n,
+                                      "multinomial", tables)
+        assert (counts[:, 1] == 0).all()
+        law = self.difference_law(n, *probs)
+        p_g, p_h = probs
+        assert law.mean() == pytest.approx(n * (p_g - p_h), abs=1e-9 * n)
+        assert law.var() == pytest.approx(n * (p_g + p_h - (p_g - p_h) ** 2), rel=1e-9)
+        TestInvertedDraws.check_draws(counts[:, 0], law)
+
+    @pytest.mark.parametrize("n, probs, weights", [
+        (N_REF, (0.25, 0.5), ((0.5, 0.0), (-0.5, 0.0))),
+        (N_REF, (0.1, 0.2, 0.3), ((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5))),
+        (N_REF, (0.0625, 0.25), ((0.5, 0.0), (-np.nextafter(0.5, 1.0), 0.0))),
+        (10**6, (1e-4, 0.3), ((0.0, 0.5), (0.0, -0.5))),
+    ], ids=["below-boundary", "three-groups", "perturbed-weight", "table-past-cap"])
+    def test_unsplit_settings_keep_the_chain(self, n, probs, weights):
+        """A setting that cannot split, draws other than two groups, has
+        weights that are not exact negatives, or whose delta table would pass
+        the cap keeps the tables it has without weights and the chain, bit
+        for bit."""
+        block, prob, weights = np.zeros(len(probs), dtype=np.intp), np.array(probs), np.array(weights)
+        tables = _kernels.count_tables(block, prob, n, "multinomial", weights)
+        alone = _kernels.count_tables(block, prob, n, "multinomial")
+        assert _kernels.PAIRED not in tables and tables[0] is not None
+        for table, want in zip(tables, alone):
+            assert (table is None) == (want is None)
+            if table is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(table, want))
+        rng = np.random.default_rng(5)
+        left, rest, want = n, 1.0, []
+        for p, table in zip(probs, alone):
+            drawn = (rng.binomial(left, p / rest, 1000) if table is None
+                     else _kernels._invert(rng, 1000, table))
+            want.append(drawn)
+            left, rest = left - drawn, rest - p
+        drawn = _kernels.draw_counts(np.random.default_rng(5), 1000, block, prob, n,
+                                     "multinomial", tables)
+        np.testing.assert_array_equal(drawn, np.transpose(want))
 
 
 def reference_sweep(axis, grid, trials, shot, **fixed):
