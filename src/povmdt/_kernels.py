@@ -16,21 +16,25 @@ study, since every outcome shares the weights):
 Both merges are exact in distribution.  Cells with a zero weight pair or a
 zero probability add nothing to the estimate and are not drawn.  For the
 paper's weights a table of 36 cells has at most 9 distinct nonzero pairs.
-Poisson groups are independent, so two groups whose weight pairs are exact
-negatives, ``w`` and ``-w``, enter the estimate only through ``w (N+ -
-N-)``, and that difference is drawn as one count (:func:`count_tables`).
+Two groups whose weight pairs are exact negatives, ``w`` and ``-w``, enter
+the estimate only through ``w (N_g - N_h)``.  Where that difference has the
+law of ``N+ - N-`` for independent ``N+`` and ``N-`` of fixed laws, it is
+drawn as one count (:func:`count_tables`):
+
+* two Poisson groups are independent, so ``N+`` and ``N-`` are their own
+  counts and the difference follows Skellam's law (Skellam 1946);
+* the only two groups of a multinomial setting are not, but each of its n
+  particles steps +1, -1 or 0 with probabilities ``p_g``, ``p_h`` and ``r =
+  1 - p_g - p_h``, the rejected bucket, and when ``r >= 2 sqrt(p_g p_h)``
+  that step has the law of ``X - Y`` for independent ``X ~ Bern(alpha)``
+  and ``Y ~ Bern(delta)`` (:func:`split_pair`), so ``N+ ~ Binomial(n,
+  alpha)`` and ``N- ~ Binomial(n, delta)``.
+
 With the paper's weights every nonzero pair but ``(d gamma^2, 0)`` has its
 negative, ``+-d gamma beta`` and ``+-d beta^2`` on the real part and on the
 imaginary part, so a Poisson trial takes at most 5 draws, 4 of them counts
-of a difference.  Multinomial counts of one setting are not independent,
-but with the paper's weights every setting but zz draws two groups whose
-weights are exact negatives, g and h (fewer where a group's probability is
-0).  Each of its n particles then steps +1, -1 or 0 with probabilities
-``p_g``, ``p_h`` and ``r = 1 - p_g - p_h``, the rejected bucket, and when
-``r >= 2 sqrt(p_g p_h)`` that step has the law of ``X - Y`` for independent
-Bernoulli ``X`` and ``Y`` (:func:`split_pair`), so ``N_g - N_h`` is the
-difference of two independent binomial counts, each of one law in every
-trial.
+of a difference, and every multinomial setting but zz draws two groups
+whose weights are exact negatives (fewer where a group's probability is 0).
 
 :func:`draw_counts` is the one counting-noise sampler: the trial kernel
 contracts its counts with the group weights, and
@@ -46,37 +50,36 @@ A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
 count whose law is the same in every trial is drawn by inverting its CDF
 table through a guide table: a uniform and a lookup per count, and a search
 for the few that the guide leaves short (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. III.2).  Four
-kinds of count have a fixed law: every Poisson group, ``Poisson(n p_g)``,
-the difference of an opposite-weight pair of Poisson groups, whose law is
-Skellam's (Skellam 1946), the first group of each multinomial setting,
-``Binomial(n, p_1)``, and the two binomials whose difference is that of a
-split multinomial pair, ``Binomial(n, alpha)`` and ``Binomial(n, delta)``
-(:func:`count_tables`).  A Poisson or binomial table spans its law's mean
-+- (13 sd + 13); a difference table is the correlation of its two groups'
-Poisson pmfs, ``np.convolve(p+, p-[::-1])``, over every difference of their
-spans, so each side truncates what theirs do.  The tables are built once
-per kernel call of more than one trial, on the calling thread, one per
-distinct law; the workers only read them.  A count is inverted when its
-table fits a chunk, at most ``CHUNK_TRIALS`` entries, which covers rates up
-to about 10^5 (pairs of rates up to about 2.4 10^4 each), so the tables do
-not depend on the trial count and their memory is bounded like a chunk's.
-A pair whose difference table, or either of whose two binomial tables,
-would not fit draws each of its groups on its own.  A Poisson group whose
-table would not fit keeps numpy's sampler, one ``poisson(n p_g, size)``
-call with a scalar rate.  The later groups of a multinomial setting that is
-not split keep numpy's chain of conditional binomials, ``binomial(left, p_g
-/ rest, size)`` with ``left`` the particles not yet placed, which differs
-from trial to trial, and nothing is drawn for the
-rejected bucket (Devroye, ch. XI).  Inversion is exact up to the table's
-float64 rounding and its truncation: the table CDFs lie within 2e-14 of
-``scipy.stats`` for Poisson rates 1e-9 to 10^5 and binomials with n up to
-10^5, and within 3e-14 of ``scipy.stats.skellam`` for rate pairs from
-1e-9 to the cap, and the truncated tails carry less than 2e-30 of the
-mass on each side.  One trial
-is drawn without tables, in one numpy call for every outcome of a stack: a
-broadcast ``poisson``, or one ``multinomial`` with a row per outcome and
-block.
+Variate Generation*, 1986, ch. III.2).  Three kinds of
+:func:`count_tables` entry say how each group is drawn: a table, for a
+count of fixed law, which is every Poisson group, ``Poisson(n p_g)``, the
+first group of each multinomial setting, ``Binomial(n, p_1)``, and the
+difference of a pair; ``PAIRED``, for the pair's second group, which holds
+0; and None, for a count that numpy's samplers draw.  A Poisson or binomial
+table spans its law's mean +- (13 sd + 13); a difference table is the
+correlation of its two laws' pmfs, ``np.convolve(p+, p-[::-1])``, over
+every difference of their spans, so each side truncates what theirs do.
+The tables are built once per kernel call of more than one trial, on the
+calling thread, one per distinct law; the workers only read them.  A count
+is inverted when its table fits a chunk, at most ``CHUNK_TRIALS`` entries,
+which covers rates up to about 10^5 (pairs of rates up to about 2.4 10^4
+each), so the tables do not depend on the trial count and their memory is
+bounded like a chunk's.  A pair whose difference table would not fit draws
+each of its groups on its own.  A Poisson group whose table would not fit
+keeps numpy's sampler, one ``poisson(n p_g, size)`` call with a scalar
+rate.  The later groups of a multinomial setting that is not split keep
+numpy's chain of conditional binomials, ``binomial(left, p_g / rest,
+size)`` with ``left`` the particles not yet placed, which differs from
+trial to trial, and nothing is drawn for the rejected bucket (Devroye, ch.
+XI).  Inversion is exact up to the table's float64 rounding and its
+truncation: the table CDFs lie within 2e-14 of ``scipy.stats`` for Poisson
+rates 1e-9 to 10^5 and binomials with n up to 10^5, within 3e-14 of
+``scipy.stats.skellam`` for rate pairs from 1e-9 to the cap, and within
+3e-15 of the correlation of scipy's binomial pmfs for split pairs with n
+from 7 to 10^5, and the truncated tails carry less than 2e-30 of the mass
+on each side.  One trial is drawn without tables, in one numpy call for
+every outcome of a stack: a broadcast ``poisson``, or one ``multinomial``
+with a row per outcome and block.
 
 Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
 trials.  Each task draws one chunk of every outcome of a study (the one
@@ -253,14 +256,16 @@ def inversion_table(n, p, poisson):
     return guide_table(*law_pmf(n, p, poisson))
 
 
-def difference_table(n, p_plus, p_minus):
-    """The :func:`guide_table` of ``N+ - N-``, for independent ``N+ ~
-    Poisson(n p_plus)`` and ``N- ~ Poisson(n p_minus)``: the Skellam law
-    (Skellam 1946).  Its pmf is the correlation of the two laws' pmfs over
-    their :func:`table_span`, so it spans every difference of the two spans,
-    and each side truncates what the two laws' tables do."""
-    lo_plus, plus = law_pmf(n, p_plus, True)
-    lo_minus, minus = law_pmf(n, p_minus, True)
+def difference_table(n, p_plus, p_minus, poisson):
+    """The :func:`guide_table` of ``N+ - N-``, for independent ``N+`` and
+    ``N-`` of the laws of :func:`law_pmf` at ``p_plus`` and ``p_minus``:
+    Skellam's law (Skellam 1946) for two Poisson counts, or that of
+    ``Binomial(n, p_plus) - Binomial(n, p_minus)``.  Its pmf is the
+    correlation of the two laws' pmfs over their :func:`table_span`, so it
+    spans every difference of the two spans, and each side truncates what
+    the two laws' tables do."""
+    lo_plus, plus = law_pmf(n, p_plus, poisson)
+    lo_minus, minus = law_pmf(n, p_minus, poisson)
     return guide_table(lo_plus - (lo_minus + minus.size - 1), np.convolve(plus, minus[::-1]))
 
 
@@ -308,63 +313,57 @@ def count_tables(block, prob, n, statistics, weights=None):
     """The table that draws each group's count in a chunk of trials, one
     entry per group, as :func:`draw_counts` reads them.
 
-    Each group whose count has one law in every trial, every Poisson group
-    and the first group of each multinomial setting, gets its
-    :func:`inversion_table`.  Every other group gets None, and so does a
-    group whose table would have more than ``CHUNK_TRIALS`` entries and a
-    first group that holds the whole setting (``p >= 1``).
+    A block's groups are contiguous, as :func:`group_cells` gives them;
+    every Poisson group is in one block.  Given the groups' (groups, 2)
+    ``weights``, two groups ``g < h`` of a block whose weights are exact
+    negatives enter the estimate only through ``w_g (N_g - N_h)``, which
+    group g draws as one count while group h gets ``PAIRED``: group g gets
+    the :func:`difference_table` of two independent laws whose difference
+    is that of ``N_g - N_h``.  They are the two groups' own Poisson laws,
+    or, for the only two groups of a multinomial setting that
+    :func:`split_pair` splits, ``Binomial(n, alpha)`` and ``Binomial(n,
+    delta)``.  A pair is drawn that way only when its table fits
+    ``CHUNK_TRIALS`` entries.
 
-    Given the groups' (groups, 2) ``weights``, two groups ``g < h`` whose
-    weights are exact negatives enter the estimate only through ``w_g (N_g
-    - N_h)``, and group g may draw that difference while group h gets
-    ``PAIRED``:
-
-    * two Poisson groups: group g gets the :func:`difference_table`, if it
-      fits ``CHUNK_TRIALS`` entries;
-    * the only two groups of a multinomial setting: if :func:`split_pair`
-      splits each particle's step into ``X - Y``, the difference is
-      ``Binomial(n, alpha) - Binomial(n, delta)`` of independent counts, and
-      group g gets the pair of their :func:`inversion_table`, if both fit
-      ``CHUNK_TRIALS`` entries.
-
-    Otherwise each group keeps its own entry.  Groups of equal laws share
-    one table, built once.
+    Each other group whose count has one law in every trial, every Poisson
+    group and the first group of each multinomial setting, gets its
+    :func:`inversion_table`, if it fits ``CHUNK_TRIALS`` entries and is not
+    a first group that holds the whole setting (``p >= 1``).  Every other
+    group gets None.  Groups of equal laws share one table, built once.
     """
     poisson = statistics == "poisson"
-    fixed = np.full(prob.size, poisson)
-    if not poisson:  # the first group of each block, as the chain of draw_counts runs
-        fixed[np.unique(block, return_index=True)[1]] = True
-        fixed &= prob < 1.0
     probs = prob.tolist()
-    spans = [hi - lo for lo, hi in (table_span(n, p, poisson) for p in probs)]
     tables = [None] * prob.size
     built = {}
 
+    def span(p):
+        """The entries of ``p``'s table, less 1."""
+        lo, hi = table_span(n, p, poisson)
+        return hi - lo
+
     def shared(build, *law):
-        """``build(n, *law)``, built once per call: equal laws share a table."""
+        """``build(n, *law, poisson)``, built once per call: equal laws share a table."""
         key = build, *law
         if key not in built:
-            built[key] = build(n, *law)
+            built[key] = build(n, *law, poisson)
         return built[key]
 
-    if poisson and weights is not None:
-        for g, h in opposite_pairs(weights).items():
-            if spans[g] + spans[h] < CHUNK_TRIALS:  # the entries of the difference, less 1
-                tables[g], tables[h] = shared(difference_table, probs[g], probs[h]), PAIRED
-    elif weights is not None:
-        for b in np.unique(block).tolist():
-            members = np.flatnonzero(block == b).tolist()
-            if len(members) != 2 or not np.array_equal(weights[members[1]], -weights[members[0]]):
-                continue
-            g, h = members
-            split = split_pair(probs[g], probs[h])
-            if split and all(hi - lo < CHUNK_TRIALS
-                             for lo, hi in (table_span(n, p, False) for p in split)):
-                tables[g] = tuple(shared(inversion_table, p, False) for p in split)
-                tables[h] = PAIRED
-    for g, (p, span, inverted) in enumerate(zip(probs, spans, fixed.tolist())):
-        if tables[g] is None and inverted and span < CHUNK_TRIALS:
-            tables[g] = shared(inversion_table, p, poisson)
+    starts = np.unique(block, return_index=True)[1].tolist()
+    for start, stop in zip(starts, starts[1:] + [prob.size]):
+        pairs = {} if weights is None else opposite_pairs(weights[start:stop])
+        for g, h in pairs.items():
+            g, h = start + g, start + h
+            if poisson:
+                law = probs[g], probs[h]
+            else:  # only a setting of two groups splits
+                law = split_pair(probs[g], probs[h]) if stop - start == 2 else None
+            if law and span(law[0]) + span(law[1]) < CHUNK_TRIALS:
+                tables[g], tables[h] = shared(difference_table, *law), PAIRED
+        # every Poisson group, and each setting's first, has one law in every trial
+        for g in range(start, stop if poisson else start + 1):
+            p = probs[g]
+            if tables[g] is None and (poisson or p < 1.0) and span(p) < CHUNK_TRIALS:
+                tables[g] = shared(inversion_table, p)
     return tables
 
 
@@ -392,14 +391,15 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
     and the second (``PAIRED``) holds 0.  Float, because every caller
     scales or contracts the counts, which would convert them anyway.
 
-    More than one trial is drawn group by group.  A group with a table in
-    ``tables``, one entry per group as :func:`count_tables` gives them, is
-    drawn by inversion, a split multinomial pair as the difference of its
-    two tables' inverted counts, drawn in that order, and a ``PAIRED``
-    group is not drawn; the others are drawn by ``poisson(n p_g, size)``,
-    or per block by the chain that numpy's multinomial runs row by row,
-    ``binomial(left, p_g / rest, ...)`` with ``left`` the particles not yet
-    placed and ``rest`` the probability not yet spent.
+    More than one trial is drawn group by group, in one loop for both
+    statistics, which relies on each block's groups being contiguous, as
+    :func:`group_cells` gives them.  A ``PAIRED`` group holds 0 and is not
+    drawn; any other group with a table in ``tables``, one entry per group
+    as :func:`count_tables` gives them, is drawn by inversion, and the rest
+    by ``poisson(n p_g, size)`` or by the chain that numpy's multinomial
+    runs row by row, ``binomial(left, p_g / rest, ...)`` with ``left`` the
+    particles of the group's block not yet placed and ``rest`` the
+    probability not yet spent, both reset at each new block.
 
     One trial is drawn without tables (a one-trial caller may pass None), in
     one numpy call, and ``prob`` may then be an (outcomes, groups) stack
@@ -425,35 +425,23 @@ def draw_counts(rng, size, block, prob, n, statistics, tables):
         counts = np.empty(prob.shape)
         counts[..., group] = rng.multinomial(n, pvals)[..., row, place]
         return counts
-    counts = np.empty((prob.size, size))
-    if statistics == "poisson":
-        for g, (rate, table) in enumerate(zip((n * prob).tolist(), tables)):
-            if table is None:
-                counts[g] = rng.poisson(rate, size)
-            elif table is PAIRED:
-                counts[g] = 0.0
-            else:
-                counts[g] = _invert(rng, size, table)
-        return counts.T
-    for b in np.unique(block):
-        members = np.flatnonzero(block == b).tolist()
-        if tables[members[-1]] is PAIRED:  # a split pair: the difference, then 0
-            g, h = members
-            counts[g] = _invert(rng, size, tables[g][0]) - _invert(rng, size, tables[g][1])
-            counts[h] = 0.0
-            continue
-        left, rest = n, 1.0
-        for g in members:
-            p = prob[g]
-            if tables[g] is not None:
-                drawn = _invert(rng, size, tables[g])
-            else:
-                # p <= rest but for rounding; once p >= rest, ratio 1 places every
-                # particle left, so a later group (rest <= 0 by then) draws from 0
-                drawn = rng.binomial(left, 1.0 if p >= rest else p / rest, size)
-            counts[g] = drawn
-            left = left - drawn
-            rest -= p
+    counts, current = np.empty((prob.size, size)), None
+    for g, (b, p, table) in enumerate(zip(block.tolist(), prob.tolist(), tables)):
+        if b != current:  # a new block's chain starts with every particle left
+            current, left, rest = b, n, 1.0
+        if table is PAIRED:
+            drawn = 0
+        elif table is not None:
+            drawn = _invert(rng, size, table)
+        elif statistics == "poisson":
+            drawn = rng.poisson(n * p, size)
+        else:
+            # p <= rest but for rounding; once p >= rest, ratio 1 places every
+            # particle left, so a later group (rest <= 0 by then) draws from 0
+            drawn = rng.binomial(left, 1.0 if p >= rest else p / rest, size)
+        counts[g] = drawn
+        if statistics == "multinomial":
+            left, rest = left - drawn, rest - p
     return counts.T
 
 

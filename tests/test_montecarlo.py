@@ -454,8 +454,8 @@ class TestTrialKernel:
     PINNED_KERNEL = {
         "poisson": ([7.830516746995304e-05, -0.00018278323470197061],
                     [0.000497395255968124, 0.0004903822685435529]),
-        "multinomial": ([4.7739613202367184e-05, -0.00028979317918369826],
-                        [0.0005030553931514745, 0.0004952676621353799]),
+        "multinomial": ([4.542126776889763e-05, -0.00012418400341650902],
+                        [0.0004997106121943957, 0.0004969911210165372]),
     }
     PINNED_REFINEMENT = {
         "poisson": (
@@ -467,12 +467,12 @@ class TestTrialKernel:
              (8.275390360015897e-05, 6.348507472496345e-05)],
         ),
         "multinomial": (
-            [(0.0002497859589142766, 0.00020444427503080498),
-             (0.00027364882022952425, 0.00021579901411889095),
-             (9.706200657141767e-05, 7.334965178421894e-05)],
-            [(0.00014857665802435694, 0.00011777413163974544),
-             (0.00015080897799431075, 0.00012245948252707635),
-             (8.2163555053031e-05, 6.21785230957066e-05)],
+            [(0.00025321461563480787, 0.0002102407923279957),
+             (0.00027036845310425084, 0.0002159312588901173),
+             (9.320097176636226e-05, 7.43968894585513e-05)],
+            [(0.0001496674400927477, 0.0001228109516583295),
+             (0.00015422656299584594, 0.00012015135683456424),
+             (7.836961400020312e-05, 6.373038920557253e-05)],
         ),
     }
 
@@ -938,22 +938,65 @@ class TestPairedDraws:
         """``(block, prob, weights)`` of two Poisson groups at ``n = 1``."""
         return np.zeros(2, dtype=np.intp), np.array(rates), np.array(weights)
 
-    @pytest.mark.parametrize("rates", RATE_PAIRS)
-    def test_table_is_the_cdf(self, rates):
+    #: (n, (p_g, p_h)) of split multinomial settings: small, the workload's,
+    #: and n = 10^5, whose two binomial tables near the cap together.
+    SPLIT_SETTINGS = [(7, (0.2, 0.3)), (N_REF, (0.0625, 0.25)), (10**5, (0.0625, 0.25))]
+
+    @staticmethod
+    def binomial_support(n, p):
+        """``(lo, pmf)``: scipy's ``Binomial(n, p)`` pmf over the counts ``lo,
+        lo + 1, ...`` where it does not underflow to 0, the only ones that
+        add to a sum."""
+        pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, p)
+        k = np.flatnonzero(pmf)
+        return k[0], pmf[k[0]:k[-1] + 1]
+
+    @classmethod
+    def binomial_difference_cdf(cls, n, alpha, delta, counts):
+        """The CDF of ``Binomial(n, alpha) - Binomial(n, delta)`` at
+        ``counts``, from the correlation of scipy's two pmfs."""
+        (lo_plus, plus), (lo_minus, minus) = (cls.binomial_support(n, p) for p in (alpha, delta))
+        lo = lo_plus - (lo_minus + minus.size - 1)
+        assert counts[0] >= lo
+        return np.cumsum(np.convolve(plus, minus[::-1]))[counts - lo]
+
+    @classmethod
+    def binomial_difference_below(cls, n, alpha, delta, x):
+        """``P(A - D <= x)`` for independent ``A ~ Binomial(n, alpha)`` and
+        ``D ~ Binomial(n, delta)``, as ``sum_k P(D = k) P(A <= x + k)``,
+        which keeps the relative accuracy of scipy's lower tails."""
+        lo, pmf = cls.binomial_support(n, delta)
+        return float((pmf * scipy.stats.binom.cdf(x + lo + np.arange(pmf.size), n, alpha)).sum())
+
+    @pytest.mark.parametrize("n, laws, poisson", [
+        pytest.param(1, rates, True, id=f"rates{i}") for i, rates in enumerate(RATE_PAIRS)
+    ] + [
+        pytest.param(n, _kernels.split_pair(*probs), False, id=f"binomial-{n}")
+        for n, probs in SPLIT_SETTINGS
+    ])
+    def test_table_is_the_cdf(self, n, laws, poisson):
         """The difference table spans every difference of the two laws'
-        spans, its CDF is scipy's Skellam within 1e-13, and the mass beyond
-        each of its edges is below 2e-30."""
-        (lo_plus, hi_plus), (lo_minus, hi_minus) = (_kernels.table_span(1, r, True)
-                                                    for r in rates)
+        spans, its CDF is within 1e-13 of scipy's Skellam or of the
+        correlation of scipy's two binomial pmfs, and the mass beyond each
+        of its edges is below 2e-30."""
+        (lo_plus, hi_plus), (lo_minus, hi_minus) = (_kernels.table_span(n, p, poisson)
+                                                    for p in laws)
         assert hi_plus - lo_plus + hi_minus - lo_minus < _kernels.CHUNK_TRIALS
-        lo, cdf, guide = _kernels.difference_table(1, *rates)
+        lo, cdf, guide = _kernels.difference_table(n, *laws, poisson)
         hi = lo + cdf.size - 1
         assert (lo, hi) == (lo_plus - hi_minus, hi_plus - lo_minus) and cdf[-1] == 1.0
-        law = scipy.stats.skellam(*rates)
-        np.testing.assert_allclose(cdf, law.cdf(np.arange(lo, hi + 1)), rtol=0, atol=1e-13)
+        counts = np.arange(lo, hi + 1)
         # the upper tail as the lower tail of the mirrored law, which scipy resolves
-        assert law.cdf(lo - 1) < 2e-30
-        assert scipy.stats.skellam(*rates[::-1]).cdf(-hi - 1) < 2e-30
+        if poisson:
+            want = scipy.stats.skellam(*laws).cdf(counts)
+            below = scipy.stats.skellam(*laws).cdf(lo - 1)
+            above = scipy.stats.skellam(*laws[::-1]).cdf(-hi - 1)
+        else:
+            want = self.binomial_difference_cdf(n, *laws, counts)
+            below = self.binomial_difference_below(n, *laws, lo - 1)
+            above = self.binomial_difference_below(n, *laws[::-1], -hi - 1)
+        np.testing.assert_allclose(cdf, want, rtol=0, atol=1e-13)
+        assert below < 2e-30 and above < 2e-30
         cells = np.arange(guide.size) / guide.size
         assert (guide == np.searchsorted(cdf, cells, "right")).all()
 
@@ -970,7 +1013,7 @@ class TestPairedDraws:
         tables = _kernels.count_tables(block, prob, N_REF, "poisson", weights)
         for g, h in pairs.items():
             assert tables[h] is _kernels.PAIRED
-            want = _kernels.difference_table(N_REF, prob[g], prob[h])
+            want = _kernels.difference_table(N_REF, prob[g], prob[h], True)
             assert all(np.array_equal(a, b) for a, b in zip(tables[g], want))
 
     @pytest.mark.parametrize("n, rates", [(N_REF, (0.0625, 0.25)), (1, (0.5, 3.0))],
@@ -1039,7 +1082,8 @@ class TestSplitDraws:
     def test_split_groups(self):
         """At g = pi/4 every drawn setting of the reference scenario holds
         two opposite-weight groups, and each splits: its first group gets the
-        binomial tables of alpha and delta, its second ``PAIRED``."""
+        difference table of the binomials of alpha and delta, its second
+        ``PAIRED``."""
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
         block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, "multinomial")[0]
         tables = _kernels.count_tables(block, prob, N_REF, "multinomial", weights)
@@ -1048,15 +1092,14 @@ class TestSplitDraws:
         for b in settings:
             g, h = np.flatnonzero(block == b)
             assert (weights[h] == -weights[g]).all() and tables[h] is _kernels.PAIRED
-            for table, p in zip(tables[g], _kernels.split_pair(prob[g], prob[h])):
-                want = _kernels.inversion_table(N_REF, p, False)
-                assert all(np.array_equal(a, b) for a, b in zip(table, want))
+            want = _kernels.difference_table(N_REF, *_kernels.split_pair(prob[g], prob[h]), False)
+            assert all(np.array_equal(a, b) for a, b in zip(tables[g], want))
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_equal_laws_share_a_table(self, statistics):
         """One kernel call builds one table per distinct law: at g = pi/4
         the reference scenario's 4 Poisson pairs have 2 distinct rate pairs,
-        and its 6 split settings 3 distinct values of alpha and delta."""
+        and its 6 split settings 3 distinct pairs of alpha and delta."""
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
         block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, statistics)[0]
         tables = _kernels.count_tables(block, prob, N_REF, statistics, weights)
@@ -1064,8 +1107,7 @@ class TestSplitDraws:
         if statistics == "poisson":
             laws = {(prob[g], prob[h]) for g, h in _kernels.opposite_pairs(weights).items()}
         else:
-            drawn = [table for pair in drawn for table in pair]
-            laws = {p for g in range(0, prob.size, 2) for p in _kernels.split_pair(prob[g], prob[g + 1])}
+            laws = {_kernels.split_pair(prob[g], prob[g + 1]) for g in range(0, prob.size, 2)}
         assert len({id(t) for t in drawn}) == len(laws) == (2 if statistics == "poisson" else 3)
 
     @staticmethod
@@ -1093,7 +1135,9 @@ class TestSplitDraws:
         block, prob = np.zeros(2, dtype=np.intp), np.array(probs)
         weights = np.array([(0.5, 0.0), (-0.5, 0.0)])
         tables = _kernels.count_tables(block, prob, n, "multinomial", weights)
-        assert isinstance(tables[0], tuple) and tables[1] is _kernels.PAIRED
+        want = _kernels.difference_table(n, *_kernels.split_pair(*probs), False)
+        assert all(np.array_equal(a, b) for a, b in zip(tables[0], want))
+        assert tables[1] is _kernels.PAIRED
         counts = _kernels.draw_counts(np.random.default_rng(2029), 10**6, block, prob, n,
                                       "multinomial", tables)
         assert (counts[:, 1] == 0).all()
@@ -1108,12 +1152,15 @@ class TestSplitDraws:
         (N_REF, (0.1, 0.2, 0.3), ((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5))),
         (N_REF, (0.0625, 0.25), ((0.5, 0.0), (-np.nextafter(0.5, 1.0), 0.0))),
         (10**6, (1e-4, 0.3), ((0.0, 0.5), (0.0, -0.5))),
-    ], ids=["below-boundary", "three-groups", "perturbed-weight", "table-past-cap"])
+        (10**5, (0.25, 0.25), ((0.0, 0.5), (0.0, -0.5))),
+    ], ids=["below-boundary", "three-groups", "perturbed-weight", "table-past-cap",
+            "difference-past-cap"])
     def test_unsplit_settings_keep_the_chain(self, n, probs, weights):
         """A setting that cannot split, draws other than two groups, has
-        weights that are not exact negatives, or whose delta table would pass
-        the cap keeps the tables it has without weights and the chain, bit
-        for bit."""
+        weights that are not exact negatives, or whose difference table
+        would pass the cap (its delta table does in one case, neither
+        binomial table does in the other) keeps the tables it has without
+        weights and the chain, bit for bit."""
         block, prob, weights = np.zeros(len(probs), dtype=np.intp), np.array(probs), np.array(weights)
         tables = _kernels.count_tables(block, prob, n, "multinomial", weights)
         alone = _kernels.count_tables(block, prob, n, "multinomial")
@@ -1190,6 +1237,30 @@ class TestVarianceSweep:
         rows = variance_sweep(SweepSpec(axis, grid, trials, shot, **fixed))
         # repr tells every float bit apart and makes NaN equal to NaN
         assert repr(rows) == repr(reference_sweep(axis, grid, trials, shot, **fixed))
+
+    #: Standard scores that the variance-ratio gate allows.
+    GATE_Z = 4.0
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    @pytest.mark.parametrize("axis, grid, fixed", [
+        ("xi", (1.0, 0.6, 0.2), dict(povm=random_povm(2, 3, seed=4), label=2, j=1, k=0)),
+        ("theta", tuple(np.pi * np.array([0.05, 0.1, 0.3, 0.45])),
+         dict(g=0.2 * np.pi, eta=0.7, e01=0.1j)),
+    ], ids=["xi", "theta"])
+    def test_sampled_variance_matches_the_transfer(self, axis, grid, fixed, statistics):
+        """Over 20000 trials the sampled variance of every row is the
+        error-transfer variance within GATE_Z standard errors of a sample
+        variance, ``sqrt(2 / (trials - 1))`` relative.  These are the noise
+        and theta sweeps of the core-count artifacts, where the multinomial
+        variance is 0.877-0.995 of the Poisson one, so a multinomial
+        correction of the wrong sign moves the ratio by up to about 25 %;
+        a g sweep at theta = 0 has a ratio of exactly 1 and could not tell."""
+        trials = 20000
+        rows = variance_sweep(SweepSpec(axis, grid, trials, ShotModel(N_REF, statistics, seed=3),
+                                        **fixed))
+        bound = self.GATE_Z * np.sqrt(2 / (trials - 1))
+        for row in rows:
+            assert abs(row["var_empirical"] / row["var_transfer"] - 1) <= bound, row
 
     @pytest.mark.parametrize("axis, povm, label", [
         ("xi", random_povm(3, 3, seed=4), 2),   # d = 3: the law is for a qubit
