@@ -36,17 +36,18 @@ imaginary part, so a Poisson trial takes at most 5 draws, 4 of them counts
 of a difference, and every multinomial setting but zz draws two groups
 whose weights are exact negatives (fewer where a group's probability is 0).
 
-:func:`draw_counts` is the one counting-noise sampler: the trial kernel
-contracts its counts with the group weights, and
+:func:`group_draws` is the one counting-noise sampler: the trial kernel
+adds each group's counts, times its weights, into its estimates as they
+are drawn; :func:`draw_counts` stacks them into a matrix of counts, and
 :func:`povmdt.montecarlo.sample_counts` draws one trial of the 36 ungrouped
-cells of each outcome's W table with it, every outcome of a stack from one
-stream.  Both pass their cells through the
+cells of each outcome's W table with it (:func:`one_trial`), every outcome
+of a stack from one stream.  Both pass their cells through the
 same check first (:func:`checked_cells`, once for a whole stack of
 outcomes), as does :func:`povmdt.estimator.error_transfer_variance`; their
 callers have already refused and clipped negative cells
 (:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
 
-A chunk of many trials is drawn group by group (:func:`draw_counts`).  A
+A chunk of many trials is drawn group by group (:func:`group_draws`).  A
 count whose law is the same in every trial is drawn by inverting its CDF
 table through a guide table: a uniform and a lookup per count, and a search
 for the few that the guide leaves short (Devroye, *Non-Uniform Random
@@ -54,17 +55,17 @@ Variate Generation*, 1986, ch. III.2).  Three kinds of
 :func:`count_tables` entry say how each group is drawn: a table, for a
 count of fixed law, which is every Poisson group, ``Poisson(n p_g)``, the
 first group of each multinomial setting, ``Binomial(n, p_1)``, and the
-difference of a pair; ``PAIRED``, for the pair's second group, which holds
-0; and None, for a count that numpy's samplers draw.  A Poisson or binomial
+difference of a pair; ``PAIRED``, for the pair's second group, which is
+not drawn; and None, for a count that numpy's samplers draw.  A Poisson or binomial
 table spans its law's mean +- (13 sd + 13); a difference table is the
 correlation of its two laws' pmfs, ``np.convolve(p+, p-[::-1])``, over
 every difference of their spans, so each side truncates what theirs do.
 The tables are built once per kernel call of more than one trial, on the
 calling thread, one per distinct law; the workers only read them.  A count
-is inverted when its table fits a chunk, at most ``CHUNK_TRIALS`` entries,
-which covers rates up to about 10^5 (pairs of rates up to about 2.4 10^4
-each), so the tables do not depend on the trial count and their memory is
-bounded like a chunk's.  A pair whose difference table would not fit draws
+is inverted when its table fits ``TABLE_CAP`` (2^13) entries, which covers
+rates up to about 10^5 (pairs of rates up to about 2.4 10^4 each), so the
+tables do not depend on the trial count and their memory is bounded; each
+guide holds int16 indices.  A pair whose difference table would not fit draws
 each of its groups on its own.  A Poisson group whose table would not fit
 keeps numpy's sampler, one ``poisson(n p_g, size)`` call with a scalar
 rate.  The later groups of a multinomial setting that is not split keep
@@ -81,12 +82,19 @@ on each side.  One trial is drawn without tables, in one numpy call for
 every outcome of a stack: a broadcast ``poisson``, or one ``multinomial``
 with a row per outcome and block.
 
-Counts are drawn, contracted and reduced in chunks of ``CHUNK_TRIALS``
-trials.  Each task draws one chunk of every outcome of a study (the one
-input of :func:`trial_estimates` is a stack of outcomes with a seed each:
-one outcome for ``run_trials``, every outcome of a POVM for
-``refinement_trials``), reduces the chunk's estimates to moments across
-the outcomes (count, means and co-moments) and drops them; the kernel
+Counts are drawn and reduced in chunks of ``CHUNK_TRIALS`` (2^14) trials.
+Each task draws one chunk of every outcome of a study (the one input of
+:func:`trial_estimates` is a stack of outcomes with a seed each: one
+outcome for ``run_trials``, every outcome of a POVM for
+``refinement_trials``).  It adds each drawn group's counts, times the
+group's nonzero ``(w_re, w_im)``, straight into the chunk's (2, outcomes,
+trials) estimates, in group order, so no matrix of counts is held and no
+matrix product runs.  The estimates, an inversion's counts and the CDF at
+its guide entries sit in buffers allocated once per study, one set per
+thread and lent to one task at a time, so a chunk allocates little beyond
+its uniforms and the kernel's peak memory does not depend on how the
+threads' chunks overlap in time.  The task then reduces the estimates to
+moments across the outcomes (count, means and co-moments); the kernel
 merges the chunks' moments in chunk order with the pairwise update of Chan,
 Golub and LeVeque (1979), which extends to co-moments (Pebay 2008).  So
 peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials): what grows with
@@ -110,7 +118,11 @@ import numpy as np
 ENV_VAR = "POVMDT_BACKEND"
 
 #: Trials drawn per chunk; peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials).
-CHUNK_TRIALS = 2**13
+CHUNK_TRIALS = 2**14
+
+#: Most entries an inversion table holds: a law whose table would be longer
+#: is drawn by numpy's samplers.  Every guide entry is an index below it.
+TABLE_CAP = 2**13
 
 #: Threads that draw chunks: the CPUs this process may run on.
 WORKERS = (
@@ -239,14 +251,15 @@ def guide_table(lo, pmf):
     cumulative sum divided by its own total, the normalising constant.
     ``guide[i]`` is the number of CDF entries at most ``i / M``, over M
     cells, the power of two from 2 ``len(cdf)`` up, so that ``u M`` and
-    ``i / M`` are exact in float64.
+    ``i / M`` are exact in float64.  Its entries are indices into a table
+    of at most ``TABLE_CAP`` entries, so it is stored as int16.
     """
     cdf = np.cumsum(pmf)
     cdf /= cdf[-1]
     cells = 1 << (2 * cdf.size - 1).bit_length()
     # cdf[i] <= j / M  <=>  ceil(cdf[i] M) <= j, exactly for a power of two M
     first_cell = np.ceil(cdf * cells).astype(np.intp)
-    guide = np.cumsum(np.bincount(first_cell, minlength=cells + 1)[:cells])
+    guide = np.cumsum(np.bincount(first_cell, minlength=cells + 1)[:cells]).astype(np.int16)
     return lo, cdf, guide
 
 
@@ -304,14 +317,14 @@ def split_pair(p_g, p_h):
     return 2.0 * p_g / (1.0 + p_g - p_h + s), 2.0 * p_h / (1.0 - p_g + p_h + s)
 
 
-#: The :func:`count_tables` entry of a pair's second group: its column holds
-#: 0, since the pair's first group draws the difference of their counts.
+#: The :func:`count_tables` entry of a pair's second group: it is not drawn,
+#: since the pair's first group draws the difference of their counts.
 PAIRED = "paired"
 
 
 def count_tables(block, prob, n, statistics, weights=None):
     """The table that draws each group's count in a chunk of trials, one
-    entry per group, as :func:`draw_counts` reads them.
+    entry per group, as :func:`group_draws` reads them.
 
     A block's groups are contiguous, as :func:`group_cells` gives them;
     every Poisson group is in one block.  Given the groups' (groups, 2)
@@ -323,11 +336,11 @@ def count_tables(block, prob, n, statistics, weights=None):
     or, for the only two groups of a multinomial setting that
     :func:`split_pair` splits, ``Binomial(n, alpha)`` and ``Binomial(n,
     delta)``.  A pair is drawn that way only when its table fits
-    ``CHUNK_TRIALS`` entries.
+    ``TABLE_CAP`` entries.
 
     Each other group whose count has one law in every trial, every Poisson
     group and the first group of each multinomial setting, gets its
-    :func:`inversion_table`, if it fits ``CHUNK_TRIALS`` entries and is not
+    :func:`inversion_table`, if it fits ``TABLE_CAP`` entries and is not
     a first group that holds the whole setting (``p >= 1``).  Every other
     group gets None.  Groups of equal laws share one table, built once.
     """
@@ -357,104 +370,141 @@ def count_tables(block, prob, n, statistics, weights=None):
                 law = probs[g], probs[h]
             else:  # only a setting of two groups splits
                 law = split_pair(probs[g], probs[h]) if stop - start == 2 else None
-            if law and span(law[0]) + span(law[1]) < CHUNK_TRIALS:
+            if law and span(law[0]) + span(law[1]) < TABLE_CAP:
                 tables[g], tables[h] = shared(difference_table, *law), PAIRED
         # every Poisson group, and each setting's first, has one law in every trial
         for g in range(start, stop if poisson else start + 1):
             p = probs[g]
-            if tables[g] is None and (poisson or p < 1.0) and span(p) < CHUNK_TRIALS:
+            if tables[g] is None and (poisson or p < 1.0) and span(p) < TABLE_CAP:
                 tables[g] = shared(inversion_table, p)
     return tables
 
 
-def _invert(rng, size, table):
-    """``size`` counts drawn from a :func:`guide_table`, as an int array:
+def _invert(rng, size, table, k=None, at=None):
+    """``size`` counts drawn from a :func:`guide_table`, as an intp array:
     ``searchsorted(cdf, u, "right") + lo`` of each uniform ``u``.  The guide's
-    entry is that index wherever the CDF at the entry exceeds ``u``."""
+    entry is that index wherever the CDF at the entry exceeds ``u``.  A
+    caller may lend (size,) buffers, ``k`` (intp) for the counts and ``at``
+    (float) for the CDF at each guide entry, so that only the uniforms are
+    allocated."""
     lo, cdf, guide = table
+    if k is None:
+        k, at = np.empty(size, np.intp), np.empty(size)
     u = rng.random(size)
-    k = guide[(u * guide.size).astype(np.intp)]
-    short = np.flatnonzero(cdf[k] <= u)
+    np.multiply(u, guide.size, out=k, casting="unsafe")  # u's guide cell, truncated
+    k[:] = guide[k]  # int16 entries, widened: lo can pass 2^15
+    np.take(cdf, k, out=at, mode="clip")  # k is in range; "raise" would buffer ``out``
+    short = np.flatnonzero(at <= u)
     if short.size:
         k[short] = np.searchsorted(cdf, u[short], "right")
     k += lo
     return k
 
 
-def draw_counts(rng, size, block, prob, n, statistics, tables):
-    """Counts of the groups, one row per trial, as a (size, groups) float array.
+def one_trial(rng, block, prob, n, statistics):
+    """One trial of the groups, drawn without tables in one numpy call, as
+    an (outcomes, groups) float array: ``prob`` is one outcome's (groups,)
+    probabilities or an (outcomes, groups) stack sharing ``block``, and
+    row l holds the counts of drawing each outcome in turn from ``rng``.
+
+    Poisson counts are one broadcast ``poisson(n * prob)``; multinomial
+    counts one ``multinomial`` with a row of probabilities per outcome and
+    block: the block's groups in order, zeros up to the widest block, and a
+    last column for the rejected bucket, left at zero, since numpy gives
+    the last category whatever the others leave and never reads its
+    probability.  A zero probability draws nothing from the stream, so the
+    counts are those of one ``multinomial`` call per block.
+    """
+    prob = np.atleast_2d(prob)
+    if statistics == "poisson":
+        return rng.poisson(n * prob).astype(np.float64)
+    # each group's block row and its place in that row, blocks ascending
+    row, group = np.nonzero(block == np.unique(block)[:, None])
+    place = np.arange(group.size) - np.searchsorted(row, row)
+    pvals = np.zeros(prob.shape[:-1] + (row[-1] + 1, place.max() + 2))
+    pvals[..., row, place] = prob[..., group]
+    counts = np.empty(prob.shape)
+    counts[..., group] = rng.multinomial(n, pvals)[..., row, place]
+    return counts
+
+
+def group_draws(rng, size, block, prob, n, statistics, tables, buffers=()):
+    """``(g, counts)`` of each drawn group of one outcome, in group order:
+    group g's ``size`` counts, as the trials draw them from ``rng``.  Given
+    :func:`_invert`'s ``(k, at)`` ``buffers``, an inverted group's counts
+    are ``k``, valid until the next group is drawn.
 
     Poisson counts are independent with means ``n * prob``.  Multinomial
     counts spread n particles over the groups of each ``block`` and that
     block's rejected bucket, whose count is dropped.  Of a pair that
-    ``tables`` draws as one difference, the first group holds ``N_g - N_h``
-    and the second (``PAIRED``) holds 0.  Float, because every caller
-    scales or contracts the counts, which would convert them anyway.
+    ``tables`` draws as one difference, the first group's counts are ``N_g
+    - N_h`` and the second (``PAIRED``) is skipped.
 
-    More than one trial is drawn group by group, in one loop for both
-    statistics, which relies on each block's groups being contiguous, as
-    :func:`group_cells` gives them.  A ``PAIRED`` group holds 0 and is not
-    drawn; any other group with a table in ``tables``, one entry per group
-    as :func:`count_tables` gives them, is drawn by inversion, and the rest
-    by ``poisson(n p_g, size)`` or by the chain that numpy's multinomial
-    runs row by row, ``binomial(left, p_g / rest, ...)`` with ``left`` the
-    particles of the group's block not yet placed and ``rest`` the
-    probability not yet spent, both reset at each new block.
-
-    One trial is drawn without tables (a one-trial caller may pass None), in
-    one numpy call, and ``prob`` may then be an (outcomes, groups) stack
-    sharing ``block``: one row per outcome, the counts of drawing each
-    outcome in turn from ``rng``.  Poisson counts are one broadcast
-    ``poisson(n * prob)``; multinomial counts one ``multinomial`` with a row
-    of probabilities per outcome and block: the block's groups in order,
-    zeros up to the widest block, and a last column for the rejected
-    bucket, left at zero, since numpy gives the last category whatever the
-    others leave and never reads its probability.  A zero probability draws
-    nothing from the stream, so the counts are those of one ``multinomial``
-    call per block.
+    This is the one loop over groups: it relies on each block's groups
+    being contiguous, as :func:`group_cells` gives them.  A group with a
+    table in ``tables``, one entry per group as :func:`count_tables` gives
+    them, is drawn by inversion, and the rest by ``poisson(n p_g, size)``
+    or by the chain that numpy's multinomial runs row by row,
+    ``binomial(left, p_g / rest, ...)`` with ``left`` the particles of the
+    group's block not yet placed and ``rest`` the probability not yet
+    spent, both reset at each new block.  One trial reads no tables: it
+    is :func:`one_trial`'s draw, every group's count in turn.
     """
     if size == 1:
-        prob = np.atleast_2d(prob)
-        if statistics == "poisson":
-            return rng.poisson(n * prob).astype(np.float64)
-        # each group's block row and its place in that row, blocks ascending
-        row, group = np.nonzero(block == np.unique(block)[:, None])
-        place = np.arange(group.size) - np.searchsorted(row, row)
-        pvals = np.zeros(prob.shape[:-1] + (row[-1] + 1, place.max() + 2))
-        pvals[..., row, place] = prob[..., group]
-        counts = np.empty(prob.shape)
-        counts[..., group] = rng.multinomial(n, pvals)[..., row, place]
-        return counts
-    counts, current = np.empty((prob.size, size)), None
+        yield from enumerate(one_trial(rng, block, prob, n, statistics)[0])
+        return
+    current = None
     for g, (b, p, table) in enumerate(zip(block.tolist(), prob.tolist(), tables)):
         if b != current:  # a new block's chain starts with every particle left
             current, left, rest = b, n, 1.0
         if table is PAIRED:
-            drawn = 0
-        elif table is not None:
-            drawn = _invert(rng, size, table)
+            continue
+        if table is not None:
+            drawn = _invert(rng, size, table, *buffers)
         elif statistics == "poisson":
             drawn = rng.poisson(n * p, size)
         else:
             # p <= rest but for rounding; once p >= rest, ratio 1 places every
             # particle left, so a later group (rest <= 0 by then) draws from 0
             drawn = rng.binomial(left, 1.0 if p >= rest else p / rest, size)
-        counts[g] = drawn
         if statistics == "multinomial":
             left, rest = left - drawn, rest - p
+        yield g, drawn
+
+
+def draw_counts(rng, size, block, prob, n, statistics, tables):
+    """Counts of the groups, one row per trial, as a (size, groups) float
+    array: :func:`group_draws`' counts, with 0 for a ``PAIRED`` group, or
+    for one trial (a one-trial caller may pass None for ``tables``)
+    :func:`one_trial`'s, whose ``prob`` may be an (outcomes, groups) stack.
+    Float, because its callers scale the counts."""
+    if size == 1:
+        return one_trial(rng, block, prob, n, statistics)
+    counts = np.zeros((prob.size, size))
+    for g, drawn in group_draws(rng, size, block, prob, n, statistics, tables):
+        counts[g] = drawn
     return counts.T
 
 
 def moments(x):
     """``(count, mean, m2)`` of the rows of ``x``, (..., rows, size) with at
     least one column: the means along the last axis and the (..., rows,
-    rows) co-moments, sums of products of two rows' deviations.  One row
-    multiplies at a time, so no temporary outgrows ``x`` and a diagonal entry
-    sums a row's squares as a per-row reduction does (a matrix product would
-    not).  ``x`` is overwritten with the deviations."""
+    rows) co-moments, sums of products of two rows' deviations.  Each pair
+    of rows multiplies on its own, so no temporary outgrows one row of
+    ``x`` per leading index, and a diagonal entry sums a row's squares as a
+    per-row reduction does (a matrix product would not); the lower triangle
+    mirrors the upper, bit for bit.  ``x`` is overwritten: a row's
+    deviations are squared in place once its last product is taken."""
     mean = x.mean(axis=-1)
     x -= mean[..., None]
-    m2 = np.stack([(x * x[..., l : l + 1, :]).sum(axis=-1) for l in range(x.shape[-2])], -1)
+    rows = x.shape[-2]
+    m2 = np.empty(x.shape[:-1] + (rows,))
+    for k in range(rows):
+        row = x[..., k, :]
+        for l in range(k + 1, rows):
+            m2[..., k, l] = m2[..., l, k] = (row * x[..., l, :]).sum(axis=-1)
+        row *= row
+        m2[..., k, k] = row.sum(axis=-1)
     return x.shape[-1], mean, m2
 
 
@@ -480,7 +530,9 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
     ``w_re``/``w_im`` the flat cell weights shared by every outcome, as the
     caller scales them.  The covariances are the unbiased ones, symmetric
     bit for bit, and NaN below two trials; the means are NaN for no trials.
-    A negative trial count is refused.
+    A negative trial count is refused.  A trial's estimate is the sum of
+    its drawn groups' counts times their weights, added in group order
+    (:func:`group_draws`), over n.
 
     The moments do not depend on ``WORKERS``, and an outcome's mean and
     variance are those of a stack of it alone.  The tables do not depend
@@ -500,7 +552,7 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
         return np.full((2, outcomes), np.nan), np.full((2, outcomes, outcomes), np.nan)
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
     groups = group_cells(stack, w_re, w_im, statistics)
-    # one trial is drawn without tables (draw_counts), so a one-trial study builds none
+    # one trial is drawn without tables (one_trial), so a one-trial study builds none
     tables = [count_tables(block, prob, n, statistics, weights) if trials > 1 else None
               for block, prob, weights in groups]
 
@@ -508,19 +560,38 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
     from functools import reduce
-
-    def chunk_moments(c):
-        """The moments of chunk c, every outcome drawn from its own stream."""
-        est = np.empty((2, outcomes, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)))
-        for l, (block, prob, weights) in enumerate(groups):
-            rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
-            counts = draw_counts(rng, est.shape[-1], block, prob, n, statistics, tables[l])
-            est[:, l] = (counts @ weights).T
-        est /= n
-        return moments(est)
+    from queue import SimpleQueue
 
     chunks = -(-trials // CHUNK_TRIALS)
     workers = max(1, min(WORKERS, chunks))
+    # one set of chunk buffers per thread, allocated here: the kernel's peak
+    # memory is then the same however the threads' chunks overlap in time
+    width, free = min(CHUNK_TRIALS, trials), SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty(2 * outcomes * width), np.empty(width, np.intp), np.empty(width)))
+
+    def chunk_moments(c):
+        """The moments of chunk c, every outcome drawn from its own stream:
+        each drawn group's count times its weight is added to the outcome's
+        (re, im) estimates in group order, the nonzero weights only."""
+        size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+        flat, k, at = buffers = free.get()  # never waits: a task per thread at most
+        try:
+            est = flat[: 2 * outcomes * size].reshape(2, outcomes, size)
+            est.fill(0.0)
+            k, at = k[:size], at[:size]
+            for l, (block, prob, weights) in enumerate(groups):
+                rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
+                w_rows = weights.tolist()
+                for g, drawn in group_draws(rng, size, block, prob, n, statistics, tables[l],
+                                            (k, at)):
+                    for part, w in zip(est[:, l], w_rows[g]):
+                        if w:
+                            part += np.multiply(drawn, w, out=at)
+            est /= n
+            return moments(est)
+        finally:
+            free.put(buffers)
 
     def in_chunk_order(pool):
         """The chunks' moments, with at most ``2 * workers`` chunks drawn

@@ -2,6 +2,7 @@
 
 import functools
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -382,17 +383,25 @@ class TestTrialKernel:
         assert np.isfinite(mean).all() and np.isfinite(cov).all()
 
     @staticmethod
+    def ordered_sum(counts, weights):
+        """The (2, size) sums ``sum_g w_g N_g`` of (size, groups) counts,
+        each group's count times its (w_re, w_im) added in group order."""
+        est = np.zeros((2, counts.shape[0]))
+        for count, w in zip(counts.T, weights):
+            est += w[:, None] * count
+        return est
+
+    @staticmethod
     def direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c):
         """The (2, size) estimates of chunk c of a kernel call, drawn outside
         the kernel from ``SeedSequence(seed, spawn_key=(c,))`` with the
-        call's tables; C-contiguous like the kernel's, so that their sums run
-        in the same order."""
+        call's tables and summed in group order, as the kernel adds them."""
         block, prob, weights = _kernels.group_cells(cells[None], w_re, w_im, statistics)[0]
         tables = _kernels.count_tables(block, prob, n, statistics, weights)
         size = min(_kernels.CHUNK_TRIALS, trials - c * _kernels.CHUNK_TRIALS)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
         counts = _kernels.draw_counts(rng, size, block, prob, n, statistics, tables)
-        return np.ascontiguousarray((counts @ weights).T) / n
+        return TestTrialKernel.ordered_sum(counts, weights) / n
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_chunks_share_one_stream(self, statistics):
@@ -447,32 +456,59 @@ class TestTrialKernel:
         np.testing.assert_array_equal(mean, direct_mean[:, 0])
         np.testing.assert_array_equal(var, m2[:, 0, 0] / (trials - 1))
 
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_chunk_estimates_are_the_ordered_sum(self, statistics, monkeypatch):
+        """At g = 0.6, whose weights are not integers, each chunk's
+        estimates, a whole chunk and a one-trial last chunk of a
+        three-outcome stack, are its groups' counts times their weights
+        added in group order, bit for bit."""
+        monkeypatch.setattr(_kernels, "WORKERS", 1)  # the chunks in order
+        povm, coeffs = random_povm(2, 3, seed=5), rt_coefficients(2, 0.6)
+        cells = nonnegative_cells(exact_entry_tables(
+            povm.elements, 1, 0, CouplingConfig.symmetric(0.6))).reshape(3, 9, 4)
+        w_re, w_im = coeffs.cell_re, coeffs.cell_im
+        assert (np.abs(w_re) % 1 > 0).any() and (np.abs(w_im) % 1 > 0).any()
+        seen, moments = [], _kernels.moments
+
+        def recorded(x):
+            seen.append(x.copy())
+            return moments(x)
+
+        monkeypatch.setattr(_kernels, "moments", recorded)
+        chunk, n, seeds = _kernels.CHUNK_TRIALS, 3000, [3, 4, 5]
+        _kernels.trial_estimates(cells, w_re, w_im, n, chunk + 1, seeds, statistics)
+        assert [x.shape for x in seen] == [(2, 3, chunk), (2, 3, 1)]
+        for c, est in enumerate(seen):
+            for l, seed in enumerate(seeds):
+                np.testing.assert_array_equal(est[:, l], self.direct_chunk(
+                    cells[l], w_re, w_im, n, chunk + 1, seed, statistics, c))
+
     #: Moments of the kernel and of refinement_trials over more than one
     #: chunk, from the current many-trial stream: a change that alters the
-    #: stream must renew them.  rtol 1e-12 leaves room for BLAS rounding, not
-    #: for another draw.
+    #: stream must renew them.  rtol 1e-12 leaves room for rounding, not for
+    #: another draw.
     PINNED_KERNEL = {
-        "poisson": ([7.830516746995304e-05, -0.00018278323470197061],
-                    [0.000497395255968124, 0.0004903822685435529]),
-        "multinomial": ([4.542126776889763e-05, -0.00012418400341650902],
-                        [0.0004997106121943957, 0.0004969911210165372]),
+        "poisson": ([-5.1258581235697975e-05, 0.000143813882532418],
+                    [0.0005038236982236993, 0.0004988371081730847]),
+        "multinomial": ([8.550724637681156e-05, 0.00017783371472158654],
+                        [0.0004992533293446641, 0.0004988138385974781]),
     }
     PINNED_REFINEMENT = {
         "poisson": (
-            [(0.0002746753201193062, 0.00021576193192251298),
-             (0.0003161285784731307, 0.00022383059638063322),
-             (9.68997965109798e-05, 7.465700326220224e-05)],
-            [(0.0001652569239246955, 0.00012877495480049164),
-             (0.00017277918017419397, 0.000124265303553134),
-             (8.275390360015897e-05, 6.348507472496345e-05)],
+            [(0.0002716894100878372, 0.0002111296682878437),
+             (0.00031667484503154574, 0.0002192266740980558),
+             (9.85944884711216e-05, 7.550146922430418e-05)],
+            [(0.000166156549466113, 0.0001231123562932033),
+             (0.00017174013764320223, 0.00012168330928714794),
+             (8.42862040633188e-05, 6.423384342412207e-05)],
         ),
         "multinomial": (
-            [(0.00025321461563480787, 0.0002102407923279957),
-             (0.00027036845310425084, 0.0002159312588901173),
-             (9.320097176636226e-05, 7.43968894585513e-05)],
-            [(0.0001496674400927477, 0.0001228109516583295),
-             (0.00015422656299584594, 0.00012015135683456424),
-             (7.836961400020312e-05, 6.373038920557253e-05)],
+            [(0.00024989617388284545, 0.00020351189126224686),
+             (0.000267759526082489, 0.00021758811226681472),
+             (9.283983157057833e-05, 7.654548603827548e-05)],
+            [(0.0001474223245127522, 0.00012042343104039978),
+             (0.0001499015535593086, 0.0001223963072625871),
+             (7.844700356989816e-05, 6.529691632615995e-05)],
         ),
     }
 
@@ -696,18 +732,42 @@ class TestTrialKernel:
         draw side by side on two threads."""
         monkeypatch.setattr(_kernels, "WORKERS", 2)
         meet = threading.Barrier(2, timeout=30)
-        draw_counts = _kernels.draw_counts
+        group_draws, threads = _kernels.group_draws, set()
 
         def draw_in_pairs(*args):
             meet.wait()  # breaks, and the call raises, unless two draws run at once
-            return draw_counts(*args)
+            threads.add(threading.get_ident())
+            return group_draws(*args)
 
-        monkeypatch.setattr(_kernels, "draw_counts", draw_in_pairs)
+        monkeypatch.setattr(_kernels, "group_draws", draw_in_pairs)
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         mean, cov = _kernels.trial_estimates(np.stack([cells] * 4), w_re, w_im, N_REF,
                                              2 * _kernels.CHUNK_TRIALS, [1, 2, 3, 4])
         var = np.diagonal(cov, axis1=1, axis2=2)
         assert np.isfinite(var).all() and len(set(var[0].tolist())) == 4
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
+    def test_lent_buffers_under_thread_switches(self, statistics, monkeypatch):
+        """Each thread's chunk buffers serve one task at a time: with five
+        threads switching every microsecond, a three-outcome study over six
+        chunks has the means and covariances of one thread, bit for bit."""
+        povm, coeffs = random_povm(2, 3, seed=5), rt_coefficients(2, 0.6)
+        cells = nonnegative_cells(exact_entry_tables(
+            povm.elements, 1, 0, CouplingConfig.symmetric(0.6))).reshape(3, 9, 4)
+        args = (cells, coeffs.cell_re, coeffs.cell_im, 3000, 5 * _kernels.CHUNK_TRIALS + 9,
+                [7, 8, 9], statistics)
+        monkeypatch.setattr(_kernels, "WORKERS", 1)
+        want = _kernels.trial_estimates(*args)
+        monkeypatch.setattr(_kernels, "WORKERS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _kernels.trial_estimates(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_one_grouping_per_study(self, statistics, monkeypatch):
@@ -803,7 +863,7 @@ class TestInvertedDraws:
         """The table CDF is scipy's within 1e-13, and the mass beyond its
         edges is below 1e-25."""
         lo, hi = _kernels.table_span(n, p, poisson)
-        assert hi - lo < _kernels.CHUNK_TRIALS
+        assert hi - lo < _kernels.TABLE_CAP
         table_lo, cdf, guide = _kernels.inversion_table(n, p, poisson)
         assert table_lo == lo and cdf.size == hi - lo + 1 and cdf[-1] == 1.0
         law = self.law(n, p, poisson)
@@ -834,10 +894,10 @@ class TestInvertedDraws:
         np.testing.assert_array_equal(counts, np.searchsorted(cdf, u, "right") + lo)
 
     def test_cap_is_the_chunk(self):
-        """Poisson rates up to about 10^5 fit a chunk's table."""
+        """Poisson rates up to about 10^5 fit a table."""
         for rate, fits in [(9.8e4, True), (1e5, False)]:
             lo, hi = _kernels.table_span(1, rate, True)
-            assert (hi - lo < _kernels.CHUNK_TRIALS) == fits
+            assert (hi - lo < _kernels.TABLE_CAP) == fits
         block, prob = np.zeros(2, dtype=np.intp), np.array([0.5, 0.5])
         assert _kernels.count_tables(block, prob, 2 * 10**5, "poisson") == [None, None]
 
@@ -874,7 +934,7 @@ class TestInvertedDraws:
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_numpy_draws_past_the_cap(self, statistics, monkeypatch):
-        """A table longer than CHUNK_TRIALS is never built: at n = 10^8 the
+        """A table longer than TABLE_CAP is never built: at n = 10^8 the
         counts are numpy's and follow the law, and a 300-trial study there
         builds no table either."""
         def refuse(*args):
@@ -981,7 +1041,7 @@ class TestPairedDraws:
         of its edges is below 2e-30."""
         (lo_plus, hi_plus), (lo_minus, hi_minus) = (_kernels.table_span(n, p, poisson)
                                                     for p in laws)
-        assert hi_plus - lo_plus + hi_minus - lo_minus < _kernels.CHUNK_TRIALS
+        assert hi_plus - lo_plus + hi_minus - lo_minus < _kernels.TABLE_CAP
         lo, cdf, guide = _kernels.difference_table(n, *laws, poisson)
         hi = lo + cdf.size - 1
         assert (lo, hi) == (lo_plus - hi_minus, hi_plus - lo_minus) and cdf[-1] == 1.0
@@ -1044,7 +1104,7 @@ class TestPairedDraws:
         assert _kernels.PAIRED not in tables
         for table, want, rate in zip(tables, alone, rates):
             lo, hi = _kernels.table_span(1, rate, True)
-            assert (table is None) == (want is None) == (hi - lo >= _kernels.CHUNK_TRIALS)
+            assert (table is None) == (want is None) == (hi - lo >= _kernels.TABLE_CAP)
             if table is not None:
                 assert all(np.array_equal(a, b) for a, b in zip(table, want))
         rng = np.random.default_rng(5)
