@@ -101,17 +101,23 @@ peak memory is O(WORKERS x CHUNK_TRIALS), not O(trials): what grows with
 the trial count is a few floats per chunk.  Chunk ``c`` of an outcome
 draws from its own PCG64 stream, seeded by ``SeedSequence(seed,
 spawn_key=(c,))``, the ``c``-th spawned child of the outcome's seed.  The
-chunks of a study run on one pool of up to ``WORKERS`` threads (numpy's
-samplers release the GIL), one task per chunk, so a study of one chunk runs
-on one thread; because every outcome's chunk owns its stream and the merge
-order is fixed, the moments depend neither on the number of threads nor on
-the stacking.
+chunks of every study run on the process's one pool of ``WORKERS`` threads
+(numpy's samplers release the GIL), one task per chunk, so a study of one
+chunk runs on one thread.  The pool is started by the first study that
+needs it and kept (:func:`chunk_pool`), so a study starts no thread, and a
+process that has run one keeps up to ``WORKERS`` idle threads, which Python
+3.12 warns about on ``os.fork``; a forked child drops the inherited pool and
+starts its own.  A study whose chunk fails cancels its queued chunks and
+waits for its running ones before the error propagates.  Because every
+outcome's chunk owns its stream and the merge order is fixed, the moments
+depend neither on the number of threads nor on the stacking.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -519,6 +525,39 @@ def merge_moments(a, b):
     return count, mean_a + delta * (nb / count), m2_a + m2_b + outer * (na * nb / count)
 
 
+#: The process's chunk pool, ``(size, executor)``, and the lock it is built
+#: under (:func:`chunk_pool`).
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def chunk_pool():
+    """The process's pool of ``WORKERS`` threads that every study's chunks
+    run on: started by the first study that needs it, and rebuilt, the old
+    pool shut down first, whenever ``WORKERS`` no longer matches its size."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != WORKERS:
+            # imported here: ``import povmdt`` should not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = WORKERS, ThreadPoolExecutor(WORKERS, thread_name_prefix="povmdt-chunk")
+        return _pool[1]
+
+
+def _forget_pool():
+    """In a forked child: drop the parent's pool, whose threads the child
+    does not have, and its lock, which a parent thread may have held."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
     """Sample means and covariances of the estimates ``sum_c w_c N_c / n``
     over ``trials`` trials: a (2, outcomes) array of means and a (2,
@@ -558,7 +597,7 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
 
     # imported here: ``import povmdt`` should not pay for it
     from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import wait
     from functools import reduce
     from queue import SimpleQueue
 
@@ -593,19 +632,28 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
         finally:
             free.put(buffers)
 
-    def in_chunk_order(pool):
+    pool, pending = chunk_pool(), deque()
+
+    def in_chunk_order():
         """The chunks' moments, with at most ``2 * workers`` chunks drawn
         ahead of the merge: ``pool.map`` submits every chunk at once, and its
         futures grow a long study's peak memory with the chunk count."""
-        pending = deque()
         for c in range(chunks):
             pending.append(pool.submit(chunk_moments, c))
             if len(pending) > 2 * workers:
-                yield pending.popleft().result()  # raises a failed chunk's error
-        for future in pending:
-            yield future.result()
+                yield pending[0].result()  # raises a failed chunk's error
+                pending.popleft()
+        while pending:
+            yield pending[0].result()
+            pending.popleft()
 
-    with ThreadPoolExecutor(workers) as pool:
-        _, mean, m2 = reduce(merge_moments, in_chunk_order(pool))
+    try:
+        _, mean, m2 = reduce(merge_moments, in_chunk_order())
+    except BaseException:
+        # the pool outlives the study: none of its chunks may run on after it
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        raise
     cov = m2 / (trials - 1) if trials > 1 else np.full(m2.shape, np.nan)
     return mean, cov

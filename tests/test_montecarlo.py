@@ -1,12 +1,16 @@
 """Shot-noise sampling, repeated trials, sweeps and backends."""
 
 import functools
+import os
 import re
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -768,6 +772,110 @@ class TestTrialKernel:
             sys.setswitchinterval(interval)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    def test_studies_share_one_pool(self, monkeypatch):
+        """Every study draws on the process's pool: a second study starts no
+        thread and runs on threads the first one used, and once ``WORKERS``
+        changes the pool follows it, so six chunks run on five threads."""
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        group_draws = _kernels.group_draws
+
+        def study(workers, chunks):
+            """The threads a study's chunks ran on, and the most threads
+            alive while they ran; its first ``workers`` chunks draw at once."""
+            monkeypatch.setattr(_kernels, "WORKERS", workers)
+            meet, lock = threading.Barrier(workers, timeout=10), threading.Lock()
+            arrived, threads, alive = [], set(), []
+
+            def draw(*args):
+                with lock:
+                    arrived.append(None)
+                    first = len(arrived) <= workers
+                if first:
+                    meet.wait()  # breaks, and the call raises, unless `workers` threads draw
+                threads.add(threading.get_ident())
+                alive.append(threading.active_count())
+                return group_draws(*args)
+
+            monkeypatch.setattr(_kernels, "group_draws", draw)
+            _kernels.trial_estimates(cells[None], w_re, w_im, N_REF,
+                                     chunks * _kernels.CHUNK_TRIALS, [1])
+            return threads, max(alive)
+
+        first, _ = study(2, 4)
+        before = threading.active_count()
+        second, alive = study(2, 4)
+        assert alive <= before
+        assert second <= first
+        assert len(study(5, 6)[0]) == 5
+
+    def test_failed_chunk_cancels_its_study(self, monkeypatch):
+        """A chunk's error is the study's: its queued chunks never start, its
+        running ones end before the call raises, and the pool serves the next
+        study as before."""
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
+        cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
+        args = (cells[None], w_re, w_im, N_REF, 5 * _kernels.CHUNK_TRIALS + 9, [3])
+        want = _kernels.trial_estimates(*args)
+        group_draws, events = _kernels.group_draws, []
+
+        def draw(rng, *rest):
+            (c,) = rng.bit_generator.seed_seq.spawn_key
+            events.append(("start", c))
+            if c == 1:
+                raise RuntimeError("chunk 1 failed")
+            time.sleep(0.02)  # holds both threads, so later chunks are still queued
+            yield from group_draws(rng, *rest)
+            events.append(("end", c))
+
+        monkeypatch.setattr(_kernels, "group_draws", draw)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            _kernels.trial_estimates(*args)
+        seen = list(events)
+        time.sleep(0.2)
+        assert events == seen
+        assert all(("end", c) in seen for kind, c in seen if kind == "start" and c != 1)
+        monkeypatch.setattr(_kernels, "group_draws", group_draws)
+        for a, b in zip(_kernels.trial_estimates(*args), want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self):
+        """A child forked after a study does not have the parent's pool
+        threads: its study starts its own pool and draws the parent's
+        moments.  The fork runs in a subprocess, so this process never forks."""
+        script = """
+import os, sys, time
+import numpy as np
+from povmdt import CouplingConfig, exact_entry_tables, random_povm, rt_coefficients, _kernels
+from povmdt.estimator import nonnegative_cells
+
+povm, coeffs = random_povm(2, 3, seed=5), rt_coefficients(2, 0.6)
+cells = nonnegative_cells(exact_entry_tables(
+    povm.elements, 1, 0, CouplingConfig.symmetric(0.6))).reshape(3, 9, 4)
+args = (cells, coeffs.cell_re, coeffs.cell_im, 3000, 2 * _kernels.CHUNK_TRIALS, [7, 8, 9])
+want = _kernels.trial_estimates(*args)
+pid = os.fork()
+if pid == 0:
+    got = _kernels.trial_estimates(*args)
+    os._exit(0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child's study did not finish")
+"""
+        src = str(Path(_kernels.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-W", "ignore::DeprecationWarning", "-c", script],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120)
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_one_grouping_per_study(self, statistics, monkeypatch):
