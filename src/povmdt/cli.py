@@ -5,19 +5,21 @@ Subcommands::
     povmdt oracle-check   --config cfg.yaml [--out DIR]
     povmdt scan           --config cfg.yaml --out DIR [--refine]
     povmdt variance-sweep --config cfg.yaml --out DIR
-    povmdt calibrate      --config cfg.yaml --out DIR [--refine]
+    povmdt calibrate      --config cfg.yaml --out DIR
 
 Common flags: ``--seed`` overrides the config seed and ``shots.seed``,
-``--format csv|json`` selects the artifact format.  Exit codes: 0 success,
-1 tolerance or assertion failure, 2 configuration error.
+``--format csv|json`` selects the artifact format; only ``scan`` takes
+``--refine``.  Exit codes: 0 success, 1 tolerance or assertion failure, 2
+configuration error.
 
 The config blocks, noise and calibration grids included, are resolved by
 :func:`povmdt.config.parse_config`; the commands here only iterate them.
-Each command is one function that computes and describes its result as a
-:class:`CommandResult`.  :func:`main` runs every command the same way: it
-resolves the config and the output directory before any work, times the
-command, writes its artifacts through :func:`write_artifacts` and prints
-one summary line.
+:func:`blocks_read` names the blocks each command reads, and a config that
+gives any other block is refused.  Each command is one function that
+computes and describes its result as a :class:`CommandResult`.
+:func:`main` runs every command the same way: it resolves the config, its
+blocks and the output directory before any work, times the command, writes
+its artifacts through :func:`write_artifacts` and prints one summary line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import CALIBRATION_SAMPLES, ConfigError, ScenarioConfig, parse_config
+from .config import BLOCKS, CALIBRATION_SAMPLES, ConfigError, ScenarioConfig, parse_config
 from .estimator import (
     _require_outcomes,
     completeness_refine,
@@ -42,7 +44,6 @@ from .montecarlo import (
     SweepSpec,
     _child_seeds,
     exact_slot,
-    refinement_trials,
     sample_counts,
     variance_sweep,
 )
@@ -241,20 +242,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-#: The scenario blocks, and those that give the value of a sweep keyword
-#: when the sweep block does not.
-SCENARIO_BLOCKS = ("povm", "entry", "coupling", "noise", "calibration")
-KEYWORD_BLOCKS = {"povm": ("povm", "entry"), "g": ("coupling",)}
-
-
 def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
-    """Variance curves along the sweep block; a sweep that breaks the model,
-    or one given a scenario block that it does not read, exits 2."""
+    """Variance curves along the sweep block; a sweep that breaks the model
+    exits 2."""
     if cfg.sweep is None:
         raise ConfigError("variance-sweep requires a sweep block")
     kwargs = dict(cfg.sweep, shot=cfg.shot_model())
-    keywords = SWEEP_KEYWORDS[cfg.sweep["axis"]]
-    if "povm" in keywords:
+    if "povm" in SWEEP_KEYWORDS[cfg.sweep["axis"]]:
         if cfg.entry is None or cfg.entry["l"] == "all":
             raise ConfigError("sweep over xi/phi needs an entry block with a single l")
         povm = cfg.povm()
@@ -264,13 +258,6 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
         spec = SweepSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from None
-    reads = [block for key in keywords if key not in cfg.raw["sweep"]
-             for block in KEYWORD_BLOCKS.get(key, ())]
-    unread = [block for block in SCENARIO_BLOCKS if block not in reads]
-    given = [block for block in unread if block in cfg.raw]
-    if given:
-        raise ConfigError(f"sweep: axis {spec.axis!r} sweeps read none of the blocks "
-                          f"{', '.join(unread)}; got {', '.join(given)}")
     rows = variance_sweep(spec)
     return CommandResult(
         [("variance_sweep", SWEEP_COLUMNS, rows)], lambda: {"rows": rows}, f"{len(rows)} rows"
@@ -281,8 +268,7 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
 
 
 def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
-    """Simulated calibrations: overlap grid and phase anchor inputs, and with
-    ``--refine`` the refinement demo.
+    """Simulated calibrations: overlap grid and phase anchor inputs.
 
     Without a calibration grid, a dephasing noise grid is calibrated.  A
     table is written only when it has rows; a run that would write none is
@@ -295,9 +281,9 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
     grid = calib["grid"]
     if grid is None:
         grid = cfg.noise["grid"] if cfg.noise and cfg.noise["type"] == "dephasing" else []
-    if not (grid or calib["phase_inputs"] or args.refine):
+    if not (grid or calib["phase_inputs"]):
         raise ConfigError("calibrate has nothing to do: no overlap grid (calibration or "
-                          "dephasing noise), no calibration.phase_inputs and no --refine")
+                          "dephasing noise) and no calibration.phase_inputs")
 
     seeds = _child_seeds(cfg.seed, max(len(grid), 1))
     xi_rows = [
@@ -313,49 +299,52 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
         for delta in calib["phase_inputs"]
     ]
     results = {"xi": xi_rows, "phase": phase_rows, "samples": samples}
-    if args.refine:
-        results["refinement"] = run_refinement_demo(cfg)
     tables = [(stem, columns, results[key])
-              for stem, key, columns in CALIBRATE_TABLES if results.get(key)]
+              for stem, key, columns in CALIBRATE_TABLES if results[key]]
     return CommandResult(
         tables, lambda: results, f"{len(xi_rows)} overlap points, {len(phase_rows)} phase points"
     )
-
-
-def run_refinement_demo(cfg: ScenarioConfig) -> list[dict]:
-    """Per-outcome raw vs refined predicted variances for the scenario POVM."""
-    povm = cfg.povm()
-    shot = cfg.shot_model()
-    _, j, k = _entry_list(cfg, povm)[0]
-    study = refinement_trials(povm, j, k, cfg.g, shot, 0)
-    return [
-        {
-            "l": lab, "j": j, "k": k,
-            "var_raw": study.raw[lab].total_variance,
-            "var_refined": study.refined[lab].total_variance,
-            "n": shot.n_per_setting,
-        }
-        for lab in study.labels
-    ]
 
 
 #: (file stem, results key, columns) of each calibrate CSV.
 CALIBRATE_TABLES = (
     ("calibration_xi", "xi", ["axis_value", "xi_true", "xi_hat", "samples", "seed"]),
     ("calibration_phase", "phase", ["p_h_minus_p_v", "phi_hat"]),
-    ("refinement", "refinement", ["l", "j", "k", "var_raw", "var_refined", "n"]),
 )
 
 
-#: Each command's function, help text, whether it needs an output
-#: directory and whether it takes ``--refine``.
+#: Each command's function, help text and whether it needs an output
+#: directory.
 COMMANDS = {
-    "oracle-check": (cmd_oracle_check, "exact pipeline vs ground-truth entries", False, False),
-    "scan": (cmd_scan, "noise-evolution scan of an off-diagonal entry", True, True),
+    "oracle-check": (cmd_oracle_check, "exact pipeline vs ground-truth entries", False),
+    "scan": (cmd_scan, "noise-evolution scan of an off-diagonal entry", True),
     "variance-sweep": (cmd_variance_sweep,
-                       "analytic / error-transfer / empirical variance curves", True, False),
-    "calibrate": (cmd_calibrate, "simulated overlap and phase calibrations", True, True),
+                       "analytic / error-transfer / empirical variance curves", True),
+    "calibrate": (cmd_calibrate, "simulated overlap and phase calibrations", True),
 }
+
+
+def blocks_read(command: str, cfg: ScenarioConfig) -> set[str]:
+    """The config blocks that ``command`` reads from ``cfg``; every command
+    reads ``seed`` and ``output``.  A variance sweep reads ``povm`` and
+    ``entry`` where its axis takes a POVM, and ``coupling`` where its axis
+    takes ``g`` and the ``sweep`` block gives none (:data:`SWEEP_KEYWORDS`);
+    ``calibrate`` reads ``noise`` only where ``calibration`` gives no overlap
+    grid."""
+    reads = {"seed", "output"}
+    if command == "oracle-check":
+        return reads | {"povm", "entry", "coupling", "tolerance"}
+    if command == "scan":
+        return reads | {"povm", "entry", "coupling", "shots", "noise"}
+    if command == "calibrate":
+        grid = cfg.calibration and cfg.calibration["grid"]
+        return reads | {"calibration"} | (set() if grid else {"noise"})
+    takes = SWEEP_KEYWORDS[cfg.sweep["axis"]] if cfg.sweep else ()
+    if "povm" in takes:
+        reads |= {"povm", "entry"}
+    if "g" in takes and "g" not in cfg.raw["sweep"]:
+        reads.add("coupling")
+    return reads | {"shots", "sweep"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Direct characterization of POVM matrix entries: scenario runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _, takes_refine) in COMMANDS.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML scenario config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        if takes_refine:
+        if name == "scan":
             p.add_argument("--refine", action="store_true",
                            help="also apply the completeness sum-rule refinement")
     return parser
@@ -378,11 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: resolve its config and output directory before any
-    work, time it, write its artifacts and print its one summary line."""
+    work, refusing every block that the command does not read, time it,
+    write its artifacts and print its one summary line."""
     args = build_parser().parse_args(argv)
-    command, _, needs_out, _ = COMMANDS[args.command]
+    command, _, needs_out = COMMANDS[args.command]
     try:
         cfg = parse_config(args.config, seed_override=args.seed)
+        reads = blocks_read(args.command, cfg)
+        unread = [block for block in BLOCKS if block not in reads]
+        given = [block for block in unread if block in cfg.raw]
+        if given:
+            raise ConfigError(f"{args.command} reads none of the blocks {', '.join(unread)}; "
+                              f"got {', '.join(given)}")
         out = args.out or cfg.out_dir
         if out is None and needs_out:
             raise ConfigError("an output directory is required (output.dir or --out)")

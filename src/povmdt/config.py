@@ -32,6 +32,9 @@ from .montecarlo import SWEEP_KEYWORDS, ShotModel
 from .noise import wavepacket_overlap
 from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_walk, random_povm
 
+#: The top-level blocks of a config, in the order that messages name them.
+BLOCKS = ("seed", "povm", "entry", "coupling", "shots", "noise", "sweep", "calibration",
+          "output", "tolerance")
 POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
@@ -209,15 +212,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     if raw is None:
         raw = {}
-    _require(
-        raw,
-        "config",
-        {
-            "seed": False, "povm": False, "entry": False, "coupling": False,
-            "shots": False, "noise": False, "sweep": False, "calibration": False,
-            "output": False, "tolerance": False,
-        },
-    )
+    _require(raw, "config", dict.fromkeys(BLOCKS, False))
 
     if seed_override is not None:
         seed = _seed(seed_override, "--seed")

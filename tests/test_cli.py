@@ -10,8 +10,8 @@ import pytest
 import yaml
 
 from povmdt import Povm, cli, montecarlo, save_povm
-from povmdt.cli import main, run_scan
-from povmdt.config import ConfigError, parse_config
+from povmdt.cli import COMMANDS, blocks_read, main, run_scan
+from povmdt.config import BLOCKS, ConfigError, parse_config
 from povmdt.estimator import (
     EntryEstimate,
     completeness_refine,
@@ -19,15 +19,14 @@ from povmdt.estimator import (
     estimate_from_tables,
     rt_coefficients,
 )
-from povmdt.montecarlo import (
-    EntryScenario, refinement_trials, run_trials,
-)
+from povmdt.montecarlo import SWEEP_KEYWORDS, EntryScenario, refinement_trials, run_trials
 from povmdt.noise import apply_dephasing, apply_phase_rotation, wavepacket_overlap
 from povmdt.protocol import CouplingConfig, exact_entry_tables
 from povmdt.reports import write_csv, write_json_report
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
 
 #: The CLI commands listed in the README, as (output name, argv without --out).
 README_COMMANDS = [
@@ -35,7 +34,7 @@ README_COMMANDS = [
     ("dephasing", ["scan", "--config", str(CONFIGS / "sic_dephasing_scan.yaml")]),
     ("rotation", ["scan", "--config", str(CONFIGS / "sic_rotation_scan.yaml"), "--refine"]),
     ("variance_g", ["variance-sweep", "--config", str(CONFIGS / "variance_vs_g.yaml")]),
-    ("calibration", ["calibrate", "--config", str(CONFIGS / "calibration.yaml"), "--refine"]),
+    ("calibration", ["calibrate", "--config", str(CONFIGS / "calibration.yaml")]),
 ]
 
 
@@ -324,8 +323,19 @@ def without(data, key):
     return {k: v for k, v in data.items() if k != key}
 
 
+def only(data, *keys):
+    return {k: v for k, v in data.items() if k in keys}
+
+
 def sweep_config(**sweep):
-    return dict(BASE_SCAN, sweep=dict({"axis": "g", "grid": [0.25], "trials": 10}, **sweep))
+    """A sweep config with no scenario block: those an axis reads are added
+    where a case needs them."""
+    return dict(only(BASE_SCAN, "seed", "shots"),
+                sweep=dict({"axis": "g", "grid": [0.25], "trials": 10}, **sweep))
+
+
+#: A single-outcome entry of builtin:sic, as xi and phi sweeps read it.
+SWEPT_ENTRY = {"povm": SIC, "entry": {"l": 1, "j": 1, "k": 0}}
 
 
 @pytest.mark.parametrize("command, data, message", [
@@ -365,9 +375,10 @@ def sweep_config(**sweep):
     # commands
     ("scan", without(BASE_SCAN, "noise"), "scan requires a noise block"),
     ("scan", without(BASE_SCAN, "entry"), "scan requires an entry block (one (j, k) slot)"),
-    ("variance-sweep", sweep_config(axis="xi", grid=[0.5]),
+    ("variance-sweep", dict(sweep_config(axis="xi", grid=[0.5]),
+                            **only(BASE_SCAN, "povm", "entry")),
      "sweep over xi/phi needs an entry block with a single l"),
-    ("calibrate", {"povm": SIC}, "calibrate requires a calibration (or noise) block"),
+    ("calibrate", {}, "calibrate requires a calibration (or noise) block"),
     # integers past numpy's C long
     ("calibrate", {"calibration": {"xi_grid": [0.5], "samples": 10**29}},
      f"calibration.samples: expected an integer in the int64 range, got {10**29}"),
@@ -375,38 +386,64 @@ def sweep_config(**sweep):
      f"shots.n_per_setting: expected an integer in the int64 range, got {10**29}"),
     # a sweep key its axis does not read
     ("variance-sweep", dict(sweep_config(axis="xi", grid=[0.5], eta=0.3, theta=0.2),
-                            entry={"l": 1, "j": 1, "k": 0}),
+                            **SWEPT_ENTRY),
      "sweep: axis 'xi' sweeps take povm, label, j, k, g; got theta, eta"),
     # a sweep's own swept parameter, held fixed
     ("variance-sweep", sweep_config(axis="g", grid=[0.25], trials=0, g=0.1),
      "sweep: axis 'g' sweeps take theta, eta, e01; got g"),
     ("variance-sweep", sweep_config(axis="theta", grid=[0.25], trials=0, theta=0.4),
      "sweep: axis 'theta' sweeps take g, eta, e01; got theta"),
-    # a scenario block that the sweep does not read
-    ("variance-sweep", sweep_config(axis="g", grid=[0.25], trials=0),
-     "sweep: axis 'g' sweeps read none of the blocks povm, entry, coupling, noise, "
-     "calibration; got povm, entry, coupling, noise"),
-    ("variance-sweep", without(sweep_config(axis="theta", grid=[0.25]), "entry"),
-     "sweep: axis 'theta' sweeps read none of the blocks povm, entry, noise, calibration; "
+    # a scenario block that the command does not read
+    ("variance-sweep", dict(BASE_SCAN, **sweep_config(axis="g", grid=[0.25], trials=0)),
+     "variance-sweep reads none of the blocks povm, entry, coupling, noise, calibration, "
+     "tolerance; got povm, entry, coupling, noise"),
+    ("variance-sweep", without(dict(BASE_SCAN, **sweep_config(axis="theta", grid=[0.25])),
+                               "entry"),
+     "variance-sweep reads none of the blocks povm, entry, noise, calibration, tolerance; "
      "got povm, noise"),
-    ("variance-sweep", without(sweep_config(axis="g", grid=[0.25]), "povm"),
-     "sweep: axis 'g' sweeps read none of the blocks povm, entry, coupling, noise, "
-     "calibration; got entry, coupling, noise"),
-    ("variance-sweep", dict(sweep_config(axis="xi", grid=[0.5]), entry={"l": 1, "j": 1, "k": 0}),
-     "sweep: axis 'xi' sweeps read none of the blocks noise, calibration; got noise"),
+    ("variance-sweep", without(dict(BASE_SCAN, **sweep_config(axis="g", grid=[0.25])), "povm"),
+     "variance-sweep reads none of the blocks povm, entry, coupling, noise, calibration, "
+     "tolerance; got entry, coupling, noise"),
+    ("variance-sweep", dict(BASE_SCAN, **sweep_config(axis="xi", grid=[0.5]),
+                            entry={"l": 1, "j": 1, "k": 0}),
+     "variance-sweep reads none of the blocks noise, calibration, tolerance; got noise"),
     ("variance-sweep", {"shots": {"n_per_setting": 100}, "calibration": {"xi_grid": [0.5]},
                         "sweep": {"axis": "theta", "grid": [0.25], "trials": 0}},
-     "sweep: axis 'theta' sweeps read none of the blocks povm, entry, noise, calibration; "
+     "variance-sweep reads none of the blocks povm, entry, noise, calibration, tolerance; "
      "got calibration"),
     ("variance-sweep", {"shots": {"n_per_setting": 100}, "coupling": {"g": 0.1},
                         "sweep": {"axis": "g", "grid": [0.25], "trials": 0}},
-     "sweep: axis 'g' sweeps read none of the blocks povm, entry, coupling, noise, "
-     "calibration; got coupling"),
+     "variance-sweep reads none of the blocks povm, entry, coupling, noise, calibration, "
+     "tolerance; got coupling"),
     # coupling.g where the sweep block gives g
     ("variance-sweep", {"shots": {"n_per_setting": 100}, "coupling": {"g": 0.1},
                         "sweep": {"axis": "theta", "grid": [0.25], "trials": 0, "g": 0.2}},
-     "sweep: axis 'theta' sweeps read none of the blocks povm, entry, coupling, noise, "
-     "calibration; got coupling"),
+     "variance-sweep reads none of the blocks povm, entry, coupling, noise, calibration, "
+     "tolerance; got coupling"),
+    ("variance-sweep", dict(sweep_config(axis="theta", grid=[0.25]), tolerance=1e-9),
+     "variance-sweep reads none of the blocks povm, entry, noise, calibration, tolerance; "
+     "got tolerance"),
+    ("oracle-check", {"povm": SIC, "noise": BASE_SCAN["noise"]},
+     "oracle-check reads none of the blocks shots, noise, sweep, calibration; got noise"),
+    ("oracle-check", {"povm": SIC, "shots": BASE_SCAN["shots"]},
+     "oracle-check reads none of the blocks shots, noise, sweep, calibration; got shots"),
+    ("oracle-check", {"povm": SIC, "sweep": {"axis": "g", "grid": [0.25]}},
+     "oracle-check reads none of the blocks shots, noise, sweep, calibration; got sweep"),
+    ("scan", dict(BASE_SCAN, sweep={"axis": "g", "grid": [0.25]}),
+     "scan reads none of the blocks sweep, calibration, tolerance; got sweep"),
+    ("scan", dict(BASE_SCAN, tolerance=1e-9),
+     "scan reads none of the blocks sweep, calibration, tolerance; got tolerance"),
+    ("scan", dict(BASE_SCAN, calibration={"xi_grid": [0.5]}),
+     "scan reads none of the blocks sweep, calibration, tolerance; got calibration"),
+    ("calibrate", {"calibration": {"xi_grid": [0.5]}, "noise": BASE_SCAN["noise"]},
+     "calibrate reads none of the blocks povm, entry, coupling, shots, noise, sweep, "
+     "tolerance; got noise"),
+    ("calibrate", {"calibration": {"xi_grid": [0.5]}, "tolerance": 1e-9},
+     "calibrate reads none of the blocks povm, entry, coupling, shots, noise, sweep, "
+     "tolerance; got tolerance"),
+    ("calibrate", {"calibration": {"phase_inputs": [0.5]}, "tolerance": 1e-9},
+     "calibrate reads none of the blocks povm, entry, coupling, shots, sweep, tolerance; "
+     "got tolerance"),
     # a noise map that leaves a d = 3 element non-positive, refused before any trial
     ("variance-sweep", dict(sweep_config(axis="phi", grid=[0.0, 0.25]),
                             povm={"source": "random", "d": 3, "outcomes": 3, "seed": 4},
@@ -422,11 +459,16 @@ def sweep_config(**sweep):
         "xi-sweep-unread-keys", "g-sweep-fixed-g", "theta-sweep-fixed-theta",
         "g-sweep-povm-entry", "theta-sweep-povm", "g-sweep-entry", "xi-sweep-noise",
         "theta-sweep-calibration", "g-sweep-coupling", "theta-sweep-g-and-coupling",
-        "phi-sweep-non-positive"])
+        "sweep-tolerance", "oracle-noise", "oracle-shots", "oracle-sweep", "scan-sweep",
+        "scan-tolerance", "scan-calibration", "calibrate-grid-and-noise", "calibrate-tolerance",
+        "calibrate-anchors-tolerance", "phi-sweep-non-positive"])
 def test_config_refusal_exits_2(tmp_path, capsys, monkeypatch, command, data, message):
     """Each refusal of the config reader and of a command exits 2 with its
-    one message and writes nothing."""
+    one message and writes nothing; a block the command does not read is
+    refused before the command runs."""
     monkeypatch.chdir(tmp_path)  # where a relative POVM path is not found
+    if " reads none of the blocks " in message:
+        monkeypatch.setitem(COMMANDS, command, (refuse_to_run, *COMMANDS[command][1:]))
     if data is None:
         cfg = tmp_path / "empty.yaml"
         cfg.write_text("")
@@ -678,8 +720,7 @@ class TestScanCommand:
             assert len(z2) == 1200
             assert 0.865 <= np.mean(z2) <= 1.135, (method, np.mean(z2))
 
-    @pytest.mark.parametrize("command", [["scan"], ["scan", "--refine"],
-                                         ["calibrate", "--refine"]])
+    @pytest.mark.parametrize("command", [["scan"], ["scan", "--refine"]])
     def test_dead_outcome_refused(self, tmp_path, capsys, monkeypatch, command):
         """An outcome whose post-selection probability is zero, the first of
         the complete set {0, I}, is refused by name, and a scan names its
@@ -692,8 +733,7 @@ class TestScanCommand:
         assert main(command + ["--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "outcome 1: post-selection probability" in err
-        if command[0] == "scan":
-            assert "grid point 0 (xi = 1), outcome 1: post-selection probability" in err
+        assert "grid point 0 (xi = 1), outcome 1: post-selection probability" in err
         assert not out.exists()
         if "--refine" not in command:
             return
@@ -758,7 +798,6 @@ def test_shipped_configs_run_and_regenerate_bit_identically(tmp_path):
 JSON_KEY = {
     "oracle_check.csv": "entries", "scan.csv": "rows", "variance_sweep.csv": "rows",
     "calibration_xi.csv": "xi", "calibration_phase.csv": "phase",
-    "refinement.csv": "refinement",
 }
 
 
@@ -964,12 +1003,9 @@ class TestVarianceSweepCommand:
         """g outside (0, pi/2), eta above 1, xi above 1 and an e01 beyond the
         positivity bound at theta = 0 are refused by SweepSpec."""
         monkeypatch.setattr(cli, "variance_sweep", refuse_to_run)
-        cfg = write_config(tmp_path, {
-            "povm": {"source": "builtin:sic"},
-            "entry": {"l": 1, "j": 1, "k": 0},
-            "shots": {"n_per_setting": 100},
-            "sweep": dict(sweep, trials=10),
-        })
+        cfg = write_config(tmp_path, dict(SWEPT_ENTRY if sweep["axis"] == "xi" else {},
+                                          shots={"n_per_setting": 100},
+                                          sweep=dict(sweep, trials=10)))
         out = tmp_path / "out"
         assert main(["variance-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert "config error: sweep: " in capsys.readouterr().err
@@ -1002,6 +1038,31 @@ def refuse_to_run(*args, **kwargs):
     raise AssertionError("the command ran")
 
 
+def test_readme_used_by_column_is_blocks_read(tmp_path):
+    """The README's config table has a row for every block, and its `used
+    by` column names the commands that read the block under some config,
+    as blocks_read says; `all` names every command."""
+    variants = {
+        "oracle-check": [{}],
+        "scan": [{}],
+        "calibrate": [{}, {"calibration": {"xi_grid": [0.5]}}],
+        "variance-sweep": [{"sweep": dict({"axis": axis, "grid": [0.5]}, **fixed)}
+                           for axis in SWEEP_KEYWORDS for fixed in ({}, {"g": 0.25})],
+    }
+    readers = {block: set() for block in BLOCKS}
+    for command, configs in variants.items():
+        for i, data in enumerate(configs):
+            cfg = parse_config(write_config(tmp_path, data, f"{command}-{i}.yaml"))
+            for block in blocks_read(command, cfg):
+                readers[block].add(command)
+    table = README.read_text().split("| block | keys | used by |\n")[1].split("\n\n")[0]
+    names = re.compile(rf"(?<![\w-])({'|'.join(COMMANDS)})(?![\w-])")
+    used_by = {}
+    for block, cell in re.findall(r"^\| `(\w+)` \|.*\| ([^|]+) \|$", table, re.M):
+        used_by[block] = set(COMMANDS) if cell == "all" else set(names.findall(cell))
+    assert used_by == readers
+
+
 class TestRunner:
     @pytest.mark.parametrize("argv, data", [
         (["scan", "--refine"], BASE_SCAN),
@@ -1016,8 +1077,8 @@ class TestRunner:
         assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
         assert "output directory is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["oracle-check", "variance-sweep"])
-    def test_refine_only_on_scan_and_calibrate(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["oracle-check", "variance-sweep", "calibrate"])
+    def test_refine_only_on_scan(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, {"povm": {"source": "builtin:sic"}})
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--refine"])
@@ -1044,14 +1105,14 @@ class TestCalibrateCommand:
         ({"epsilon": [0, 20]}, "coherence_length"),
         ({"xi_grid": [0.5], "samples": 0}, "samples"),
         ({"xi_grid": [0.5], "samples": -3}, "samples"),
-        # nothing to calibrate: no grid, no phase inputs and no --refine
+        # nothing to calibrate: no grid and no phase inputs
         ({"samples": 1000}, "nothing to do"),
         (None, "nothing to do"),
     ])
     def test_bad_grid_exits_2(self, tmp_path, capsys, calibration, message):
         # None: a rotation noise block and no calibration block
         data = ({"calibration": calibration} if calibration is not None
-                else dict(BASE_SCAN, noise={"type": "rotation", "phi": [0.0, 0.5]}))
+                else dict(only(BASE_SCAN, "seed"), noise={"type": "rotation", "phi": [0.0, 0.5]}))
         cfg = write_config(tmp_path, data)
         for fmt in ("csv", "json"):
             out = tmp_path / f"cal_{fmt}"
@@ -1061,7 +1122,7 @@ class TestCalibrateCommand:
 
     def test_dephasing_noise_grid_without_calibration_block(self, tmp_path):
         out = tmp_path / "cal"
-        cfg = write_config(tmp_path, dict(BASE_SCAN, noise={
+        cfg = write_config(tmp_path, dict(only(BASE_SCAN, "seed"), noise={
             "type": "dephasing", "epsilon": [0, 120], "coherence_length": 120.0,
         }))
         assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 0
@@ -1096,22 +1157,3 @@ class TestCalibrateCommand:
                        if not l.startswith("#")]
         got = [float(l.split(",")[1]) for l in phase_lines[1:]]
         np.testing.assert_allclose(got, [0.0, np.pi / 2, np.pi], atol=1e-12)
-
-    def test_refine_demo(self, tmp_path):
-        out = tmp_path / "cal2"
-        cfg = write_config(tmp_path, {
-            "seed": 3,
-            "povm": {"source": "builtin:sic"},
-            "entry": {"l": "all", "j": 1, "k": 0},
-            "coupling": {"g": 0.25},
-            "shots": {"n_per_setting": 12790},
-            "calibration": {"xi_grid": [1.0, 0.5], "samples": 1000},
-        })
-        assert main(["calibrate", "--config", cfg, "--out", str(out), "--refine"]) == 0
-        lines = [l for l in (out / "refinement.csv").read_text().splitlines()
-                 if not l.startswith("#")]
-        header = lines[0].split(",")
-        assert len(lines) == 5  # four outcomes
-        for line in lines[1:]:
-            vals = dict(zip(header, line.split(",")))
-            assert float(vals["var_refined"]) <= float(vals["var_raw"])

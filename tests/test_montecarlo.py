@@ -1,5 +1,6 @@
 """Shot-noise sampling, repeated trials, sweeps and backends."""
 
+import concurrent.futures
 import functools
 import os
 import re
@@ -812,29 +813,40 @@ class TestTrialKernel:
     def test_failed_chunk_cancels_its_study(self, monkeypatch):
         """A chunk's error is the study's: its queued chunks never start, its
         running ones end before the call raises, and the pool serves the next
-        study as before."""
-        monkeypatch.setattr(_kernels, "WORKERS", 2)
+        study as before.  On one thread with a look-ahead of two, chunks 1
+        and 2 are pending when chunk 0's error is seen; each blocks when it
+        starts until the study waits on its chunks, so a study that waited on
+        them without cancelling them would start both."""
+        monkeypatch.setattr(_kernels, "WORKERS", 1)
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         args = (cells[None], w_re, w_im, N_REF, 5 * _kernels.CHUNK_TRIALS + 9, [3])
         want = _kernels.trial_estimates(*args)
-        group_draws, events = _kernels.group_draws, []
+        group_draws, wait, events = _kernels.group_draws, concurrent.futures.wait, []
+        waiting = threading.Event()
 
         def draw(rng, *rest):
             (c,) = rng.bit_generator.seed_seq.spawn_key
             events.append(("start", c))
-            if c == 1:
-                raise RuntimeError("chunk 1 failed")
-            time.sleep(0.02)  # holds both threads, so later chunks are still queued
+            if c == 0:
+                raise RuntimeError("chunk 0 failed")
+            waiting.wait(timeout=10)  # a study that never waits cannot hang the test
             yield from group_draws(rng, *rest)
             events.append(("end", c))
 
+        def waited(futures, *rest, **kwargs):
+            waiting.set()
+            return wait(futures, *rest, **kwargs)
+
         monkeypatch.setattr(_kernels, "group_draws", draw)
-        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        monkeypatch.setattr(concurrent.futures, "wait", waited)  # imported at call time
+        with pytest.raises(RuntimeError, match="chunk 0 failed"):
             _kernels.trial_estimates(*args)
         seen = list(events)
         time.sleep(0.2)
         assert events == seen
-        assert all(("end", c) in seen for kind, c in seen if kind == "start" and c != 1)
+        started = [c for kind, c in seen if kind == "start"]
+        assert started[0] == 0 and len(started) <= 2, started
+        assert all(("end", c) in seen for c in started[1:])
         monkeypatch.setattr(_kernels, "group_draws", group_draws)
         for a, b in zip(_kernels.trial_estimates(*args), want):
             np.testing.assert_array_equal(a, b)
