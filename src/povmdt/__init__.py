@@ -16,7 +16,6 @@ from .estimator import (
     completeness_refine,
     error_transfer_variance,
     estimate_from_tables,
-    observable_variance,
     rt_coefficients,
 )
 from .linalg import tensor
@@ -77,7 +76,7 @@ __all__ = [
     "meter_tables", "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
     "estimate_from_tables",
-    "error_transfer_variance", "analytic_variance", "observable_variance",
+    "error_transfer_variance", "analytic_variance",
     "completeness_refine",
     "Environment", "apply_dephasing", "apply_phase_rotation",
     "dephase_via_environment", "xi_from_environment", "wavepacket_overlap",

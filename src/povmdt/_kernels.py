@@ -49,30 +49,35 @@ callers have already refused and clipped negative cells
 
 A chunk of many trials is drawn group by group (:func:`group_draws`).  A
 count whose law is the same in every trial is drawn by inverting its CDF
-table through a guide table: a uniform and a lookup per count, and a search
-for the few that the guide leaves short (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. III.2).  Three kinds of
+table through a guide table (Chen and Asau 1974; Devroye, *Non-Uniform
+Random Variate Generation*, 1986, ch. III.2).  The guide splits [0, 1) into
+M equal cells, M the least power of two of at least 8 cells per table
+entry, and holds for each cell the count its left edge maps to; a cell that
+a CDF value crosses is marked (:func:`guide_table`).  A count is then a
+uniform and one guide lookup, and only a uniform on a marked cell, 1-2.5 %
+of them for the benchmark's tables, reads the CDF, by a search.  Three kinds of
 :func:`count_tables` entry say how each group is drawn: a table, for a
 count of fixed law, which is every Poisson group, ``Poisson(n p_g)``, the
 first group of each multinomial setting, ``Binomial(n, p_1)``, and the
-difference of a pair; ``PAIRED``, for the pair's second group, which is
-not drawn; and None, for a count that numpy's samplers draw.  A Poisson or binomial
-table spans its law's mean +- (13 sd + 13); a difference table is the
-correlation of its two laws' pmfs, ``np.convolve(p+, p-[::-1])``, over
-every difference of their spans, so each side truncates what theirs do.
-The tables are built once per kernel call of more than one trial, on the
+difference of a pair; ``PAIRED``, for the pair's second group, which is not
+drawn; and None, for a count that numpy's samplers draw.  A Poisson or
+binomial table spans its law's mean +- (13 sd + 13); a difference table is
+the correlation of its two laws' pmfs, ``np.convolve(p+, p-[::-1])``, over
+every difference of their spans, so each side truncates what theirs do.  The
+tables are built once per kernel call of more than one trial, on the
 calling thread, one per distinct law; the workers only read them.  A count
 is inverted when its table fits ``TABLE_CAP`` (2^13) entries, which covers
 rates up to about 10^5 (pairs of rates up to about 2.4 10^4 each), so the
-tables do not depend on the trial count and their memory is bounded; each
-guide holds int16 indices.  A pair whose difference table would not fit draws
-each of its groups on its own.  A Poisson group whose table would not fit
-keeps numpy's sampler, one ``poisson(n p_g, size)`` call with a scalar
-rate.  The later groups of a multinomial setting that is not split keep
-numpy's chain of conditional binomials, ``binomial(left, p_g / rest,
-size)`` with ``left`` the particles not yet placed, which differs from
-trial to trial, and nothing is drawn for the rejected bucket (Devroye, ch.
-XI).  Inversion is exact up to the table's float64 rounding and its
+tables do not depend on the trial count and their memory is bounded: a
+table of m entries holds 8 m bytes of float64 CDF and 16 m to 32 m bytes of
+int16 guide, at most 64 KiB and 128 KiB.  A pair whose difference table
+would not fit draws each of its groups on its own.  A Poisson group whose
+table would not fit keeps numpy's sampler, one ``poisson(n p_g, size)``
+call with a scalar rate.  The later groups of a multinomial setting that is
+not split keep numpy's chain of conditional binomials, ``binomial(left, p_g
+/ rest, size)`` with ``left`` the particles not yet placed, which differs
+from trial to trial, and nothing is drawn for the rejected bucket (Devroye,
+ch. XI).  Inversion is exact up to the table's float64 rounding and its
 truncation: the table CDFs lie within 2e-14 of ``scipy.stats`` for Poisson
 rates 1e-9 to 10^5 and binomials with n up to 10^5, within 3e-14 of
 ``scipy.stats.skellam`` for rate pairs from 1e-9 to the cap, and within
@@ -89,8 +94,8 @@ outcome for ``run_trials``, every outcome of a POVM for
 ``refinement_trials``).  It adds each drawn group's counts, times the
 group's nonzero ``(w_re, w_im)``, straight into the chunk's (2, outcomes,
 trials) estimates, in group order, so no matrix of counts is held and no
-matrix product runs.  The estimates, an inversion's counts and the CDF at
-its guide entries sit in buffers allocated once per study, one set per
+matrix product runs.  The estimates, an inversion's counts and a count's
+product with a weight sit in buffers allocated once per study, one set per
 thread and lent to one task at a time, so a chunk allocates little beyond
 its uniforms and the kernel's peak memory does not depend on how the
 threads' chunks overlap in time.  The task then reduces the estimates to
@@ -127,7 +132,8 @@ ENV_VAR = "POVMDT_BACKEND"
 CHUNK_TRIALS = 2**14
 
 #: Most entries an inversion table holds: a law whose table would be longer
-#: is drawn by numpy's samplers.  Every guide entry is an index below it.
+#: is drawn by numpy's samplers.  Every guide entry is an index e below
+#: it, or its mark ``-1 - e``, so int16 holds both.
 TABLE_CAP = 2**13
 
 #: Threads that draw chunks: the CPUs this process may run on.
@@ -255,17 +261,28 @@ def guide_table(lo, pmf):
 
     ``cdf[i]`` is the probability of a count at most ``lo + i``: the pmf's
     cumulative sum divided by its own total, the normalising constant.
-    ``guide[i]`` is the number of CDF entries at most ``i / M``, over M
-    cells, the power of two from 2 ``len(cdf)`` up, so that ``u M`` and
-    ``i / M`` are exact in float64.  Its entries are indices into a table
-    of at most ``TABLE_CAP`` entries, so it is stored as int16.
+    ``guide`` has M cells, the power of two from 8 ``len(cdf)`` up, so that
+    ``u M`` and ``i / M`` are exact in float64.  Cell i holds ``e``, the
+    number of CDF entries at most ``i / M``, or ``-1 - e`` when a CDF value
+    lies strictly inside the cell, ``i / M < cdf[j] < (i + 1) / M``: a
+    uniform on an unmarked cell maps to ``e``, and only one on a marked cell
+    needs a search.  Its entries are indices into a table of at most
+    ``TABLE_CAP`` entries, so it is stored as int16.
     """
     cdf = np.cumsum(pmf)
     cdf /= cdf[-1]
-    cells = 1 << (2 * cdf.size - 1).bit_length()
+    cells = 1 << (8 * cdf.size - 1).bit_length()
+    scaled = cdf * cells
     # cdf[i] <= j / M  <=>  ceil(cdf[i] M) <= j, exactly for a power of two M
-    first_cell = np.ceil(cdf * cells).astype(np.intp)
-    guide = np.cumsum(np.bincount(first_cell, minlength=cells + 1)[:cells]).astype(np.int16)
+    first_cell = np.ceil(scaled).astype(np.intp)
+    # entry i fills the cells first_cell[i - 1] to first_cell[i] - 1 (np.diff's
+    # ``prepend`` would copy the array once more)
+    spans = first_cell.copy()
+    spans[1:] -= first_cell[:-1]
+    guide = np.repeat(np.arange(cdf.size, dtype=np.int16), spans)
+    # cdf[i] M not whole: cdf[i] lies strictly inside cell ceil(cdf[i] M) - 1
+    crossed = first_cell[first_cell != scaled] - 1
+    guide[crossed] = -1 - guide[crossed]
     return lo, cdf, guide
 
 
@@ -386,23 +403,21 @@ def count_tables(block, prob, n, statistics, weights=None):
     return tables
 
 
-def _invert(rng, size, table, k=None, at=None):
+def _invert(rng, size, table, k=None):
     """``size`` counts drawn from a :func:`guide_table`, as an intp array:
-    ``searchsorted(cdf, u, "right") + lo`` of each uniform ``u``.  The guide's
-    entry is that index wherever the CDF at the entry exceeds ``u``.  A
-    caller may lend (size,) buffers, ``k`` (intp) for the counts and ``at``
-    (float) for the CDF at each guide entry, so that only the uniforms are
-    allocated."""
+    ``searchsorted(cdf, u, "right") + lo`` of each uniform ``u``, which is
+    the entry of u's guide cell unless that cell is marked.  A caller may
+    lend a (size,) intp buffer ``k`` for the counts, so that only the
+    uniforms are allocated."""
     lo, cdf, guide = table
     if k is None:
-        k, at = np.empty(size, np.intp), np.empty(size)
+        k = np.empty(size, np.intp)
     u = rng.random(size)
     np.multiply(u, guide.size, out=k, casting="unsafe")  # u's guide cell, truncated
     k[:] = guide[k]  # int16 entries, widened: lo can pass 2^15
-    np.take(cdf, k, out=at, mode="clip")  # k is in range; "raise" would buffer ``out``
-    short = np.flatnonzero(at <= u)
-    if short.size:
-        k[short] = np.searchsorted(cdf, u[short], "right")
+    marked = np.flatnonzero(k < 0)
+    if marked.size:
+        k[marked] = np.searchsorted(cdf, u[marked], "right")
     k += lo
     return k
 
@@ -434,11 +449,11 @@ def one_trial(rng, block, prob, n, statistics):
     return counts
 
 
-def group_draws(rng, size, block, prob, n, statistics, tables, buffers=()):
+def group_draws(rng, size, block, prob, n, statistics, tables, k=None):
     """``(g, counts)`` of each drawn group of one outcome, in group order:
     group g's ``size`` counts, as the trials draw them from ``rng``.  Given
-    :func:`_invert`'s ``(k, at)`` ``buffers``, an inverted group's counts
-    are ``k``, valid until the next group is drawn.
+    :func:`_invert`'s buffer ``k``, an inverted group's counts are ``k``,
+    valid until the next group is drawn.
 
     Poisson counts are independent with means ``n * prob``.  Multinomial
     counts spread n particles over the groups of each ``block`` and that
@@ -466,7 +481,7 @@ def group_draws(rng, size, block, prob, n, statistics, tables, buffers=()):
         if table is PAIRED:
             continue
         if table is not None:
-            drawn = _invert(rng, size, table, *buffers)
+            drawn = _invert(rng, size, table, k)
         elif statistics == "poisson":
             drawn = rng.poisson(n * p, size)
         else:
@@ -614,19 +629,18 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
         each drawn group's count times its weight is added to the outcome's
         (re, im) estimates in group order, the nonzero weights only."""
         size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-        flat, k, at = buffers = free.get()  # never waits: a task per thread at most
+        flat, k, product = buffers = free.get()  # never waits: a task per thread at most
         try:
             est = flat[: 2 * outcomes * size].reshape(2, outcomes, size)
             est.fill(0.0)
-            k, at = k[:size], at[:size]
+            k, product = k[:size], product[:size]
             for l, (block, prob, weights) in enumerate(groups):
                 rng = np.random.default_rng(np.random.SeedSequence(seeds[l], spawn_key=(c,)))
                 w_rows = weights.tolist()
-                for g, drawn in group_draws(rng, size, block, prob, n, statistics, tables[l],
-                                            (k, at)):
+                for g, drawn in group_draws(rng, size, block, prob, n, statistics, tables[l], k):
                     for part, w in zip(est[:, l], w_rows[g]):
                         if w:
-                            part += np.multiply(drawn, w, out=at)
+                            part += np.multiply(drawn, w, out=product)
             est /= n
             return moments(est)
         finally:

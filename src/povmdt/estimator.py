@@ -45,8 +45,7 @@ from numbers import Real
 import numpy as np
 
 from ._kernels import checked_cells
-from .linalg import asoperator
-from .protocol import CELL_PROJECTORS, JointState, _cells, reduced_meter_operator
+from .protocol import _cells
 
 #: Number of cells across all settings: 9 settings x 2 x 2 outcomes.
 N_CELLS = 36
@@ -242,25 +241,6 @@ def _variance_law(sin2_theta: float, g: float, eta: float, n: int) -> float:
         raise ValueError(f"variance diverges at boundary coupling g={g!r}")
     sg = math.sin(g)
     return (sin2_theta + sg * sg) * (1 + 2 * sg * sg) / (eta * n * s2g**4)
-
-
-def observable_variance(js: JointState, pi_l: np.ndarray, coeffs: RtCoefficients) -> float:
-    """Per-shot variance of the direct joint-observable measurement.
-
-    <D2 M>_f = Tr[Pi_l M^2 rho_J] - (Tr[Pi_l M rho_J])^2 summed over the two
-    joint observables.  This is the intrinsic quantum spread of measuring R
-    and T directly; it is reported alongside, not interchangeably with, the
-    counting-noise estimate of :func:`error_transfer_variance`.
-    """
-    r = np.tensordot(coeffs.cell_re, CELL_PROJECTORS, 1)
-    t = np.tensordot(coeffs.cell_im, CELL_PROJECTORS, 1)
-    km = reduced_meter_operator(js, asoperator(pi_l))
-    total = 0.0
-    for m in (r, t):
-        first = float(np.trace(m @ m @ km).real)
-        second = float(np.trace(m @ km).real)
-        total += first - second * second
-    return total
 
 
 def completeness_refine(values, var_re, var_im):

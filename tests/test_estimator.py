@@ -20,14 +20,14 @@ from povmdt import (
     exact_entry_tables,
     make_parametric_element,
     matrix_entry_oracle,
-    observable_variance,
     prepare_entry_state,
     random_povm,
     rt_coefficients,
     sample_counts,
 )
 from povmdt.estimator import nonnegative_cells
-from povmdt.protocol import SETTINGS, reduced_meter_operator
+from povmdt.linalg import asoperator
+from povmdt.protocol import CELL_PROJECTORS, SETTINGS, reduced_meter_operator
 
 N_REF = 12790
 THETA_SIC = np.arccos(1 / np.sqrt(3))
@@ -403,6 +403,21 @@ class TestAnalyticVariance:
     def test_boundary_divergence(self):
         with pytest.raises(ValueError, match="diverges"):
             analytic_variance(0.3, 0.0, 0.5, 100)
+
+
+def observable_variance(js, pi_l, coeffs):
+    """Per-shot variance of the direct joint-observable measurement, a
+    reference beside the counting noise of ``error_transfer_variance``:
+    ``Tr[Pi_l M^2 rho_J] - (Tr[Pi_l M rho_J])^2`` summed over the two joint
+    observables R and T, each the cell projectors weighted by ``coeffs``."""
+    km = reduced_meter_operator(js, asoperator(pi_l))
+    total = 0.0
+    for weights in (coeffs.cell_re, coeffs.cell_im):
+        m = np.tensordot(weights, CELL_PROJECTORS, 1)
+        first = float(np.trace(m @ m @ km).real)
+        second = float(np.trace(m @ km).real)
+        total += first - second * second
+    return total
 
 
 class TestObservableVariance:

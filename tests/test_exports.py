@@ -16,7 +16,7 @@ PUBLIC = {
     "meter_tables", "exact_entry_tables",
     "RtCoefficients", "EntryEstimate", "rt_coefficients",
     "estimate_from_tables",
-    "error_transfer_variance", "analytic_variance", "observable_variance",
+    "error_transfer_variance", "analytic_variance",
     "completeness_refine",
     "Environment", "apply_dephasing", "apply_phase_rotation",
     "dephase_via_environment", "xi_from_environment", "wavepacket_overlap",

@@ -58,6 +58,23 @@ def one_outcome(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     return mean[:, 0], cov[:, 0, 0]
 
 
+def check_guide(cdf, guide):
+    """The guide of a :func:`_kernels.guide_table`, decoded: M cells, a
+    power of two of at least 8 ``len(cdf)`` and below 16 ``len(cdf)``, each
+    entry the CDF search of its cell's left edge, and a cell marked (``-1 -
+    entry``) exactly when a CDF value lies strictly inside it."""
+    cells = guide.size
+    assert guide.dtype == np.int16
+    assert cells & (cells - 1) == 0 and 8 * cdf.size <= cells < 16 * cdf.size
+    marked = guide < 0
+    entry = np.where(marked, -1 - guide, guide)
+    edges = np.arange(cells + 1) / cells
+    assert (entry == np.searchsorted(cdf, edges[:-1], "right")).all()
+    # the CDF values below a cell's right edge that its left edge does not reach
+    crossed = np.searchsorted(cdf, edges[1:], "left") > entry
+    assert (marked == crossed).all()
+
+
 @pytest.fixture
 def sic_tables(sic):
     cfg = CouplingConfig.symmetric(np.pi / 4)
@@ -963,6 +980,24 @@ sys.exit("the forked child's study did not finish")
             assert large_peak < 8
             assert large_peak < 1.2 * small_peak
 
+    def test_guide_memory_bounded(self, monkeypatch):
+        """The guides of a six-outcome Poisson ``refinement_trials`` study
+        at mc_trials' N and g hold under 1.5 MiB (1.12 MiB at 8 to 16 cells
+        a CDF entry), each under 16 int16 cells a CDF entry."""
+        built, guide_table = [], _kernels.guide_table
+
+        def recorded(*args):
+            built.append(guide_table(*args))
+            return built[-1]
+
+        monkeypatch.setattr(_kernels, "guide_table", recorded)
+        refinement_trials(random_povm(2, 6, seed=1), 1, 0, np.pi / 4,
+                          ShotModel(N_REF, "poisson", seed=4), 300)
+        assert built
+        for _, cdf, guide in built:
+            assert guide.dtype == np.int16 and guide.size < 16 * cdf.size
+        assert sum(guide.nbytes for _, _, guide in built) < 1.5 * 2**20
+
 
 class TestInvertedDraws:
     """Counts drawn by inverting a CDF table, and the cap rule that leaves
@@ -989,19 +1024,18 @@ class TestInvertedDraws:
         law = self.law(n, p, poisson)
         np.testing.assert_allclose(cdf, law.cdf(np.arange(lo, hi + 1)), rtol=0, atol=1e-13)
         assert law.cdf(lo - 1) + law.sf(hi) < 1e-25
-        # the guide never points past the count a uniform on its cell maps to
-        cells = np.arange(guide.size) / guide.size
-        assert (guide == np.searchsorted(cdf, cells, "right")).all()
+        check_guide(cdf, guide)
 
     @pytest.mark.parametrize("poisson, n, p", [(True, 1, rate) for rate in RATES]
                              + [(False, n, p) for n, p in BINOMIALS])
     def test_invert_is_the_cdf_search(self, poisson, n, p):
         """Each count is ``searchsorted(cdf, u, "right") + lo`` of its
-        uniform, for uniforms at and next to every CDF value and every
-        guide cell's edge, handed out in order by a stub generator."""
+        uniform, for uniforms at and next to every CDF value and both edges
+        of every guide cell, marked or not, handed out in order by a stub
+        generator."""
         table = _kernels.inversion_table(n, p, poisson)
         lo, cdf, guide = table
-        at = np.concatenate([cdf, np.arange(guide.size) / guide.size, [0.0]])
+        at = np.concatenate([cdf, np.arange(guide.size + 1) / guide.size, [0.0]])
         u = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]  # the range of Generator.random
 
@@ -1177,8 +1211,7 @@ class TestPairedDraws:
             above = self.binomial_difference_below(n, *laws[::-1], -hi - 1)
         np.testing.assert_allclose(cdf, want, rtol=0, atol=1e-13)
         assert below < 2e-30 and above < 2e-30
-        cells = np.arange(guide.size) / guide.size
-        assert (guide == np.searchsorted(cdf, cells, "right")).all()
+        check_guide(cdf, guide)
 
     def test_paired_groups(self):
         """The paper's weights at g = pi/4 pair all 8 drawn groups of the
