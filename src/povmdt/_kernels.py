@@ -36,21 +36,20 @@ imaginary part, so a Poisson trial takes at most 5 draws, 4 of them counts
 of a difference, and every multinomial setting but zz draws two groups
 whose weights are exact negatives (fewer where a group's probability is 0).
 
-:func:`group_draws` is the one counting-noise sampler: the trial kernel
-adds each group's counts, times its weights, into its estimates as they
-are drawn; :func:`draw_counts` stacks them into a matrix of counts, and
-:func:`povmdt.montecarlo.sample_counts` draws one trial of the 36 ungrouped
-cells of each outcome's W table with it (:func:`one_trial`), every outcome
-of a stack from one stream.  Both pass their cells through the
-same check first (:func:`checked_cells`, once for a whole stack of
-outcomes), as does :func:`povmdt.estimator.error_transfer_variance`; their
-callers have already refused and clipped negative cells
-(:func:`povmdt.estimator.nonnegative_cells`, once per stack in ``montecarlo.exact_slot``).
+:func:`group_draws` is the one counting-noise sampler of the studies: the
+trial kernel adds each group's counts, times its weights, into its
+estimates as they are drawn, in every chunk, of one trial or many.  A scan
+draws its one noisy realization without grouping
+(:func:`povmdt.montecarlo.sample_counts`).  Both pass their cells through
+the same check first (:func:`checked_cells`, once for a whole stack of
+outcomes), as does :func:`povmdt.estimator.error_transfer_variance`, and
+read cells already refused and clipped
+(:func:`povmdt.estimator.nonnegative_cells`).
 
-A chunk of many trials is drawn group by group (:func:`group_draws`).  A
-count whose law is the same in every trial is drawn by inverting its CDF
-table through a guide table (Chen and Asau 1974; Devroye, *Non-Uniform
-Random Variate Generation*, 1986, ch. III.2).  The guide splits [0, 1) into
+A chunk is drawn group by group (:func:`group_draws`).  A count whose law
+is the same in every trial is drawn by inverting its CDF table through a
+guide table (Chen and Asau 1974; Devroye, *Non-Uniform Random Variate
+Generation*, 1986, ch. III.2).  The guide splits [0, 1) into
 M equal cells, M the least power of two of at least 8 cells per table
 entry, and holds for each cell the count its left edge maps to; a cell that
 a CDF value crosses is marked (:func:`guide_table`).  A count is then a
@@ -64,13 +63,13 @@ drawn; and None, for a count that numpy's samplers draw.  A Poisson or
 binomial table spans its law's mean +- (13 sd + 13); a difference table is
 the correlation of its two laws' pmfs, ``np.convolve(p+, p-[::-1])``, over
 every difference of their spans, so each side truncates what theirs do.  The
-tables are built once per kernel call of more than one trial, on the
-calling thread, one per distinct law; the workers only read them.  A count
-is inverted when its table fits ``TABLE_CAP`` (2^13) entries, which covers
-rates up to about 10^5 (pairs of rates up to about 2.4 10^4 each), so the
-tables do not depend on the trial count and their memory is bounded: a
-table of m entries holds 8 m bytes of float64 CDF and 16 m to 32 m bytes of
-int16 guide, at most 64 KiB and 128 KiB.  A pair whose difference table
+tables are built once per kernel call, on the calling thread, one per
+distinct law; the workers only read them.  A count is inverted when its
+table fits ``TABLE_CAP`` (2^13) entries, which covers rates up to about
+10^5 (pairs of rates up to about 2.4 10^4 each), so the tables do not
+depend on the trial count and their memory is bounded: a table of m
+entries holds 8 m bytes of float64 CDF and 16 m to 32 m bytes of int16
+guide, at most 64 KiB and 128 KiB.  A pair whose difference table
 would not fit draws each of its groups on its own.  A Poisson group whose
 table would not fit keeps numpy's sampler, one ``poisson(n p_g, size)``
 call with a scalar rate.  The later groups of a multinomial setting that is
@@ -83,9 +82,7 @@ rates 1e-9 to 10^5 and binomials with n up to 10^5, within 3e-14 of
 ``scipy.stats.skellam`` for rate pairs from 1e-9 to the cap, and within
 3e-15 of the correlation of scipy's binomial pmfs for split pairs with n
 from 7 to 10^5, and the truncated tails carry less than 2e-30 of the mass
-on each side.  One trial is drawn without tables, in one numpy call for
-every outcome of a stack: a broadcast ``poisson``, or one ``multinomial``
-with a row per outcome and block.
+on each side.
 
 Counts are drawn and reduced in chunks of ``CHUNK_TRIALS`` (2^14) trials.
 Each task draws one chunk of every outcome of a study (the one input of
@@ -123,6 +120,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from numbers import Integral
 
 import numpy as np
 
@@ -422,33 +420,6 @@ def _invert(rng, size, table, k=None):
     return k
 
 
-def one_trial(rng, block, prob, n, statistics):
-    """One trial of the groups, drawn without tables in one numpy call, as
-    an (outcomes, groups) float array: ``prob`` is one outcome's (groups,)
-    probabilities or an (outcomes, groups) stack sharing ``block``, and
-    row l holds the counts of drawing each outcome in turn from ``rng``.
-
-    Poisson counts are one broadcast ``poisson(n * prob)``; multinomial
-    counts one ``multinomial`` with a row of probabilities per outcome and
-    block: the block's groups in order, zeros up to the widest block, and a
-    last column for the rejected bucket, left at zero, since numpy gives
-    the last category whatever the others leave and never reads its
-    probability.  A zero probability draws nothing from the stream, so the
-    counts are those of one ``multinomial`` call per block.
-    """
-    prob = np.atleast_2d(prob)
-    if statistics == "poisson":
-        return rng.poisson(n * prob).astype(np.float64)
-    # each group's block row and its place in that row, blocks ascending
-    row, group = np.nonzero(block == np.unique(block)[:, None])
-    place = np.arange(group.size) - np.searchsorted(row, row)
-    pvals = np.zeros(prob.shape[:-1] + (row[-1] + 1, place.max() + 2))
-    pvals[..., row, place] = prob[..., group]
-    counts = np.empty(prob.shape)
-    counts[..., group] = rng.multinomial(n, pvals)[..., row, place]
-    return counts
-
-
 def group_draws(rng, size, block, prob, n, statistics, tables, k=None):
     """``(g, counts)`` of each drawn group of one outcome, in group order:
     group g's ``size`` counts, as the trials draw them from ``rng``.  Given
@@ -468,12 +439,8 @@ def group_draws(rng, size, block, prob, n, statistics, tables, k=None):
     or by the chain that numpy's multinomial runs row by row,
     ``binomial(left, p_g / rest, ...)`` with ``left`` the particles of the
     group's block not yet placed and ``rest`` the probability not yet
-    spent, both reset at each new block.  One trial reads no tables: it
-    is :func:`one_trial`'s draw, every group's count in turn.
+    spent, both reset at each new block.
     """
-    if size == 1:
-        yield from enumerate(one_trial(rng, block, prob, n, statistics)[0])
-        return
     current = None
     for g, (b, p, table) in enumerate(zip(block.tolist(), prob.tolist(), tables)):
         if b != current:  # a new block's chain starts with every particle left
@@ -491,20 +458,6 @@ def group_draws(rng, size, block, prob, n, statistics, tables, k=None):
         if statistics == "multinomial":
             left, rest = left - drawn, rest - p
         yield g, drawn
-
-
-def draw_counts(rng, size, block, prob, n, statistics, tables):
-    """Counts of the groups, one row per trial, as a (size, groups) float
-    array: :func:`group_draws`' counts, with 0 for a ``PAIRED`` group, or
-    for one trial (a one-trial caller may pass None for ``tables``)
-    :func:`one_trial`'s, whose ``prob`` may be an (outcomes, groups) stack.
-    Float, because its callers scale the counts."""
-    if size == 1:
-        return one_trial(rng, block, prob, n, statistics)
-    counts = np.zeros((prob.size, size))
-    for g, drawn in group_draws(rng, size, block, prob, n, statistics, tables):
-        counts[g] = drawn
-    return counts.T
 
 
 def moments(x):
@@ -584,19 +537,18 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
     ``w_re``/``w_im`` the flat cell weights shared by every outcome, as the
     caller scales them.  The covariances are the unbiased ones, symmetric
     bit for bit, and NaN below two trials; the means are NaN for no trials.
-    A negative trial count is refused.  A trial's estimate is the sum of
-    its drawn groups' counts times their weights, added in group order
-    (:func:`group_draws`), over n.
+    A trial count that is not an integer >= 0 is refused.  A trial's
+    estimate is the sum of its drawn groups' counts times their weights,
+    added in group order (:func:`group_draws`), over n.
 
     The moments do not depend on ``WORKERS``, and an outcome's mean and
     variance are those of a stack of it alone.  The tables do not depend
-    on ``trials`` (a one-trial call, which reads none, builds none), so the
-    whole chunks of a shorter call are the first chunks of a longer one.
-    Multinomial statistics refuse a setting whose
+    on ``trials``, so the whole chunks of a shorter call are the first
+    chunks of a longer one.  Multinomial statistics refuse a setting whose
     cells sum above 1.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, got {trials!r}")
     stack = checked_cells(cells, statistics)
     seeds = list(seeds)
     if len(seeds) != len(stack):
@@ -606,8 +558,7 @@ def trial_estimates(cells, w_re, w_im, n, trials, seeds, statistics="poisson"):
         return np.full((2, outcomes), np.nan), np.full((2, outcomes, outcomes), np.nan)
     w_re, w_im = np.asarray(w_re, np.float64), np.asarray(w_im, np.float64)
     groups = group_cells(stack, w_re, w_im, statistics)
-    # one trial is drawn without tables (one_trial), so a one-trial study builds none
-    tables = [count_tables(block, prob, n, statistics, weights) if trials > 1 else None
+    tables = [count_tables(block, prob, n, statistics, weights)
               for block, prob, weights in groups]
 
     # imported here: ``import povmdt`` should not pay for it

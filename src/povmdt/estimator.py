@@ -109,25 +109,14 @@ def nonnegative_cells(tables: np.ndarray) -> np.ndarray:
     (L, 9, 2, 2) stack, with rounding negatives set to 0.
 
     A cell below -1e-9 is no rounding error and is refused, and so is a
-    NaN or infinite cell, which would pass that check.  Cells already
-    checked and clipped by :func:`_clip_once` are returned as they are.
+    NaN or infinite cell, which would pass that check.  Clipped cells
+    come back unchanged, so a second call is harmless.
     """
-    if isinstance(tables, _ClippedCells):
-        return tables.flat
     flat = _cells(tables)
     _refuse_nonfinite(flat)
     if flat.min() < -1e-9:
         raise ValueError(f"negative probability cell: {flat.min():.3e}")
     return np.maximum(flat, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class _ClippedCells:
-    """The read-only output of :func:`nonnegative_cells`, (36,) or (L, 36),
-    made by :func:`_clip_once` so that several readers of the same exact
-    tables check and clip them once."""
-
-    flat: np.ndarray
 
 
 def _refuse_nonfinite(flat: np.ndarray) -> None:
@@ -139,14 +128,6 @@ def _refuse_nonfinite(flat: np.ndarray) -> None:
         row, cell = divmod(first, N_CELLS)
         where = f"cell {cell}" if flat.ndim == 1 else f"outcome {row}, cell {cell}"
         raise ValueError(f"non-finite probability cell: {flat.flat[first]} ({where})")
-
-
-def _clip_once(tables) -> _ClippedCells:
-    """Check and clip W tables once for all their readers: the sampler, the
-    variance and the trial kernel."""
-    flat = nonnegative_cells(tables)
-    flat.setflags(write=False)
-    return _ClippedCells(flat)
 
 
 @dataclass(frozen=True)

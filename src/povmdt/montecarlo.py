@@ -22,7 +22,6 @@ from . import _kernels
 from .estimator import (
     EntryEstimate,
     RtCoefficients,
-    _clip_once,
     _require_outcomes,
     _shares,
     _variance_law,
@@ -165,10 +164,6 @@ class SweepSpec:
         self.scenarios = tuple(build(float(value), **fixed) for value in self.grid)
 
 
-#: The setting of each of the 36 cells: the draw blocks of one W table.
-_SETTING_OF_CELL = np.repeat(np.arange(9), 4)
-
-
 def _child_seeds(seed: int, count: int) -> np.ndarray:
     """Deterministic per-use 32-bit seeds derived from one scenario seed."""
     return np.random.SeedSequence(seed).generate_state(count)
@@ -181,28 +176,38 @@ def sample_counts(tables, shot: ShotModel) -> np.ndarray:
     Poisson mode draws each cell count independently with mean n*W;
     multinomial mode distributes exactly n particles per setting over the
     four cells and a rejected bucket, refusing a setting whose cells sum
-    above 1.  The draw is the trial kernel's, one trial of the ungrouped
-    cells, checked and clipped once for the whole stack.  Every outcome
-    draws from one ``default_rng(shot.seed)``, in outcome order, in one
-    numpy call; outcome 0 of a stack draws what it would draw alone.  The
-    draw is deterministic for given (tables, shot).
+    above 1.  The cells are checked and clipped once for the whole stack,
+    and every outcome draws from one ``default_rng(shot.seed)``, in outcome
+    order, in one numpy call: a broadcast ``poisson(n W)``, or one
+    ``multinomial`` with a row per outcome and setting, whose last column,
+    the rejected bucket, is left at zero, since numpy gives the last
+    category whatever the others leave and never reads its probability.
+    Outcome 0 of a stack draws what it would draw alone.  The draw is
+    deterministic for given (tables, shot).
     """
     flat = nonnegative_cells(tables)
     cells = _kernels.checked_cells(flat.reshape(flat.shape[:-1] + (9, 4)), shot.statistics)
-    n = shot.n_per_setting
-    counts = _kernels.draw_counts(np.random.default_rng(shot.seed), 1, _SETTING_OF_CELL,
-                                  cells.reshape(-1, 36), n, shot.statistics, None)
+    n, rng = shot.n_per_setting, np.random.default_rng(shot.seed)
+    if shot.statistics == "poisson":
+        counts = rng.poisson(n * cells)
+    else:
+        pvals = np.zeros(cells.shape[:-1] + (5,))
+        pvals[..., :4] = cells
+        counts = rng.multinomial(n, pvals)[..., :4]
     return (counts / n).reshape(flat.shape[:-1] + (9, 2, 2))
 
 
 def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, name,
                statistics="poisson"):
     """The exact step of every Monte Carlo study of slot (j, k) of an
-    (L, d, d) stack: its cells checked and clipped once, and the arrays
-    (var_re, var_im) of the raw entries' error-transfer variances at n
-    particles per setting under the given counting ``statistics``.  An
-    outcome whose post-selection probability (one setting's four cells) is
-    at or below ``P_FLOOR`` is refused by ``name(i)``, called only then.
+    (L, d, d) stack: its W tables checked and clipped, as a read-only (L, 9,
+    2, 2) array, and the arrays (var_re, var_im) of the raw entries'
+    error-transfer variances at n particles per setting under the given
+    counting ``statistics``.  The variance and :func:`sample_counts` clip
+    their cells again (:func:`~povmdt.estimator.nonnegative_cells`), which
+    leaves clipped cells as they are.  An outcome whose post-selection
+    probability (one setting's four cells) is at or below ``P_FLOOR`` is
+    refused by ``name(i)``, called only then.
     """
     tables = exact_entry_tables(elements, j, k, CouplingConfig.symmetric(coeffs.g))
     p_f = tables.reshape(-1, 36)[:, :4].sum(axis=1)
@@ -212,7 +217,8 @@ def exact_slot(elements, j: int, k: int, coeffs: RtCoefficients, n: int, name,
             f"{name(int(dead[0]))}: post-selection probability {p_f[dead[0]]:.3e} "
             f"<= floor {P_FLOOR:.1e}"
         )
-    cells = _clip_once(tables)
+    cells = nonnegative_cells(tables).reshape(tables.shape)
+    cells.setflags(write=False)
     return (cells,) + error_transfer_variance(cells, coeffs, n, statistics)
 
 
@@ -231,7 +237,7 @@ def run_trials(scenario: EntryScenario, shot: ShotModel, trials: int) -> TrialSu
     cells, vr, vi = exact_slot(scenario.pi_l[None], j, k, coeffs, shot.n_per_setting,
                                lambda i: f"entry ({j}, {k})", shot.statistics)
     mean, cov = _kernels.trial_estimates(
-        cells.flat.reshape(1, 9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
+        cells.reshape(1, 9, 4), coeffs.cell_re / scale, coeffs.cell_im / scale,
         shot.n_per_setting, trials, [shot.seed], shot.statistics,
     )
     return TrialSummary(
@@ -322,7 +328,7 @@ def refinement_trials(
         for lab, value, vr, vi in zip(labels, truths.tolist(), var_re.tolist(), var_im.tolist())
     }
 
-    _, cov = _kernels.trial_estimates(cells.flat.reshape(-1, 9, 4), coeffs.cell_re,
+    _, cov = _kernels.trial_estimates(cells.reshape(-1, 9, 4), coeffs.cell_re,
                                       coeffs.cell_im, n, trials, seeds.tolist(), shot.statistics)
     wc = _shares(np.stack([var_re, var_im]))
     row_sums = cov.sum(axis=-1)

@@ -37,7 +37,7 @@ from povmdt import (
     variance_sweep,
 )
 from povmdt import _kernels, estimator, montecarlo
-from povmdt.estimator import _clip_once, error_transfer_variance, nonnegative_cells
+from povmdt.estimator import error_transfer_variance, nonnegative_cells
 from povmdt.montecarlo import _analytic_for, exact_slot
 from povmdt.protocol import SETTINGS
 
@@ -56,6 +56,16 @@ def one_outcome(cells, w_re, w_im, n, trials, seed, statistics="poisson"):
     (settings, 4) cells and seed: outcome 0 of its stack of one."""
     mean, cov = _kernels.trial_estimates(cells[None], w_re, w_im, n, trials, [seed], statistics)
     return mean[:, 0], cov[:, 0, 0]
+
+
+def stacked_counts(rng, size, block, prob, n, statistics, tables):
+    """The counts that :func:`_kernels.group_draws` draws, stacked as a
+    (size, groups) float array, one row per trial, with 0 for a ``PAIRED``
+    group."""
+    counts = np.zeros((prob.size, size))
+    for g, drawn in _kernels.group_draws(rng, size, block, prob, n, statistics, tables):
+        counts[g] = drawn
+    return counts.T
 
 
 def check_guide(cdf, guide):
@@ -136,8 +146,8 @@ class TestSampleCounts:
     def test_stack_draws_outcomes_in_order_from_one_stream(self, statistics):
         """Outcome 0 of an (L, 9, 2, 2) stack draws what it would draw alone,
         and the whole stack draws the outcomes in order from one generator,
-        also from cells clipped once for the sampler and the variance
-        together."""
+        also from the clipped cells of ``exact_slot``, which the sampler and
+        the variance clip again to the same bits."""
         povm = random_povm(3, 5, seed=21)
         tables = exact_entry_tables(povm.elements, 0, 2, CouplingConfig.symmetric(0.7))
         shot = ShotModel(4000, statistics, seed=5)
@@ -151,9 +161,9 @@ class TestSampleCounts:
             else:
                 counts = [rng.multinomial(4000, [*p, max(1.0 - p.sum(), 0.0)])[:-1] for p in one]
             np.testing.assert_array_equal(got, np.reshape(counts, (9, 2, 2)) / 4000)
-        cells = _clip_once(tables)
-        np.testing.assert_array_equal(sample_counts(cells, shot), stacked)
         coeffs = rt_coefficients(3, 0.7)
+        cells = exact_slot(povm.elements, 0, 2, coeffs, 4000, str, statistics)[0]
+        np.testing.assert_array_equal(sample_counts(cells, shot), stacked)
         for shared, own in zip(error_transfer_variance(cells, coeffs, 4000),
                                error_transfer_variance(tables, coeffs, 4000)):
             np.testing.assert_array_equal(shared, own)
@@ -304,14 +314,19 @@ class TestRunTrials:
         assert s.predicted_var == vr / scn.scale**2 + vi / scn.scale**2
 
     def test_negative_trials_refused(self):
+        """A trial count that is not an integer >= 0, a bool or a whole
+        float included, is refused by every study with one message."""
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
-        for study in (
-            lambda: run_trials(point_x_scenario(), ShotModel(N_REF), -1),
-            lambda: refinement_trials(random_povm(2, 3, seed=5), 1, 0, 0.6, ShotModel(N_REF), -3),
-            lambda: _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, -1, [1]),
-        ):
-            with pytest.raises(ValueError, match="trials must be >= 0"):
-                study()
+        povm = random_povm(2, 3, seed=5)
+        for trials in (-1, -3, 2.5, True, np.float64(3.0)):
+            message = f"^trials must be an integer >= 0, got {re.escape(repr(trials))}$"
+            for study in (
+                lambda: run_trials(point_x_scenario(), ShotModel(N_REF), trials),
+                lambda: refinement_trials(povm, 1, 0, 0.6, ShotModel(N_REF), trials),
+                lambda: _kernels.trial_estimates(cells[None], w_re, w_im, N_REF, trials, [1]),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    study()
 
     def test_dead_outcome_refused(self):
         scn = EntryScenario(np.zeros((2, 2)), 1, 0, np.pi / 4)
@@ -422,7 +437,7 @@ class TestTrialKernel:
         tables = _kernels.count_tables(block, prob, n, statistics, weights)
         size = min(_kernels.CHUNK_TRIALS, trials - c * _kernels.CHUNK_TRIALS)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        counts = _kernels.draw_counts(rng, size, block, prob, n, statistics, tables)
+        counts = stacked_counts(rng, size, block, prob, n, statistics, tables)
         return TestTrialKernel.ordered_sum(counts, weights) / n
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
@@ -460,23 +475,28 @@ class TestTrialKernel:
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_chunk_stream_layout(self, statistics):
         """Chunk c draws from the c-th spawned child of SeedSequence(seed):
-        the kernel's moments are those of the chunks drawn directly, merged
-        in chunk order, bit for bit."""
+        the kernel's moments are those of the chunks drawn directly by
+        ``group_draws`` with the study's tables, merged in chunk order, bit
+        for bit.  So is a one-trial last chunk, and a one-trial study, whose
+        variance is NaN."""
         cells, w_re, w_im = self.kernel_inputs(point_x_scenario())
         chunk, n, seed = _kernels.CHUNK_TRIALS, 2000, 17
-        trials = 2 * chunk + 7
-        mean, var = one_outcome(cells, w_re, w_im, n, trials, seed, statistics)
         children = np.random.SeedSequence(seed).spawn(3)
-        parts = []
         for c in range(3):
             child = np.random.SeedSequence(seed, spawn_key=(c,))
             assert (child.generate_state(4) == children[c].generate_state(4)).all()
-            parts.append(_kernels.moments(
-                self.direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c)[:, None]))
-        count, direct_mean, m2 = functools.reduce(_kernels.merge_moments, parts)
-        assert count == trials
-        np.testing.assert_array_equal(mean, direct_mean[:, 0])
-        np.testing.assert_array_equal(var, m2[:, 0, 0] / (trials - 1))
+        for trials in (2 * chunk + 7, chunk + 1, 1):
+            mean, var = one_outcome(cells, w_re, w_im, n, trials, seed, statistics)
+            parts = [_kernels.moments(
+                self.direct_chunk(cells, w_re, w_im, n, trials, seed, statistics, c)[:, None])
+                for c in range(-(-trials // chunk))]
+            count, direct_mean, m2 = functools.reduce(_kernels.merge_moments, parts)
+            assert count == trials
+            np.testing.assert_array_equal(mean, direct_mean[:, 0])
+            if trials > 1:
+                np.testing.assert_array_equal(var, m2[:, 0, 0] / (trials - 1))
+            else:
+                assert np.isnan(var).all()
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_chunk_estimates_are_the_ordered_sum(self, statistics, monkeypatch):
@@ -568,63 +588,26 @@ class TestTrialKernel:
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_one_trial_is_the_column_draw(self, sic_tables, statistics):
-        """One trial, drawn in one call per row, has the counts of numpy's
-        scalar draws from the same stream: one Poisson draw per cell, or per
-        setting the chain of conditional binomials."""
-        block, n = montecarlo._SETTING_OF_CELL, 1000
-        prob = _kernels.checked_cells(sic_tables.reshape(9, 4), statistics).reshape(36)
+        """A scan's one trial, drawn by ``sample_counts`` in one numpy call,
+        has the counts of numpy's scalar draws from the same stream: one
+        Poisson draw per cell, or per setting the chain of conditional
+        binomials, with nothing drawn for the rejected bucket."""
+        n = 1000
+        prob = _kernels.checked_cells(nonnegative_cells(sic_tables).reshape(9, 4), statistics)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             if statistics == "poisson":
-                explicit = [rng.poisson(n * p) for p in prob]
+                explicit = [rng.poisson(n * p) for p in prob.reshape(36)]
             else:
                 explicit = []
-                for b in range(9):
+                for setting in prob:
                     left, rest = n, 1.0
-                    for p in prob[block == b]:
+                    for p in setting:
                         explicit.append(rng.binomial(left, 1.0 if p >= rest else p / rest))
                         left, rest = left - explicit[-1], rest - p
-            drawn = _kernels.draw_counts(np.random.default_rng(seed), 1, block, prob, n,
-                                         statistics, None)
-            assert drawn.shape == (1, 36)
-            assert (drawn[0] == np.array(explicit, dtype=float)).all()
-
-    @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
-    def test_one_trial_of_uneven_groups(self, statistics):
-        """One trial of grouped cells, as the last chunk of a call of
-        ``CHUNK_TRIALS + 1`` trials draws it, has the counts of numpy drawing
-        each outcome's blocks in turn from one generator: for one outcome's
-        groups, whose settings hold different numbers of groups, and for a
-        stack of outcomes sharing uneven blocks with a block number unused."""
-        n = 1000
-        povm = random_povm(3, 4, seed=12)
-        coeffs = rt_coefficients(3, 0.7)
-        tables = exact_entry_tables(povm.elements, 2, 0, CouplingConfig.symmetric(0.7))
-        cells = _kernels.checked_cells(nonnegative_cells(tables).reshape(4, 9, 4), statistics)
-        block, prob, _ = _kernels.group_cells(cells, coeffs.cell_re, coeffs.cell_im,
-                                              statistics)[1]
-        if statistics == "multinomial":
-            assert len(set(np.bincount(block).tolist())) > 1
-        stack_block = np.array([0, 0, 0, 1, 2, 2, 4, 4, 4, 4])
-        parts = np.random.default_rng(3).dirichlet(np.ones(5), size=(3, 5))[..., :-1]
-        stack_prob = np.concatenate(
-            [parts[:, b, :size] for b, size in enumerate(np.bincount(stack_block)) if size],
-            axis=1)
-        for block, prob in [(block, prob), (stack_block, stack_prob)]:
-            for seed in range(5):
-                rng = np.random.default_rng(seed)
-                want = np.empty(np.atleast_2d(prob).shape)
-                for l, one in enumerate(np.atleast_2d(prob)):
-                    if statistics == "poisson":
-                        want[l] = rng.poisson(n * one)
-                        continue
-                    for b in np.unique(block):
-                        p = one[block == b]
-                        pvals = [*p, max(1.0 - p.sum(), 0.0)]
-                        want[l, block == b] = rng.multinomial(n, pvals)[:-1]
-                drawn = _kernels.draw_counts(np.random.default_rng(seed), 1, block, prob, n,
-                                             statistics, None)
-                np.testing.assert_array_equal(drawn, want)
+            drawn = sample_counts(sic_tables, ShotModel(n, statistics, seed))
+            assert drawn.shape == (9, 2, 2)
+            assert (drawn * n == np.reshape(explicit, (9, 2, 2))).all()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("prob", [[0.5, 0.5, 1e-17], [0.3, 0.3, 0.4, 1e-17]],
@@ -635,8 +618,8 @@ class TestTrialKernel:
         division by zero or a negative binomial probability."""
         prob = np.array(prob)
         block = np.zeros(prob.size, dtype=np.intp)
-        counts = _kernels.draw_counts(np.random.default_rng(1), 2, block, prob, 1000,
-                                      "multinomial", [None] * prob.size)
+        counts = stacked_counts(np.random.default_rng(1), 2, block, prob, 1000,
+                                "multinomial", [None] * prob.size)
         assert (counts[:, -1] == 0).all()
         assert (counts.sum(axis=1) == 1000).all()
 
@@ -648,7 +631,7 @@ class TestTrialKernel:
         trials, n = 200_000, 1000
         block = np.array([0, 0, 0, 1, 1])
         prob = np.array([0.1, 0.25, 0.3, 0.45, 0.5])
-        counts = _kernels.draw_counts(
+        counts = stacked_counts(
             np.random.default_rng(8), trials, block, prob, n, "multinomial", [None] * prob.size
         )
         assert counts.shape == (trials, 5)
@@ -737,7 +720,7 @@ class TestTrialKernel:
         coeffs = rt_coefficients(2, 0.6)
         cells, var_re, var_im = exact_slot(povm.elements, 1, 0, coeffs, N_REF, str, statistics)
         trials = 2 * _kernels.CHUNK_TRIALS + 5
-        mean, cov = _kernels.trial_estimates(cells.flat.reshape(-1, 9, 4), coeffs.cell_re,
+        mean, cov = _kernels.trial_estimates(cells.reshape(-1, 9, 4), coeffs.cell_re,
                                              coeffs.cell_im, N_REF, trials, range(41, 47),
                                              statistics)
         wc = estimator._shares(np.stack([var_re, var_im]))
@@ -1082,8 +1065,8 @@ class TestInvertedDraws:
         block, prob = np.zeros(1, dtype=np.intp), np.array([p])
         tables = _kernels.count_tables(block, prob, n, statistics)
         assert tables[0] is not None
-        counts = _kernels.draw_counts(np.random.default_rng(2024), 10**6, block, prob, n,
-                                      statistics, tables)
+        counts = stacked_counts(np.random.default_rng(2024), 10**6, block, prob, n,
+                                statistics, tables)
         self.check_draws(counts[:, 0], self.law(n, p, statistics == "poisson"))
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
@@ -1098,8 +1081,8 @@ class TestInvertedDraws:
         n, block, prob = 10**8, np.zeros(1, dtype=np.intp), np.array([0.0625])
         tables = _kernels.count_tables(block, prob, n, statistics)
         assert tables == [None]
-        counts = _kernels.draw_counts(np.random.default_rng(2025), 10**6, block, prob, n,
-                                      statistics, tables)
+        counts = stacked_counts(np.random.default_rng(2025), 10**6, block, prob, n,
+                                statistics, tables)
         self.check_draws(counts[:, 0], self.law(n, 0.0625, statistics == "poisson"))
         cells, w_re, w_im = TestTrialKernel.kernel_inputs(point_x_scenario())
         mean, var = one_outcome(cells, w_re, w_im, n, 300, 1, statistics)
@@ -1127,8 +1110,8 @@ class TestInvertedDraws:
         prob = np.array([0.1, 0.25, 0.3, 0.45, 0.5])
         tables = _kernels.count_tables(block, prob, n, "multinomial")
         assert [t is not None for t in tables] == [True, False, False, True, False]
-        counts = _kernels.draw_counts(np.random.default_rng(8), trials, block, prob, n,
-                                      "multinomial", tables)
+        counts = stacked_counts(np.random.default_rng(8), trials, block, prob, n,
+                                "multinomial", tables)
         dev = counts - n * prob
         same = block[:, None] == block[None, :]
         truth = np.where(same, -n * np.outer(prob, prob), 0.0) + np.diag(n * prob)
@@ -1237,8 +1220,8 @@ class TestPairedDraws:
         block, prob, weights = self.pair(rates)
         tables = _kernels.count_tables(block, prob, n, "poisson", weights)
         assert tables[1] is _kernels.PAIRED
-        counts = _kernels.draw_counts(np.random.default_rng(2027), 10**6, block, prob, n,
-                                      "poisson", tables)
+        counts = stacked_counts(np.random.default_rng(2027), 10**6, block, prob, n,
+                                "poisson", tables)
         assert (counts[:, 1] == 0).all()
         TestInvertedDraws.check_draws(counts[:, 0], scipy.stats.skellam(n * prob[0], n * prob[1]))
 
@@ -1263,8 +1246,8 @@ class TestPairedDraws:
         rng = np.random.default_rng(5)
         want = [rng.poisson(rate, 1000) if table is None else _kernels._invert(rng, 1000, table)
                 for rate, table in zip(rates, alone)]
-        drawn = _kernels.draw_counts(np.random.default_rng(5), 1000, block, prob, 1, "poisson",
-                                     tables)
+        drawn = stacked_counts(np.random.default_rng(5), 1000, block, prob, 1, "poisson",
+                               tables)
         np.testing.assert_array_equal(drawn, np.transpose(want))
 
 
@@ -1351,8 +1334,8 @@ class TestSplitDraws:
         want = _kernels.difference_table(n, *_kernels.split_pair(*probs), False)
         assert all(np.array_equal(a, b) for a, b in zip(tables[0], want))
         assert tables[1] is _kernels.PAIRED
-        counts = _kernels.draw_counts(np.random.default_rng(2029), 10**6, block, prob, n,
-                                      "multinomial", tables)
+        counts = stacked_counts(np.random.default_rng(2029), 10**6, block, prob, n,
+                                "multinomial", tables)
         assert (counts[:, 1] == 0).all()
         law = self.difference_law(n, *probs)
         p_g, p_h = probs
@@ -1389,8 +1372,8 @@ class TestSplitDraws:
                      else _kernels._invert(rng, 1000, table))
             want.append(drawn)
             left, rest = left - drawn, rest - p
-        drawn = _kernels.draw_counts(np.random.default_rng(5), 1000, block, prob, n,
-                                     "multinomial", tables)
+        drawn = stacked_counts(np.random.default_rng(5), 1000, block, prob, n,
+                               "multinomial", tables)
         np.testing.assert_array_equal(drawn, np.transpose(want))
 
 
@@ -1596,7 +1579,7 @@ class TestRefinementTrials:
             np.concatenate([TestTrialKernel.direct_chunk(
                 one, coeffs.cell_re, coeffs.cell_im, 3000, trials, seed, statistics, c)
                 for c in range(3)], axis=1)
-            for one, seed in zip(cells.flat.reshape(-1, 9, 4), seeds)], axis=1)
+            for one, seed in zip(cells.reshape(-1, 9, 4), seeds)], axis=1)
         # each trial's (re, im) column x refined to x_l - (v_l / sum v) sum_u x_u
         predicted = np.stack([var_re, var_im])[..., None]
         wc = predicted / predicted.sum(axis=1, keepdims=True)
@@ -1604,22 +1587,6 @@ class TestRefinementTrials:
         for want, got in [(est, study.raw_sample_var), (refined, study.refined_sample_var)]:
             np.testing.assert_allclose([got[lab] for lab in study.labels],
                                        want.var(axis=-1, ddof=1).T, rtol=1e-12, atol=0)
-
-    def test_clips_the_stack_once(self, monkeypatch):
-        """The variance and every outcome's trials share one clip of the
-        exact tables: one real nonnegative_cells call for six outcomes."""
-        real = estimator.nonnegative_cells
-        clipped = []
-
-        def counting(tables):
-            if not isinstance(tables, estimator._ClippedCells):
-                clipped.append(np.shape(tables))
-            return real(tables)
-
-        monkeypatch.setattr(estimator, "nonnegative_cells", counting)
-        monkeypatch.setattr(montecarlo, "nonnegative_cells", counting)
-        refinement_trials(random_povm(3, 6, seed=8), 0, 2, 0.7, ShotModel(1000, seed=4), 50)
-        assert clipped == [(6, 9, 2, 2)]
 
     def test_dead_outcome_refused(self):
         zero_and_identity = Povm([np.zeros((2, 2)), np.eye(2)])

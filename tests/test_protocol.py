@@ -25,7 +25,7 @@ from povmdt import (
     random_povm,
 )
 from povmdt import protocol
-from povmdt.estimator import RtCoefficients, _clip_once, rt_coefficients
+from povmdt.estimator import RtCoefficients, rt_coefficients
 from povmdt.linalg import dag, random_unitary, tensor
 from povmdt.protocol import (
     BASIS_PROJECTORS,
@@ -173,8 +173,7 @@ class TestJointState:
     lambda: EntryScenario(np.eye(2) / 2, 1, 0, 0.6),
     # rt_coefficients is memoized, so two calls return one object
     lambda: RtCoefficients(3, 0.6, 0.25, 0.5, np.ones(36), np.ones(36)),
-    lambda: _clip_once(np.full((9, 2, 2), 0.25)),
-], ids=["JointState", "EntryScenario", "RtCoefficients", "_ClippedCells"])
+], ids=["JointState", "EntryScenario", "RtCoefficients"])
 def test_array_dataclasses_compare_by_identity(make):
     """Frozen dataclasses with array fields compare and hash by identity: two
     instances of equal content are unequal, and neither comparison raises."""
