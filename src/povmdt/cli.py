@@ -16,10 +16,12 @@ The config blocks, noise and calibration grids included, are resolved by
 :func:`povmdt.config.parse_config`; the commands here only iterate them.
 :func:`blocks_read` names the blocks each command reads, and a config that
 gives any other block is refused.  Each command is one function that
-computes and describes its result as a :class:`CommandResult`.
-:func:`main` runs every command the same way: it resolves the config, its
-blocks and the output directory before any work, times the command, writes
-its artifacts through :func:`write_artifacts` and prints one summary line.
+computes and describes its result as a :class:`CommandResult`, whose
+artifacts are column tables (:func:`~povmdt.reports.write_csv`); only json
+mode builds rows from them.  :func:`main` runs every command the same way:
+it resolves the config, its blocks and the output directory before any
+work, times the command, writes its artifacts through
+:func:`write_artifacts` and prints one summary line.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from .config import BLOCKS, CALIBRATION_SAMPLES, ConfigError, ScenarioConfig, parse_config
 from .estimator import (
     _require_outcomes,
+    _require_sum_rule,
     completeness_refine,
     estimate_from_tables,
     rt_coefficients,
@@ -50,7 +53,7 @@ from .montecarlo import (
 from .noise import apply_dephasing, apply_phase_rotation, calibrate_phase, calibrate_xi
 from .povm import matrix_entry_oracle
 from .protocol import SETTINGS, CouplingConfig, exact_entry_tables
-from .reports import run_metadata, write_csv, write_json_report
+from .reports import run_metadata, table_rows, write_csv, write_json_report
 
 
 def _entry_list(cfg: ScenarioConfig, povm) -> list[tuple[int, int, int]]:
@@ -73,13 +76,13 @@ def _entry_list(cfg: ScenarioConfig, povm) -> list[tuple[int, int, int]]:
 class CommandResult:
     """What one command computed, for :func:`main` to write and report.
 
-    ``tables`` holds (file stem, columns, rows) of the CSV artifacts;
+    ``tables`` holds (file stem, column table) of the CSV artifacts;
     ``results`` is called for the JSON report's results only in json mode;
     ``meta`` extends the artifact metadata; ``summary`` describes the result
     on the stdout line; ``code`` is the exit code.
     """
 
-    tables: list[tuple[str, list[str], list[dict]]]
+    tables: list[tuple[str, dict]]
     results: Callable[[], dict]
     summary: str
     meta: dict = field(default_factory=dict)
@@ -108,16 +111,12 @@ def write_artifacts(cfg: ScenarioConfig, args, out: str, elapsed: float,
             f"{out}/{args.command.replace('-', '_')}.json",
             dict(meta, wall_clock_s=elapsed), result.results(),
         )
-    for stem, columns, rows in result.tables:
+    for stem, table in result.tables:
         if not json_mode or stem in CSV_IN_JSON_MODE:
-            write_csv(f"{out}/{stem}.csv", columns, rows, meta)
+            write_csv(f"{out}/{stem}.csv", table, meta)
 
 
 # --- oracle-check ---------------------------------------------------------------
-
-
-ORACLE_COLUMNS = ["l", "j", "k", "est_re", "est_im", "true_re", "true_im", "abs_err"]
-DISTRIBUTION_COLUMNS = ["l", "j", "k", "basis_b", "basis_a", "m", "n", "W"]
 
 
 def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
@@ -126,23 +125,27 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
     povm = cfg.povm()
     coupling = CouplingConfig.symmetric(cfg.g)
     coeffs = rt_coefficients(povm.dim, cfg.g)
-    rows, dists = [], []
-    for lab, j, k in _entry_list(cfg, povm):
-        truth = matrix_entry_oracle(povm, lab, j, k)
-        tables = exact_entry_tables(povm.element(lab), j, k, coupling)
-        est = estimate_from_tables(tables, coeffs)
-        rows.append({"l": lab, "j": j, "k": k, "est_re": est.real, "est_im": est.imag,
-                     "true_re": truth.real, "true_im": truth.imag, "abs_err": abs(est - truth)})
-        for (bb, ba), w in zip(SETTINGS, tables):
-            for (m, n), value in np.ndenumerate(w):
-                dists.append({"l": lab, "j": j, "k": k, "basis_b": bb, "basis_a": ba,
-                              "m": m, "n": n, "W": float(value)})
-    max_err = max([0.0] + [row["abs_err"] for row in rows])
+    entries = _entry_list(cfg, povm)
+    truth = [matrix_entry_oracle(povm, lab, j, k) for lab, j, k in entries]
+    tables = [exact_entry_tables(povm.element(lab), j, k, coupling) for lab, j, k in entries]
+    est = [estimate_from_tables(t, coeffs) for t in tables]
+    errors = [abs(e - t) for e, t in zip(est, truth)]
+    labels, js, ks = zip(*entries)
+    oracle = {"l": labels, "j": js, "k": ks,
+              "est_re": [e.real for e in est], "est_im": [e.imag for e in est],
+              "true_re": [t.real for t in truth], "true_im": [t.imag for t in truth],
+              "abs_err": errors}
+    cell = np.indices((len(entries), len(SETTINGS), 2, 2)).reshape(4, -1)  # (entry, s, m, n)
+    bases = np.array(SETTINGS)[cell[1]]
+    dists = {"l": np.take(labels, cell[0]), "j": np.take(js, cell[0]), "k": np.take(ks, cell[0]),
+             "basis_b": bases[:, 0], "basis_a": bases[:, 1], "m": cell[2], "n": cell[3],
+             "W": np.ravel(tables)}
+    max_err = max([0.0] + errors)
     ok = max_err < cfg.tolerance
     return CommandResult(
-        [("oracle_check", ORACLE_COLUMNS, rows), ("distributions", DISTRIBUTION_COLUMNS, dists)],
-        lambda: {"entries": rows, "passed": ok},
-        f"{'PASS' if ok else 'FAIL'}, {len(rows)} entries, max |error| = {max_err:.3e} "
+        [("oracle_check", oracle), ("distributions", dists)],
+        lambda: {"entries": table_rows(oracle), "passed": ok},
+        f"{'PASS' if ok else 'FAIL'}, {len(entries)} entries, max |error| = {max_err:.3e} "
         f"(tolerance {cfg.tolerance:.1e})",
         {"max_abs_err": max_err, "tolerance": cfg.tolerance},
         0 if ok else 1,
@@ -152,34 +155,24 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> CommandResult:
 # --- scan -----------------------------------------------------------------------
 
 
-def _scan_rows(labels, j, k, grid, n, seed, method, values, var_re, var_im, truths):
-    """The rows of a scan, one list per grid point of one row per outcome,
-    from (points, outcomes) columns: complex ``values`` and ``truths`` and
-    float variances; ``seed`` fills the seed column."""
-    columns = (values.real, values.imag, var_re, var_im, truths.real, truths.imag)
-    return [
-        [{"l": lab, "j": j, "k": k, "axis": axis, "axis_value": axis_value,
-          "est_re": er, "est_im": ei, "var_re": vr, "var_im": vi,
-          "true_re": tr, "true_im": ti, "n": n, "seed": seed, "method": method}
-         for lab, er, ei, vr, vi, tr, ti in zip(labels, *point)]
-        for (axis, axis_value, _), *point in zip(grid, *(column.tolist() for column in columns))
-    ]
-
-
-def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
-    """Noise-evolution scan: sampled entry estimates along a noise grid.
+def run_scan(cfg: ScenarioConfig, refine: bool = False) -> dict:
+    """Noise-evolution scan: sampled entry estimates along a noise grid, as
+    a column table (:func:`~povmdt.reports.write_csv`) with a row per grid
+    point, method and outcome, in that order.
 
     One noisy realization per (grid point, outcome) at the configured shot
     model, with predicted error-transfer variances and the transformed
     ground truth.  With ``refine`` the sum-rule refinement is applied
-    across outcomes at each grid point.  Only the noise map runs grid point
+    across outcomes at each grid point, after a POVM whose (j, k) entries
+    do not sum to zero is refused.  Only the noise map runs grid point
     by grid point; after every point's map, the exact step
     (:func:`~povmdt.montecarlo.exact_slot`), the draw, the estimates and
-    the refinement are one call each for the whole grid.  The one
+    the refinement are one call each for the whole grid, and each column
+    is one broadcast of their arrays.  The one
     :func:`~povmdt.montecarlo.sample_counts` call draws every (grid point,
-    outcome) in that order from ``default_rng(shot.seed)``, and the
-    ``seed`` column of the sampled rows names that seed.  An outcome with a
-    dead post-selection is refused by grid point and outcome.
+    outcome) in that order from ``default_rng(shot.seed)``, and the ``seed``
+    column of the sampled rows names that seed.  An outcome with a dead
+    post-selection is refused by grid point and outcome.
     """
     if cfg.noise is None:
         raise ConfigError("scan requires a noise block")
@@ -192,13 +185,14 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     if refine:
         labels = list(povm.labels)  # the sum rule needs every outcome
         _require_outcomes(len(labels))
+        _require_sum_rule(povm.elements, j, k)
 
     transform = apply_dephasing if cfg.noise["type"] == "dephasing" else apply_phase_rotation
     grid = cfg.noise["grid"]
     n = shot.n_per_setting
     coeffs = rt_coefficients(povm.dim, cfg.g)
     rows_of = [povm.labels.index(lab) for lab in labels]
-    elems = np.stack([transform(povm, param, j, k).elements[rows_of] for _, _, param in grid])
+    elems = np.stack([transform(povm, param, j, k).elements for _, _, param in grid])[:, rows_of]
     shape = elems.shape[:2]  # (grid points, outcomes)
     size = len(labels)
 
@@ -209,37 +203,39 @@ def run_scan(cfg: ScenarioConfig, refine: bool = False) -> list[dict]:
     cells, var_re, var_im = exact_slot(elems.reshape((-1,) + elems.shape[2:]), j, k, coeffs, n,
                                        name, statistics=shot.statistics)
     values = estimate_from_tables(sample_counts(cells, shot), coeffs).reshape(shape)
-    # adding 0j turns a signed zero into +0.0, as in matrix_entry_oracle
-    var_re, var_im, truths = var_re.reshape(shape), var_im.reshape(shape), elems[..., j, k] + 0j
-    rows = _scan_rows(labels, j, k, grid, n, shot.seed, "sampled", values, var_re, var_im,
-                      truths)
+    methods = [(values, var_re.reshape(shape), var_im.reshape(shape))]
     if refine:
-        refined = _scan_rows(labels, j, k, grid, n, -1, "refined",
-                             *completeness_refine(values, var_re, var_im), truths)
-        rows = [part for both in zip(rows, refined) for part in both]
-    return [row for part in rows for row in part]
+        methods.append(completeness_refine(*methods[0]))
+    # (grid point, method, outcome) arrays; +0j: a signed zero reads +0.0, as in the oracle
+    est, var_re, var_im = (np.stack(column, axis=1) for column in zip(*methods))
+    truths = elems[:, None, :, j, k] + 0j
 
+    def column(values):
+        return np.broadcast_to(values, est.shape).ravel()
 
-SCAN_COLUMNS = [
-    "l", "j", "k", "axis", "axis_value", "est_re", "est_im", "var_re", "var_im",
-    "true_re", "true_im", "n", "seed", "method",
-]
+    points = np.array(grid, dtype=object).reshape(-1, 1, 1, 3)  # (axis, axis_value, param)
+    # an int64 holds no seed of 2^63 or more: an object column holds it as its int
+    seeds = np.array([shot.seed, -1], dtype=np.int64 if shot.seed < 2**63 else object)
+    return {
+        "l": column(labels), "j": column(j), "k": column(k),
+        "axis": column(points[..., 0].astype(str)),
+        "axis_value": column(points[..., 1].astype(float)),
+        "est_re": column(est.real), "est_im": column(est.imag),
+        "var_re": column(var_re), "var_im": column(var_im),
+        "true_re": column(truths.real), "true_im": column(truths.imag),
+        "n": column(n), "seed": column(np.reshape(seeds[:len(methods)], (-1, 1))),
+        "method": column(np.reshape(["sampled", "refined"][:len(methods)], (-1, 1))),
+    }
 
 
 def cmd_scan(cfg: ScenarioConfig, args) -> CommandResult:
-    """The rows of :func:`run_scan`."""
-    rows = run_scan(cfg, refine=args.refine)
-    return CommandResult([("scan", SCAN_COLUMNS, rows)], lambda: {"rows": rows},
-                         f"{len(rows)} rows")
+    """The table of :func:`run_scan`."""
+    table = run_scan(cfg, refine=args.refine)
+    return CommandResult([("scan", table)], lambda: {"rows": table_rows(table)},
+                         f"{len(table['l'])} rows")
 
 
 # --- variance-sweep ---------------------------------------------------------------
-
-
-SWEEP_COLUMNS = [
-    "axis_value", "var_analytic", "var_transfer", "var_empirical",
-    "mean_re", "mean_im", "trials", "seed",
-]
 
 
 def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
@@ -259,9 +255,8 @@ def cmd_variance_sweep(cfg: ScenarioConfig, args) -> CommandResult:
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from None
     rows = variance_sweep(spec)
-    return CommandResult(
-        [("variance_sweep", SWEEP_COLUMNS, rows)], lambda: {"rows": rows}, f"{len(rows)} rows"
-    )
+    table = {column: [row[column] for row in rows] for column in rows[0]}
+    return CommandResult([("variance_sweep", table)], lambda: {"rows": rows}, f"{len(rows)} rows")
 
 
 # --- calibrate --------------------------------------------------------------------
@@ -285,32 +280,21 @@ def cmd_calibrate(cfg: ScenarioConfig, args) -> CommandResult:
         raise ConfigError("calibrate has nothing to do: no overlap grid (calibration or "
                           "dephasing noise) and no calibration.phase_inputs")
 
-    seeds = _child_seeds(cfg.seed, max(len(grid), 1))
-    xi_rows = [
-        {
-            "axis_value": ax, "xi_true": xi,
-            "xi_hat": calibrate_xi(xi, samples, int(seeds[i])),
-            "samples": samples, "seed": int(seeds[i]),
-        }
-        for i, (_, ax, xi) in enumerate(grid)
-    ]
-    phase_rows = [
-        {"p_h_minus_p_v": delta, "phi_hat": calibrate_phase((1 + delta) / 2, (1 - delta) / 2)}
-        for delta in calib["phase_inputs"]
-    ]
-    results = {"xi": xi_rows, "phase": phase_rows, "samples": samples}
-    tables = [(stem, columns, results[key])
-              for stem, key, columns in CALIBRATE_TABLES if results[key]]
+    seeds = _child_seeds(cfg.seed, max(len(grid), 1)).tolist()[:len(grid)]
+    _, axis_values, xis = zip(*grid) if grid else ((), (), ())
+    xi_hat = [calibrate_xi(x, samples, seed) for x, seed in zip(xis, seeds)]
+    xi = {"axis_value": axis_values, "xi_true": xis, "xi_hat": xi_hat,
+          "samples": [samples] * len(grid), "seed": seeds}
+    deltas = calib["phase_inputs"]
+    phase = {"p_h_minus_p_v": deltas,
+             "phi_hat": [calibrate_phase((1 + d) / 2, (1 - d) / 2) for d in deltas]}
     return CommandResult(
-        tables, lambda: results, f"{len(xi_rows)} overlap points, {len(phase_rows)} phase points"
+        [("calibration_xi", xi)] * bool(grid) + [("calibration_phase", phase)] * bool(deltas),
+        # xi_hat_var: the binomial variance of xi_hat = 2 n_H / samples - 1, at xi_hat
+        lambda: {"xi": table_rows(dict(xi, xi_hat_var=[(1 - x * x) / samples for x in xi_hat])),
+                 "phase": table_rows(phase), "samples": samples},
+        f"{len(grid)} overlap points, {len(deltas)} phase points",
     )
-
-
-#: (file stem, results key, columns) of each calibrate CSV.
-CALIBRATE_TABLES = (
-    ("calibration_xi", "xi", ["axis_value", "xi_true", "xi_hat", "samples", "seed"]),
-    ("calibration_phase", "phase", ["p_h_minus_p_v", "phi_hat"]),
-)
 
 
 #: Each command's function, help text and whether it needs an output
@@ -348,10 +332,11 @@ def blocks_read(command: str, cfg: ScenarioConfig) -> set[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="povmdt",
-        description="Direct characterization of POVM matrix entries: scenario runner",
-    )
+    """The command-line parser, built once per process: parsing leaves it as it is."""
+    if hasattr(build_parser, "parser"):
+        return build_parser.parser
+    parser = argparse.ArgumentParser(prog="povmdt", description="Direct characterization of "
+                                     "POVM matrix entries: scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -362,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "scan":
             p.add_argument("--refine", action="store_true",
                            help="also apply the completeness sum-rule refinement")
+    build_parser.parser = parser
     return parser
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .estimator import ConfigError
 from .montecarlo import SWEEP_KEYWORDS, ShotModel
 from .noise import wavepacket_overlap
 from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_walk, random_povm
@@ -35,17 +36,13 @@ from .povm import Povm, load_povm, make_sic_povm, matrix_from_pairs, povm_from_w
 #: The top-level blocks of a config, in the order that messages name them.
 BLOCKS = ("seed", "povm", "entry", "coupling", "shots", "noise", "sweep", "calibration",
           "output", "tolerance")
-POVM_SOURCES = ("builtin:sic", "random", "file", "walk")
+POVM_SOURCES = ("builtin:sic", "builtin:sic-complete", "random", "file", "walk")
 NOISE_TYPES = ("dephasing", "rotation")
 FORMATS = ("csv", "json")
 CALIBRATION_SAMPLES = 100000  # calibration.samples, also when calibrate has no such block
 SWEEP_AXES = tuple(SWEEP_KEYWORDS)
 _FLOAT_MAX = sys.float_info.max
 _INT64_MAX = 2**63 - 1
-
-
-class ConfigError(ValueError):
-    """Configuration file is malformed or inconsistent (CLI exit code 2)."""
 
 
 def _require(block: dict, path: str, allowed: dict) -> dict:
@@ -179,8 +176,8 @@ def _build_povm(block: dict, global_seed: int) -> Povm:
     source = block["source"]
     key = {"file": "path", "walk": "unitary"}.get(source)
     try:
-        if source == "builtin:sic":
-            return make_sic_povm()
+        if source.startswith("builtin:"):
+            return make_sic_povm(complete=source == "builtin:sic-complete")
         if source == "random":
             return random_povm(block["d"], block["outcomes"], block.get("seed", global_seed))
         if source == "file":

@@ -45,10 +45,16 @@ from numbers import Real
 import numpy as np
 
 from ._kernels import checked_cells
+from .linalg import DEFAULT_TOL
 from .protocol import _cells
 
 #: Number of cells across all settings: 9 settings x 2 x 2 outcomes.
 N_CELLS = 36
+
+
+class ConfigError(ValueError):
+    """A malformed or inconsistent config, or a POVM that breaks the sum rule
+    that a refinement assumes (CLI exit code 2)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +266,16 @@ def _require_outcomes(count: int) -> None:
     complement is the sum of the others."""
     if count < 2:
         raise ValueError("refinement needs at least two outcomes")
+
+
+def _require_sum_rule(elements: np.ndarray, j: int, k: int) -> None:
+    """Refuse a refinement of slot (j, k) of an (L, d, d) stack whose (j, k)
+    entries do not sum to zero within ``DEFAULT_TOL``: the sum rule of
+    :func:`completeness_refine`, which a complete POVM keeps."""
+    residual = abs(elements[:, j, k].sum())
+    if not residual <= DEFAULT_TOL:  # also NaN
+        raise ConfigError(f"refinement needs the ({j}, {k}) entries of the outcomes to sum to "
+                          f"zero; they sum to modulus {residual:.3e} > {DEFAULT_TOL:g}")
 
 
 def _shares(variances: np.ndarray) -> np.ndarray:

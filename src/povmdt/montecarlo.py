@@ -23,6 +23,7 @@ from .estimator import (
     EntryEstimate,
     RtCoefficients,
     _require_outcomes,
+    _require_sum_rule,
     _shares,
     _variance_law,
     completeness_refine,
@@ -311,6 +312,8 @@ def refinement_trials(
     predicted (exact-table) variances v: completeness_refine's map x_l -> x_l
     - wc_l sum_u x_u, with its shares wc = v / sum v.  Over the kernel's raw
     covariance C, its sample variance is C_ll - 2 wc_l (C1)_l + wc_l^2 1'C1.
+    A POVM whose (j, k) entries do not sum to zero, the rule that the
+    refinement relies on, is refused with a ConfigError before any trial.
     """
     if j == k:
         raise ValueError("refinement targets an off-diagonal entry; need j != k")
@@ -321,6 +324,7 @@ def refinement_trials(
     n = shot.n_per_setting
     cells, var_re, var_im = exact_slot(povm.elements, j, k, coeffs, n,
                                        lambda i: f"outcome {labels[i]}", shot.statistics)
+    _require_sum_rule(povm.elements, j, k)
 
     truths = povm.elements[:, j, k] + 0j  # a signed zero reads +0.0, as in the oracle
     raw_est = {

@@ -35,7 +35,8 @@ def _check_elements(stack: np.ndarray) -> None:
         hermitian = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1) <= DEFAULT_TOL
         hermitian_part = (stack + adjoint) / 2
     valid = hermitian.copy()
-    valid[hermitian] = np.linalg.eigvalsh(hermitian_part[hermitian])[:, 0] >= -DEFAULT_TOL
+    some = slice(None) if valid.all() else hermitian  # no masked copy in the usual case
+    valid[some] = np.linalg.eigvalsh(hermitian_part[some])[:, 0] >= -DEFAULT_TOL
     if not valid.all():
         i = int(np.argmin(valid))
         kind = "Hermitian" if not hermitian[i] else "positive semidefinite"
@@ -182,7 +183,7 @@ def load_povm(path: str, *, check_complete: bool = True) -> Povm:
         return Povm.from_dict(json.load(fh), check_complete=check_complete)
 
 
-def make_sic_povm() -> Povm:
+def make_sic_povm(complete: bool = False) -> Povm:
     """Four rank-one elements (1/2)|psi_l><psi_l| on a qubit, labels 1..4.
 
     The state set is, over {|H>, |V>} = {|0>, |1>}:
@@ -197,19 +198,22 @@ def make_sic_povm() -> Povm:
     -sqrt(2)/3 in the (H,V) slot -- so the completeness check is waived
     here.  Per-element positivity still holds, and every per-outcome
     quantity in this package (post-selection, entry estimation, noise
-    transforms) is well defined for it.
+    transforms) is well defined for it; the sum-rule refinement refuses it.
+    With ``complete`` the sqrt(2) of psi_2 is negated, which gives the
+    regular tetrahedron: its elements sum to the identity (residual
+    2.2e-16), and the completeness check holds.
     """
     s2 = np.sqrt(2.0)
     s3 = np.sqrt(3.0)
     w = np.exp(2j * np.pi / 3)
     psis = [
         np.array([1.0, 0.0], dtype=complex),
-        np.array([1.0, -s2], dtype=complex) / s3,
+        np.array([1.0, s2 if complete else -s2], dtype=complex) / s3,
         np.array([1.0, s2 * w.conjugate()], dtype=complex) / s3,
         np.array([1.0, s2 * w], dtype=complex) / s3,
     ]
     elems = [0.5 * projector(p) for p in psis]
-    return Povm(elems, labels=[1, 2, 3, 4], check_complete=False)
+    return Povm(elems, labels=[1, 2, 3, 4], check_complete=complete)
 
 
 def make_parametric_element(theta: float, eta: float, e01: complex) -> np.ndarray:

@@ -58,6 +58,13 @@ def sic():
     return make_sic_povm()
 
 
+@pytest.fixture(scope="session")
+def sic_complete():
+    """The regular tetrahedron: builtin:sic with the sign of psi_2 flipped,
+    so its elements sum to the identity and keep the sum rule."""
+    return make_sic_povm(complete=True)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)

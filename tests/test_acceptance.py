@@ -38,6 +38,7 @@ from povmdt import (
     Environment,
 )
 from povmdt.cli import run_scan
+from povmdt.reports import table_rows
 from povmdt.config import parse_config
 from povmdt.linalg import random_unitary
 
@@ -195,7 +196,7 @@ def test_criterion_6_noise_evolution_tracking(tmp_path, sic):
     })
     path = tmp_path / "deph.yaml"
     path.write_text(yaml.safe_dump(deph))
-    rows = run_scan(parse_config(str(path)))
+    rows = table_rows(run_scan(parse_config(str(path))))
     assert len(rows) == 9 * 4
     for row in rows:
         _assert_tracked(row, None)
@@ -209,7 +210,7 @@ def test_criterion_6_noise_evolution_tracking(tmp_path, sic):
     rot = dict(base, noise={"type": "rotation", "phi": [-0.6, -0.2, 0.4, 0.8]})
     path = tmp_path / "rot.yaml"
     path.write_text(yaml.safe_dump(rot))
-    rows = run_scan(parse_config(str(path)))
+    rows = table_rows(run_scan(parse_config(str(path))))
     assert len(rows) == 4 * 4
     for row in rows:
         base_val = truths[row["l"]]
@@ -240,8 +241,10 @@ def test_criterion_7_precision_immunity(sic):
     print(f"\n[criterion 7] PASS  max variance spread across noise settings = {worst:.2e}")
 
 
-def test_criterion_8_completeness_refinement(sic):
-    """Refinement formula, dominance, and the Monte Carlo improvement."""
+def test_criterion_8_completeness_refinement(sic_complete):
+    """Refinement formula, dominance, and the Monte Carlo improvement, on the
+    complete tetrahedron: builtin:sic breaks the sum rule and is refused."""
+    sic = sic_complete
     g = np.pi / 4
     coeffs = rt_coefficients(2, g)
     cfg = CouplingConfig.symmetric(g)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 import yaml
 
 from povmdt import Povm, cli, montecarlo, save_povm
@@ -22,7 +23,7 @@ from povmdt.estimator import (
 from povmdt.montecarlo import SWEEP_KEYWORDS, EntryScenario, refinement_trials, run_trials
 from povmdt.noise import apply_dephasing, apply_phase_rotation, wavepacket_overlap
 from povmdt.protocol import CouplingConfig, exact_entry_tables
-from povmdt.reports import write_csv, write_json_report
+from povmdt.reports import table_rows, write_csv, write_json_report
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,6 +53,9 @@ BASE_SCAN = {
     "shots": {"n_per_setting": 12790},
     "noise": {"type": "dephasing", "xi": [1.0, 0.5, 0.0]},
 }
+#: BASE_SCAN on the complete tetrahedron: builtin:sic breaks the sum rule
+#: that a refinement needs.
+COMPLETE_SCAN = dict(BASE_SCAN, povm={"source": "builtin:sic-complete"})
 
 
 def reference_scan(cfg, refine=False):
@@ -350,7 +354,8 @@ SWEPT_ENTRY = {"povm": SIC, "entry": {"l": 1, "j": 1, "k": 0}}
     ("oracle-check", {"povm": {"source": "file", "path": "missing.json"}},
      "povm.path: file not found: missing.json"),
     ("oracle-check", {"povm": {"source": "sic"}},
-     "povm.source: expected one of ('builtin:sic', 'random', 'file', 'walk'), got 'sic'"),
+     "povm.source: expected one of ('builtin:sic', 'builtin:sic-complete', 'random', 'file', "
+     "'walk'), got 'sic'"),
     ("oracle-check", {"povm": {"source": "random", "outcomes": 3}},
      "povm.d: required for source 'random'"),
     ("oracle-check", {"povm": {"source": "file"}}, "povm.path: required (string) for source 'file'"),
@@ -583,7 +588,7 @@ class TestOracleCheckCommand:
 class TestScanCommand:
     def test_dephasing_scan_rows(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE_SCAN))
-        rows = run_scan(cfg)
+        rows = table_rows(run_scan(cfg))
         assert len(rows) == 3 * 4  # grid x outcomes
         for row in rows:
             assert row["method"] == "sampled"
@@ -599,7 +604,7 @@ class TestScanCommand:
             "coherence_length": 120.0,
         })
         cfg = parse_config(write_config(tmp_path, data))
-        rows = [r for r in run_scan(cfg) if r["l"] == 2]
+        rows = [r for r in table_rows(run_scan(cfg)) if r["l"] == 2]
         assert len(rows) == 9
         mods = [abs(complex(r["true_re"], r["true_im"])) for r in rows]
         assert all(b < a for a, b in zip(mods, mods[1:]))
@@ -607,7 +612,7 @@ class TestScanCommand:
     def test_rotation_scan_phase_shift(self, tmp_path):
         data = dict(BASE_SCAN, noise={"type": "rotation", "phi": [-0.6, -0.2, 0.4, 0.8]})
         cfg = parse_config(write_config(tmp_path, data))
-        rows = [r for r in run_scan(cfg) if r["l"] == 4]
+        rows = [r for r in table_rows(run_scan(cfg)) if r["l"] == 4]
         for row in rows:
             want = complex(*np.array([row["true_re"], row["true_im"]]))
             base = (np.sqrt(2) / 6) * np.exp(2j * np.pi / 3)
@@ -615,10 +620,10 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("statistics", ["poisson", "multinomial"])
     def test_truths_never_read_negative_zero(self, tmp_path, statistics):
-        """The README rotation grid turns zero entries of builtin:sic into
+        """The README rotation grid turns zero entries of the tetrahedron into
         signed zeros; the scan's truths read +0.0 for them, as the entry
         oracle does, in sampled and refined rows and in the CSV."""
-        data = dict(BASE_SCAN, noise={"type": "rotation", "phi": [-0.6, -0.2, 0.4, 0.8]},
+        data = dict(COMPLETE_SCAN, noise={"type": "rotation", "phi": [-0.6, -0.2, 0.4, 0.8]},
                     shots={"n_per_setting": 12790, "statistics": statistics})
         path = write_config(tmp_path, data)
         cfg = parse_config(path)
@@ -626,7 +631,8 @@ class TestScanCommand:
                             for _, _, phi in cfg.noise["grid"]])
         zeros = np.concatenate([rotated.real[rotated.real == 0], rotated.imag[rotated.imag == 0]])
         assert np.signbit(zeros).any()
-        truths = [row[key] for row in run_scan(cfg, refine=True) for key in ("true_re", "true_im")]
+        truths = [row[key] for row in table_rows(run_scan(cfg, refine=True))
+                  for key in ("true_re", "true_im")]
         assert 0.0 in truths and not any(np.signbit(t) for t in truths if t == 0)
         out = tmp_path / "out"
         assert main(["scan", "--config", path, "--out", str(out), "--refine"]) == 0
@@ -635,8 +641,8 @@ class TestScanCommand:
         assert "0.0" in cells and "-0.0" not in cells
 
     def test_refine_adds_rows_with_smaller_variance(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, BASE_SCAN))
-        rows = run_scan(cfg, refine=True)
+        cfg = parse_config(write_config(tmp_path, COMPLETE_SCAN))
+        rows = table_rows(run_scan(cfg, refine=True))
         sampled = {(r["l"], r["axis_value"]): r for r in rows if r["method"] == "sampled"}
         refined = [r for r in rows if r["method"] == "refined"]
         assert len(refined) == 3 * 4
@@ -684,7 +690,7 @@ class TestScanCommand:
         data = dict(BASE_SCAN, povm=povm, entry=entry, noise=noise,
                     shots={"n_per_setting": 4000, "statistics": statistics})
         cfg = parse_config(write_config(tmp_path, data))
-        assert run_scan(cfg, refine=refine) == reference_scan(cfg, refine=refine)
+        assert table_rows(run_scan(cfg, refine=refine)) == reference_scan(cfg, refine=refine)
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_one_draw_per_scan(self, tmp_path, monkeypatch, refine):
@@ -697,8 +703,8 @@ class TestScanCommand:
             return montecarlo.sample_counts(*args)
 
         monkeypatch.setattr(cli, "sample_counts", counted)
-        cfg = parse_config(write_config(tmp_path, BASE_SCAN))
-        rows = run_scan(cfg, refine=refine)
+        cfg = parse_config(write_config(tmp_path, COMPLETE_SCAN))
+        rows = table_rows(run_scan(cfg, refine=refine))
         assert len(calls) == 1 and len(cfg.noise["grid"]) == 3
         assert {(r["method"], r["seed"]) for r in rows} == (
             {("sampled", 123), ("refined", -1)} if refine else {("sampled", 123)})
@@ -713,7 +719,7 @@ class TestScanCommand:
                     povm={"source": "random", "d": 2, "outcomes": 6, "seed": 9},
                     noise={"type": "rotation", "phi": np.linspace(-1, 1, 100).tolist()},
                     shots={"n_per_setting": 12790, "statistics": statistics})
-        rows = run_scan(parse_config(write_config(tmp_path, data)), refine=True)
+        rows = table_rows(run_scan(parse_config(write_config(tmp_path, data)), refine=True))
         for method in ("sampled", "refined"):
             z2 = [(row[f"est_{part}"] - row[f"true_{part}"]) ** 2 / row[f"var_{part}"]
                   for row in rows if row["method"] == method for part in ("re", "im")]
@@ -749,6 +755,67 @@ class TestScanCommand:
         assert capsys.readouterr().err == "error: refinement needs at least two outcomes\n"
         assert not out.exists()
 
+    def test_sum_rule_breach_refused(self, tmp_path, capsys, monkeypatch):
+        """builtin:sic's (1, 0) entries sum to modulus 0.471: scan --refine
+        exits 2 naming the slot and the residual before any noise map, and
+        writes nothing; the unrefined scan of it and the refined scan of
+        the complete tetrahedron run."""
+        for name in ("apply_dephasing", "apply_phase_rotation"):
+            monkeypatch.setattr(cli, name, refuse_to_run)
+        out = tmp_path / "out"
+        argv = ["scan", "--config", write_config(tmp_path, BASE_SCAN), "--out", str(out)]
+        assert main(argv + ["--refine"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: refinement needs the (1, 0) entries of the outcomes to sum to zero; "
+            "they sum to modulus 4.714e-01 > 1e-09\n")
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(argv) == 0
+        complete = write_config(tmp_path, COMPLETE_SCAN, "complete.yaml")
+        assert main(["scan", "--config", complete, "--out", str(out), "--refine"]) == 0
+
+    @pytest.mark.parametrize("seed", [2**63 + 5, 2**64 + 5])
+    def test_seed_beyond_int64_written_as_its_int(self, tmp_path, seed):
+        """A refined scan at a seed beyond int64 names it in its sampled
+        rows, as its ``str`` in the CSV and as its int in the JSON report;
+        numpy makes [2^63 + 5, -1] a float64 array."""
+        path = write_config(tmp_path, dict(COMPLETE_SCAN, seed=seed))
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        assert main(["scan", "--config", path, "--refine", "--out", str(csv_out)]) == 0
+        assert main(["scan", "--config", path, "--refine", "--out", str(json_out),
+                     "--format", "json"]) == 0
+        text = (csv_out / "scan.csv").read_text()
+        header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        method, column = header.index("method"), header.index("seed")
+        assert {(row[method], row[column]) for row in rows} == {
+            ("sampled", str(seed)), ("refined", "-1")}
+        report = json.loads((json_out / "scan.json").read_text())
+        assert {(row["method"], row["seed"]) for row in report["results"]["rows"]} == {
+            ("sampled", seed), ("refined", -1)}
+
+    @pytest.mark.parametrize("noise", [BASE_SCAN["noise"],
+                                       {"type": "rotation", "phi": [-0.6, -0.2, 0.4, 0.8]}])
+    def test_one_noise_map_per_grid_point_then_one_write(self, tmp_path, monkeypatch, noise):
+        """A scan maps its noise once per grid point, in grid order, and
+        writes its one CSV after the last map."""
+        calls = []
+
+        def logged(name):
+            original = getattr(cli, name)
+
+            def call(*args):
+                calls.append((name, None if name == "write_csv" else args[1]))
+                return original(*args)
+            return call
+
+        for name in ("apply_dephasing", "apply_phase_rotation", "write_csv"):
+            monkeypatch.setattr(cli, name, logged(name))
+        path = write_config(tmp_path, dict(COMPLETE_SCAN, noise=noise))
+        assert main(["scan", "--config", path, "--refine", "--out", str(tmp_path / "out")]) == 0
+        transform = "apply_" + ("dephasing" if noise["type"] == "dephasing" else "phase_rotation")
+        grid = parse_config(path).noise["grid"]
+        assert calls == [(transform, param) for _, _, param in grid] + [("write_csv", None)]
+
     def test_non_integer_label_in_povm_file_exits_2(self, tmp_path, capsys):
         """A POVM file whose labels are not integers is a config error: the
         label is named, nothing is written."""
@@ -773,7 +840,7 @@ def test_three_studies_share_one_exact_step(tmp_path):
     cfg = parse_config(write_config(tmp_path, data))
     povm, shot = cfg.povm(), cfg.shot_model()
     study = refinement_trials(povm, 2, 0, cfg.g, shot, trials=0)
-    rows = run_scan(cfg)
+    rows = table_rows(run_scan(cfg))
     assert [row["l"] for row in rows] == list(study.labels) == [1, 2, 3, 4, 5]
     for row in rows:
         raw = study.raw[row["l"]]
@@ -868,6 +935,14 @@ ADVERSARIAL_COLUMNS = {
     "int": [3, -3, 0, 3, 2**70, -1, 0],
     "text": ["a", "b", "", "a", "1.0", "nan", "-0.0"],
 }
+#: The adversarial columns as numpy arrays (most of them float64, "int" an
+#: object array, "text" a string one), and arrays of the other kinds.
+ARRAY_COLUMNS = dict(
+    ADVERSARIAL_COLUMNS,
+    int64=np.array([3, -3, 0, 3, 2**62, -1, 0]),
+    uint64=np.array([2**64 - 1, 0, 1, 2**64 - 1, 5, 0, 1], dtype=np.uint64),
+    bool_array=np.array([True, False, True, True, False, False, True]),
+)
 
 
 class TestArtifactWriters:
@@ -889,7 +964,7 @@ class TestArtifactWriters:
 
         monkeypatch.setattr("os.replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            write_csv(str(tmp_path / "table.csv"), ["a"], [{"a": 0.1}], {"seed": 1})
+            write_csv(str(tmp_path / "table.csv"), {"a": [0.1]}, {"seed": 1})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("size", [0, 1, 7])
@@ -898,19 +973,32 @@ class TestArtifactWriters:
         signed zeros, NaNs of any sign and payload, infinities, subnormals
         and repeated floats keep their own ``str``, and so do 1 beside 1.0,
         True, numpy floats and strings; for zero, one and several rows, and
-        for every, one and no column."""
+        for every and one column, as lists and as numpy arrays of every
+        kind (float64, int64, uint64, bool, string and object), an array
+        written as its Python scalars.  A table of no column has no rows."""
         columns = list(ADVERSARIAL_COLUMNS)[::-1]
         rows = [dict({c: values[i] for c, values in ADVERSARIAL_COLUMNS.items()}, extra=object())
                 for i in range(size)]
         meta = {"seed": 1, "note": "x"}
         path = tmp_path / "table.csv"
-        for chosen in (columns, ["signed_zero"], []):
-            write_csv(str(path), chosen, rows, meta)
+        for chosen in (columns, ["signed_zero"]):
+            write_csv(str(path), {c: [row[c] for row in rows] for c in chosen}, meta)
             assert path.read_bytes() == reference_csv(chosen, rows, meta).encode(), chosen
+        write_csv(str(path), {}, meta)
+        assert path.read_bytes() == reference_csv([], [], meta).encode()
+
+        arrays = {c: np.array(values)[:size] for c, values in ARRAY_COLUMNS.items()}
+        assert {a.dtype.kind for a in arrays.values()} == set("fiubUO")
+        array_rows = [dict(zip(arrays, values))
+                      for values in zip(*(a.tolist() for a in arrays.values()))]
+        for chosen in (list(arrays)[::-1], ["signed_zero"]):
+            write_csv(str(path), {c: arrays[c] for c in chosen}, meta)
+            assert path.read_bytes() == reference_csv(chosen, array_rows, meta).encode(), chosen
 
     def test_csv_equals_the_row_wise_reference_on_drawn_floats(self, tmp_path):
         """Thousands of floats drawn from a small pool with special values,
-        and the same floats beside one int, write the reference's text."""
+        and the same floats beside one int, write the reference's text, the
+        floats as a list and as a float64 array."""
         rng = np.random.default_rng(21)
         pool = np.concatenate([rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40),
                                [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324]])
@@ -918,15 +1006,38 @@ class TestArtifactWriters:
         rows = [{"a": x, "b": y} for x, y in zip(floats, floats[::-1])]
         rows[1234]["b"] = 7
         path = tmp_path / "table.csv"
-        write_csv(str(path), ["a", "b"], rows, {"seed": 1})
-        assert path.read_bytes() == reference_csv(["a", "b"], rows, {"seed": 1}).encode()
+        b = [row["b"] for row in rows]
+        for a in (floats, np.array(floats)):
+            write_csv(str(path), {"a": a, "b": b}, {"seed": 1})
+            assert path.read_bytes() == reference_csv(["a", "b"], rows, {"seed": 1}).encode()
+
+    def test_ragged_table_refused(self, tmp_path):
+        """A table whose columns differ in length is refused before any
+        file exists."""
+        with pytest.raises(ValueError, match="table columns differ in length"):
+            write_csv(str(tmp_path / "out" / "table.csv"), {"a": [1, 2], "b": np.zeros(3)},
+                      {"seed": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_rows_are_python_scalars(self):
+        """table_rows gives each row as a dict in column order of the Python
+        scalars of numpy columns: JSON writes them, and an int column holds
+        ints beyond int64."""
+        table = {"f": np.array([0.5, -0.0]), "i": np.array([3, 4]), "s": np.array(["a", "b"]),
+                 "o": np.array([2**64 + 5, -1], dtype=object), "list": [1.0, True]}
+        rows = table_rows(table)
+        assert rows == [{"f": 0.5, "i": 3, "s": "a", "o": 2**64 + 5, "list": 1.0},
+                        {"f": -0.0, "i": 4, "s": "b", "o": -1, "list": True}]
+        assert all(list(row) == list(table) for row in rows)
+        assert {type(v) for row in rows for v in row.values()} == {float, int, str, bool}
+        json.dumps(rows)
 
     def test_csv_values_are_their_str(self, tmp_path):
         """Every CSV value is written with ``str``: a float as its shortest
         round-trip repr, the same text for a numpy float64."""
         path = tmp_path / "table.csv"
         row = {"s": "x", "i": -3, "f": 0.1 + 0.2, "nf": np.float64(2.0 ** -1074)}
-        write_csv(str(path), list(row), [row], {"seed": 1})
+        write_csv(str(path), {c: [v] for c, v in row.items()}, {"seed": 1})
         assert path.read_text().splitlines() == ["# seed: 1", "s,i,f,nf",
                                                  "x,-3,0.30000000000000004,5e-324"]
 
@@ -1133,6 +1244,27 @@ class TestCalibrateCommand:
         assert [(float(r[0]), float(r[1])) for r in lines[1:]] == [
             (0.0, 1.0), (120.0, wavepacket_overlap(120.0, 120.0)),
         ]
+
+    def test_xi_hat_error_bars(self, tmp_path):
+        """calibrate's JSON report gives each xi_hat its binomial variance
+        (1 - xi_hat^2) / samples, which its CSV does not hold.  Over the
+        shipped grid's 13 points with xi < 1, the RMS of z = (xi_hat -
+        xi_true) / sqrt((1 - xi_true^2) / samples) lies in its chi^2 band
+        (two-sided 99.9 %); the epsilon = 0 point reads exactly 1."""
+        out = tmp_path / "cal"
+        argv = ["calibrate", "--config", str(CONFIGS / "calibration.yaml"), "--out", str(out)]
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads((out / "calibrate.json").read_text())["results"]["xi"]
+        for row in rows:
+            assert row["xi_hat_var"] == (1 - row["xi_hat"] ** 2) / row["samples"]
+        assert (rows[0]["axis_value"], rows[0]["xi_hat"], rows[0]["xi_hat_var"]) == (0.0, 1.0, 0.0)
+        z = [(row["xi_hat"] - row["xi_true"]) / np.sqrt((1 - row["xi_true"] ** 2) / row["samples"])
+             for row in rows if row["xi_true"] < 1]
+        assert len(z) == 13
+        low, high = np.sqrt(scipy.stats.chi2.ppf([0.0005, 0.9995], len(z)) / len(z))
+        assert low <= np.sqrt(np.mean(np.square(z))) <= high
+        assert main(argv) == 0
+        assert "xi_hat_var" not in (out / "calibration_xi.csv").read_text()
 
     def test_anchors_and_overlap_grid(self, tmp_path):
         out = tmp_path / "cal"

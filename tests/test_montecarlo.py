@@ -37,6 +37,7 @@ from povmdt import (
     variance_sweep,
 )
 from povmdt import _kernels, estimator, montecarlo
+from povmdt.config import ConfigError
 from povmdt.estimator import error_transfer_variance, nonnegative_cells
 from povmdt.montecarlo import _analytic_for, exact_slot
 from povmdt.protocol import SETTINGS
@@ -1550,9 +1551,9 @@ class TestConvergence:
 
 
 class TestRefinementTrials:
-    def test_refined_below_raw(self, sic):
+    def test_refined_below_raw(self, sic_complete):
         study = refinement_trials(
-            sic, 1, 0, np.pi / 4, ShotModel(N_REF, "poisson", seed=17), trials=3000
+            sic_complete, 1, 0, np.pi / 4, ShotModel(N_REF, "poisson", seed=17), trials=3000
         )
         for lab in study.labels:
             raw_tot = sum(study.raw_sample_var[lab])
@@ -1593,24 +1594,36 @@ class TestRefinementTrials:
         with pytest.raises(DeadPostSelectionError, match="outcome 1"):
             refinement_trials(zero_and_identity, 1, 0, np.pi / 4, ShotModel(1000), trials=10)
 
+    def test_sum_rule_breach_refused(self, sic, monkeypatch):
+        """builtin:sic's (1, 0) entries sum to modulus 0.471: the study is
+        refused, naming the slot and the residual, before any trial."""
+        def no_trials(*args):
+            raise AssertionError("trials drawn")
+
+        monkeypatch.setattr(_kernels, "trial_estimates", no_trials)
+        with pytest.raises(ConfigError, match=r"^refinement needs the \(1, 0\) entries of the "
+                                              r"outcomes to sum to zero; they sum to modulus "
+                                              r"4\.714e-01 > 1e-09$"):
+            refinement_trials(sic, 1, 0, np.pi / 4, ShotModel(1000), trials=10)
+
     def test_diagonal_entry_refused(self, sic):
         with pytest.raises(ValueError, match="j != k"):
             refinement_trials(sic, 1, 1, np.pi / 4, ShotModel(1000), trials=10)
 
-    def test_truths_never_read_negative_zero(self, sic):
+    def test_truths_never_read_negative_zero(self, sic_complete):
         """The exact rows hold the true entries with +0.0 for a signed zero,
         as the entry oracle does."""
-        povm = apply_phase_rotation(sic, 0.8 * np.pi, 1, 0)
+        povm = apply_phase_rotation(sic_complete, 0.8 * np.pi, 1, 0)
         assert np.signbit(povm.elements[:, 1, 0].imag[povm.elements[:, 1, 0] == 0]).any()
         study = refinement_trials(povm, 1, 0, 0.6, ShotModel(1000), 0)
         values = [study.raw[lab].value for lab in study.labels]
         assert 0.0 in [part for v in values for part in (v.real, v.imag)]
         assert not any(np.signbit(part) for v in values for part in (v.real, v.imag) if part == 0)
 
-    def test_deterministic(self, sic):
+    def test_deterministic(self, sic_complete):
         shot = ShotModel(1000, "poisson", seed=2)
-        a = refinement_trials(sic, 1, 0, np.pi / 4, shot, trials=200)
-        b = refinement_trials(sic, 1, 0, np.pi / 4, shot, trials=200)
+        a = refinement_trials(sic_complete, 1, 0, np.pi / 4, shot, trials=200)
+        b = refinement_trials(sic_complete, 1, 0, np.pi / 4, shot, trials=200)
         assert a.raw_sample_var == b.raw_sample_var
         assert a.refined_sample_var == b.refined_sample_var
 
